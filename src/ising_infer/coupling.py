@@ -132,8 +132,9 @@ class ValidationReport:
     """Outcome of validate_assumptions.
 
     ``passes`` has one boolean per checked assumption; ``ok`` is their
-    conjunction. All recorded quantities are deterministic functions of the
-    matrix and the tolerances.
+    conjunction. ``spectrum`` is the summary the gap was read from. All
+    recorded quantities are deterministic functions of the matrix and the
+    tolerances.
     """
 
     n: int
@@ -143,6 +144,7 @@ class ValidationReport:
     row_tol: float
     gap_tol: float
     passes: dict
+    spectrum: SpectralSummary
 
     @property
     def ok(self) -> bool:
@@ -319,6 +321,20 @@ def limiting_spectrum(
     raise ParameterError(f"no cataloged limiting spectrum for {family!r}")
 
 
+def family_limit(coupling: CouplingMatrix) -> LimitingSpectrum:
+    """The cataloged limiting spectrum of a built coupling, from its family.
+
+    q comes from the coupling's params and, for random_regular, eta = d/n.
+    Never eigendecomposes; raises ParameterError for uncataloged families.
+    """
+    kwargs = {}
+    if "q" in coupling.params:
+        kwargs["q"] = coupling.params["q"]
+    if coupling.family == "random_regular":
+        kwargs["eta"] = coupling.params["d"] / coupling.n
+    return limiting_spectrum(coupling.family, **kwargs)
+
+
 def spectrum(coupling: CouplingMatrix) -> SpectralSummary:
     """Eigendecompose a coupling and attach its cataloged limit if known.
 
@@ -328,14 +344,7 @@ def spectrum(coupling: CouplingMatrix) -> SpectralSummary:
     """
     eigs = _sort_by_abs_desc(np.linalg.eigvalsh(coupling.entries))
     frob = float(np.sum(coupling.entries * coupling.entries))
-    limit = None
-    if coupling.family in CATALOGED:
-        kwargs = {}
-        if "q" in coupling.params:
-            kwargs["q"] = coupling.params["q"]
-        if coupling.family == "random_regular":
-            kwargs["eta"] = coupling.params["d"] / coupling.n
-        limit = limiting_spectrum(coupling.family, **kwargs)
+    limit = family_limit(coupling) if coupling.family in CATALOGED else None
     return SpectralSummary(
         n=coupling.n,
         family=coupling.family,
@@ -358,7 +367,8 @@ def validate_assumptions(
 
     ``row_tol`` defaults to 2/n so the complete family's row sums of
     (n-1)/n pass without special casing. The gap is the signed difference
-    between the leading eigenvalue and the largest remaining one. The
+    between the leading eigenvalue and the largest remaining one, read from
+    spectrum(coupling), which the report carries. The
     entrywise record is n * max entry; it fails only when ``entry_tol``
     is supplied and exceeded.
     """
@@ -367,7 +377,8 @@ def validate_assumptions(
         row_tol = 2.0 / n
     row_dev = float(np.max(np.abs(coupling.row_sums() - 1.0)))
     entry_bound = float(n * coupling.entries.max())
-    eigs = _sort_by_abs_desc(np.linalg.eigvalsh(coupling.entries))
+    summary = spectrum(coupling)
+    eigs = summary.finite_eigs
     gap = float(eigs[0] - np.max(eigs[1:])) if n > 1 else math.inf
     passes = {
         "regular": row_dev <= row_tol,
@@ -382,6 +393,7 @@ def validate_assumptions(
         row_tol=row_tol,
         gap_tol=gap_tol,
         passes=passes,
+        spectrum=summary,
     )
 
 

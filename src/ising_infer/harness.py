@@ -24,8 +24,8 @@ from . import __version__
 from .coupling import (
     FAMILIES,
     build_coupling,
+    family_limit,
     limiting_spectrum,
-    spectrum,
     validate_assumptions,
 )
 from .errors import ConfigError, ParameterError
@@ -225,19 +225,6 @@ def _coupling_for(config: ExperimentConfig, n: int):
     return build_coupling(config.family, n, **kwargs)
 
 
-def _limit_for(config: ExperimentConfig, n: int):
-    """Cataloged (limit_eigs, kappa) without touching an n x n matrix."""
-    kwargs = {}
-    if config.q is not None:
-        kwargs["q"] = config.q
-    if config.family == "random_regular":
-        if config.d is None:
-            raise ConfigError("d: random_regular needs a degree")
-        kwargs["eta"] = config.d / n
-    lim = limiting_spectrum(config.family, **kwargs)
-    return lim.limit_eigs, lim.kappa
-
-
 _ESTIMATOR_COLUMNS = (
     "replication",
     "derived_seed",
@@ -385,6 +372,7 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     summary = {}
     for n in config.n:
         coupling = _coupling_for(config, n)
+        limit = family_limit(coupling) if config.theta0 >= 1.0 else None
         summary_block = {}
         for kind in KINDS:
             spec = TestSpec(
@@ -397,10 +385,6 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                 seed=derive_seed(config.master_seed, 0),
             )
             cal = calibrate(spec, coupling)
-            try:
-                limit_eigs, kappa = _limit_for(config, n)
-            except ParameterError:
-                limit_eigs, kappa = None, None
             for j, h in enumerate(config.h):
                 start = time.perf_counter()
                 power = empirical_power(
@@ -411,14 +395,14 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                     derive_seed(config.master_seed, 1 + j),
                     calibration=cal,
                 )
-                if config.theta0 >= 1.0 and limit_eigs is not None:
+                if limit is not None:
                     asym, asym_err = asymptotic_power(
                         kind,
                         config.theta0,
                         h,
                         config.alpha,
-                        limit_eigs=limit_eigs,
-                        kappa=kappa,
+                        limit_eigs=limit.limit_eigs,
+                        kappa=limit.kappa,
                         seed=derive_seed(config.master_seed, 2 + j),
                     )
                 else:
@@ -466,8 +450,13 @@ def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
 
     if config.theta0 != 1.0:
         raise ConfigError("theta0: limit_law_density is a critical-point experiment")
+    kwargs = {} if config.q is None else {"q": config.q}
+    if config.family == "random_regular":
+        if config.d is None:
+            raise ConfigError("d: random_regular needs a degree")
+        kwargs["eta"] = config.d / min(config.n)
     try:
-        limit_eigs, kappa = _limit_for(config, min(config.n))
+        limit = limiting_spectrum(config.family, **kwargs)
     except ParameterError as exc:
         raise ConfigError(
             "family: limit_law_density needs a cataloged family"
@@ -475,8 +464,8 @@ def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
     h = config.h[0]
     draws = sample_mple_limit(
         h,
-        limit_eigs,
-        kappa,
+        limit.limit_eigs,
+        limit.kappa,
         max(config.reps, 2000),
         derive_seed(config.master_seed, 0),
     )
@@ -574,8 +563,8 @@ def _run_spectrum_report(config: ExperimentConfig) -> ExperimentResult:
     for n in config.n:
         start = time.perf_counter()
         coupling = _coupling_for(config, n)
-        summary_spec = spectrum(coupling)
         report = validate_assumptions(coupling)
+        summary_spec = report.spectrum
         eigs = summary_spec.finite_eigs
         row = {
             "n": n,

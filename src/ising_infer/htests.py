@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .coupling import CATALOGED, CouplingMatrix, limiting_spectrum
+from .coupling import CouplingMatrix, family_limit
 from .errors import ParameterError
 from .inference import mple, mple_from_counts
 from .sampler import SpinConfiguration, cw_aux_counts, glauber_sample
@@ -229,22 +229,6 @@ def _statistic_batch(
     return stats, sampler
 
 
-def _limit_spectrum(coupling: CouplingMatrix):
-    """Catalog lookup of (limit_eigs, kappa); never eigendecomposes."""
-    if coupling.family not in CATALOGED:
-        raise ParameterError(
-            "asymptotic calibration needs a cataloged family with a known "
-            "limiting spectrum"
-        )
-    kwargs = {}
-    if "q" in coupling.params:
-        kwargs["q"] = coupling.params["q"]
-    if coupling.family == "random_regular":
-        kwargs["eta"] = coupling.params["d"] / coupling.n
-    lim = limiting_spectrum(coupling.family, **kwargs)
-    return lim.limit_eigs, lim.kappa
-
-
 @lru_cache(maxsize=64)
 def _v0_quantile(p: float, limit_eigs: tuple, kappa: float) -> float:
     draws = sample_mple_limit(
@@ -291,8 +275,8 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
         if spec.kind == "ms":
             critical = n * m * m + 2.0 * z * math.sqrt(n * rate)
         elif spec.kind == "np":
-            eigs, kappa = _limit_spectrum(coupling)
-            shift = quadratic_limit_mean(theta0, eigs, kappa)
+            lim = family_limit(coupling)
+            shift = quadratic_limit_mean(theta0, lim.limit_eigs, lim.kappa)
             critical = n * m * m + 2.0 * z * math.sqrt(n * rate) + shift
         else:
             critical = theta0 + z / math.sqrt(n * rate)
@@ -302,11 +286,12 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
         u_cut = critical_law(0.0).quantile(1.0 - alpha / 2.0)
         critical = math.sqrt(n) * u_cut * u_cut
         if spec.kind == "np":
-            eigs, kappa = _limit_spectrum(coupling)
-            critical += quadratic_limit_mean(1.0, eigs, kappa)
+            lim = family_limit(coupling)
+            critical += quadratic_limit_mean(1.0, lim.limit_eigs, lim.kappa)
     else:
-        eigs, kappa = _limit_spectrum(coupling)
-        critical = 1.0 + _v0_quantile(1.0 - alpha, eigs, kappa) / math.sqrt(n)
+        lim = family_limit(coupling)
+        v0 = _v0_quantile(1.0 - alpha, lim.limit_eigs, lim.kappa)
+        critical = 1.0 + v0 / math.sqrt(n)
     return Calibration(critical, None, "theory", spec)
 
 

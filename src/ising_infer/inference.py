@@ -3,9 +3,11 @@
 The pseudlikelihood estimate solves x'Qx = sum_i t_i tanh(theta t_i), a
 strictly increasing equation in theta whenever any local field is nonzero;
 we bracket by doubling outward from theta = 1 and run safeguarded Newton
-inside the bracket. The likelihood estimate solves Z'(theta) = x'Qx / 2,
-exactly from an enumeration table at small n, or by confidence-gated
-bisection on Glauber chain means otherwise.
+inside the bracket. The likelihood estimate solves dlog Z/dtheta = x'Qx / 2.
+Where the model is exactly summable it has one solver, ``_table_mle``, on
+the sampler's exact tables: the 2^n enumeration for n <= 24 (``mle_exact``)
+and the complete family's binomial table at any n (``mle_complete_large_n``).
+Otherwise it runs confidence-gated bisection on Glauber chain means.
 
 Existence is decided before any iteration: the pseudolikelihood equation
 has a real root iff -sum|t_i| < x'Qx < sum|t_i| strictly, and the
@@ -20,14 +22,25 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .coupling import CouplingMatrix
 from .errors import NumericError, ParameterError
-from .sampler import SpinConfiguration, suff_stat_table
+from .sampler import (
+    SpinConfiguration,
+    complete_log_table,
+    log_table,
+    suff_stat_table,
+    tilted_table,
+)
 from .streams import derive_seed
 
 RESIDUAL_SCALE = 1e-12
+# The likelihood residual must be at most 1e-10, or MLE_RESIDUAL_ULPS rounding
+# units of the table's range of x'Qx where that is coarser (complete family
+# past n = 1760): there the O(n) log weights themselves round above 1e-10.
 MLE_RESIDUAL = 1e-10
+MLE_RESIDUAL_ULPS = 256
 # Existence is an open-interval condition on quantities that arrive through
 # floating point; a statistic within this relative distance of an attainable
 # extreme is treated as sitting on it (the coupling entries themselves are
@@ -253,40 +266,15 @@ def suff_stat_bounds(
     return float(values[0]), float(values[-1])
 
 
-def _mle_curve(table):
-    values, counts = table
-    log_counts = np.log(counts.astype(np.float64))
+def _table_mle(s: float, values: np.ndarray, log_mult: np.ndarray) -> EstimateResult:
+    """Solve dlog Z/dtheta = s / 2 on an exact (x'Qx, log multiplicity) table.
 
-    def dlog_z(theta):
-        logw = 0.5 * theta * values + log_counts
-        logw = logw - logw.max()
-        w = np.exp(logw)
-        return float(0.5 * np.sum(values * w) / np.sum(w))
-
-    return dlog_z
-
-
-def mle_exact(
-    x,
-    coupling: CouplingMatrix,
-    table: tuple | None = None,
-) -> EstimateResult:
-    """Maximum likelihood estimate from a full enumeration table (n <= 24).
-
-    Solves Z'(theta) = x'Qx / 2 by Brent root-finding over a doubled
-    bracket and verifies the residual below 1e-10.
-
-    Args:
-        x: SpinConfiguration or +-1 vector.
-        coupling: the coupling matrix.
-        table: optional reuse of suff_stat_table(coupling) across calls.
+    The root exists iff s lies strictly between the table's extremes. Brent
+    runs on a bracket doubled outward from (-1, 1), and the residual at the
+    root must be at most 1e-10 (or MLE_RESIDUAL_ULPS rounding units of the
+    table's range).
     """
-    from scipy.optimize import brentq
-
-    _, _, s = _fields_and_stat(x, coupling)
-    if table is None:
-        table = suff_stat_table(coupling)
-    a_n, b_n = float(table[0][0]), float(table[0][-1])
+    a_n, b_n = float(values.min()), float(values.max())
     diagnostics = {"a_n": a_n, "b_n": b_n}
     if not _inside_bounds(s, a_n, b_n):
         value = math.inf if s >= 0.5 * (a_n + b_n) else -math.inf
@@ -294,11 +282,10 @@ def mle_exact(
             value=value, exists=False, method="mle_exact", iterations=0,
             bracket=None, diagnostics=diagnostics,
         )
-    dlog_z = _mle_curve(table)
     half = 0.5 * s
 
     def g(theta):
-        return dlog_z(theta) - half
+        return tilted_table(values, log_mult, theta)[1] - half
 
     lo, hi, iters = -1.0, 1.0, 0
     while g(lo) > 0.0:
@@ -313,13 +300,30 @@ def mle_exact(
             raise NumericError("likelihood bracketing ran away high")
     value = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     residual = abs(g(value))
-    if residual > MLE_RESIDUAL:
-        raise NumericError(f"likelihood residual {residual:.2e} above 1e-10")
+    tol = max(MLE_RESIDUAL, MLE_RESIDUAL_ULPS * np.finfo(float).eps * (b_n - a_n))
+    if residual > tol:
+        raise NumericError(f"likelihood residual {residual:.2e} above {tol:.2e}")
     diagnostics["residual"] = residual
     return EstimateResult(
         value=float(value), exists=True, method="mle_exact",
         iterations=iters, bracket=(lo, hi), diagnostics=diagnostics,
     )
+
+
+def mle_exact(
+    x,
+    coupling: CouplingMatrix,
+    table: tuple | None = None,
+) -> EstimateResult:
+    """Maximum likelihood estimate from a full enumeration table (n <= 24).
+
+    Args:
+        x: SpinConfiguration or +-1 vector.
+        coupling: the coupling matrix.
+        table: optional reuse of suff_stat_table(coupling) across calls.
+    """
+    _, _, s = _fields_and_stat(x, coupling)
+    return _table_mle(s, *log_table(coupling, table))
 
 
 def mle_stochastic(
@@ -453,47 +457,12 @@ def mle_stochastic(
 
 
 def mle_complete_large_n(n: int, plus_count: int) -> EstimateResult:
-    """Exact complete-family MLE at any n from the binomial partition sum.
+    """Exact complete-family MLE at any n from the +1 count alone.
 
-    Solves the matrix-convention likelihood equation using the mean-field
-    derivative (the two conventions differ by the constant 1/2, which
-    cancels): d/dtheta Z_cw(theta) = n xbar^2 / 2.
+    Solves on the binomial table complete_log_table(n), whose entries are
+    the values n xbar^2 - 1 that x'Qx takes under the complete coupling.
     """
-    from scipy.optimize import brentq
-
-    from .sampler import cw_dlog_partition
-
     if not 0 <= plus_count <= n:
         raise ParameterError("plus_count must lie in [0, n]")
     xbar = (2.0 * plus_count - n) / n
-    s = n * xbar * xbar - 1.0
-    low = -1.0 if n % 2 == 0 else (1.0 - n) / n
-    high = float(n - 1)
-    diagnostics = {"a_n": low, "b_n": high}
-    if not _inside_bounds(s, low, high):
-        return EstimateResult(
-            value=math.inf if s >= 0.5 * (low + high) else -math.inf,
-            exists=False, method="mle_exact", iterations=0,
-            bracket=None, diagnostics=diagnostics,
-        )
-    target = n * xbar * xbar / 2.0
-
-    def g(theta):
-        return cw_dlog_partition(n, theta) - target
-
-    lo, hi, iters = 0.0, 2.0, 0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        iters += 1
-        if iters > 60:
-            raise NumericError("likelihood bracketing ran away high")
-    while g(lo) > 0.0:
-        lo = 2.0 * lo - 1.0
-        iters += 1
-        if iters > 60:
-            raise NumericError("likelihood bracketing ran away low")
-    value = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    return EstimateResult(
-        value=float(value), exists=True, method="mle_exact",
-        iterations=iters, bracket=(lo, hi), diagnostics=diagnostics,
-    )
+    return _table_mle(n * xbar * xbar - 1.0, *complete_log_table(n))

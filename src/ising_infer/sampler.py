@@ -1,27 +1,34 @@
-"""Samplers and partition-function evaluators for the Ising models.
+"""Samplers and exact partition-function evaluators for the Ising models.
 
 Three sampling routes with different validity/scale trade-offs:
 
 * exact enumeration of all 2^n configurations (n <= 24), which is the
   ground-truth oracle for everything else;
 * single-site Glauber dynamics with a systematic scan, valid for every
-  coupling, with incremental local-field maintenance;
+  coupling; each returned configuration carries local fields recomputed
+  from its spins;
 * the auxiliary-field decomposition of the mean-field (complete) model,
   which is exact and runs in O(n) per draw at any n, so the large-n
   critical experiments never touch a matrix.
 
-The mean-field log-partition function in its nx̄²/2 convention is evaluated
-by a binomial sum; couplings in matrix convention differ from it by exactly
-theta/2, and that shift is applied explicitly wherever the two meet.
+Every exactly summable model is one table of attainable x'Qx values with
+log multiplicities: the 2^n enumeration for n <= 24 (``log_table``) and,
+for the complete family at any n, the binomial table over the +1 count
+(``complete_log_table``). ``tilted_table`` turns a table into log Z, its
+derivative and the tilted pmf; ``exact_enumerate`` and the mean-field
+``cw_log_partition``/``cw_dlog_partition`` are thin callers of it, and the
+exact MLE solves on the same tables. The tables are in matrix convention;
+the mean-field nx̄²/2 convention differs from it by exactly theta/2.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .coupling import CouplingMatrix
 from .errors import CapacityError, ParameterError
@@ -152,6 +159,52 @@ def suff_stat_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, counts
 
 
+def log_table(
+    coupling: CouplingMatrix, table: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(attainable x'Qx, log multiplicity) from the 2^n enumeration (n <= 24).
+
+    ``table`` is an optional precomputed suff_stat_table(coupling).
+    """
+    _check_enumerable(coupling.n)
+    values, counts = suff_stat_table(coupling) if table is None else table
+    return values, np.log(counts)
+
+
+@lru_cache(maxsize=4)
+def complete_log_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x'Qx, log multiplicity) of the complete coupling, one entry per +1 count.
+
+    k plus spins give x'Qx = n xbar^2 - 1 with xbar = (2k - n)/n, in C(n, k)
+    configurations. The arrays are cached per n and read-only.
+    """
+    if n < 1 or n > CW_PARTITION_MAX_N:
+        raise CapacityError(f"n must lie in [1, {CW_PARTITION_MAX_N}]")
+    k = np.arange(n + 1, dtype=np.float64)
+    xbar = (2.0 * k - n) / n
+    values = n * xbar * xbar - 1.0
+    log_mult = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    values.flags.writeable = False
+    log_mult.flags.writeable = False
+    return values, log_mult
+
+
+def tilted_table(
+    values: np.ndarray, log_mult: np.ndarray, theta: float
+) -> tuple[float, float, np.ndarray]:
+    """log Z, dlog Z/dtheta and the probability of each table entry at ``theta``.
+
+    Z(theta) = sum over entries of exp(log_mult + theta * value / 2), and
+    dlog Z/dtheta is the tilted mean of value / 2. The weights are shifted
+    by their maximum and normalized by their own sum.
+    """
+    logw = 0.5 * theta * values + log_mult
+    shift = logw.max()
+    w = np.exp(logw - shift)
+    total = w.sum()
+    return float(shift + np.log(total)), float(0.5 * (values @ w) / total), w / total
+
+
 def exact_enumerate(
     coupling: CouplingMatrix,
     theta: float,
@@ -164,14 +217,8 @@ def exact_enumerate(
         theta: inverse temperature (any finite real).
         table: optional precomputed suff_stat_table, reused across calls.
     """
-    _check_enumerable(coupling.n)
-    if table is None:
-        table = suff_stat_table(coupling)
-    values, counts = table
-    logw = 0.5 * theta * values + np.log(counts)
-    log_z = float(logsumexp(logw))
-    probs = np.exp(logw - log_z)
-    dlog_z = float(0.5 * np.sum(values * probs))
+    values, log_mult = log_table(coupling, table)
+    log_z, dlog_z, probs = tilted_table(values, log_mult, theta)
     pmf: dict = {}
     for v, p in zip(np.round(values, 10), probs):
         pmf[v] = pmf.get(v, 0.0) + float(p)
@@ -185,9 +232,7 @@ def enumerate_state_distribution(coupling: CouplingMatrix, theta: float) -> np.n
     if coupling.n > 20:
         raise CapacityError("state distributions are capped at n=20")
     stats = enumerate_suff_stats(coupling)
-    logw = 0.5 * theta * stats
-    logw -= logsumexp(logw)
-    return np.exp(logw)
+    return tilted_table(stats, np.zeros_like(stats), theta)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +292,8 @@ def glauber_sample(
     spins = _initial_spins(n, init, rng)
     t = coupling.entries @ spins.astype(np.float64)
     _run_sweeps(coupling.entries, theta, spins, t, sweeps, rng)
-    return SpinConfiguration.from_parts(spins, t)
+    # fresh fields, so statistics agree with those computed from the spins
+    return SpinConfiguration.from_spins(spins, coupling)
 
 
 def glauber_series(
@@ -307,37 +353,19 @@ def glauber_sweep_kernel(
 
 
 def cw_log_partition(n: int, theta: float) -> float:
-    """log sum_x exp(n*theta*xbar^2/2) via the binomial magnetization sum.
+    """log sum_x exp(n*theta*xbar^2/2), from the complete family's table.
 
-    This is the nx̄²/2 convention; the matrix-convention value for the
-    complete coupling is this minus theta/2.
+    This is the nx̄²/2 convention: the table's matrix-convention log Z plus
+    theta/2.
     """
-    if n < 1 or n > CW_PARTITION_MAX_N:
-        raise CapacityError(f"n must lie in [1, {CW_PARTITION_MAX_N}]")
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
-    k = np.arange(n + 1, dtype=np.float64)
-    logw = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        + theta * (2.0 * k - n) ** 2 / (2.0 * n)
-    )
-    return float(logsumexp(logw))
+    return tilted_table(*complete_log_table(n), theta)[0] + 0.5 * theta
 
 
 def cw_dlog_partition(n: int, theta: float) -> float:
     """d/dtheta of cw_log_partition: the tilted mean of n*xbar^2/2."""
-    if n < 1 or n > CW_PARTITION_MAX_N:
-        raise CapacityError(f"n must lie in [1, {CW_PARTITION_MAX_N}]")
-    k = np.arange(n + 1, dtype=np.float64)
-    s = (2.0 * k - n) ** 2 / (2.0 * n)
-    logw = (
-        gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0) + theta * s
-    )
-    logw -= logw.max()
-    w = np.exp(logw)
-    return float(np.sum(s * w) / np.sum(w))
+    return tilted_table(*complete_log_table(n), theta)[1] + 0.5
 
 
 def mean_field_rate(theta: float, phi) -> np.ndarray | float:

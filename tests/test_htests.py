@@ -38,13 +38,19 @@ def test_statistic_accepts_configuration():
     cpl = build_coupling("bipartite", 12)
     config = glauber_sample(cpl, 1.1, 4, sweeps=50)
     for kind in ("ms", "np", "pl"):
-        # cached local fields can differ from a fresh matrix product in
-        # the last ulp, so the statistics agree to relative 1e-9 only
-        assert math.isclose(
-            statistic_value(kind, config, cpl),
-            statistic_value(kind, config.spins, cpl),
-            rel_tol=1e-9,
+        assert statistic_value(kind, config, cpl) == statistic_value(
+            kind, config.spins, cpl
         )
+
+
+def test_statistic_equal_on_glauber_configuration_and_its_spins():
+    cpl = build_coupling("random_regular", 60, d=10, seed=3)
+    for seed in range(40):
+        config = glauber_sample(cpl, 1.3, seed, sweeps=50)
+        for kind in ("np", "pl"):
+            assert statistic_value(kind, config, cpl) == statistic_value(
+                kind, config.spins, cpl
+            ), (seed, kind)
 
 
 def test_spec_validation():

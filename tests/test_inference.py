@@ -157,7 +157,7 @@ def test_mle_exact_boundaries():
 
 
 def test_mle_large_n_route_matches_enumeration():
-    for n in (16, 17):
+    for n in range(2, 25):
         cpl = build_coupling("complete", n)
         table = suff_stat_table(cpl)
         for k in range(n + 1):
@@ -169,6 +169,16 @@ def test_mle_large_n_route_matches_enumeration():
                 assert abs(a.value - b.value) < 1e-9
             else:
                 assert a.value == b.value
+
+
+def test_mle_large_n_residual_is_checked():
+    n = 1600
+    for k in range(0, n + 1, 40):
+        res = mle_complete_large_n(n, k)
+        # x'Qx sits on an attainable extreme at k = 0, n/2 and n
+        assert res.exists == (k not in (0, n // 2, n)), k
+        if res.exists:
+            assert res.diagnostics["residual"] <= 1e-10, k
 
 
 def test_mle_large_n_negative_root():
