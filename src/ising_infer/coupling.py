@@ -15,15 +15,22 @@ qpartite          q/(n(q-1)) between contiguous classes of size n/q.
 cyclic_qpartite   q/(2n) between cyclically adjacent classes of size n/q.
 random_regular    1/d on the edges of a d-regular simple graph.
 custom            anything loaded from a matrix file.
+
+The first four are block couplings, stored as class sizes and a q x q
+weight matrix: their spectrum, Frobenius norm, row sums and entry bound
+come in closed form, and the dense n x n matrix is built only when a
+dense consumer (Glauber, enumeration, quadratic forms, save_matrix) reads
+``entries``. random_regular and custom are dense from the start. No dense
+matrix above DENSE_MAX_N is ever built.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import CapacityError, ConstructionError, ParameterError
 from .streams import as_generator
 
 FAMILIES = (
@@ -39,52 +46,138 @@ FAMILIES = (
 CATALOGED = FAMILIES[:-1]
 
 
-@dataclass(frozen=True, eq=False)
+#: Largest n for which a dense (n, n) float64 coupling is built: 3.2 GB.
+DENSE_MAX_N = 20_000
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CouplingMatrix:
     """An immutable coupling matrix together with its family tag.
+
+    A coupling is stored either densely or as a block coupling: contiguous
+    classes of sizes m (length q) and a symmetric (q, q) weight matrix W,
+    with Q(i, j) = W[c(i), c(j)] for i != j and a zero diagonal. Spectrum,
+    Frobenius norm, row sums and the entry bound of a block coupling come
+    from (m, W) alone; the dense array is built only when ``entries`` is
+    read.
 
     Attributes
     ----------
     n : int
         Number of vertices (spins).
     entries : np.ndarray
-        Dense (n, n) float64 array, symmetric, zero diagonal. The buffer is
-        marked read-only at construction.
+        Dense (n, n) float64 array, symmetric, zero diagonal, read-only.
+        For a block coupling it is built on first access and cached; above
+        DENSE_MAX_N that raises CapacityError.
     family : str
         One of FAMILIES.
     params : dict
         Family parameters (``q`` for the partite families, ``d`` and
         ``seed`` for random regular graphs). Empty for complete/bipartite.
+    sizes : np.ndarray or None
+        Class sizes m of a block coupling (positive, summing to n); None
+        for a dense coupling.
+    weights : np.ndarray or None
+        The (q, q) weight matrix W of a block coupling; None when dense.
     """
 
     n: int
-    entries: np.ndarray
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
+    family: str
+    params: dict
+    sizes: np.ndarray | None
+    weights: np.ndarray | None
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown family {self.family!r}")
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.shape != (self.n, self.n):
-            raise ParameterError(
-                f"entries shape {e.shape} does not match n={self.n}"
-            )
-        if not np.array_equal(e, e.T):
-            raise ParameterError("coupling matrix must be symmetric")
-        if np.any(np.diagonal(e) != 0.0):
-            raise ParameterError("coupling matrix must have zero diagonal")
-        if np.any(e < 0.0) or not np.all(np.isfinite(e)):
-            raise ParameterError("coupling entries must be finite and nonnegative")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
+    def __init__(
+        self,
+        n: int,
+        entries: np.ndarray | None = None,
+        family: str = "custom",
+        params: dict | None = None,
+        *,
+        sizes=None,
+        weights=None,
+    ) -> None:
+        if family not in FAMILIES:
+            raise ParameterError(f"unknown family {family!r}")
+        if (entries is None) == (sizes is None and weights is None):
+            raise ParameterError("give either entries or both sizes and weights")
+        if entries is None:
+            sizes, weights = _check_blocks(n, sizes, weights)
+        else:
+            entries = _check_entries(n, entries)
+        for name, value in (
+            ("n", n),
+            ("family", family),
+            ("params", {} if params is None else params),
+            ("sizes", sizes),
+            ("weights", weights),
+            ("_entries", entries),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            if self.n > DENSE_MAX_N:
+                raise CapacityError(
+                    f"dense coupling matrices are capped at n={DENSE_MAX_N}, "
+                    f"got {self.n}"
+                )
+            e = np.repeat(np.repeat(self.weights, self.sizes, 0), self.sizes, 1)
+            np.fill_diagonal(e, 0.0)
+            e.flags.writeable = False
+            object.__setattr__(self, "_entries", e)
+        return self._entries
 
     def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        if self.sizes is None:
+            return self.entries.sum(axis=1)
+        w = self.weights
+        return np.repeat(w @ self.sizes - np.diagonal(w), self.sizes)
+
+    def max_entry(self) -> float:
+        """The largest entry of Q (0 on the diagonal included)."""
+        if self.sizes is None:
+            return float(self.entries.max())
+        # W[a, a] occurs off the diagonal of Q only when class a has two members
+        absent = np.diag(self.sizes < 2)
+        return float(np.where(absent, 0.0, self.weights).max())
 
     def local_fields(self, spins: np.ndarray) -> np.ndarray:
         """Return t with t_i = sum_j Q(i, j) * spins[j]."""
         return self.entries @ np.asarray(spins, dtype=np.float64)
+
+
+def _check_entries(n: int, entries) -> np.ndarray:
+    e = np.asarray(entries, dtype=np.float64)
+    if e.shape != (n, n):
+        raise ParameterError(f"entries shape {e.shape} does not match n={n}")
+    if not np.array_equal(e, e.T):
+        raise ParameterError("coupling matrix must be symmetric")
+    if np.any(np.diagonal(e) != 0.0):
+        raise ParameterError("coupling matrix must have zero diagonal")
+    if np.any(e < 0.0) or not np.all(np.isfinite(e)):
+        raise ParameterError("coupling entries must be finite and nonnegative")
+    e.flags.writeable = False
+    return e
+
+
+def _check_blocks(n: int, sizes, weights) -> tuple[np.ndarray, np.ndarray]:
+    m = np.array(sizes, dtype=np.int64)
+    w = np.array(weights, dtype=np.float64)
+    if m.ndim != 1 or m.size == 0 or np.any(m < 1) or int(m.sum()) != n:
+        raise ParameterError(f"class sizes must be positive and sum to n={n}")
+    if w.shape != (m.size, m.size):
+        raise ParameterError(
+            f"weights shape {w.shape} does not match {m.size} classes"
+        )
+    if not np.array_equal(w, w.T):
+        raise ParameterError("coupling weights must be symmetric")
+    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        raise ParameterError("coupling weights must be finite and nonnegative")
+    m.flags.writeable = False
+    w.flags.writeable = False
+    return m, w
 
 
 @dataclass(frozen=True)
@@ -100,8 +193,9 @@ class LimitingSpectrum:
 class SpectralSummary:
     """Finite spectrum of a coupling plus its cataloged limit, if any.
 
-    ``finite_eigs`` is sorted by descending absolute value with ties broken
-    toward the positive eigenvalue, so the leading entry is the Perron root.
+    ``finite_eigs`` leads with the largest eigenvalue (the Perron root of
+    the nonnegative matrix); the rest follow by descending absolute value,
+    ties broken toward the positive eigenvalue.
     ``limit_eigs``/``gamma_sq``/``kappa`` are None for custom couplings.
     """
 
@@ -156,9 +250,20 @@ def _sort_by_abs_desc(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-def _class_labels(n: int, q: int) -> np.ndarray:
-    # contiguous classes of size n/q; vertex i belongs to class i*q//n
-    return np.repeat(np.arange(q), n // q)
+def _perron_first(values: np.ndarray) -> np.ndarray:
+    # the largest value first, even when float noise makes a negative
+    # eigenvalue of equal modulus look larger in absolute value
+    top = int(np.argmax(values))
+    rest = _sort_by_abs_desc(np.delete(values, top))
+    return np.concatenate((values[top : top + 1], rest))
+
+
+def _block(n: int, family: str, weights: np.ndarray, params: dict) -> CouplingMatrix:
+    # equal contiguous classes, one per row of the weight matrix
+    q = weights.shape[0]
+    return CouplingMatrix(
+        n, family=family, params=params, sizes=np.full(q, n // q), weights=weights
+    )
 
 
 def build_coupling(
@@ -187,34 +292,28 @@ def build_coupling(
     if n < 2:
         raise ParameterError("n must be at least 2")
     if family == "complete":
-        e = np.full((n, n), 1.0 / n)
-        np.fill_diagonal(e, 0.0)
-        return CouplingMatrix(n, e, "complete")
+        return _block(n, "complete", np.full((1, 1), 1.0 / n), {})
     if family == "bipartite":
         if n % 2:
             raise ParameterError("bipartite coupling needs even n")
-        half = n // 2
-        e = np.zeros((n, n))
-        e[:half, half:] = 2.0 / n
-        e[half:, :half] = 2.0 / n
-        return CouplingMatrix(n, e, "bipartite")
+        return _block(n, "bipartite", np.array([[0.0, 2.0 / n], [2.0 / n, 0.0]]), {})
     if family == "qpartite":
         if q is None or q < 2:
             raise ParameterError("qpartite needs q >= 2")
         if n % q:
             raise ParameterError("qpartite needs q | n")
-        labels = _class_labels(n, q)
-        e = (labels[:, None] != labels[None, :]) * (q / (n * (q - 1.0)))
-        return CouplingMatrix(n, e, "qpartite", {"q": q})
+        k = np.arange(q)
+        w = (k[:, None] != k[None, :]) * (q / (n * (q - 1.0)))
+        return _block(n, "qpartite", w, {"q": q})
     if family == "cyclic_qpartite":
         if q is None or q < 3:
             raise ParameterError("cyclic_qpartite needs q >= 3")
         if n % q:
             raise ParameterError("cyclic_qpartite needs q | n")
-        labels = _class_labels(n, q)
-        diff = (labels[:, None] - labels[None, :]) % q
-        e = np.isin(diff, (1, q - 1)) * (q / (2.0 * n))
-        return CouplingMatrix(n, e, "cyclic_qpartite", {"q": q})
+        k = np.arange(q)
+        diff = (k[:, None] - k[None, :]) % q
+        w = np.isin(diff, (1, q - 1)) * (q / (2.0 * n))
+        return _block(n, "cyclic_qpartite", w, {"q": q})
     if family == "random_regular":
         if d is None or not 1 <= d < n:
             raise ParameterError("random_regular needs 1 <= d < n")
@@ -222,6 +321,10 @@ def build_coupling(
             raise ParameterError("random_regular needs n*d even")
         if seed is None:
             raise ParameterError("random_regular needs an explicit seed")
+        if n > DENSE_MAX_N:
+            raise CapacityError(
+                f"random_regular is dense and capped at n={DENSE_MAX_N}, got {n}"
+            )
         edges = _pair_regular_graph(n, d, seed)
         e = np.zeros((n, n))
         idx = np.array(sorted(edges))
@@ -339,11 +442,29 @@ def spectrum(coupling: CouplingMatrix) -> SpectralSummary:
     """Eigendecompose a coupling and attach its cataloged limit if known.
 
     The finite eigenvalue sum of squares always equals ``frobenius_sq``
-    (both are computed, one from the entries and one from the spectrum, and
-    the library keeps them independent so tests can compare the two).
+    (both are computed, one from the entries or block weights and one from
+    the spectrum, and the library keeps them independent so tests can
+    compare the two).
+
+    A block coupling (sizes m, weights W) is never densified. Its spectrum
+    is the q eigenvalues of diag(sqrt m) W diag(sqrt m) - diag(W_aa), which
+    act on class-constant vectors, plus -W_aa with multiplicity m_a - 1 on
+    the vectors summing to zero within class a; its squared Frobenius norm
+    is m'(W o W)m - sum_a m_a W_aa^2. Dense couplings use eigvalsh.
     """
-    eigs = _sort_by_abs_desc(np.linalg.eigvalsh(coupling.entries))
-    frob = float(np.sum(coupling.entries * coupling.entries))
+    if coupling.sizes is None:
+        e = coupling.entries
+        eigs = np.linalg.eigvalsh(e)
+        frob = float(np.sum(e * e))
+    else:
+        m, w = coupling.sizes, coupling.weights
+        root = np.sqrt(m)
+        diag = np.diagonal(w)
+        top = np.linalg.eigvalsh(root[:, None] * w * root[None, :] - np.diag(diag))
+        # 0.0 - x rather than -x, so a zero weight gives +0.0, not -0.0
+        eigs = np.concatenate((top, np.repeat(0.0 - diag, m - 1)))
+        frob = float(m @ (w * w) @ m - m @ (diag * diag))
+    eigs = _perron_first(eigs)
     limit = family_limit(coupling) if coupling.family in CATALOGED else None
     return SpectralSummary(
         n=coupling.n,
@@ -366,17 +487,18 @@ def validate_assumptions(
     """Check regularity, the entrywise bound and the spectral gap.
 
     ``row_tol`` defaults to 2/n so the complete family's row sums of
-    (n-1)/n pass without special casing. The gap is the signed difference
-    between the leading eigenvalue and the largest remaining one, read from
+    (n-1)/n pass without special casing. The gap is the difference between
+    the largest eigenvalue and the largest remaining one, read from
     spectrum(coupling), which the report carries. The
     entrywise record is n * max entry; it fails only when ``entry_tol``
-    is supplied and exceeded.
+    is supplied and exceeded. A block coupling is checked from its sizes
+    and weights without building the dense matrix.
     """
     n = coupling.n
     if row_tol is None:
         row_tol = 2.0 / n
     row_dev = float(np.max(np.abs(coupling.row_sums() - 1.0)))
-    entry_bound = float(n * coupling.entries.max())
+    entry_bound = n * coupling.max_entry()
     summary = spectrum(coupling)
     eigs = summary.finite_eigs
     gap = float(eigs[0] - np.max(eigs[1:])) if n > 1 else math.inf

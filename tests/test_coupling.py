@@ -1,8 +1,14 @@
 """Coupling construction, spectra, validation, and matrix IO."""
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ising_infer import (
+    CapacityError,
     ConstructionError,
     CouplingMatrix,
     ParameterError,
@@ -176,14 +182,95 @@ def test_validate_assumptions_flags_irregular():
 
 
 def test_validate_gap_positive_for_families():
-    for family, kwargs in [
-        ("complete", {}),
-        ("qpartite", {"q": 3}),
-        ("cyclic_qpartite", {"q": 3}),
+    # bipartite at n = 600 and 2500: eigvalsh returns the -1 eigenvalue with
+    # a larger modulus than the Perron root; the gap must still be positive
+    for family, n, kwargs in [
+        ("complete", 12, {}),
+        ("qpartite", 12, {"q": 3}),
+        ("cyclic_qpartite", 12, {"q": 3}),
+        ("bipartite", 12, {}),
+        ("bipartite", 600, {}),
+        ("bipartite", 2500, {}),
     ]:
-        report = validate_assumptions(build_coupling(family, 12, **kwargs))
-        assert report.spectral_gap > 0.0
-        assert report.passes["spectral_gap"]
+        cpl = build_coupling(family, n, **kwargs)
+        # the same entries as a dense custom coupling take the eigvalsh path
+        for coupling in (cpl, CouplingMatrix(n, cpl.entries)):
+            report = validate_assumptions(coupling)
+            assert report.spectral_gap > 0.0, (family, n, coupling.family)
+            assert report.passes["spectral_gap"]
+            assert report.spectrum.finite_eigs[0] == report.spectrum.finite_eigs.max()
+            assert report.ok
+
+
+def _reference_entries(family: str, n: int, q: int) -> np.ndarray:
+    """The dense construction expressions, one per block family."""
+    labels = np.repeat(np.arange(q), n // q)
+    if family == "complete":
+        e = np.full((n, n), 1.0 / n)
+        np.fill_diagonal(e, 0.0)
+    elif family == "bipartite":
+        half = n // 2
+        e = np.zeros((n, n))
+        e[:half, half:] = 2.0 / n
+        e[half:, :half] = 2.0 / n
+    elif family == "qpartite":
+        e = (labels[:, None] != labels[None, :]) * (q / (n * (q - 1.0)))
+    else:
+        diff = (labels[:, None] - labels[None, :]) % q
+        e = np.isin(diff, (1, q - 1)) * (q / (2.0 * n))
+    return e
+
+
+@st.composite
+def _block_families(draw):
+    family = draw(st.sampled_from(["complete", "bipartite", "qpartite", "cyclic_qpartite"]))
+    q = {"complete": 1, "bipartite": 2}.get(family) or draw(
+        st.integers(2 if family == "qpartite" else 3, 8)
+    )
+    n = q * draw(st.integers(2 if q == 1 else 1, 60 // q))
+    return family, n, q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_block_families())
+def test_block_closed_forms_match_dense(case):
+    family, n, q = case
+    kwargs = {"q": q} if family in ("qpartite", "cyclic_qpartite") else {}
+    cpl = build_coupling(family, n, **kwargs)
+    report = validate_assumptions(cpl)
+    e = cpl.entries
+    assert np.array_equal(e, _reference_entries(family, n, q))
+    assert not e.flags.writeable
+    dense = validate_assumptions(CouplingMatrix(n, e))
+    eigs = report.spectrum.finite_eigs
+    assert eigs.shape == (n,)
+    assert np.max(np.abs(np.sort(eigs) - np.linalg.eigvalsh(e))) < 1e-12
+    assert abs(report.spectrum.frobenius_sq - np.sum(e * e)) < 1e-12
+    assert np.max(np.abs(cpl.row_sums() - e.sum(axis=1))) < 1e-12
+    assert report.entry_bound == n * e.max()
+    assert abs(report.spectral_gap - dense.spectral_gap) < 1e-12
+    assert abs(report.row_dev_max - dense.row_dev_max) < 1e-12
+
+
+def test_dense_cap_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cpl = build_coupling("complete", 10**5)
+        report = validate_assumptions(cpl)
+        assert time.perf_counter() - start < 1.0
+        assert report.ok
+        with pytest.raises(CapacityError):
+            cpl.entries
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            build_coupling("random_regular", 10**5, d=10, seed=0)
+        assert time.perf_counter() - start < 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a handful of length-n arrays; the dense matrix would be 80 GB
+    assert peak < 20e6
 
 
 def test_quadratic_forms_match_dense_centering():
