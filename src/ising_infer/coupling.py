@@ -115,6 +115,13 @@ class CouplingMatrix:
         ):
             object.__setattr__(self, name, value)
 
+    def __setstate__(self, state: dict) -> None:
+        # numpy unpickles arrays writeable; the stored arrays stay read-only
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:

@@ -242,10 +242,8 @@ _ESTIMATOR_COLUMNS = (
 
 def _estimator_replication(args):
     """One non-complete replication: Glauber draw plus both estimates."""
-    entries, family, params, theta0, master_seed, r, n = args
-    from .coupling import CouplingMatrix
-
-    coupling = CouplingMatrix(n=n, entries=entries, family=family, params=params)
+    coupling, theta0, master_seed, r = args
+    n = coupling.n
     start = time.perf_counter()
     config = glauber_sample(coupling, theta0, derive_seed(master_seed, r))
     pl = mple(config)
@@ -273,7 +271,7 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
     records = []
     for n in config.n:
         if config.family == "complete":
-            _, counts = cw_aux_counts(n, config.theta0, config.master_seed, config.reps)
+            counts, _ = cw_aux_counts(n, config.theta0, config.master_seed, config.reps)
             for r, k in enumerate(counts):
                 start = time.perf_counter()
                 k = int(k)
@@ -298,15 +296,7 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
         else:
             coupling = _coupling_for(config, n)
             args = [
-                (
-                    coupling.entries,
-                    coupling.family,
-                    coupling.params,
-                    config.theta0,
-                    config.master_seed,
-                    r,
-                    n,
-                )
+                (coupling, config.theta0, config.master_seed, r)
                 for r in range(config.reps)
             ]
             rows = _parallel_map(_estimator_replication, args, worker_count())

@@ -189,20 +189,6 @@ def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
     return np.array([values[int(k)] for k in counts])
 
 
-def _glauber_statistics(
-    kind: str, coupling: CouplingMatrix, theta: float, master_seed: int, reps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Glauber statistics; the tie-break uniform follows each chain's draws."""
-    stats = np.empty(reps)
-    uniforms = np.empty(reps)
-    for r in range(reps):
-        rng = substream(master_seed, r)
-        config = glauber_sample(coupling, theta, rng)
-        stats[r] = test_statistic(kind, config, coupling)
-        uniforms[r] = rng.random()
-    return stats, uniforms
-
-
 def _statistics_and_tie_breaks(
     kind: str, coupling: CouplingMatrix, theta: float, master_seed: int, reps: int
 ) -> tuple[np.ndarray, np.ndarray, str]:
@@ -212,21 +198,15 @@ def _statistics_and_tie_breaks(
     and then its uniform, so the statistics do not depend on the uniforms.
     """
     if coupling.family == "complete":
-        _, counts, uniforms = cw_aux_counts(
-            coupling.n, theta, master_seed, reps, tie_breaks=True
-        )
+        counts, uniforms = cw_aux_counts(coupling.n, theta, master_seed, reps)
         return _count_statistics(kind, coupling.n, counts), uniforms, "aux-field"
-    stats, uniforms = _glauber_statistics(kind, coupling, theta, master_seed, reps)
+    stats = np.empty(reps)
+    uniforms = np.empty(reps)
+    for r in range(reps):
+        rng = substream(master_seed, r)
+        stats[r] = test_statistic(kind, glauber_sample(coupling, theta, rng), coupling)
+        uniforms[r] = rng.random()
     return stats, uniforms, "glauber"
-
-
-def _statistic_batch(
-    kind: str, coupling: CouplingMatrix, theta: float, master_seed: int, reps: int
-) -> tuple[np.ndarray, str]:
-    stats, _, sampler = _statistics_and_tie_breaks(
-        kind, coupling, theta, master_seed, reps
-    )
-    return stats, sampler
 
 
 @lru_cache(maxsize=64)
@@ -251,7 +231,7 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
     if spec.n != coupling.n:
         raise ParameterError("spec.n does not match the coupling size")
     if spec.calibration == "monte_carlo":
-        stats, sampler = _statistic_batch(
+        stats, _, sampler = _statistics_and_tie_breaks(
             spec.kind, coupling, spec.theta0, spec.seed, spec.reps
         )
         order = np.sort(stats)

@@ -151,6 +151,35 @@ def _pl_root(
     raise NumericError("pseudolikelihood Newton did not converge")
 
 
+def _pl_estimate(t: np.ndarray, w: np.ndarray, s: float) -> EstimateResult:
+    """Pseudolikelihood estimate from field values t with weights w.
+
+    The equation sum_i w_i t_i tanh(theta t_i) = s has a real root iff s
+    lies strictly inside (-sum w|t|, sum w|t|); all-zero fields are the
+    degenerate case (NaN). The diagnostics record the bound sum w|t| and,
+    for a root, the residual there.
+    """
+    sum_abs = float(np.sum(w * np.abs(t)))
+    diagnostics = {"sum_abs_fields": sum_abs}
+    if sum_abs == 0.0:
+        diagnostics["degenerate"] = True
+        return EstimateResult(
+            value=math.nan, exists=False, method="mple", iterations=0,
+            bracket=None, diagnostics=diagnostics,
+        )
+    if not _inside_bounds(s, -sum_abs, sum_abs):
+        return EstimateResult(
+            value=math.inf if s > 0.0 else -math.inf, exists=False,
+            method="mple", iterations=0, bracket=None, diagnostics=diagnostics,
+        )
+    value, iters, bracket = _pl_root(t, w, s)
+    diagnostics["residual"] = float(np.sum(w * t * np.tanh(value * t)) - s)
+    return EstimateResult(
+        value=value, exists=True, method="mple", iterations=iters,
+        bracket=bracket, diagnostics=diagnostics,
+    )
+
+
 def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
     """Maximum pseudolikelihood estimate of theta.
 
@@ -165,51 +194,21 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
     boundary criterion actually used.
     """
     spins, t, s = _fields_and_stat(x, coupling)
-    sum_abs = float(np.sum(np.abs(t)))
+    result = _pl_estimate(t, np.ones_like(t), s)
+    if "degenerate" in result.diagnostics:
+        return result
     support = t != 0.0
-    aligned_plus = bool(np.all(spins[support] == 1)) if support.any() else True
-    aligned_minus = bool(np.all(spins[support] == -1)) if support.any() else True
-    pattern_nonexistent = aligned_plus or aligned_minus
-    diagnostics = {"sum_abs_fields": sum_abs}
-    if sum_abs == 0.0:
-        diagnostics["degenerate"] = True
-        return EstimateResult(
-            value=math.nan,
-            exists=False,
-            method="mple",
-            iterations=0,
-            bracket=None,
-            diagnostics=diagnostics,
-        )
-    boundary_nonexistent = not _inside_bounds(s, -sum_abs, sum_abs)
-    if boundary_nonexistent != pattern_nonexistent:
-        diagnostics["existence_phrasings_disagree"] = True
+    pattern_nonexistent = bool(
+        np.all(spins[support] == 1) or np.all(spins[support] == -1)
+    )
+    if pattern_nonexistent == result.exists:
+        result.diagnostics["existence_phrasings_disagree"] = True
         logger.info(
             "existence phrasings disagree: boundary=%s pattern=%s spins=%s",
-            boundary_nonexistent, pattern_nonexistent,
+            not result.exists, pattern_nonexistent,
             np.array2string(spins, max_line_width=200),
         )
-    if boundary_nonexistent:
-        return EstimateResult(
-            value=math.inf if s > 0.0 else -math.inf,
-            exists=False,
-            method="mple",
-            iterations=0,
-            bracket=None,
-            diagnostics=diagnostics,
-        )
-    value, iters, bracket = _pl_root(t, np.ones_like(t), s)
-    diagnostics["residual"] = float(
-        np.sum(t * np.tanh(value * t)) - s
-    )
-    return EstimateResult(
-        value=value,
-        exists=True,
-        method="mple",
-        iterations=iters,
-        bracket=bracket,
-        diagnostics=diagnostics,
-    )
+    return result
 
 
 def mple_from_counts(n: int, plus_count: int) -> EstimateResult:
@@ -226,24 +225,7 @@ def mple_from_counts(n: int, plus_count: int) -> EstimateResult:
     xbar = (2.0 * k - n) / n
     t_vals = np.array([xbar - 1.0 / n, xbar + 1.0 / n])
     weights = np.array([k, n - k], dtype=np.float64)
-    s = n * xbar * xbar - 1.0
-    sum_abs = float(np.sum(weights * np.abs(t_vals)))
-    if sum_abs == 0.0:
-        return EstimateResult(
-            value=math.nan, exists=False, method="mple", iterations=0,
-            bracket=None, diagnostics={"degenerate": True},
-        )
-    if not _inside_bounds(s, -sum_abs, sum_abs):
-        return EstimateResult(
-            value=math.inf if s > 0.0 else -math.inf,
-            exists=False, method="mple", iterations=0, bracket=None,
-            diagnostics={"sum_abs_fields": sum_abs},
-        )
-    value, iters, bracket = _pl_root(t_vals, weights, s)
-    return EstimateResult(
-        value=value, exists=True, method="mple", iterations=iters,
-        bracket=bracket, diagnostics={"sum_abs_fields": sum_abs},
-    )
+    return _pl_estimate(t_vals, weights, n * xbar * xbar - 1.0)
 
 
 def suff_stat_bounds(

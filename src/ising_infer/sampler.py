@@ -8,8 +8,11 @@ Three sampling routes with different validity/scale trade-offs:
   coupling; each returned configuration carries local fields recomputed
   from its spins;
 * the auxiliary-field decomposition of the mean-field (complete) model,
-  which is exact and runs in O(n) per draw at any n, so the large-n
-  critical experiments never touch a matrix.
+  which draws the +1 count of each replication in O(1) at any n, so the
+  large-n critical experiments never touch a matrix. It is exact up to
+  the tabulation of the field phi: inverse CDF on a 4096-point trapezoid
+  CDF whose support is cut where the density falls below e^-40 of its
+  peak.
 
 Every exactly summable model is one table of attainable x'Qx values with
 log multiplicities: the 2^n enumeration for n <= 24 (``log_table``) and,
@@ -90,15 +93,6 @@ def _as_spins(values) -> np.ndarray:
     if not np.all(np.abs(s) == 1):
         raise ParameterError("spins must be +-1")
     return s.astype(np.int8).copy()
-
-
-@dataclass(frozen=True)
-class AuxiliaryMagnetization:
-    """The latent Gaussian field behind one auxiliary-sampler draw."""
-
-    phi: float
-    n: int
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -394,10 +388,9 @@ class AuxiliaryFieldGrid:
     cdf: np.ndarray
     segments: tuple
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        u = rng.random(size if size is not None else 1)
-        out = np.interp(u, self.cdf, self.phi)
-        return out if size is not None else float(out[0])
+    def sample(self, rng: np.random.Generator) -> float:
+        """One phi by inverse CDF from a single uniform."""
+        return float(np.interp(rng.random(), self.cdf, self.phi))
 
     def moment(self, k: int) -> float:
         pdf = self.density / np.trapezoid(self.density, self.phi)
@@ -473,79 +466,27 @@ def _rate_minimizer(theta: float) -> float:
     )
 
 
-def complete_local_fields(spins: np.ndarray) -> np.ndarray:
-    """Local fields t_i = xbar - x_i/n under the complete coupling."""
-    x = np.asarray(spins, dtype=np.float64)
-    return x.mean() - x / x.shape[0]
-
-
-def cw_aux_sample(
-    n: int,
-    theta: float,
-    seed,
-    grid: AuxiliaryFieldGrid | None = None,
-) -> tuple[SpinConfiguration, AuxiliaryMagnetization]:
-    """Exact draw from the complete-coupling model via the auxiliary field.
-
-    Draw phi from its marginal (inverse CDF on the tabulated grid), then
-    spins i.i.d. with P(X_j = +1 | phi) = e^{theta phi}/(2 cosh(theta phi)).
-    The returned configuration carries complete-family local fields.
-
-    Args:
-        n: number of spins.
-        theta: inverse temperature, strictly positive.
-        seed: int seed or Generator.
-        grid: optional reusable phi_density_grid(n, theta).
-    """
-    rng = as_generator(seed)
-    if grid is None:
-        grid = phi_density_grid(n, theta)
-    elif grid.n != n or grid.theta != theta:
-        raise ParameterError("grid was tabulated for different (n, theta)")
-    phi = float(grid.sample(rng))
-    p_plus = 0.5 * (1.0 + np.tanh(theta * phi))
-    spins = np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
-    config = SpinConfiguration.from_parts(spins, complete_local_fields(spins))
-    return config, AuxiliaryMagnetization(phi=phi, n=n, theta=theta)
-
-
 def cw_aux_counts(
-    n: int,
-    theta: float,
-    master_seed: int,
-    reps: int,
-    grid: AuxiliaryFieldGrid | None = None,
-    index_offset: int = 0,
-    *,
-    tie_breaks: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """Plus-spin counts and fields for many replications, one stream each.
+    n: int, theta: float, master_seed: int, reps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """+1 counts and tie-break uniforms of ``reps`` complete-family draws.
 
-    Replication r consumes substream(master_seed, index_offset + r): one
-    uniform for phi, one binomial for the count of +1 spins. Everything a
-    complete-family statistic needs is a function of that count, so the
-    batch path is distribution-identical to cw_aux_sample per replication.
-
-    With ``tie_breaks`` each replication then draws one more uniform from
-    its stream, returned as a third array (the randomized tests' tie-break);
-    it comes after the draw, so phis and counts are unchanged.
+    Replication r draws from substream(master_seed, r), in this order: one
+    uniform for the auxiliary field phi (inverse CDF on
+    phi_density_grid(n, theta)), one binomial count of +1 spins with
+    P(+1 | phi) = e^{theta phi}/(2 cosh(theta phi)), and one uniform for
+    the randomized tests' tie-break. Every complete-family statistic is a
+    function of the count, so no spin vector is ever drawn.
     """
-    if grid is None:
-        grid = phi_density_grid(n, theta)
-    phis = np.empty(reps)
+    grid = phi_density_grid(n, theta)
     counts = np.empty(reps, dtype=np.int64)
-    uniforms = np.empty(reps) if tie_breaks else None
+    uniforms = np.empty(reps)
     for r in range(reps):
-        rng = substream(master_seed, index_offset + r)
-        phi = float(grid.sample(rng))
-        p_plus = 0.5 * (1.0 + np.tanh(theta * phi))
-        phis[r] = phi
+        rng = substream(master_seed, r)
+        p_plus = 0.5 * (1.0 + np.tanh(theta * grid.sample(rng)))
         counts[r] = rng.binomial(n, p_plus)
-        if tie_breaks:
-            uniforms[r] = rng.random()
-    if tie_breaks:
-        return phis, counts, uniforms
-    return phis, counts
+        uniforms[r] = rng.random()
+    return counts, uniforms
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,11 @@ from ising_infer import (
     spontaneous_magnetization,
     suff_stat_table,
 )
-from ising_infer.sampler import enumerate_state_distribution
+from ising_infer.sampler import (
+    complete_log_table,
+    enumerate_state_distribution,
+    tilted_table,
+)
 
 ACCEPT_SEED = 20260815  # committed up front; every stream derives from it
 
@@ -106,7 +110,7 @@ def test_normalizer_expansion_converges():
 
 def test_critical_magnetization_matches_quartic_law():
     n, reps = 10_000, 2000
-    _, counts = cw_aux_counts(n, 1.0, derive_seed(ACCEPT_SEED, 401), reps)
+    counts, _ = cw_aux_counts(n, 1.0, derive_seed(ACCEPT_SEED, 401), reps)
     stats = np.sort(n**0.25 * (2.0 * counts - n) / n)
     cdf = critical_law(0.0).cdf_at(stats)
     grid = np.arange(1, reps + 1) / reps
@@ -119,7 +123,7 @@ def test_critical_magnetization_matches_quartic_law():
 
 def test_low_temperature_mple_is_gaussian():
     n, reps, theta0 = 1600, 400, 1.5
-    _, counts = cw_aux_counts(n, theta0, derive_seed(ACCEPT_SEED, 501), reps)
+    counts, _ = cw_aux_counts(n, theta0, derive_seed(ACCEPT_SEED, 501), reps)
     estimates = [mple_from_counts(n, int(k)) for k in counts]
     assert all(e.exists for e in estimates)
     scaled = np.array([math.sqrt(n) * (e.value - theta0) for e in estimates])
@@ -132,16 +136,22 @@ def test_low_temperature_mple_is_gaussian():
 
 
 def test_critical_mple_quartiles_match_limit():
-    n, reps = 10_000, 2000
-    _, counts = cw_aux_counts(n, 1.0, derive_seed(ACCEPT_SEED, 601), reps)
-    finite_n = np.array(
+    # the finite-n law is exact: the +1-count pmf at theta = 1, each count
+    # mapped through the count-collapsed MPLE
+    n = 10_000
+    _, _, pmf = tilted_table(*complete_log_table(n), 1.0)
+    counts = np.flatnonzero(pmf > 0.0)
+    scaled = np.array(
         [math.sqrt(n) * (mple_from_counts(n, int(k)).value - 1.0) for k in counts]
     )
+    order = np.argsort(scaled, kind="stable")
+    cdf = np.cumsum(pmf[counts][order])
     limit = sample_mple_limit(
         0.0, (1.0,), 0.0, 1_000_000, derive_seed(ACCEPT_SEED, 602)
     )
     probs = (0.25, 0.5, 0.75)
-    got = np.quantile(finite_n, probs)
+    # left-continuous quantile: the smallest value whose cdf reaches p
+    got = scaled[order][np.searchsorted(cdf, probs)]
     want = np.quantile(limit, probs)
     assert np.max(np.abs(got - want)) < 0.1, (got, want)
 

@@ -1,4 +1,5 @@
 """Coupling construction, spectra, validation, and matrix IO."""
+import pickle
 import time
 import tracemalloc
 
@@ -114,6 +115,22 @@ def test_entries_read_only():
     cpl = build_coupling("complete", 4)
     with pytest.raises(ValueError):
         cpl.entries[0, 1] = 2.0
+
+
+def test_pickle_round_trip_keeps_arrays_read_only():
+    block = build_coupling("qpartite", 12, q=3)
+    block.entries  # the lazy dense array travels with the pickle once built
+    dense = build_coupling("random_regular", 20, d=4, seed=3)
+    for cpl in (block, dense):
+        copy = pickle.loads(pickle.dumps(cpl))
+        assert (copy.n, copy.family, copy.params) == (cpl.n, cpl.family, cpl.params)
+        for name in ("entries", "sizes", "weights"):
+            original, restored = getattr(cpl, name), getattr(copy, name)
+            if original is None:
+                assert restored is None
+                continue
+            assert np.array_equal(restored, original), (cpl.family, name)
+            assert not restored.flags.writeable, (cpl.family, name)
 
 
 def test_bipartite_spectrum_exact():

@@ -15,7 +15,7 @@ from ising_infer import (
     run_test,
 )
 from ising_infer import test_statistic as statistic_value
-from ising_infer.htests import _statistic_batch
+from ising_infer.htests import _statistics_and_tie_breaks
 from ising_infer import cw_aux_counts, derive_seed, glauber_sample, substream
 
 
@@ -76,7 +76,7 @@ def test_monte_carlo_calibration_conservative():
     assert cal.achieved_level <= 0.05
     # K is the smallest attainable cutoff meeting the level: moving the
     # rejection boundary onto K itself would over-reject
-    stats, _ = _statistic_batch("ms", cpl, 1.0, 3, 4000)
+    stats, _, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 3, 4000)
     assert float(np.mean(stats > cal.critical_value)) == cal.achieved_level
     assert float(np.mean(stats >= cal.critical_value)) >= 0.05
 
@@ -94,7 +94,7 @@ def test_randomized_calibration_has_level_alpha_in_sample():
     for cpl, kind, theta0, seed in cases:
         spec = TestSpec(kind, theta0, alpha, cpl.n, reps=1000, seed=seed)
         cal = calibrate(spec, cpl)
-        stats, _ = _statistic_batch(kind, cpl, theta0, seed, 1000)
+        stats, _, _ = _statistics_and_tie_breaks(kind, cpl, theta0, seed, 1000)
         above = float(np.mean(stats > cal.critical_value))
         at = float(np.mean(stats == cal.critical_value))
         assert above == cal.achieved_level <= alpha
@@ -114,23 +114,22 @@ def test_statistic_batch_ignores_tie_break_draws():
     # are those of the sample streams alone
     n, reps = 50, 40
     cpl = build_coupling("complete", n)
-    phis, counts = cw_aux_counts(n, 1.2, 8, reps)
-    with_u = cw_aux_counts(n, 1.2, 8, reps, tie_breaks=True)
-    assert np.array_equal(with_u[0], phis) and np.array_equal(with_u[1], counts)
-    assert np.all((0.0 <= with_u[2]) & (with_u[2] < 1.0))
+    counts, uniforms = cw_aux_counts(n, 1.2, 8, reps)
+    assert np.all((0.0 <= uniforms) & (uniforms < 1.0))
     xbar = (2.0 * counts - n) / n
-    stats, _ = _statistic_batch("ms", cpl, 1.2, 8, reps)
+    stats, batch_uniforms, _ = _statistics_and_tie_breaks("ms", cpl, 1.2, 8, reps)
     assert np.array_equal(stats, n * xbar * xbar)
+    assert np.array_equal(batch_uniforms, uniforms)
     # one configuration's statistic is bit-identical to the batch value of
     # its +1 count, so ties with a calibrated K are exact
     for kind in ("ms", "np", "pl"):
-        stats, _ = _statistic_batch(kind, cpl, 1.2, 8, reps)
+        stats, _, _ = _statistics_and_tie_breaks(kind, cpl, 1.2, 8, reps)
         for k, value in zip(counts, stats):
             spins = np.where(np.arange(n) < k, 1, -1).astype(np.int8)
             assert statistic_value(kind, spins, cpl) == value, (kind, k)
 
     bip = build_coupling("bipartite", 6)
-    stats, _ = _statistic_batch("np", bip, 1.0, 9, 5)
+    stats, _, _ = _statistics_and_tie_breaks("np", bip, 1.0, 9, 5)
     want = [
         statistic_value("np", glauber_sample(bip, 1.0, derive_seed(9, r)), bip)
         for r in range(5)
@@ -220,10 +219,10 @@ def test_run_test_outcome_shape():
 
 def test_glauber_batch_used_off_complete():
     cpl = build_coupling("bipartite", 40)
-    stats, sampler = _statistic_batch("ms", cpl, 1.0, 5, 50)
+    stats, _, sampler = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
     assert sampler == "glauber"
     assert stats.shape == (50,)
-    again, _ = _statistic_batch("ms", cpl, 1.0, 5, 50)
+    again, _, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
     assert np.array_equal(stats, again)
 
 

@@ -11,7 +11,6 @@ from ising_infer import (
     SpinConfiguration,
     build_coupling,
     cw_aux_counts,
-    cw_aux_sample,
     cw_dlog_partition,
     cw_log_partition,
     derive_seed,
@@ -245,37 +244,18 @@ def test_phi_grid_parameter_errors():
         phi_density_grid(100, 1.0, grid_points=8)
 
 
-def test_cw_aux_sample_fields_consistent():
-    cpl = build_coupling("complete", 12)
-    config, aux = cw_aux_sample(12, 1.3, 99)
-    config.check(cpl)
-    assert aux.n == 12 and aux.theta == 1.3
-    assert abs(aux.phi) < 1.5
-
-
-def test_cw_aux_sample_grid_mismatch():
-    grid = phi_density_grid(10, 1.2)
-    with pytest.raises(ParameterError):
-        cw_aux_sample(11, 1.2, 0, grid)
-
-
 def test_cw_aux_counts_substream_alignment():
-    # the batch path consumes the same substream prefix as the single-draw
-    # path, so the latent fields must agree replication by replication
-    grid = phi_density_grid(40, 1.4)
-    phis, counts = cw_aux_counts(40, 1.4, 123, 6, grid)
-    for r in range(6):
-        _, aux = cw_aux_sample(40, 1.4, substream(123, r), grid)
-        assert phis[r] == aux.phi
-    assert np.all((0 <= counts) & (counts <= 40))
-
-
-def test_cw_aux_counts_offset_windows():
-    grid = phi_density_grid(30, 1.1)
-    full = cw_aux_counts(30, 1.1, 5, 8, grid)
-    tail = cw_aux_counts(30, 1.1, 5, 3, grid, index_offset=5)
-    assert np.array_equal(full[1][5:], tail[1])
-    assert np.array_equal(full[0][5:], tail[0])
+    # replication r draws from substream(seed, r): the phi uniform, the
+    # binomial count given phi, then the tie-break uniform
+    n, theta, seed, reps = 40, 1.4, 123, 6
+    counts, uniforms = cw_aux_counts(n, theta, seed, reps)
+    grid = phi_density_grid(n, theta)
+    for r in range(reps):
+        rng = substream(seed, r)
+        phi = np.interp(rng.random(), grid.cdf, grid.phi)
+        assert counts[r] == rng.binomial(n, 0.5 * (1.0 + np.tanh(theta * phi)))
+        assert uniforms[r] == rng.random()
+    assert np.all((0 <= counts) & (counts <= n))
 
 
 def test_spin_string_round_trip():
