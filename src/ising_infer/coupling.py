@@ -578,10 +578,3 @@ def load_matrix(path, family: str = "custom") -> CouplingMatrix:
         )
     entries = np.array(values, dtype=np.float64).reshape(n, n)
     return CouplingMatrix(n, entries, family)
-
-
-def describe(coupling: CouplingMatrix) -> dict:
-    """Small JSON-friendly description used by the CLI."""
-    d = {"n": coupling.n, "family": coupling.family}
-    d.update(coupling.params)
-    return d

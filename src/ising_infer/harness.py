@@ -10,6 +10,7 @@ and records can be aggregated in any order.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import io
 import json
@@ -194,12 +195,31 @@ def worker_count() -> int:
     return max(count, 1)
 
 
+_task = None  # in a pool worker: the function _parallel_map maps
+
+
+def _set_task(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(item):
+    return _task(item)
+
+
 def _parallel_map(fn, items, workers: int):
+    """[fn(item) for item in items], on ``workers`` processes.
+
+    ``fn`` reaches each worker once, through the pool initializer, so
+    arguments bound into it (a coupling, say) are not pickled per task.
+    """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_task, initargs=(fn,)
+    ) as pool:
         chunk = max(len(items) // (4 * workers), 1)
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(_run_task, items, chunksize=chunk))
 
 
 @dataclass(frozen=True)
@@ -240,9 +260,8 @@ _ESTIMATOR_COLUMNS = (
 )
 
 
-def _estimator_replication(args):
+def _estimator_replication(coupling, theta0, master_seed, r):
     """One non-complete replication: Glauber draw plus both estimates."""
-    coupling, theta0, master_seed, r = args
     n = coupling.n
     start = time.perf_counter()
     config = glauber_sample(coupling, theta0, derive_seed(master_seed, r))
@@ -295,11 +314,10 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
                 )
         else:
             coupling = _coupling_for(config, n)
-            args = [
-                (coupling, config.theta0, config.master_seed, r)
-                for r in range(config.reps)
-            ]
-            rows = _parallel_map(_estimator_replication, args, worker_count())
+            replication = functools.partial(
+                _estimator_replication, coupling, config.theta0, config.master_seed
+            )
+            rows = _parallel_map(replication, range(config.reps), worker_count())
             records.extend(sorted(rows, key=lambda row: row["replication"]))
     summary = _estimator_summary(config, records)
     return ExperimentResult(config, _ESTIMATOR_COLUMNS, records, summary)

@@ -10,17 +10,18 @@ below gamma.
   pl  the pseudolikelihood point estimate, -inf when it does not exist
       (a nonexistent estimate therefore never rejects)
 
-Critical values come either from Monte Carlo null simulation or from the
+Critical values come either from a finite-n null law or from the
 limiting null laws: normal at theta0 > 1, the quartic-tilt law and the
 ratio law of the critical point at theta0 = 1. The statistics are
 functions of the spin configuration, so their finite-n null laws are
-discrete; on the complete family they depend on the +1 count alone, and
-no deterministic cutoff reaches a level near alpha. Monte Carlo
-calibration therefore takes K as the conservative empirical quantile
-(the exceedance fraction P(T > K) of its sample is at most alpha) and
-sets gamma so the sample's randomized level P(T > K) + gamma P(T = K) is
-exactly alpha: the randomized Neyman-Pearson test (Lehmann & Romano,
-Testing Statistical Hypotheses, section 3.2). The limit laws are
+discrete, and no deterministic cutoff reaches a level near alpha. The
+finite-n ("monte_carlo") calibration takes K as the smallest value with
+P(T > K) <= alpha and sets gamma so the randomized level
+P(T > K) + gamma P(T = K) is exactly alpha: the randomized Neyman-Pearson
+test (Lehmann & Romano, Testing Statistical Hypotheses, section 3.2). On
+the complete family every statistic depends on the +1 count alone, so P
+is the exact count law and the level is exact; on the other families P
+is the empirical law of a Glauber null sample. The limit laws are
 continuous, so asymptotic calibration has gamma = 0. Each replication
 draws its tie-break uniform from its own stream after its sample, so
 runs are deterministic. Power against theta0 + h/sqrt(n) alternatives is
@@ -38,7 +39,13 @@ from scipy.special import ndtr, ndtri
 from .coupling import CouplingMatrix, family_limit
 from .errors import ParameterError
 from .inference import mple, mple_from_counts
-from .sampler import SpinConfiguration, cw_aux_counts, glauber_sample
+from .sampler import (
+    SpinConfiguration,
+    complete_log_table,
+    cw_aux_counts,
+    glauber_sample,
+    tilted_table,
+)
 from .streams import as_generator, derive_seed, substream
 from .theory import (
     critical_law,
@@ -64,8 +71,8 @@ V_QUANTILE_REPS = 4_000_000
 class TestSpec:
     """What to test and how to calibrate it.
 
-    ``reps`` and ``seed`` drive the null simulation and are ignored by
-    asymptotic calibration.
+    ``reps`` and ``seed`` drive the Glauber null simulation; exact
+    (complete-family) and asymptotic calibration ignore them.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -102,13 +109,13 @@ class Calibration:
     A statistic T rejects when T > ``critical_value`` (K), and when T == K
     it rejects with probability ``gamma`` in [0, 1].
 
-    ``achieved_level`` is the fraction of the calibration sample with
-    T > K, the level of the non-randomized test, which never exceeds alpha
-    (None for asymptotic calibration). ``gamma`` tops that up on the
-    atom at K: with P the sample fractions, P(T > K) + gamma P(T = K) is
-    alpha. It is 0 for asymptotic calibration, whose limit laws have no
-    atoms. ``sampler`` records which null generator produced the
-    calibration: aux-field, glauber, or theory.
+    ``achieved_level`` is P(T > K), the level of the non-randomized test,
+    which never exceeds alpha: exact on the complete family, the fraction
+    of the Glauber calibration sample elsewhere (None for asymptotic
+    calibration). ``gamma`` tops that up on the atom at K, so
+    P(T > K) + gamma P(T = K) is alpha. It is 0 for asymptotic
+    calibration, whose limit laws have no atoms. ``sampler`` records which
+    null law produced the calibration: exact, glauber, or theory.
     """
 
     critical_value: float
@@ -182,31 +189,29 @@ def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
         return ms
     if kind == "np":
         return ms - 1.0
-    values = {}
-    for k in np.unique(counts):
-        res = mple_from_counts(n, int(k))
-        values[int(k)] = res.value if res.exists else -math.inf
-    return np.array([values[int(k)] for k in counts])
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    estimates = [mple_from_counts(n, int(k)) for k in distinct]
+    return np.array([e.value if e.exists else -math.inf for e in estimates])[inverse]
 
 
 def _statistics_and_tie_breaks(
     kind: str, coupling: CouplingMatrix, theta: float, master_seed: int, reps: int
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Statistics of ``reps`` draws, their tie-break uniforms, the sampler.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics of ``reps`` draws and their tie-break uniforms.
 
     Replication r draws from substream(master_seed, r), first its sample
     and then its uniform, so the statistics do not depend on the uniforms.
     """
     if coupling.family == "complete":
         counts, uniforms = cw_aux_counts(coupling.n, theta, master_seed, reps)
-        return _count_statistics(kind, coupling.n, counts), uniforms, "aux-field"
+        return _count_statistics(kind, coupling.n, counts), uniforms
     stats = np.empty(reps)
     uniforms = np.empty(reps)
     for r in range(reps):
         rng = substream(master_seed, r)
         stats[r] = test_statistic(kind, glauber_sample(coupling, theta, rng), coupling)
         uniforms[r] = rng.random()
-    return stats, uniforms, "glauber"
+    return stats, uniforms
 
 
 @lru_cache(maxsize=64)
@@ -217,30 +222,50 @@ def _v0_quantile(p: float, limit_eigs: tuple, kappa: float) -> float:
     return law_quantile(draws, p)
 
 
+def _randomized_cutoff(
+    stats: np.ndarray, weights: np.ndarray, alpha: float
+) -> tuple[float, float, float]:
+    """(K, P(T > K), gamma) of the law putting ``weights`` on ``stats``.
+
+    K is the smallest value with P(T <= K) >= 1 - alpha, that is
+    P(T > K) <= alpha, and gamma = (alpha - P(T > K)) / P(T = K). Equal
+    integer weights give exact sample fractions, and K is then the order
+    statistic of rank ceil((1 - alpha) * reps).
+    """
+    values, inverse = np.unique(stats, return_inverse=True)
+    mass = np.bincount(inverse, weights=weights)
+    below = np.cumsum(mass)
+    total = below[-1]
+    i = int(np.searchsorted(below, (1.0 - alpha) * total))
+    above = float(mass[i + 1 :].sum() / total)
+    gamma = min(max((alpha - above) / float(mass[i] / total), 0.0), 1.0)
+    return float(values[i]), above, gamma
+
+
 def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
     """Produce the randomized critical value (K, gamma) for a specification.
 
-    Monte Carlo mode simulates ``spec.reps`` null draws. K is the
-    conservative empirical (1 - alpha) quantile: the smallest order
-    statistic whose exceedance fraction is at most alpha. gamma is
-    (alpha - P(T > K)) / P(T = K) over the sample, so the randomized test
-    has level alpha on it. Asymptotic mode evaluates the limiting null law
-    of the statistic and sets gamma = 0; theta0 < 1 has no such law here
-    and raises.
+    Monte Carlo mode reads (K, gamma) off a finite-n null law with
+    _randomized_cutoff: on the complete family the exact law, one atom per
+    +1 count with positive mass; elsewhere the sample of ``spec.reps``
+    Glauber draws, each with equal weight. Asymptotic mode evaluates the
+    limiting null law of the statistic and sets gamma = 0; theta0 < 1 has
+    no such law here and raises.
     """
     if spec.n != coupling.n:
         raise ParameterError("spec.n does not match the coupling size")
     if spec.calibration == "monte_carlo":
-        stats, _, sampler = _statistics_and_tie_breaks(
-            spec.kind, coupling, spec.theta0, spec.seed, spec.reps
-        )
-        order = np.sort(stats)
-        rank = math.ceil((1.0 - spec.alpha) * spec.reps)
-        critical = float(order[max(rank, 1) - 1])
-        achieved = float(np.mean(stats > critical))
-        # K is an order statistic, so its atom holds at least one draw
-        at_critical = float(np.mean(stats == critical))
-        gamma = min(max((spec.alpha - achieved) / at_critical, 0.0), 1.0)
+        if coupling.family == "complete":
+            pmf = tilted_table(*complete_log_table(spec.n), spec.theta0)[2]
+            counts = np.flatnonzero(pmf)
+            stats = _count_statistics(spec.kind, spec.n, counts)
+            weights, sampler = pmf[counts], "exact"
+        else:
+            stats, _ = _statistics_and_tie_breaks(
+                spec.kind, coupling, spec.theta0, spec.seed, spec.reps
+            )
+            weights, sampler = np.ones(spec.reps), "glauber"
+        critical, achieved, gamma = _randomized_cutoff(stats, weights, spec.alpha)
         return Calibration(critical, achieved, sampler, spec, gamma)
 
     theta0, alpha, n = spec.theta0, spec.alpha, spec.n
@@ -322,7 +347,7 @@ def empirical_power(
     if calibration is None:
         calibration = calibrate(spec, coupling)
     theta_n = spec.theta0 + h / math.sqrt(spec.n)
-    stats, uniforms, _ = _statistics_and_tie_breaks(
+    stats, uniforms = _statistics_and_tie_breaks(
         spec.kind, coupling, theta_n, seed, reps
     )
     return float(np.mean(calibration.rejects(stats, uniforms)))

@@ -7,12 +7,9 @@ Three sampling routes with different validity/scale trade-offs:
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
   from its spins;
-* the auxiliary-field decomposition of the mean-field (complete) model,
-  which draws the +1 count of each replication in O(1) at any n, so the
-  large-n critical experiments never touch a matrix. It is exact up to
-  the tabulation of the field phi: inverse CDF on a 4096-point trapezoid
-  CDF whose support is cut where the density falls below e^-40 of its
-  peak.
+* exact draws of the +1 count of the mean-field (complete) model, by
+  inverse CDF on the binomial table below, so the large-n critical
+  experiments never touch a matrix.
 
 Every exactly summable model is one table of attainable x'Qx values with
 log multiplicities: the 2^n enumeration for n <= 24 (``log_table``) and,
@@ -30,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .coupling import CouplingMatrix
@@ -362,131 +358,28 @@ def cw_dlog_partition(n: int, theta: float) -> float:
     return tilted_table(*complete_log_table(n), theta)[1] + 0.5
 
 
-def mean_field_rate(theta: float, phi) -> np.ndarray | float:
-    """The large-deviation rate q(phi) = theta*phi^2/2 - log cosh(theta*phi)."""
-    tp = theta * np.asarray(phi, dtype=np.float64)
-    # log cosh without overflow: |x| + log1p(exp(-2|x|)) - log 2
-    abs_tp = np.abs(tp)
-    log_cosh = abs_tp + np.log1p(np.exp(-2.0 * abs_tp)) - np.log(2.0)
-    return 0.5 * theta * np.asarray(phi) ** 2 - log_cosh
-
-
-@dataclass(frozen=True, eq=False)
-class AuxiliaryFieldGrid:
-    """Tabulated density of the auxiliary magnetization field.
-
-    phi / density / cdf are parallel arrays; density is the unnormalized
-    e^{-n q(phi)} rescaled so its maximum is 1, cdf is normalized. Support
-    splits into two islands past the phase transition; ``segments`` holds
-    (start, stop) index pairs, and sampling is inverse-CDF per island.
-    """
-
-    n: int
-    theta: float
-    phi: np.ndarray
-    density: np.ndarray
-    cdf: np.ndarray
-    segments: tuple
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """One phi by inverse CDF from a single uniform."""
-        return float(np.interp(rng.random(), self.cdf, self.phi))
-
-    def moment(self, k: int) -> float:
-        pdf = self.density / np.trapezoid(self.density, self.phi)
-        return float(np.trapezoid(self.phi**k * pdf, self.phi))
-
-
-def phi_density_grid(
-    n: int, theta: float, grid_points: int = 4096
-) -> AuxiliaryFieldGrid:
-    """Tabulate the auxiliary-field density exp(-n q(phi)) for sampling.
-
-    The support is cut where the density falls below e^{-40} of its peak
-    (relative mass below 1e-14), grid points are spent only on the
-    high-mass islands, and the CDF is a cumulative trapezoid per island.
-
-    Args:
-        n: number of spins (n >= 1).
-        theta: inverse temperature, strictly positive.
-        grid_points: total tabulation points, at least 256.
-    """
-    if theta <= 0:
-        raise ParameterError("the auxiliary decomposition needs theta > 0")
-    if grid_points < 256:
-        raise ParameterError("grid_points must be at least 256")
-    if n < 1:
-        raise ParameterError("n must be positive")
-    cut = 40.0 / n
-    mode = _rate_minimizer(theta)
-    q_min = float(mean_field_rate(theta, mode))
-
-    def excess(phi):
-        return float(mean_field_rate(theta, phi)) - q_min - cut
-
-    hi = max(2.0 * mode, 1.0)
-    while excess(hi) < 0:
-        hi *= 2.0
-    outer = brentq(excess, mode, hi, xtol=1e-15)
-    two_islands = mode > 0 and (float(mean_field_rate(theta, 0.0)) - q_min) > cut
-    if two_islands:
-        inner = brentq(excess, 0.0, mode, xtol=1e-15)
-        half = grid_points // 2
-        right = np.linspace(inner, outer, half)
-        phi = np.concatenate([-right[::-1], right])
-        segments = ((0, half), (half, 2 * half))
-    else:
-        phi = np.linspace(-outer, outer, grid_points)
-        segments = ((0, grid_points),)
-
-    log_density = -n * np.asarray(mean_field_rate(theta, phi))
-    log_density -= log_density.max()
-    density = np.exp(log_density)
-    cdf = np.zeros_like(phi)
-    total = 0.0
-    for start, stop in segments:
-        seg = np.concatenate(
-            [[0.0], np.cumsum(np.diff(phi[start:stop]) * 0.5
-                              * (density[start:stop][1:] + density[start:stop][:-1]))]
-        )
-        cdf[start:stop] = total + seg
-        total += seg[-1]
-    cdf /= total
-    return AuxiliaryFieldGrid(
-        n=n, theta=theta, phi=phi, density=density, cdf=cdf, segments=segments
-    )
-
-
-def _rate_minimizer(theta: float) -> float:
-    """Location of the positive minimizer of the rate (0 when theta <= 1)."""
-    if theta <= 1:
-        return 0.0
-    return brentq(
-        lambda x: x - np.tanh(theta * x), 1e-12, 1.0, xtol=1e-16, rtol=8.9e-16
-    )
-
-
 def cw_aux_counts(
     n: int, theta: float, master_seed: int, reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """+1 counts and tie-break uniforms of ``reps`` complete-family draws.
 
-    Replication r draws from substream(master_seed, r), in this order: one
-    uniform for the auxiliary field phi (inverse CDF on
-    phi_density_grid(n, theta)), one binomial count of +1 spins with
-    P(+1 | phi) = e^{theta phi}/(2 cosh(theta phi)), and one uniform for
-    the randomized tests' tie-break. Every complete-family statistic is a
+    The count law is exact: the pmf of tilted_table(*complete_log_table(n),
+    theta). Replication r draws two uniforms from substream(master_seed, r),
+    the first mapped to its count by inverse CDF and the second kept for the
+    randomized tests' tie-break. Every complete-family statistic is a
     function of the count, so no spin vector is ever drawn.
     """
-    grid = phi_density_grid(n, theta)
-    counts = np.empty(reps, dtype=np.int64)
-    uniforms = np.empty(reps)
+    if theta < 0:
+        raise ParameterError("theta must be nonnegative")
+    if reps < 0:
+        raise ParameterError("reps must be nonnegative")
+    cdf = np.cumsum(tilted_table(*complete_log_table(n), theta)[2])
+    draws = np.empty((reps, 2))
     for r in range(reps):
-        rng = substream(master_seed, r)
-        p_plus = 0.5 * (1.0 + np.tanh(theta * grid.sample(rng)))
-        counts[r] = rng.binomial(n, p_plus)
-        uniforms[r] = rng.random()
-    return counts, uniforms
+        draws[r] = substream(master_seed, r).random(2)
+    # a uniform past the rounded total mass lands on the last count
+    counts = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), n)
+    return counts, draws[:, 1].copy()
 
 
 # ---------------------------------------------------------------------------

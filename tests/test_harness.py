@@ -1,7 +1,9 @@
 """Config parsing, experiment pipelines, result IO, and the CLI."""
+import concurrent.futures
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -246,6 +248,31 @@ def test_estimator_law_worker_pool_matches_serial(monkeypatch):
             assert ra[key] == rb[key], key
     # n <= 24 so the exact ML column is populated
     assert all(isinstance(row["mle_exists"], bool) for row in serial.records)
+
+
+def test_estimator_law_pool_tasks_carry_only_indices(monkeypatch):
+    # the coupling reaches each worker once, through the pool initializer;
+    # a dense random_regular coupling at n = 30 pickles to about 7.5 KB
+    payloads = []
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+
+    def recording_submit(self, fn, /, *args, **kwargs):
+        payloads.append(len(pickle.dumps((fn, args, kwargs))))
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(
+        concurrent.futures.ProcessPoolExecutor, "submit", recording_submit
+    )
+    monkeypatch.setenv("ISING_INFER_WORKERS", "2")
+    cfg = ExperimentConfig(
+        experiment="estimator_law", family="random_regular", d=4, n=(30,),
+        theta0=0.8, reps=4,
+    )
+    coupling = build_coupling("random_regular", 30, d=4, seed=cfg.master_seed)
+    assert len(pickle.dumps(coupling)) > 7000
+    result = run_experiment(cfg)
+    assert [row["replication"] for row in result.records] == [0, 1, 2, 3]
+    assert payloads and max(payloads) < 1024, payloads
 
 
 def test_power_curve_records():

@@ -16,6 +16,7 @@ from ising_infer import (
 )
 from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _statistics_and_tie_breaks
+from ising_infer.sampler import complete_log_table, tilted_table
 from ising_infer import cw_aux_counts, derive_seed, glauber_sample, substream
 
 
@@ -67,39 +68,61 @@ def test_spec_validation():
     TestSpec("ms", 1.0, 0.05, 100, calibration="asymptotic", reps=500)
 
 
-def test_monte_carlo_calibration_conservative():
-    cpl = build_coupling("complete", 200)
-    spec = TestSpec("ms", 1.0, 0.05, 200, reps=4000, seed=3)
-    cal = calibrate(spec, cpl)
-    assert cal.sampler == "aux-field"
-    assert cal.achieved_level is not None
-    assert cal.achieved_level <= 0.05
-    # K is the smallest attainable cutoff meeting the level: moving the
-    # rejection boundary onto K itself would over-reject
-    stats, _, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 3, 4000)
-    assert float(np.mean(stats > cal.critical_value)) == cal.achieved_level
-    assert float(np.mean(stats >= cal.critical_value)) >= 0.05
+def test_exact_calibration_has_level_alpha():
+    # on the complete family (K, gamma) come from the exact count law
+    alpha = 0.05
+    for n, theta0 in ((400, 1.5), (2500, 1.0)):
+        cpl = build_coupling("complete", n)
+        pmf = tilted_table(*complete_log_table(n), theta0)[2]
+        k = np.arange(n + 1)
+        regions, gammas = set(), []
+        for kind in ("ms", "np", "pl"):
+            cal = calibrate(TestSpec(kind, theta0, alpha, n), cpl)
+            assert cal.sampler == "exact"
+            stats = np.array(
+                [statistic_value(kind, np.where(k[:n] < j, 1, -1), cpl) for j in k]
+            )
+            above = pmf[stats > cal.critical_value].sum()
+            at = pmf[stats == cal.critical_value].sum()
+            assert abs(cal.achieved_level - above) <= 1e-15
+            assert cal.achieved_level <= alpha < above + at
+            assert 0.0 <= cal.gamma <= 1.0
+            assert abs(above + cal.gamma * at - alpha) <= 1e-12, (n, kind)
+            # pl never rejects at k in {0, n}, where it does not exist
+            inner = slice(1, n)
+            regions.add(
+                (
+                    tuple(k[inner][stats[inner] > cal.critical_value]),
+                    tuple(k[inner][stats[inner] == cal.critical_value]),
+                )
+            )
+            gammas.append(cal.gamma)
+        assert len(regions) == 1, (n, theta0)
+        assert max(gammas) - min(gammas) < 1e-6, gammas
+    # at n = 2500, theta0 = 1 all three reject when |2k - n| > 686 and
+    # randomize at |2k - n| = 686
+    (strict, ties), = regions
+    assert min(abs(2 * j - n) for j in strict) == 688
+    assert sorted(abs(2 * j - n) for j in ties) == [686, 686]
+    assert abs(gammas[0] - 0.327) < 5e-4
+    cal = calibrate(TestSpec("ms", 1.0, alpha, n), cpl)
+    assert abs(cal.critical_value - 686**2 / n) < 1e-9
 
 
 def test_randomized_calibration_has_level_alpha_in_sample():
     # gamma tops the conservative level P(T > K) up to exactly alpha on the
-    # calibration sample, for the aux-field and the Glauber null samplers
+    # Glauber calibration sample
     alpha = 0.05
-    cases = [
-        (build_coupling("complete", 400), kind, 1.5, seed)
-        for kind in ("ms", "np", "pl")
-        for seed in (3, 4)
-    ]
-    cases.append((build_coupling("bipartite", 4), "np", 1.0, 5))
-    for cpl, kind, theta0, seed in cases:
-        spec = TestSpec(kind, theta0, alpha, cpl.n, reps=1000, seed=seed)
-        cal = calibrate(spec, cpl)
-        stats, _, _ = _statistics_and_tie_breaks(kind, cpl, theta0, seed, 1000)
-        above = float(np.mean(stats > cal.critical_value))
-        at = float(np.mean(stats == cal.critical_value))
-        assert above == cal.achieved_level <= alpha
-        assert 0.0 <= cal.gamma <= 1.0
-        assert abs(above + cal.gamma * at - alpha) < 1e-12, (kind, seed)
+    cpl, kind, theta0, seed = build_coupling("bipartite", 4), "np", 1.0, 5
+    spec = TestSpec(kind, theta0, alpha, cpl.n, reps=1000, seed=seed)
+    cal = calibrate(spec, cpl)
+    assert cal.sampler == "glauber"
+    stats, _ = _statistics_and_tie_breaks(kind, cpl, theta0, seed, 1000)
+    above = float(np.mean(stats > cal.critical_value))
+    at = float(np.mean(stats == cal.critical_value))
+    assert above == cal.achieved_level <= alpha
+    assert 0.0 <= cal.gamma <= 1.0
+    assert abs(above + cal.gamma * at - alpha) < 1e-12
 
 
 def test_asymptotic_calibration_is_not_randomized():
@@ -117,19 +140,19 @@ def test_statistic_batch_ignores_tie_break_draws():
     counts, uniforms = cw_aux_counts(n, 1.2, 8, reps)
     assert np.all((0.0 <= uniforms) & (uniforms < 1.0))
     xbar = (2.0 * counts - n) / n
-    stats, batch_uniforms, _ = _statistics_and_tie_breaks("ms", cpl, 1.2, 8, reps)
+    stats, batch_uniforms = _statistics_and_tie_breaks("ms", cpl, 1.2, 8, reps)
     assert np.array_equal(stats, n * xbar * xbar)
     assert np.array_equal(batch_uniforms, uniforms)
     # one configuration's statistic is bit-identical to the batch value of
     # its +1 count, so ties with a calibrated K are exact
     for kind in ("ms", "np", "pl"):
-        stats, _, _ = _statistics_and_tie_breaks(kind, cpl, 1.2, 8, reps)
+        stats, _ = _statistics_and_tie_breaks(kind, cpl, 1.2, 8, reps)
         for k, value in zip(counts, stats):
             spins = np.where(np.arange(n) < k, 1, -1).astype(np.int8)
             assert statistic_value(kind, spins, cpl) == value, (kind, k)
 
     bip = build_coupling("bipartite", 6)
-    stats, _, _ = _statistics_and_tie_breaks("np", bip, 1.0, 9, 5)
+    stats, _ = _statistics_and_tie_breaks("np", bip, 1.0, 9, 5)
     want = [
         statistic_value("np", glauber_sample(bip, 1.0, derive_seed(9, r)), bip)
         for r in range(5)
@@ -219,10 +242,9 @@ def test_run_test_outcome_shape():
 
 def test_glauber_batch_used_off_complete():
     cpl = build_coupling("bipartite", 40)
-    stats, _, sampler = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
-    assert sampler == "glauber"
+    stats, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
     assert stats.shape == (50,)
-    again, _, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
+    again, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
     assert np.array_equal(stats, again)
 
 

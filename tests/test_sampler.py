@@ -1,9 +1,10 @@
-"""Samplers: enumeration, Glauber dynamics, auxiliary-field draws, dumps."""
+"""Samplers: enumeration, Glauber dynamics, exact count draws, dumps."""
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chisquare
 
 from ising_infer import (
     CapacityError,
@@ -25,13 +26,14 @@ from ising_infer import (
     write_sample_dump,
 )
 from ising_infer.sampler import (
+    CW_PARTITION_MAX_N,
+    complete_log_table,
     decode_spins,
     default_burn_in,
     encode_spins,
     enumerate_state_distribution,
     flip_probability,
-    mean_field_rate,
-    phi_density_grid,
+    tilted_table,
 )
 
 
@@ -208,54 +210,66 @@ def test_cw_dlog_matches_finite_difference():
         assert abs(cw_dlog_partition(500, theta) - fd) < 1e-5
 
 
-def test_mean_field_rate_values():
-    assert mean_field_rate(1.5, 0.0) == 0.0
-    # past the transition the rate dips negative at its minimizer
-    grid = np.linspace(0.0, 1.2, 400)
-    assert mean_field_rate(1.5, grid).min() < -0.1
-    # subcritical: phi = 0 is the unique minimum
-    vals = mean_field_rate(0.8, grid)
-    assert np.all(vals[1:] > vals[0])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.5])
+def test_complete_count_pmf_matches_enumeration(theta):
+    # the binomial table's pmf is the 2^n state law grouped by +1 count
+    for n in range(2, 13):
+        cpl = build_coupling("complete", n)
+        codes = np.arange(1 << n)
+        x = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        logw = 0.5 * theta * np.einsum("ij,ij->i", x @ cpl.entries, x)
+        w = np.exp(logw - logw.max())
+        plus = ((x + 1.0) / 2.0).sum(axis=1).astype(np.int64)
+        want = np.bincount(plus, weights=w, minlength=n + 1) / w.sum()
+        got = tilted_table(*complete_log_table(n), theta)[2]
+        assert np.max(np.abs(got - want)) <= 1e-12, n
 
 
-def test_phi_grid_islands():
-    flat = phi_density_grid(200, 1.0)
-    assert len(flat.segments) == 1
-    split = phi_density_grid(1000, 1.5)
-    assert len(split.segments) == 2
-    # two-island support excludes a neighborhood of zero
-    left, right = split.segments
-    assert split.phi[right[0]] > 0.05
-    assert np.all(np.diff(split.cdf) >= 0.0)
-    assert split.cdf[0] == 0.0 and abs(split.cdf[-1] - 1.0) < 1e-12
+def _chi_square_pvalue(counts, pmf) -> float:
+    observed = np.bincount(counts, minlength=pmf.size).astype(np.float64)
+    expected = counts.size * pmf
+    # pool the sparse tails so every cell expects at least 5 draws
+    rich = expected >= 5.0
+    obs, exp = observed[rich], expected[rich]
+    if not rich.all():
+        obs = np.append(obs, observed[~rich].sum())
+        exp = np.append(exp, expected[~rich].sum())
+    return chisquare(obs, exp * (obs.sum() / exp.sum())).pvalue
 
 
-def test_phi_grid_moments():
-    grid = phi_density_grid(10_000, 1.5)
-    assert abs(grid.moment(1)) < 1e-12
-    # second moment concentrates near the squared spontaneous value
-    assert abs(grid.moment(2) - 0.8585596366401105**2) < 1e-3
-
-
-def test_phi_grid_parameter_errors():
-    with pytest.raises(ParameterError):
-        phi_density_grid(100, 0.0)
-    with pytest.raises(ParameterError):
-        phi_density_grid(100, 1.0, grid_points=8)
+def test_cw_aux_counts_match_the_count_pmf():
+    n, reps = 30, 20_000
+    counts, _ = cw_aux_counts(n, 1.2, 6006, reps)
+    pmf = tilted_table(*complete_log_table(n), 1.2)[2]
+    assert _chi_square_pvalue(counts, pmf) > 1e-3
+    # theta = 0 is the free model: each count is Binomial(n, 1/2)
+    counts, _ = cw_aux_counts(n, 0.0, 6007, reps)
+    assert _chi_square_pvalue(counts, binom.pmf(np.arange(n + 1), n, 0.5)) > 1e-3
 
 
 def test_cw_aux_counts_substream_alignment():
-    # replication r draws from substream(seed, r): the phi uniform, the
-    # binomial count given phi, then the tie-break uniform
+    # replication r draws from substream(seed, r): the count's uniform,
+    # mapped by inverse CDF on the count pmf, then the tie-break uniform
     n, theta, seed, reps = 40, 1.4, 123, 6
     counts, uniforms = cw_aux_counts(n, theta, seed, reps)
-    grid = phi_density_grid(n, theta)
+    cdf = np.cumsum(tilted_table(*complete_log_table(n), theta)[2])
     for r in range(reps):
         rng = substream(seed, r)
-        phi = np.interp(rng.random(), grid.cdf, grid.phi)
-        assert counts[r] == rng.binomial(n, 0.5 * (1.0 + np.tanh(theta * phi)))
+        assert counts[r] == min(np.searchsorted(cdf, rng.random(), side="right"), n)
         assert uniforms[r] == rng.random()
     assert np.all((0 <= counts) & (counts <= n))
+
+
+def test_cw_aux_counts_input_checks():
+    with pytest.raises(ParameterError):
+        cw_aux_counts(10, -0.1, 1, 5)
+    with pytest.raises(ParameterError):
+        cw_aux_counts(10, 1.0, 1, -1)
+    for n in (0, CW_PARTITION_MAX_N + 1):
+        with pytest.raises(CapacityError):
+            cw_aux_counts(n, 1.0, 1, 5)
+    counts, uniforms = cw_aux_counts(10, 1.0, 1, 0)
+    assert counts.shape == uniforms.shape == (0,)
 
 
 def test_spin_string_round_trip():
