@@ -24,8 +24,9 @@ from .harness import (
     render_csv,
     run_experiment,
 )
+from .htests import CALIBRATIONS
 from .inference import mle_exact, mle_stochastic, mple
-from .sampler import SpinConfiguration, read_sample_dump
+from .sampler import ENUMERATION_MAX_N, SpinConfiguration, read_sample_dump
 from .streams import derive_seed
 from .theory import sample_mple_limit, sample_quadratic_limits
 
@@ -72,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--alpha", type=float, default=0.05)
     p_pow.add_argument("--reps", type=int, default=2000)
     p_pow.add_argument("--seed", type=int, default=20260815)
-    p_pow.add_argument(
-        "--calibration", choices=("monte_carlo", "asymptotic"), default="monte_carlo"
-    )
+    p_pow.add_argument("--calibration", choices=CALIBRATIONS, default="monte_carlo")
     p_pow.add_argument("--output", default=None)
 
     p_lim = sub.add_parser("limits", help="draws from the limiting laws")
@@ -146,7 +145,7 @@ def _cmd_estimate(args) -> int:
             if method == "mple":
                 res = mple(config)
                 stderr = math.nan
-            elif coupling.n <= 24:
+            elif coupling.n <= ENUMERATION_MAX_N:
                 res = mle_exact(config, coupling)
                 stderr = math.nan
             else:

@@ -214,19 +214,6 @@ class SpectralSummary:
     gamma_sq: float | None
     kappa: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family,
-            "finite_eigs": [float(v) for v in self.finite_eigs],
-            "frobenius_sq": float(self.frobenius_sq),
-            "limit_eigs": None
-            if self.limit_eigs is None
-            else [float(v) for v in self.limit_eigs],
-            "gamma_sq": None if self.gamma_sq is None else float(self.gamma_sq),
-            "kappa": None if self.kappa is None else float(self.kappa),
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -234,16 +221,13 @@ class ValidationReport:
 
     ``passes`` has one boolean per checked assumption; ``ok`` is their
     conjunction. ``spectrum`` is the summary the gap was read from. All
-    recorded quantities are deterministic functions of the matrix and the
-    tolerances.
+    recorded quantities are deterministic functions of the matrix.
     """
 
     n: int
     row_dev_max: float
     entry_bound: float
     spectral_gap: float
-    row_tol: float
-    gap_tol: float
     passes: dict
     spectrum: SpectralSummary
 
@@ -484,43 +468,29 @@ def spectrum(coupling: CouplingMatrix) -> SpectralSummary:
     )
 
 
-def validate_assumptions(
-    coupling: CouplingMatrix,
-    *,
-    row_tol: float | None = None,
-    gap_tol: float = 0.0,
-    entry_tol: float | None = None,
-) -> ValidationReport:
-    """Check regularity, the entrywise bound and the spectral gap.
+def validate_assumptions(coupling: CouplingMatrix) -> ValidationReport:
+    """Check regularity and the spectral gap, and record the entrywise bound.
 
-    ``row_tol`` defaults to 2/n so the complete family's row sums of
-    (n-1)/n pass without special casing. The gap is the difference between
-    the largest eigenvalue and the largest remaining one, read from
-    spectrum(coupling), which the report carries. The
-    entrywise record is n * max entry; it fails only when ``entry_tol``
-    is supplied and exceeded. A block coupling is checked from its sizes
-    and weights without building the dense matrix.
+    Every row sum must lie within 2/n of 1, so the complete family's row
+    sums of (n-1)/n pass without special casing. The gap, the difference
+    between the largest eigenvalue and the largest remaining one, must be
+    positive; it is read from spectrum(coupling), which the report carries.
+    The entrywise bound n * max entry is recorded, not checked. A block
+    coupling is checked from its sizes and weights without building the
+    dense matrix.
     """
     n = coupling.n
-    if row_tol is None:
-        row_tol = 2.0 / n
     row_dev = float(np.max(np.abs(coupling.row_sums() - 1.0)))
     entry_bound = n * coupling.max_entry()
     summary = spectrum(coupling)
     eigs = summary.finite_eigs
     gap = float(eigs[0] - np.max(eigs[1:])) if n > 1 else math.inf
-    passes = {
-        "regular": row_dev <= row_tol,
-        "entry_bound": True if entry_tol is None else entry_bound <= entry_tol,
-        "spectral_gap": gap > gap_tol,
-    }
+    passes = {"regular": row_dev <= 2.0 / n, "spectral_gap": gap > 0.0}
     return ValidationReport(
         n=n,
         row_dev_max=row_dev,
         entry_bound=entry_bound,
         spectral_gap=gap,
-        row_tol=row_tol,
-        gap_tol=gap_tol,
         passes=passes,
         spectrum=summary,
     )

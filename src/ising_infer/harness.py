@@ -30,9 +30,17 @@ from .coupling import (
     validate_assumptions,
 )
 from .errors import ConfigError, ParameterError
-from .htests import KINDS, TestSpec, asymptotic_power, calibrate, empirical_power
+from .htests import (
+    CALIBRATIONS,
+    KINDS,
+    MIN_CALIBRATION_REPS,
+    TestSpec,
+    asymptotic_power,
+    calibrate,
+    empirical_power,
+)
 from .inference import mle_complete_large_n, mle_exact, mple, mple_from_counts
-from .sampler import cw_aux_counts, cw_log_partition, glauber_sample
+from .sampler import ENUMERATION_MAX_N, cw_aux_counts, cw_log_partition, glauber_sample
 from .streams import derive_seed
 from .theory import delta_log_partition, information_rate, sample_mple_limit
 
@@ -108,8 +116,8 @@ class ExperimentConfig:
             raise ConfigError("h: grid entries must be nonnegative")
         if self.format not in ("csv", "json"):
             raise ConfigError("format: must be csv or json")
-        if self.calibration not in ("monte_carlo", "asymptotic"):
-            raise ConfigError("calibration: must be monte_carlo or asymptotic")
+        if self.calibration not in CALIBRATIONS:
+            raise ConfigError(f"calibration: must be {' or '.join(CALIBRATIONS)}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -266,7 +274,7 @@ def _estimator_replication(coupling, theta0, master_seed, r):
     start = time.perf_counter()
     config = glauber_sample(coupling, theta0, derive_seed(master_seed, r))
     pl = mple(config)
-    if n <= 24:
+    if n <= ENUMERATION_MAX_N:
         ml = mle_exact(config, coupling)
         mle_value, mle_exists = ml.value, ml.exists
     else:
@@ -389,7 +397,7 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                 alpha=config.alpha,
                 n=n,
                 calibration=config.calibration,
-                reps=max(config.reps, 1000),
+                reps=max(config.reps, MIN_CALIBRATION_REPS),
                 seed=derive_seed(config.master_seed, 0),
             )
             cal = calibrate(spec, coupling)

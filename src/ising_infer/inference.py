@@ -5,8 +5,9 @@ strictly increasing equation in theta whenever any local field is nonzero;
 we bracket by doubling outward from theta = 1 and run safeguarded Newton
 inside the bracket. The likelihood estimate solves dlog Z/dtheta = x'Qx / 2.
 Where the model is exactly summable it has one solver, ``_table_mle``, on
-the sampler's exact tables: the 2^n enumeration for n <= 24 (``mle_exact``)
-and the complete family's binomial table at any n (``mle_complete_large_n``).
+the sampler's cached exact tables: the 2^n enumeration for n <= 24
+(``mle_exact``), built once per coupling, and the complete family's
+binomial table at any n (``mle_complete_large_n``).
 Otherwise it runs confidence-gated bisection on Glauber chain means.
 
 Existence is decided before any iteration: the pseudolikelihood equation
@@ -27,9 +28,9 @@ from scipy.optimize import brentq
 from .coupling import CouplingMatrix
 from .errors import NumericError, ParameterError
 from .sampler import (
+    ENUMERATION_MAX_N,
     SpinConfiguration,
     complete_log_table,
-    log_table,
     suff_stat_table,
     tilted_table,
 )
@@ -228,9 +229,7 @@ def mple_from_counts(n: int, plus_count: int) -> EstimateResult:
     return _pl_estimate(t_vals, weights, n * xbar * xbar - 1.0)
 
 
-def suff_stat_bounds(
-    coupling: CouplingMatrix, table: tuple | None = None
-) -> tuple[float, float]:
+def suff_stat_bounds(coupling: CouplingMatrix) -> tuple[float, float]:
     """Attainable (min, max) of x'Qx over all configurations.
 
     Closed forms for the complete and bipartite families; exhaustive
@@ -242,9 +241,7 @@ def suff_stat_bounds(
         return low, float(n - 1)
     if coupling.family == "bipartite":
         return -float(n), float(n)
-    if table is None:
-        table = suff_stat_table(coupling)
-    values = table[0]
+    values = suff_stat_table(coupling)[0]
     return float(values[0]), float(values[-1])
 
 
@@ -292,20 +289,14 @@ def _table_mle(s: float, values: np.ndarray, log_mult: np.ndarray) -> EstimateRe
     )
 
 
-def mle_exact(
-    x,
-    coupling: CouplingMatrix,
-    table: tuple | None = None,
-) -> EstimateResult:
-    """Maximum likelihood estimate from a full enumeration table (n <= 24).
+def mle_exact(x, coupling: CouplingMatrix) -> EstimateResult:
+    """Maximum likelihood estimate from the enumeration table (n <= 24).
 
-    Args:
-        x: SpinConfiguration or +-1 vector.
-        coupling: the coupling matrix.
-        table: optional reuse of suff_stat_table(coupling) across calls.
+    ``x`` is a SpinConfiguration or a +-1 vector under ``coupling``.
     """
     _, _, s = _fields_and_stat(x, coupling)
-    return _table_mle(s, *log_table(coupling, table))
+    values, counts = suff_stat_table(coupling)
+    return _table_mle(s, values, np.log(counts))
 
 
 def mle_stochastic(
@@ -363,7 +354,7 @@ def mle_stochastic(
             iterations=0, bracket=None, diagnostics=diagnostics,
         )
     lower = None
-    if coupling.family in ("complete", "bipartite") or coupling.n <= 24:
+    if coupling.family in ("complete", "bipartite") or coupling.n <= ENUMERATION_MAX_N:
         lower = suff_stat_bounds(coupling)[0]
     if lower is not None:
         diagnostics["a_n"] = lower

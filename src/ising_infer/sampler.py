@@ -12,10 +12,11 @@ Three sampling routes with different validity/scale trade-offs:
   experiments never touch a matrix.
 
 Every exactly summable model is one table of attainable x'Qx values with
-log multiplicities: the 2^n enumeration for n <= 24 (``log_table``) and,
-for the complete family at any n, the binomial table over the +1 count
-(``complete_log_table``). ``tilted_table`` turns a table into log Z, its
-derivative and the tilted pmf; ``exact_enumerate`` and the mean-field
+log multiplicities: the 2^n enumeration for n <= 24 (``suff_stat_table``,
+built once per coupling and cached) and, for the complete family at any n,
+the binomial table over the +1 count (``complete_log_table``, cached per
+n). ``tilted_table`` turns a table into log Z, its derivative and the
+tilted pmf; ``exact_enumerate`` and the mean-field
 ``cw_log_partition``/``cw_dlog_partition`` are thin callers of it, and the
 exact MLE solves on the same tables. The tables are in matrix convention;
 the mean-field nx̄²/2 convention differs from it by exactly theta/2.
@@ -34,6 +35,8 @@ from .errors import CapacityError, ParameterError
 from .streams import as_generator, substream
 
 ENUMERATION_MAX_N = 24
+# state-indexed laws and kernels hold 2^n floats, or 2^n x n spins
+STATE_LAW_MAX_N = 20
 CW_PARTITION_MAX_N = 10_000_000
 FIELD_CONSISTENCY_TOL = 1e-12
 
@@ -106,22 +109,6 @@ class EnumerationResult:
     dlog_z: float
     suff_stat_pmf: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "theta": self.theta,
-            "log_z": self.log_z,
-            "dlog_z": self.dlog_z,
-            "suff_stat_pmf": {f"{k:.10f}": v for k, v in self.suff_stat_pmf.items()},
-        }
-
-
-def _check_enumerable(n: int) -> None:
-    if n > ENUMERATION_MAX_N:
-        raise CapacityError(
-            f"exact enumeration is capped at n={ENUMERATION_MAX_N}, got {n}"
-        )
-
 
 def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
     """Return x'Qx for every configuration, indexed by the state's bit code.
@@ -130,7 +117,10 @@ def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
     chunked so memory stays flat regardless of n.
     """
     n = coupling.n
-    _check_enumerable(n)
+    if n > ENUMERATION_MAX_N:
+        raise CapacityError(
+            f"exact enumeration is capped at n={ENUMERATION_MAX_N}, got {n}"
+        )
     total = 1 << n
     out = np.empty(total, dtype=np.float64)
     bits = np.arange(n, dtype=np.int64)
@@ -143,22 +133,17 @@ def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
 def suff_stat_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Unique attainable x'Qx values with multiplicities."""
-    values, counts = np.unique(enumerate_suff_stats(coupling), return_counts=True)
-    return values, counts
+    """Unique attainable x'Qx values with multiplicities (n <= 24).
 
-
-def log_table(
-    coupling: CouplingMatrix, table: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(attainable x'Qx, log multiplicity) from the 2^n enumeration (n <= 24).
-
-    ``table`` is an optional precomputed suff_stat_table(coupling).
+    The arrays are cached per coupling and read-only, so every exact
+    consumer in a process enumerates a coupling once.
     """
-    _check_enumerable(coupling.n)
-    values, counts = suff_stat_table(coupling) if table is None else table
-    return values, np.log(counts)
+    values, counts = np.unique(enumerate_suff_stats(coupling), return_counts=True)
+    values.flags.writeable = False
+    counts.flags.writeable = False
+    return values, counts
 
 
 @lru_cache(maxsize=4)
@@ -195,20 +180,10 @@ def tilted_table(
     return float(shift + np.log(total)), float(0.5 * (values @ w) / total), w / total
 
 
-def exact_enumerate(
-    coupling: CouplingMatrix,
-    theta: float,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
-) -> EnumerationResult:
-    """Exact log_z, dlog_z and sufficient-statistic pmf at ``theta``.
-
-    Args:
-        coupling: the coupling matrix, n <= 24.
-        theta: inverse temperature (any finite real).
-        table: optional precomputed suff_stat_table, reused across calls.
-    """
-    values, log_mult = log_table(coupling, table)
-    log_z, dlog_z, probs = tilted_table(values, log_mult, theta)
+def exact_enumerate(coupling: CouplingMatrix, theta: float) -> EnumerationResult:
+    """Exact log_z, dlog_z and sufficient-statistic pmf at ``theta`` (n <= 24)."""
+    values, counts = suff_stat_table(coupling)
+    log_z, dlog_z, probs = tilted_table(values, np.log(counts), theta)
     pmf: dict = {}
     for v, p in zip(np.round(values, 10), probs):
         pmf[v] = pmf.get(v, 0.0) + float(p)
@@ -219,8 +194,8 @@ def exact_enumerate(
 
 def enumerate_state_distribution(coupling: CouplingMatrix, theta: float) -> np.ndarray:
     """Normalized probability of every state code at ``theta`` (n <= 20)."""
-    if coupling.n > 20:
-        raise CapacityError("state distributions are capped at n=20")
+    if coupling.n > STATE_LAW_MAX_N:
+        raise CapacityError(f"state distributions are capped at n={STATE_LAW_MAX_N}")
     stats = enumerate_suff_stats(coupling)
     return tilted_table(stats, np.zeros_like(stats), theta)[2]
 
@@ -321,8 +296,8 @@ def glauber_sweep_kernel(
     stationarity of the enumerated Gibbs law at small n.
     """
     n = coupling.n
-    if coupling.n > 20:
-        raise CapacityError("exact kernels are capped at n=20")
+    if n > STATE_LAW_MAX_N:
+        raise CapacityError(f"exact kernels are capped at n={STATE_LAW_MAX_N}")
     total = 1 << n
     if pi.shape != (total,):
         raise ParameterError("distribution length must be 2^n")

@@ -23,6 +23,7 @@ from .streams import as_generator
 
 H_MAX = 50.0
 TAIL_LOG_CUT = 40.0
+CRITICAL_GRID_POINTS = 4096
 
 
 def spontaneous_magnetization(theta: float) -> float:
@@ -127,17 +128,11 @@ class CriticalLaw:
 
 
 @lru_cache(maxsize=64)
-def critical_law(h: float, grid_points: int = 4096) -> CriticalLaw:
-    """Build the tilted quartic law at tilt ``h``.
-
-    Args:
-        h: tilt parameter with |h| <= 50.
-        grid_points: table resolution, at least 1024.
-    """
+def critical_law(h: float) -> CriticalLaw:
+    """Build the tilted quartic law at tilt ``h``, |h| <= 50, on a grid of
+    CRITICAL_GRID_POINTS points."""
     if abs(h) > H_MAX:
         raise ParameterError(f"|h| is capped at {H_MAX}")
-    if grid_points < 1024:
-        raise ParameterError("grid_points must be at least 1024")
     edge = _support_edge(h)
     peak = _peak_log(h)
 
@@ -149,7 +144,7 @@ def critical_law(h: float, grid_points: int = 4096) -> CriticalLaw:
     m2 = 2.0 * quad(shifted, 0, edge, args=(2,), epsabs=1e-14, limit=200)[0] / total
     m4 = 2.0 * quad(shifted, 0, edge, args=(4,), epsabs=1e-14, limit=200)[0] / total
 
-    u = np.linspace(-edge, edge, grid_points)
+    u = np.linspace(-edge, edge, CRITICAL_GRID_POINTS)
     log_pdf = -(u**4) / 12.0 + h * u * u / 2.0 - log_norm
     pdf = np.exp(log_pdf)
     steps = np.diff(u) * 0.5 * (pdf[1:] + pdf[:-1])
@@ -196,26 +191,24 @@ class LimitSampleSet:
     centered_qf_sq: np.ndarray
 
 
-def _tail_eigs(limit_eigs, j_max: int) -> np.ndarray:
+def _tail_eigs(limit_eigs) -> np.ndarray:
     eigs = np.asarray(limit_eigs, dtype=np.float64)
     if eigs.size == 0 or eigs[0] != 1.0:
         raise ParameterError("limit_eigs must lead with the Perron eigenvalue 1")
-    return eigs[1 : 1 + j_max]
+    return eigs[1:]
 
 
 def sample_quadratic_limits(
-    theta: float,
-    limit_eigs,
-    kappa: float,
-    reps: int,
-    seed,
-    j_max: int = 64,
+    theta: float, limit_eigs, kappa: float, reps: int, seed
 ) -> LimitSampleSet:
     """Monte Carlo draws of the quadratic-form limit pair at ``theta``.
 
-    The chi-square series is truncated after ``j_max`` tail eigenvalues,
-    which is exact for every cataloged family (their limit spectra are
-    finite). Requires 1 - theta(1-m^2)*lambda > 0 for each tail eigenvalue.
+    The series runs over every tail eigenvalue. Exactly equal eigenvalues
+    share one chi-square draw with their multiplicity as degrees of
+    freedom, which is exact because S and T are linear in the draws with
+    coefficients that depend on lambda alone; groups keep the order of
+    first occurrence. Requires 1 - theta(1-m^2)*lambda > 0 for each tail
+    eigenvalue.
 
     Args:
         theta: inverse temperature, theta >= 1.
@@ -223,7 +216,6 @@ def sample_quadratic_limits(
         kappa: spectral defect, nonnegative.
         reps: number of replications.
         seed: int seed or Generator.
-        j_max: series truncation length.
     """
     if theta < 1.0:
         raise ParameterError("quadratic-form limits are defined for theta >= 1")
@@ -233,14 +225,18 @@ def sample_quadratic_limits(
     m = spontaneous_magnetization(theta)
     one_minus = 1.0 - m * m
     c = theta * one_minus
-    lam = _tail_eigs(limit_eigs, j_max)
+    distinct, first, mult = np.unique(
+        _tail_eigs(limit_eigs), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    lam, mult = distinct[order], mult[order].astype(np.float64)
     denom = 1.0 - c * lam
     if np.any(denom <= 0.0):
         raise ParameterError("spectral gap violated: 1 - theta(1-m^2)lambda <= 0")
-    y = rng.chisquare(1.0, size=(reps, lam.size)) if lam.size else np.zeros((reps, 0))
+    y = rng.chisquare(mult, size=(reps, lam.size)) if lam.size else np.zeros((reps, 0))
     w = rng.normal(0.0, math.sqrt(2.0 * kappa), size=reps) if kappa > 0 else 0.0
     s = one_minus * (
-        (y / denom - 1.0) @ lam - 1.0 + one_minus * theta * kappa + w
+        (y / denom - mult) @ lam - 1.0 + one_minus * theta * kappa + w
     )
     t = one_minus * (y @ (lam * lam / denom) + kappa)
     return LimitSampleSet(
@@ -265,7 +261,7 @@ def quadratic_limit_mean(theta: float, limit_eigs, kappa: float) -> float:
     m = spontaneous_magnetization(theta)
     one_minus = 1.0 - m * m
     c = theta * one_minus
-    lam = _tail_eigs(limit_eigs, j_max=1 << 20)
+    lam = _tail_eigs(limit_eigs)
     denom = 1.0 - c * lam
     if np.any(denom <= 0.0):
         raise ParameterError("spectral gap violated: 1 - theta(1-m^2)lambda <= 0")
@@ -274,12 +270,7 @@ def quadratic_limit_mean(theta: float, limit_eigs, kappa: float) -> float:
 
 
 def sample_mple_limit(
-    h: float,
-    limit_eigs,
-    kappa: float,
-    reps: int,
-    seed,
-    j_max: int = 64,
+    h: float, limit_eigs, kappa: float, reps: int, seed
 ) -> np.ndarray:
     """Draws of the critical MPLE limit U_h^2/3 + (S - T)/U_h^2.
 
@@ -289,7 +280,7 @@ def sample_mple_limit(
     rng = as_generator(seed)
     law = critical_law(h)
     u = law.sample(rng, reps)
-    st = sample_quadratic_limits(1.0, limit_eigs, kappa, reps, rng, j_max=j_max)
+    st = sample_quadratic_limits(1.0, limit_eigs, kappa, reps, rng)
     usq = u * u
     return usq / 3.0 + (st.centered_qf - st.centered_qf_sq) / usq
 
@@ -316,7 +307,7 @@ def log_partition_shift(theta0: float, limit_eigs, kappa: float) -> float:
         raise ParameterError("kappa must be nonnegative")
     m = spontaneous_magnetization(theta0)
     c = theta0 * (1.0 - m * m)
-    lam = _tail_eigs(limit_eigs, j_max=1 << 20)
+    lam = _tail_eigs(limit_eigs)
     if np.any(1.0 - c * lam <= 0.0):
         raise ParameterError("spectral gap violated: log(1 - c lambda) undefined")
     tail = float(np.sum(np.log1p(-c * lam) + c * lam))

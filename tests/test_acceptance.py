@@ -182,7 +182,6 @@ def test_existence_criteria_match_root_detection():
     for family in ("complete", "bipartite"):
         coupling = build_coupling(family, n)
         values, counts = suff_stat_table(coupling)
-        table = (values, counts)
         for code in range(1 << n):
             spins = np.array([1 if code >> i & 1 else -1 for i in range(n)])
             config = SpinConfiguration.from_spins(spins, coupling)
@@ -192,7 +191,7 @@ def test_existence_criteria_match_root_detection():
             )
             t_obs = float(spins @ (coupling.entries @ spins))
             direct = _mle_root_straddles(t_obs, values, counts)
-            assert mle_exact(config, coupling, table=table).exists == direct, (
+            assert mle_exact(config, coupling).exists == direct, (
                 family,
                 code,
             )

@@ -21,6 +21,7 @@ from ising_infer import (
     read_results,
     run_experiment,
 )
+from ising_infer import sampler
 from ising_infer.cli import main
 from ising_infer.coupling import build_coupling, centered_quadratic_forms, save_matrix
 from ising_infer.harness import (
@@ -273,6 +274,26 @@ def test_estimator_law_pool_tasks_carry_only_indices(monkeypatch):
     result = run_experiment(cfg)
     assert [row["replication"] for row in result.records] == [0, 1, 2, 3]
     assert payloads and max(payloads) < 1024, payloads
+
+
+def test_estimator_law_enumerates_once_per_n(monkeypatch):
+    calls = []
+    enumerate_suff_stats = sampler.enumerate_suff_stats
+
+    def counting(coupling):
+        calls.append(coupling.n)
+        return enumerate_suff_stats(coupling)
+
+    monkeypatch.setattr(sampler, "enumerate_suff_stats", counting)
+    monkeypatch.delenv("ISING_INFER_WORKERS", raising=False)
+    cfg = ExperimentConfig(
+        experiment="estimator_law", family="random_regular", d=4, n=(16,),
+        theta0=0.8, reps=4,
+    )
+    result = run_experiment(cfg)
+    assert len(result.records) == 4
+    assert all(isinstance(row["mle_exists"], bool) for row in result.records)
+    assert calls == [16]
 
 
 def test_power_curve_records():

@@ -18,7 +18,6 @@ from ising_infer import (
     mple,
     mple_from_counts,
     suff_stat_bounds,
-    suff_stat_table,
     substream,
 )
 from ising_infer.sampler import enumerate_state_distribution, enumerate_suff_stats
@@ -128,13 +127,12 @@ def test_suff_stat_bounds_closed_forms():
 def test_mle_exact_recovers_parameter():
     n, theta, reps = 12, 1.5, 500
     cpl = build_coupling("complete", n)
-    table = suff_stat_table(cpl)
     pi = enumerate_state_distribution(cpl, theta)
     rng = substream(812, 0)
     codes = rng.choice(pi.size, size=reps, p=pi)
     values = []
     for code in codes:
-        res = mle_exact(_spins_from_code(int(code), n), cpl, table)
+        res = mle_exact(_spins_from_code(int(code), n), cpl)
         # divergent estimates enter the median as the limits they are;
         # dropping them would bias the location summary
         values.append(res.value)
@@ -159,10 +157,9 @@ def test_mle_exact_boundaries():
 def test_mle_large_n_route_matches_enumeration():
     for n in range(2, 25):
         cpl = build_coupling("complete", n)
-        table = suff_stat_table(cpl)
         for k in range(n + 1):
             spins = np.concatenate([np.ones(k), -np.ones(n - k)]).astype(np.int8)
-            a = mle_exact(spins, cpl, table)
+            a = mle_exact(spins, cpl)
             b = mle_complete_large_n(n, k)
             assert a.exists == b.exists
             if a.exists:

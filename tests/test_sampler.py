@@ -84,9 +84,7 @@ def test_enumeration_pmf_normalized():
 
 
 def test_enumeration_dlog_is_tilted_mean():
-    cpl = build_coupling("bipartite", 10)
-    table = suff_stat_table(cpl)
-    res = exact_enumerate(cpl, 1.2, table)
+    res = exact_enumerate(build_coupling("bipartite", 10), 1.2)
     mean = sum(v * p for v, p in res.suff_stat_pmf.items())
     assert abs(res.dlog_z - 0.5 * mean) < 1e-9
 
@@ -101,11 +99,15 @@ def test_log_partition_convex_increasing():
 
 
 def test_suff_stat_table_counts():
-    values, counts = suff_stat_table(build_coupling("complete", 8))
+    cpl = build_coupling("complete", 8)
+    values, counts = suff_stat_table(cpl)
     assert counts.sum() == 2**8
     # complete-family statistic is n*xbar^2 - 1, xbar in {-1,...,1}
     expected = sorted({(2 * k - 8) ** 2 / 8.0 - 1.0 for k in range(9)})
     assert np.allclose(values, expected, atol=1e-12)
+    # built once per coupling and shared, so read-only
+    assert suff_stat_table(cpl)[0] is values
+    assert not values.flags.writeable and not counts.flags.writeable
 
 
 def test_enumerate_state_distribution_flip_symmetry():

@@ -104,8 +104,6 @@ def test_quartic_law_validation():
     with pytest.raises(ParameterError):
         critical_law(50.5)
     with pytest.raises(ParameterError):
-        critical_law(0.0, grid_points=512)
-    with pytest.raises(ParameterError):
         critical_law(0.0).quantile(0.0)
 
 
@@ -152,6 +150,16 @@ def test_quadratic_limit_mean_matches_monte_carlo():
     mean = quadratic_limit_mean(1.2, eigs, 0.0)
     se = out.centered_qf.std() / math.sqrt(out.centered_qf.size)
     assert abs(out.centered_qf.mean() - mean) < 5.0 * se
+
+
+def test_quadratic_limit_mean_keeps_long_tails():
+    # qpartite at q = 100: 99 equal tail eigenvalues, all of them in the law
+    eigs = (1.0,) + (-1.0 / 99,) * 99
+    out = sample_quadratic_limits(1.0, eigs, 0.0, 200_000, 17)
+    mean = quadratic_limit_mean(1.0, eigs, 0.0)
+    assert abs(mean + 0.99) < 1e-12
+    se = out.centered_qf.std() / math.sqrt(out.centered_qf.size)
+    assert abs(out.centered_qf.mean() - mean) < 4.0 * se
 
 
 def test_quadratic_limits_spectral_defect():
