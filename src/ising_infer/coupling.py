@@ -405,7 +405,11 @@ def limiting_spectrum(
     if family == "cyclic_qpartite":
         if q is None or q < 3:
             raise ParameterError("cyclic_qpartite needs q >= 3")
-        vals = np.cos(2.0 * np.pi * np.arange(q) / q)
+        # cos(2 pi k/q) = cos(2 pi (q - k)/q): evaluate k <= q/2 once and
+        # mirror it, so each pair is exactly equal and shares one chi-square
+        # draw in the limit laws
+        half = np.cos(2.0 * np.pi * np.arange(q // 2 + 1) / q)
+        vals = np.concatenate([half, half[1 : (q + 1) // 2][::-1]])
         eigs = tuple(_sort_by_abs_desc(vals))
         return LimitingSpectrum(eigs, q / 2.0, 0.0)
     if family == "random_regular":

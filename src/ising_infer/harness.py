@@ -5,7 +5,11 @@ to one of five experiment pipelines, and emitted with a metadata header
 carrying the package version and a hash of the effective config. Outputs
 are deterministic given the master seed: replication r always uses the
 derived stream hash(master_seed, r), so serial and worker-pool runs agree
-and records can be aggregated in any order.
+and records can be aggregated in any order. Where an experiment also runs
+limit-law Monte Carlo (critical estimator-law quartiles, critical pl
+asymptotic power), those streams take indices at and above 2^32, disjoint from every replication
+stream. A power curve draws one sample set per (n, h), plus one null set
+per n for Glauber calibration, and computes ms, np and pl from each.
 """
 from __future__ import annotations
 
@@ -38,8 +42,9 @@ from .htests import (
     asymptotic_power,
     calibrate,
     empirical_power,
+    exact_power,
 )
-from .inference import mle_complete_large_n, mle_exact, mple, mple_from_counts
+from .inference import _count_rows, _pl_rows, mle_complete_large_n, mle_exact, mple
 from .sampler import ENUMERATION_MAX_N, cw_aux_counts, cw_log_partition, glauber_sample
 from .streams import derive_seed
 from .theory import delta_log_partition, information_rate, sample_mple_limit
@@ -52,6 +57,9 @@ EXPERIMENTS = (
     "spectrum_report",
 )
 WORKERS_ENV = "ISING_INFER_WORKERS"
+# stream indices at and above 2^32 seed limit-law Monte Carlo next to
+# replications, so they never meet replication streams of the same master
+ASYMPTOTIC_STREAMS = 1 << 32
 FLOAT_FMT = "%.17g"
 
 # keys accepted in config files, with parsers
@@ -299,10 +307,10 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
     for n in config.n:
         if config.family == "complete":
             counts, _ = cw_aux_counts(n, config.theta0, config.master_seed, config.reps)
+            pl = _pl_rows(*_count_rows(n, counts))
             for r, k in enumerate(counts):
                 start = time.perf_counter()
                 k = int(k)
-                pl = mple_from_counts(n, k)
                 ml = mle_complete_large_n(n, k)
                 xbar = (2.0 * k - n) / n
                 records.append(
@@ -313,8 +321,8 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
                         "theta0": config.theta0,
                         "xbar": xbar,
                         "suff_stat": n * xbar * xbar - 1.0,
-                        "mple": pl.value,
-                        "mple_exists": pl.exists,
+                        "mple": float(pl.value[r]),
+                        "mple_exists": bool(pl.exists[r]),
                         "mle": ml.value,
                         "mle_exists": ml.exists,
                         "elapsed_s": time.perf_counter() - start,
@@ -352,7 +360,11 @@ def _estimator_summary(config: ExperimentConfig, records) -> dict:
             block["theory_sd"] = 1.0 / math.sqrt(information_rate(config.theta0))
         elif config.theta0 == 1.0 and config.family == "complete":
             draws = sample_mple_limit(
-                0.0, (1.0,), 0.0, 200_000, derive_seed(config.master_seed, 1 << 32)
+                0.0,
+                (1.0,),
+                0.0,
+                200_000,
+                derive_seed(config.master_seed, ASYMPTOTIC_STREAMS),
             )
             block["theory_quartiles"] = [
                 float(np.quantile(draws, p)) for p in (0.25, 0.5, 0.75)
@@ -373,6 +385,7 @@ _POWER_COLUMNS = (
     "theta_n",
     "empirical_power",
     "mc_stderr",
+    "exact_power",
     "asymptotic_power",
     "asymptotic_stderr",
     "critical_value",
@@ -389,27 +402,38 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     for n in config.n:
         coupling = _coupling_for(config, n)
         limit = family_limit(coupling) if config.theta0 >= 1.0 else None
-        summary_block = {}
-        for kind in KINDS:
-            spec = TestSpec(
-                kind=kind,
-                theta0=config.theta0,
-                alpha=config.alpha,
-                n=n,
-                calibration=config.calibration,
-                reps=max(config.reps, MIN_CALIBRATION_REPS),
-                seed=derive_seed(config.master_seed, 0),
+        calibrations = {
+            kind: calibrate(
+                TestSpec(
+                    kind=kind,
+                    theta0=config.theta0,
+                    alpha=config.alpha,
+                    n=n,
+                    calibration=config.calibration,
+                    reps=max(config.reps, MIN_CALIBRATION_REPS),
+                    seed=derive_seed(config.master_seed, 0),
+                ),
+                coupling,
             )
-            cal = calibrate(spec, coupling)
-            for j, h in enumerate(config.h):
+            for kind in KINDS
+        }
+        rows = {kind: [] for kind in KINDS}
+        # kinds inner, so the three kinds at one h share one draw set
+        for j, h in enumerate(config.h):
+            for kind, cal in calibrations.items():
                 start = time.perf_counter()
                 power = empirical_power(
-                    spec,
+                    cal.spec,
                     coupling,
                     h,
                     config.reps,
                     derive_seed(config.master_seed, 1 + j),
                     calibration=cal,
+                )
+                exact = (
+                    exact_power(cal.spec, coupling, h, calibration=cal)
+                    if config.family == "complete"
+                    else math.nan
                 )
                 if limit is not None:
                     asym, asym_err = asymptotic_power(
@@ -419,11 +443,11 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                         config.alpha,
                         limit_eigs=limit.limit_eigs,
                         kappa=limit.kappa,
-                        seed=derive_seed(config.master_seed, 2 + j),
+                        seed=derive_seed(config.master_seed, ASYMPTOTIC_STREAMS + j),
                     )
                 else:
                     asym, asym_err = math.nan, math.nan
-                records.append(
+                rows[kind].append(
                     {
                         "n": n,
                         "kind": kind,
@@ -433,6 +457,7 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                         "mc_stderr": math.sqrt(
                             max(power * (1.0 - power), 0.0) / config.reps
                         ),
+                        "exact_power": exact,
                         "asymptotic_power": asym,
                         "asymptotic_stderr": asym_err,
                         "critical_value": cal.critical_value,
@@ -446,13 +471,17 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                         "elapsed_s": time.perf_counter() - start,
                     }
                 )
-            summary_block[kind] = {
+        for kind in KINDS:
+            records.extend(rows[kind])
+        summary[f"n={n}"] = {
+            kind: {
                 "critical_value": cal.critical_value,
                 "gamma": cal.gamma,
                 "achieved_level": cal.achieved_level,
                 "sampler": cal.sampler,
             }
-        summary[f"n={n}"] = summary_block
+            for kind, cal in calibrations.items()
+        }
     return ExperimentResult(config, _POWER_COLUMNS, records, summary)
 
 

@@ -24,8 +24,15 @@ is the exact count law and the level is exact; on the other families P
 is the empirical law of a Glauber null sample. The limit laws are
 continuous, so asymptotic calibration has gamma = 0. Each replication
 draws its tie-break uniform from its own stream after its sample, so
-runs are deterministic. Power against theta0 + h/sqrt(n) alternatives is
-available both empirically and from the limiting formulas.
+runs are deterministic.
+
+One routine draws: every kind's statistics come from the same sample set
+of a (coupling, theta, seed, reps), and the last set is kept, so ms, np
+and pl calibrated or evaluated in turn share one set of draws. On the
+complete family pl is one batched pseudolikelihood root over the
+distinct counts. Power against theta0 + h/sqrt(n) alternatives is
+available empirically, exactly on the complete family (the (K, gamma)
+rule summed against the count law), and from the limiting formulas.
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ from scipy.special import ndtr, ndtri
 
 from .coupling import CouplingMatrix, family_limit
 from .errors import ParameterError
-from .inference import mple, mple_from_counts
+from .inference import _count_rows, _pl_rows, mple
 from .sampler import (
     SpinConfiguration,
     complete_log_table,
@@ -180,8 +187,9 @@ def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
     """Complete-family statistics from +1 counts.
 
     Every statistic depends on a complete-family configuration only
-    through its +1 count (x'Qx = n xbar^2 - 1), so the pl root-find runs
-    once per distinct count.
+    through its +1 count (x'Qx = n xbar^2 - 1). pl is symmetric under
+    k <-> n - k, so it is solved once, in one batched root, for each
+    distinct min(k, n - k) and mirrored: pl(k) equals pl(n - k) exactly.
     """
     xbar = (2.0 * counts - n) / n
     ms = n * xbar * xbar
@@ -189,28 +197,37 @@ def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
         return ms
     if kind == "np":
         return ms - 1.0
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    estimates = [mple_from_counts(n, int(k)) for k in distinct]
-    return np.array([e.value if e.exists else -math.inf for e in estimates])[inverse]
+    folded, inverse = np.unique(np.minimum(counts, n - counts), return_inverse=True)
+    rows = _pl_rows(*_count_rows(n, folded))
+    return np.where(rows.exists, rows.value, -math.inf)[inverse]
 
 
+@lru_cache(maxsize=1)
 def _statistics_and_tie_breaks(
-    kind: str, coupling: CouplingMatrix, theta: float, master_seed: int, reps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Statistics of ``reps`` draws and their tie-break uniforms.
+    coupling: CouplingMatrix, theta: float, master_seed: int, reps: int
+) -> tuple[dict, np.ndarray]:
+    """Every kind's statistics on ``reps`` draws, and their tie-break uniforms.
 
     Replication r draws from substream(master_seed, r), first its sample
     and then its uniform, so the statistics do not depend on the uniforms.
+    The arrays are read-only: the last draw set is kept, so the three kinds
+    calibrated or evaluated in turn at one (coupling, theta, seed, reps)
+    share one set of draws.
     """
     if coupling.family == "complete":
         counts, uniforms = cw_aux_counts(coupling.n, theta, master_seed, reps)
-        return _count_statistics(kind, coupling.n, counts), uniforms
-    stats = np.empty(reps)
-    uniforms = np.empty(reps)
-    for r in range(reps):
-        rng = substream(master_seed, r)
-        stats[r] = test_statistic(kind, glauber_sample(coupling, theta, rng), coupling)
-        uniforms[r] = rng.random()
+        stats = {kind: _count_statistics(kind, coupling.n, counts) for kind in KINDS}
+    else:
+        stats = {kind: np.empty(reps) for kind in KINDS}
+        uniforms = np.empty(reps)
+        for r in range(reps):
+            rng = substream(master_seed, r)
+            config = glauber_sample(coupling, theta, rng)
+            for kind in KINDS:
+                stats[kind][r] = test_statistic(kind, config, coupling)
+            uniforms[r] = rng.random()
+    for array in (*stats.values(), uniforms):
+        array.setflags(write=False)
     return stats, uniforms
 
 
@@ -261,9 +278,9 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
             stats = _count_statistics(spec.kind, spec.n, counts)
             weights, sampler = pmf[counts], "exact"
         else:
-            stats, _ = _statistics_and_tie_breaks(
-                spec.kind, coupling, spec.theta0, spec.seed, spec.reps
-            )
+            stats = _statistics_and_tie_breaks(
+                coupling, spec.theta0, spec.seed, spec.reps
+            )[0][spec.kind]
             weights, sampler = np.ones(spec.reps), "glauber"
         critical, achieved, gamma = _randomized_cutoff(stats, weights, spec.alpha)
         return Calibration(critical, achieved, sampler, spec, gamma)
@@ -347,10 +364,36 @@ def empirical_power(
     if calibration is None:
         calibration = calibrate(spec, coupling)
     theta_n = spec.theta0 + h / math.sqrt(spec.n)
-    stats, uniforms = _statistics_and_tie_breaks(
-        spec.kind, coupling, theta_n, seed, reps
-    )
-    return float(np.mean(calibration.rejects(stats, uniforms)))
+    stats, uniforms = _statistics_and_tie_breaks(coupling, theta_n, seed, reps)
+    return float(np.mean(calibration.rejects(stats[spec.kind], uniforms)))
+
+
+def exact_power(
+    spec: TestSpec,
+    coupling: CouplingMatrix,
+    h: float,
+    calibration: Calibration | None = None,
+) -> float:
+    """Exact randomized rejection probability at theta0 + h/sqrt(n).
+
+    Complete family only: the statistic of each +1 count with positive
+    mass under the exact count law at theta0 + h/sqrt(n) comes from the
+    same per-count arithmetic as the draws, and the (K, gamma) rule is
+    summed against that law.
+    """
+    if coupling.family != "complete":
+        raise ParameterError("exact power needs the complete family's count law")
+    if h < 0.0:
+        raise ParameterError("h must be nonnegative")
+    if calibration is None:
+        calibration = calibrate(spec, coupling)
+    theta_n = spec.theta0 + h / math.sqrt(spec.n)
+    pmf = tilted_table(*complete_log_table(spec.n), theta_n)[2]
+    counts = np.flatnonzero(pmf)
+    stats = _count_statistics(spec.kind, spec.n, counts)
+    mass, critical = pmf[counts], calibration.critical_value
+    above = mass[stats > critical].sum()
+    return float(above + calibration.gamma * mass[stats == critical].sum())
 
 
 def asymptotic_power(

@@ -3,7 +3,8 @@
 The pseudlikelihood estimate solves x'Qx = sum_i t_i tanh(theta t_i), a
 strictly increasing equation in theta whenever any local field is nonzero;
 we bracket by doubling outward from theta = 1 and run safeguarded Newton
-inside the bracket. The likelihood estimate solves dlog Z/dtheta = x'Qx / 2.
+inside the bracket, for any number of equations in one batched solve
+(``_pl_rows``). The likelihood estimate solves dlog Z/dtheta = x'Qx / 2.
 Where the model is exactly summable it has one solver, ``_table_mle``, on
 the sampler's cached exact tables: the 2^n enumeration for n <= 24
 (``mle_exact``), built once per coupling, and the complete family's
@@ -21,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -87,97 +89,135 @@ def _fields_and_stat(x, coupling: CouplingMatrix | None):
     return spins, t, s
 
 
-def _pl_root(
-    t_values: np.ndarray,
-    weights: np.ndarray,
-    target: float,
-    theta_init: float = 1.0,
-    max_iter: int = 200,
-) -> tuple[float, int, tuple]:
-    """Solve sum_i w_i t_i tanh(theta t_i) = target for theta.
+class PLRows(NamedTuple):
+    """Per-row outcome of _pl_rows; ``lo``/``hi`` is the final bracket."""
 
-    Assumes a root exists (caller checked the strict bounds). Returns
-    (root, iterations, bracket).
+    value: np.ndarray
+    exists: np.ndarray
+    iterations: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    sum_abs: np.ndarray
+    residual: np.ndarray
+
+
+def _pl_rows(t, w, s) -> PLRows:
+    """Pseudolikelihood estimates for rows of field values, weights, targets.
+
+    Row i solves sum_j w_ij t_ij tanh(theta t_ij) = s_i. It has a root iff
+    s_i lies strictly inside (-sum_j w_ij|t_ij|, sum_j w_ij|t_ij|); all-zero
+    fields are the degenerate case (NaN), and other rows without a root get
+    the signed infinity of s_i. Each row with a root runs its own iteration,
+    independent of the other rows: the bracket doubles outward from 1, then
+    Newton runs inside it with a bisection fallback until the residual is at
+    most RESIDUAL_SCALE sum w|t| or the bracket is narrower than 1e-15
+    relative, within 200 evaluations. ``iterations`` counts the bracket
+    steps and Newton evaluations.
     """
-    t = np.asarray(t_values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    scale = float(np.sum(w * np.abs(t)))
+    t = np.asarray(t, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    sum_abs = np.add.reduce(w * np.abs(t), axis=1)
+    tol = BOUNDARY_GUARD * np.maximum(1.0, sum_abs)
+    exists = (sum_abs != 0.0) & (-sum_abs + tol < s) & (s < sum_abs - tol)
+    value = np.where(s > 0.0, math.inf, -math.inf)
+    value[sum_abs == 0.0] = math.nan
+    iterations = np.zeros(s.size, dtype=np.int64)
+    lo, hi, residual = (np.full(s.size, math.nan) for _ in range(3))
 
-    def g(theta):
-        return float(np.sum(w * t * np.tanh(theta * t))) - target
+    # solve the rows with a root; g and g' form w*t and w*t*t before any
+    # other product, so forming them once changes no bit
+    idx = np.flatnonzero(exists)
+    t, s, scale = t[idx], s[idx], sum_abs[idx]
+    wt = w[idx] * t
+    wtt = wt * t
 
-    def gprime(theta):
-        sech_sq = 1.0 / np.cosh(theta * t) ** 2
-        return float(np.sum(w * t * t * sech_sq))
+    def g(theta, rows):
+        terms = wt[rows] * np.tanh(theta[:, None] * t[rows])
+        return np.add.reduce(terms, axis=1) - s[rows]
 
-    iters = 0
-    lo = hi = theta_init
-    g0 = g(theta_init)
-    step = 1.0
-    if g0 > 0.0:
-        while g(lo) > 0.0:
-            lo -= step
-            step *= 2.0
-            iters += 1
-            if iters > 80:
+    def gprime(theta, rows):
+        sech_sq = 1.0 / np.cosh(theta[:, None] * t[rows]) ** 2
+        return np.add.reduce(wtt[rows] * sech_sq, axis=1)
+
+    every = np.arange(idx.size)
+    theta = np.ones(idx.size)
+    b_lo, b_hi, step = theta.copy(), theta.copy(), np.ones(idx.size)
+    iters = np.zeros(idx.size, dtype=np.int64)
+    g0 = g(theta, every)
+    # rows with g(1) > 0 move the lower end down, rows below 0
+    # the upper end up, doubling the step each time
+    for edge, sign, moving in ((b_lo, -1.0, g0 > 0.0), (b_hi, 1.0, g0 < 0.0)):
+        moving = np.flatnonzero(moving)
+        while moving.size:
+            edge[moving] += sign * step[moving]
+            step[moving] *= 2.0
+            iters[moving] += 1
+            if (iters[moving] > 80).any():
                 raise NumericError("pseudolikelihood bracketing ran away")
-    elif g0 < 0.0:
-        while g(hi) < 0.0:
-            hi += step
-            step *= 2.0
-            iters += 1
-            if iters > 80:
-                raise NumericError("pseudolikelihood bracketing ran away")
-    else:
-        return theta_init, iters, (theta_init, theta_init)
+            moving = moving[sign * g(edge[moving], moving) < 0.0]
 
-    theta = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        val = g(theta)
-        iters += 1
-        if abs(val) <= RESIDUAL_SCALE * scale:
-            return theta, iters, (lo, hi)
-        if val > 0.0:
-            hi = theta
-        else:
-            lo = theta
-        deriv = gprime(theta)
-        candidate = theta - val / deriv if deriv > 0.0 else math.inf
-        if lo < candidate < hi:
-            theta = candidate
-        else:
-            theta = 0.5 * (lo + hi)
-        if hi - lo < 1e-15 * max(1.0, abs(theta)):
-            return theta, iters, (lo, hi)
-    raise NumericError("pseudolikelihood Newton did not converge")
+    active = np.flatnonzero(g0 != 0.0)
+    theta[active] = 0.5 * (b_lo[active] + b_hi[active])
+    for _ in range(200):
+        if not active.size:
+            break
+        val = g(theta[active], active)
+        iters[active] += 1
+        going = np.abs(val) > RESIDUAL_SCALE * scale[active]
+        rows, val, th = active[going], val[going], theta[active[going]]
+        high = val > 0.0
+        b_hi[rows[high]] = th[high]
+        b_lo[rows[~high]] = th[~high]
+        r_lo, r_hi, deriv = b_lo[rows], b_hi[rows], gprime(th, rows)
+        # a nonpositive slope bisects; the quotient overflows to inf quietly
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            candidate = np.where(deriv > 0.0, th - val / deriv, math.inf)
+        inside = (r_lo < candidate) & (candidate < r_hi)
+        th = np.where(inside, candidate, 0.5 * (r_lo + r_hi))
+        theta[rows] = th
+        active = rows[r_hi - r_lo >= 1e-15 * np.maximum(1.0, np.abs(th))]
+    if active.size:
+        raise NumericError("pseudolikelihood Newton did not converge")
+
+    value[idx], iterations[idx], lo[idx], hi[idx] = theta, iters, b_lo, b_hi
+    residual[idx] = g(theta, every)
+    return PLRows(value, exists, iterations, lo, hi, sum_abs, residual)
+
+
+def _count_rows(n: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_pl_rows input for complete-family configurations with +1 ``counts``.
+
+    Under the complete coupling the fields take the two values
+    xbar -+ 1/n with multiplicities (k, n-k), and x'Qx = n xbar^2 - 1.
+    """
+    k = np.asarray(counts, dtype=np.int64)
+    xbar = (2.0 * k - n) / n
+    t = np.stack([xbar - 1.0 / n, xbar + 1.0 / n], axis=1)
+    w = np.stack([k, n - k], axis=1).astype(np.float64)
+    return t, w, n * xbar * xbar - 1.0
 
 
 def _pl_estimate(t: np.ndarray, w: np.ndarray, s: float) -> EstimateResult:
-    """Pseudolikelihood estimate from field values t with weights w.
+    """One-row _pl_rows as an EstimateResult.
 
-    The equation sum_i w_i t_i tanh(theta t_i) = s has a real root iff s
-    lies strictly inside (-sum w|t|, sum w|t|); all-zero fields are the
-    degenerate case (NaN). The diagnostics record the bound sum w|t| and,
-    for a root, the residual there.
+    The diagnostics record the bound sum w|t|, ``degenerate`` for all-zero
+    fields and, for a root, the residual there.
     """
-    sum_abs = float(np.sum(w * np.abs(t)))
-    diagnostics = {"sum_abs_fields": sum_abs}
-    if sum_abs == 0.0:
-        diagnostics["degenerate"] = True
+    row = _pl_rows(np.reshape(t, (1, -1)), np.reshape(w, (1, -1)), [s])
+    diagnostics = {"sum_abs_fields": float(row.sum_abs[0])}
+    if not row.exists[0]:
+        if row.sum_abs[0] == 0.0:
+            diagnostics["degenerate"] = True
         return EstimateResult(
-            value=math.nan, exists=False, method="mple", iterations=0,
+            value=float(row.value[0]), exists=False, method="mple", iterations=0,
             bracket=None, diagnostics=diagnostics,
         )
-    if not _inside_bounds(s, -sum_abs, sum_abs):
-        return EstimateResult(
-            value=math.inf if s > 0.0 else -math.inf, exists=False,
-            method="mple", iterations=0, bracket=None, diagnostics=diagnostics,
-        )
-    value, iters, bracket = _pl_root(t, w, s)
-    diagnostics["residual"] = float(np.sum(w * t * np.tanh(value * t)) - s)
+    diagnostics["residual"] = float(row.residual[0])
     return EstimateResult(
-        value=value, exists=True, method="mple", iterations=iters,
-        bracket=bracket, diagnostics=diagnostics,
+        value=float(row.value[0]), exists=True, method="mple",
+        iterations=int(row.iterations[0]),
+        bracket=(float(row.lo[0]), float(row.hi[0])), diagnostics=diagnostics,
     )
 
 
@@ -222,11 +262,8 @@ def mple_from_counts(n: int, plus_count: int) -> EstimateResult:
     """
     if not 0 <= plus_count <= n:
         raise ParameterError("plus_count must lie in [0, n]")
-    k = plus_count
-    xbar = (2.0 * k - n) / n
-    t_vals = np.array([xbar - 1.0 / n, xbar + 1.0 / n])
-    weights = np.array([k, n - k], dtype=np.float64)
-    return _pl_estimate(t_vals, weights, n * xbar * xbar - 1.0)
+    t, w, s = _count_rows(n, [plus_count])
+    return _pl_estimate(t[0], w[0], float(s[0]))
 
 
 def suff_stat_bounds(coupling: CouplingMatrix) -> tuple[float, float]:

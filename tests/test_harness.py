@@ -21,9 +21,16 @@ from ising_infer import (
     read_results,
     run_experiment,
 )
-from ising_infer import sampler
+from ising_infer import htests, sampler
 from ising_infer.cli import main
 from ising_infer.coupling import build_coupling, centered_quadratic_forms, save_matrix
+from ising_infer.htests import (
+    TestSpec,
+    calibrate,
+    empirical_power,
+    exact_power,
+    _statistics_and_tie_breaks,
+)
 from ising_infer.harness import (
     ExperimentResult,
     load_config,
@@ -329,6 +336,106 @@ def test_power_curve_records():
         null, shifted = sorted(rows, key=lambda r: r["h"])
         assert shifted["empirical_power"] >= null["empirical_power"] - 0.05
     assert set(result.summary["n=100"]) == {"ms", "np", "pl"}
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls per n."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        first = args[0]
+        calls.append(getattr(first, "n", first))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _assert_records_match_per_kind_calls(cfg, result):
+    """Every record equals its own calibrate + empirical_power, bit for bit."""
+    for n in cfg.n:
+        coupling = build_coupling(cfg.family, n)
+        for kind in ("ms", "np", "pl"):
+            _statistics_and_tie_breaks.cache_clear()
+            spec = TestSpec(
+                kind, cfg.theta0, cfg.alpha, n, cfg.calibration,
+                reps=max(cfg.reps, 1000), seed=derive_seed(cfg.master_seed, 0),
+            )
+            cal = calibrate(spec, coupling)
+            rows = [r for r in result.records if (r["n"], r["kind"]) == (n, kind)]
+            assert [r["h"] for r in rows] == list(cfg.h)
+            for j, row in enumerate(rows):
+                _statistics_and_tie_breaks.cache_clear()
+                seed = derive_seed(cfg.master_seed, 1 + j)
+                power = empirical_power(spec, coupling, row["h"], cfg.reps, seed, cal)
+                assert row["empirical_power"] == power, (n, kind, j)
+                assert row["critical_value"] == cal.critical_value
+                assert row["gamma"] == cal.gamma
+                assert row["achieved_level"] == cal.achieved_level
+                if cfg.family == "complete":
+                    assert row["exact_power"] == exact_power(spec, coupling, row["h"], cal)
+                else:
+                    assert math.isnan(row["exact_power"])
+
+
+def test_power_curve_draws_once_per_h_on_complete(monkeypatch):
+    draws = _counting(monkeypatch, htests, "cw_aux_counts")
+    cfg = ExperimentConfig(
+        experiment="power_curve", n=(100, 400), theta0=1.5, h=(0.0, 1.0, 2.0),
+        reps=500, master_seed=3,
+    )
+    result = run_experiment(cfg)
+    # exact calibration draws nothing; the three kinds share each h's draws
+    assert draws == [100] * 3 + [400] * 3
+    _assert_records_match_per_kind_calls(cfg, result)
+
+
+def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch):
+    draws = _counting(monkeypatch, htests, "glauber_sample")
+    cfg = ExperimentConfig(
+        experiment="power_curve", family="bipartite", n=(4,), theta0=1.1,
+        h=(0.0, 2.0), reps=100, master_seed=5,
+    )
+    result = run_experiment(cfg)
+    assert len(draws) == 1000 + 100 * 2
+    _assert_records_match_per_kind_calls(cfg, result)
+
+
+def test_power_curve_hands_out_no_seed_twice(monkeypatch):
+    # the critical pl limit Monte Carlo used to reuse the stream of the
+    # first power draw at the next h
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    cfg = ExperimentConfig(
+        experiment="power_curve", n=(100,), theta0=1.0, h=(0.0, 1.0, 2.0),
+        reps=50, master_seed=7,
+    )
+    run_experiment(cfg)
+    assert len(seeds) >= 3 * 50 + 3
+    assert all(isinstance(seed, int) for seed in seeds)
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_power_curve_exact_power_column():
+    alpha, reps = 0.05, 2000
+    cfg = ExperimentConfig(
+        experiment="power_curve", n=(400,), theta0=1.5, h=(0.0, 1.0, 2.0, 4.0),
+        reps=reps, alpha=alpha, master_seed=5,
+    )
+    result = run_experiment(cfg)
+    for row in result.records:
+        exact = row["exact_power"]
+        if row["h"] == 0.0:
+            assert abs(exact - alpha) <= 1e-12, row["kind"]
+        bound = 4.0 * math.sqrt(exact * (1.0 - exact) / reps)
+        assert abs(row["empirical_power"] - exact) <= bound, row
 
 
 def test_limit_law_density_grid():

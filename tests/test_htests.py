@@ -12,10 +12,12 @@ from ising_infer import (
     build_coupling,
     calibrate,
     empirical_power,
+    exact_power,
+    mple_from_counts,
     run_test,
 )
 from ising_infer import test_statistic as statistic_value
-from ising_infer.htests import _statistics_and_tie_breaks
+from ising_infer.htests import _count_statistics, _statistics_and_tie_breaks
 from ising_infer.sampler import complete_log_table, tilted_table
 from ising_infer import cw_aux_counts, derive_seed, glauber_sample, substream
 
@@ -117,7 +119,7 @@ def test_randomized_calibration_has_level_alpha_in_sample():
     spec = TestSpec(kind, theta0, alpha, cpl.n, reps=1000, seed=seed)
     cal = calibrate(spec, cpl)
     assert cal.sampler == "glauber"
-    stats, _ = _statistics_and_tie_breaks(kind, cpl, theta0, seed, 1000)
+    stats = _statistics_and_tie_breaks(cpl, theta0, seed, 1000)[0][kind]
     above = float(np.mean(stats > cal.critical_value))
     at = float(np.mean(stats == cal.critical_value))
     assert above == cal.achieved_level <= alpha
@@ -140,19 +142,18 @@ def test_statistic_batch_ignores_tie_break_draws():
     counts, uniforms = cw_aux_counts(n, 1.2, 8, reps)
     assert np.all((0.0 <= uniforms) & (uniforms < 1.0))
     xbar = (2.0 * counts - n) / n
-    stats, batch_uniforms = _statistics_and_tie_breaks("ms", cpl, 1.2, 8, reps)
-    assert np.array_equal(stats, n * xbar * xbar)
+    batch, batch_uniforms = _statistics_and_tie_breaks(cpl, 1.2, 8, reps)
+    assert np.array_equal(batch["ms"], n * xbar * xbar)
     assert np.array_equal(batch_uniforms, uniforms)
     # one configuration's statistic is bit-identical to the batch value of
     # its +1 count, so ties with a calibrated K are exact
     for kind in ("ms", "np", "pl"):
-        stats, _ = _statistics_and_tie_breaks(kind, cpl, 1.2, 8, reps)
-        for k, value in zip(counts, stats):
+        for k, value in zip(counts, batch[kind]):
             spins = np.where(np.arange(n) < k, 1, -1).astype(np.int8)
             assert statistic_value(kind, spins, cpl) == value, (kind, k)
 
     bip = build_coupling("bipartite", 6)
-    stats, _ = _statistics_and_tie_breaks("np", bip, 1.0, 9, 5)
+    stats = _statistics_and_tie_breaks(bip, 1.0, 9, 5)[0]["np"]
     want = [
         statistic_value("np", glauber_sample(bip, 1.0, derive_seed(9, r)), bip)
         for r in range(5)
@@ -242,9 +243,10 @@ def test_run_test_outcome_shape():
 
 def test_glauber_batch_used_off_complete():
     cpl = build_coupling("bipartite", 40)
-    stats, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
+    stats = _statistics_and_tie_breaks(cpl, 1.0, 5, 50)[0]["ms"]
     assert stats.shape == (50,)
-    again, _ = _statistics_and_tie_breaks("ms", cpl, 1.0, 5, 50)
+    _statistics_and_tie_breaks.cache_clear()
+    again = _statistics_and_tie_breaks(cpl, 1.0, 5, 50)[0]["ms"]
     assert np.array_equal(stats, again)
 
 
@@ -352,6 +354,24 @@ def test_empirical_power_validation():
     spec = TestSpec("ms", 1.0, 0.05, 100)
     with pytest.raises(ParameterError):
         empirical_power(spec, cpl, -1.0, 1000, 0)
+    with pytest.raises(ParameterError):
+        exact_power(spec, cpl, -1.0)
+    with pytest.raises(ParameterError):
+        exact_power(TestSpec("ms", 1.0, 0.05, 4), build_coupling("bipartite", 4), 0.0)
+
+
+def test_pl_count_statistics_are_mirrored():
+    # pl is solved once per min(k, n - k), and each count gets exactly the
+    # one-count estimate, -inf where it does not exist
+    for n in (1, 2, 3, 50, 51, 400):
+        k = np.arange(n + 1)
+        stats = _count_statistics("pl", n, k)
+        assert np.array_equal(stats, stats[::-1])
+        want = [
+            e.value if e.exists else -math.inf
+            for e in (mple_from_counts(n, int(j)) for j in k)
+        ]
+        assert np.array_equal(stats, want), n
 
 
 def test_asymptotic_power_values():

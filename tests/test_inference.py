@@ -1,5 +1,6 @@
 """Point estimators: pseudolikelihood and likelihood, exact and stochastic."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from ising_infer import (
     ParameterError,
     SpinConfiguration,
     build_coupling,
+    derive_seed,
     glauber_sample,
     mle_complete_large_n,
     mle_exact,
@@ -20,6 +22,7 @@ from ising_infer import (
     suff_stat_bounds,
     substream,
 )
+from ising_infer.inference import _count_rows, _pl_rows
 from ising_infer.sampler import enumerate_state_distribution, enumerate_suff_stats
 
 
@@ -113,6 +116,60 @@ def test_mple_from_counts_balanced_even_n():
     assert res.value == -math.inf
     with pytest.raises(ParameterError):
         mple_from_counts(10, 11)
+
+
+def _digest(results) -> str:
+    h = hashlib.sha256()
+    for r in results:
+        diagnostics = sorted(r.diagnostics.items())
+        h.update(
+            repr((r.value, r.exists, r.method, r.iterations, r.bracket, diagnostics))
+            .encode()
+        )
+    return h.hexdigest()
+
+
+def test_pl_core_reproduces_the_scalar_root_finder():
+    # digests of every result field, recorded with the scalar root-finder
+    # the batched core replaced; a one-row call must iterate exactly as it did
+    counts = [
+        mple_from_counts(n, k) for n in (1, 2, 3, 50, 51, 1600) for k in range(n + 1)
+    ]
+    assert _digest(counts) == (
+        "29c4fe49750316e33b637b6ebc857bb68d91dc6f8cffb6801653858b2ee39d11"
+    )
+    configs = []
+    for family, n, kwargs, theta in (
+        ("bipartite", 40, {}, 1.0),
+        ("qpartite", 30, {"q": 3}, 1.2),
+        ("random_regular", 30, {"d": 6, "seed": 3}, 0.8),
+        ("cyclic_qpartite", 30, {"q": 5}, 1.5),
+    ):
+        cpl = build_coupling(family, n, **kwargs)
+        configs += [
+            glauber_sample(cpl, theta, derive_seed(11, r), sweeps=20) for r in range(8)
+        ]
+    results = [mple(x) for x in configs]
+    assert sum(r.exists for r in results) == 29
+    assert _digest(results) == (
+        "2072c54f193372d6c8282b107bea40ca6b42de8120fa3fb0ef9226c01b81b6d0"
+    )
+
+
+def test_pl_core_rows_iterate_independently():
+    # one call over every count gives each row what a one-row call gives it
+    for n in (1, 2, 3, 50, 51, 1600):
+        rows = _pl_rows(*_count_rows(n, np.arange(n + 1)))
+        for k in range(n + 1):
+            one = mple_from_counts(n, k)
+            value = float(rows.value[k])
+            assert value == one.value or (math.isnan(value) and math.isnan(one.value))
+            assert bool(rows.exists[k]) == one.exists
+            assert rows.sum_abs[k] == one.diagnostics["sum_abs_fields"]
+            if one.exists:
+                assert int(rows.iterations[k]) == one.iterations
+                assert (rows.lo[k], rows.hi[k]) == one.bracket
+                assert rows.residual[k] == one.diagnostics["residual"]
 
 
 def test_suff_stat_bounds_closed_forms():

@@ -12,6 +12,7 @@ from ising_infer import (
     delta_log_partition,
     information_rate,
     law_quantile,
+    limiting_spectrum,
     log_partition_shift,
     magnetization_slope,
     magnetization_variance,
@@ -160,6 +161,18 @@ def test_quadratic_limit_mean_keeps_long_tails():
     assert abs(mean + 0.99) < 1e-12
     se = out.centered_qf.std() / math.sqrt(out.centered_qf.size)
     assert abs(out.centered_qf.mean() - mean) < 4.0 * se
+
+
+def test_cyclic_pairs_share_one_draw():
+    # cos(2 pi k/q) and cos(2 pi (q - k)/q) are equal to the bit, so each
+    # pair of tail eigenvalues is one chi-square(2) draw
+    for q in (5, 100, 1000):
+        eigs = limiting_spectrum("cyclic_qpartite", q=q).limit_eigs
+        assert np.unique(eigs[1:]).size == q // 2
+        out = sample_quadratic_limits(1.5, eigs, 0.0, 4000, q)
+        mean = quadratic_limit_mean(1.5, eigs, 0.0)
+        se = out.centered_qf.std() / math.sqrt(out.centered_qf.size)
+        assert abs(out.centered_qf.mean() - mean) < 4.0 * se, q
 
 
 def test_quadratic_limits_spectral_defect():
