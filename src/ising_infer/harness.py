@@ -44,8 +44,9 @@ from .htests import (
     empirical_power,
     exact_power,
 )
-from .inference import _count_rows, _pl_rows, mle_complete_large_n, mle_exact, mple
+from .inference import mle_counts, mle_exact, mple, mple_counts
 from .sampler import ENUMERATION_MAX_N, cw_aux_counts, cw_log_partition, glauber_sample
+from .sampler import complete_log_table
 from .streams import derive_seed
 from .theory import delta_log_partition, information_rate, sample_mple_limit
 
@@ -278,68 +279,58 @@ _ESTIMATOR_COLUMNS = (
 
 def _estimator_replication(coupling, theta0, master_seed, r):
     """One non-complete replication: Glauber draw plus both estimates."""
-    n = coupling.n
-    start = time.perf_counter()
-    config = glauber_sample(coupling, theta0, derive_seed(master_seed, r))
+    start, seed = time.perf_counter(), derive_seed(master_seed, r)
+    config = glauber_sample(coupling, theta0, seed)
     pl = mple(config)
-    if n <= ENUMERATION_MAX_N:
-        ml = mle_exact(config, coupling)
-        mle_value, mle_exists = ml.value, ml.exists
-    else:
-        mle_value, mle_exists = math.nan, False
-    return {
-        "replication": r,
-        "derived_seed": derive_seed(master_seed, r),
-        "n": n,
-        "theta0": theta0,
-        "xbar": config.xbar,
-        "suff_stat": config.suff_stat(),
-        "mple": pl.value,
-        "mple_exists": pl.exists,
-        "mle": mle_value,
-        "mle_exists": mle_exists,
-        "elapsed_s": time.perf_counter() - start,
-    }
+    ml = mle_exact(config, coupling) if coupling.n <= ENUMERATION_MAX_N else None
+    row = (  # in _ESTIMATOR_COLUMNS order
+        r, seed, coupling.n, theta0, config.xbar, config.suff_stat(),
+        pl.value, pl.exists,
+        math.nan if ml is None else ml.value, ml is not None and ml.exists,
+        time.perf_counter() - start,
+    )
+    return dict(zip(_ESTIMATOR_COLUMNS, row))
+
+
+def _complete_estimator_records(config: ExperimentConfig, n: int) -> list:
+    """Every complete-family replication at n, from one batch of +1 counts.
+
+    ``elapsed_s`` is the batch's wall time split evenly over its records.
+    """
+    start, reps = time.perf_counter(), config.reps
+    counts, _ = cw_aux_counts(n, config.theta0, config.master_seed, reps)
+    pl, ml = mple_counts(n, counts), mle_counts(n, counts)
+    columns = (  # in _ESTIMATOR_COLUMNS order, elapsed_s last
+        range(reps),
+        [derive_seed(config.master_seed, r) for r in range(reps)],
+        [n] * reps,
+        [config.theta0] * reps,
+        ((2.0 * counts - n) / n).tolist(),
+        complete_log_table(n)[0][counts].tolist(),
+        pl.value.tolist(), pl.exists.tolist(), ml.value.tolist(), ml.exists.tolist(),
+    )
+    elapsed = (time.perf_counter() - start) / reps
+    return [dict(zip(_ESTIMATOR_COLUMNS, (*row, elapsed))) for row in zip(*columns)]
 
 
 def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
-    records = []
+    records, limits = [], {}
     for n in config.n:
+        coupling = _coupling_for(config, n)
+        limits[n] = family_limit(coupling)
         if config.family == "complete":
-            counts, _ = cw_aux_counts(n, config.theta0, config.master_seed, config.reps)
-            pl = _pl_rows(*_count_rows(n, counts))
-            for r, k in enumerate(counts):
-                start = time.perf_counter()
-                k = int(k)
-                ml = mle_complete_large_n(n, k)
-                xbar = (2.0 * k - n) / n
-                records.append(
-                    {
-                        "replication": r,
-                        "derived_seed": derive_seed(config.master_seed, r),
-                        "n": n,
-                        "theta0": config.theta0,
-                        "xbar": xbar,
-                        "suff_stat": n * xbar * xbar - 1.0,
-                        "mple": float(pl.value[r]),
-                        "mple_exists": bool(pl.exists[r]),
-                        "mle": ml.value,
-                        "mle_exists": ml.exists,
-                        "elapsed_s": time.perf_counter() - start,
-                    }
-                )
+            records.extend(_complete_estimator_records(config, n))
         else:
-            coupling = _coupling_for(config, n)
             replication = functools.partial(
                 _estimator_replication, coupling, config.theta0, config.master_seed
             )
             rows = _parallel_map(replication, range(config.reps), worker_count())
             records.extend(sorted(rows, key=lambda row: row["replication"]))
-    summary = _estimator_summary(config, records)
+    summary = _estimator_summary(config, records, limits)
     return ExperimentResult(config, _ESTIMATOR_COLUMNS, records, summary)
 
 
-def _estimator_summary(config: ExperimentConfig, records) -> dict:
+def _estimator_summary(config: ExperimentConfig, records, limits) -> dict:
     summary = {}
     for n in config.n:
         rows = [row for row in records if row["n"] == n]
@@ -358,11 +349,11 @@ def _estimator_summary(config: ExperimentConfig, records) -> dict:
         }
         if config.theta0 > 1.0:
             block["theory_sd"] = 1.0 / math.sqrt(information_rate(config.theta0))
-        elif config.theta0 == 1.0 and config.family == "complete":
+        elif config.theta0 == 1.0:
             draws = sample_mple_limit(
                 0.0,
-                (1.0,),
-                0.0,
+                limits[n].limit_eigs,
+                limits[n].kappa,
                 200_000,
                 derive_seed(config.master_seed, ASYMPTOTIC_STREAMS),
             )

@@ -29,8 +29,8 @@ runs are deterministic.
 One routine draws: every kind's statistics come from the same sample set
 of a (coupling, theta, seed, reps), and the last set is kept, so ms, np
 and pl calibrated or evaluated in turn share one set of draws. On the
-complete family pl is one batched pseudolikelihood root over the
-distinct counts. Power against theta0 + h/sqrt(n) alternatives is
+complete family pl is mple_counts, one batched pseudolikelihood root over
+the distinct folded counts. Power against theta0 + h/sqrt(n) alternatives is
 available empirically, exactly on the complete family (the (K, gamma)
 rule summed against the count law), and from the limiting formulas.
 """
@@ -45,7 +45,7 @@ from scipy.special import ndtr, ndtri
 
 from .coupling import CouplingMatrix, family_limit
 from .errors import ParameterError
-from .inference import _count_rows, _pl_rows, mple
+from .inference import mple, mple_counts
 from .sampler import (
     SpinConfiguration,
     complete_log_table,
@@ -78,8 +78,9 @@ V_QUANTILE_REPS = 4_000_000
 class TestSpec:
     """What to test and how to calibrate it.
 
-    ``reps`` and ``seed`` drive the Glauber null simulation; exact
-    (complete-family) and asymptotic calibration ignore them.
+    ``reps`` and ``seed`` drive the Glauber null simulation, which needs
+    reps >= MIN_CALIBRATION_REPS; exact (complete-family) and asymptotic
+    calibration ignore them.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -103,10 +104,6 @@ class TestSpec:
             raise ParameterError("n must be positive")
         if self.calibration not in CALIBRATIONS:
             raise ParameterError(f"calibration must be one of {CALIBRATIONS}")
-        if self.calibration == "monte_carlo" and self.reps < MIN_CALIBRATION_REPS:
-            raise ParameterError(
-                f"monte_carlo calibration needs reps >= {MIN_CALIBRATION_REPS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -187,9 +184,8 @@ def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
     """Complete-family statistics from +1 counts.
 
     Every statistic depends on a complete-family configuration only
-    through its +1 count (x'Qx = n xbar^2 - 1). pl is symmetric under
-    k <-> n - k, so it is solved once, in one batched root, for each
-    distinct min(k, n - k) and mirrored: pl(k) equals pl(n - k) exactly.
+    through its +1 count (x'Qx = n xbar^2 - 1); pl comes from mple_counts,
+    so pl(k) equals pl(n - k) exactly.
     """
     xbar = (2.0 * counts - n) / n
     ms = n * xbar * xbar
@@ -197,9 +193,15 @@ def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
         return ms
     if kind == "np":
         return ms - 1.0
-    folded, inverse = np.unique(np.minimum(counts, n - counts), return_inverse=True)
-    rows = _pl_rows(*_count_rows(n, folded))
-    return np.where(rows.exists, rows.value, -math.inf)[inverse]
+    rows = mple_counts(n, counts)
+    return np.where(rows.exists, rows.value, -math.inf)
+
+
+def _exact_count_law(kind: str, n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics and pmf masses of the +1 counts with mass at ``theta``."""
+    pmf = tilted_table(*complete_log_table(n), theta)[2]
+    counts = np.flatnonzero(pmf)
+    return _count_statistics(kind, n, counts), pmf[counts]
 
 
 @lru_cache(maxsize=1)
@@ -265,7 +267,8 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
     Monte Carlo mode reads (K, gamma) off a finite-n null law with
     _randomized_cutoff: on the complete family the exact law, one atom per
     +1 count with positive mass; elsewhere the sample of ``spec.reps``
-    Glauber draws, each with equal weight. Asymptotic mode evaluates the
+    Glauber draws, each with equal weight, which raises before drawing
+    when reps < MIN_CALIBRATION_REPS. Asymptotic mode evaluates the
     limiting null law of the statistic and sets gamma = 0; theta0 < 1 has
     no such law here and raises.
     """
@@ -273,11 +276,13 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
         raise ParameterError("spec.n does not match the coupling size")
     if spec.calibration == "monte_carlo":
         if coupling.family == "complete":
-            pmf = tilted_table(*complete_log_table(spec.n), spec.theta0)[2]
-            counts = np.flatnonzero(pmf)
-            stats = _count_statistics(spec.kind, spec.n, counts)
-            weights, sampler = pmf[counts], "exact"
+            stats, weights = _exact_count_law(spec.kind, spec.n, spec.theta0)
+            sampler = "exact"
         else:
+            if spec.reps < MIN_CALIBRATION_REPS:
+                raise ParameterError(
+                    f"glauber calibration needs reps >= {MIN_CALIBRATION_REPS}"
+                )
             stats = _statistics_and_tie_breaks(
                 coupling, spec.theta0, spec.seed, spec.reps
             )[0][spec.kind]
@@ -388,10 +393,8 @@ def exact_power(
     if calibration is None:
         calibration = calibrate(spec, coupling)
     theta_n = spec.theta0 + h / math.sqrt(spec.n)
-    pmf = tilted_table(*complete_log_table(spec.n), theta_n)[2]
-    counts = np.flatnonzero(pmf)
-    stats = _count_statistics(spec.kind, spec.n, counts)
-    mass, critical = pmf[counts], calibration.critical_value
+    stats, mass = _exact_count_law(spec.kind, spec.n, theta_n)
+    critical = calibration.critical_value
     above = mass[stats > critical].sum()
     return float(above + calibration.gamma * mass[stats == critical].sum())
 

@@ -8,8 +8,10 @@ inside the bracket, for any number of equations in one batched solve
 Where the model is exactly summable it has one solver, ``_table_mle``, on
 the sampler's cached exact tables: the 2^n enumeration for n <= 24
 (``mle_exact``), built once per coupling, and the complete family's
-binomial table at any n (``mle_complete_large_n``).
-Otherwise it runs confidence-gated bisection on Glauber chain means.
+binomial table at any n. Otherwise it runs confidence-gated bisection on
+Glauber chain means. On the complete family both estimates depend on the
++1 count k alone, symmetrically in k <-> n - k: ``mple_counts`` and
+``mle_counts`` solve each distinct min(k, n - k) of a count array once.
 
 Existence is decided before any iteration: the pseudolikelihood equation
 has a real root iff -sum|t_i| < x'Qx < sum|t_i| strictly, and the
@@ -185,40 +187,28 @@ def _pl_rows(t, w, s) -> PLRows:
     return PLRows(value, exists, iterations, lo, hi, sum_abs, residual)
 
 
-def _count_rows(n: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_pl_rows input for complete-family configurations with +1 ``counts``.
-
-    Under the complete coupling the fields take the two values
-    xbar -+ 1/n with multiplicities (k, n-k), and x'Qx = n xbar^2 - 1.
-    """
+def _folded_counts(n: int, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct min(k, n - k) of +1 ``counts`` and each count's index there."""
     k = np.asarray(counts, dtype=np.int64)
+    if k.size and (k.min() < 0 or k.max() > n):
+        raise ParameterError("counts must lie in [0, n]")
+    return np.unique(np.minimum(k, n - k), return_inverse=True)
+
+
+def mple_counts(n: int, counts) -> PLRows:
+    """Complete-family MPLE for each +1 count in a 1-D array ``counts``.
+
+    The fields take the two values xbar -+ 1/n with multiplicities
+    (k, n-k) and x'Qx = n xbar^2 - 1. k and n - k give the same equation,
+    so each distinct min(k, n - k) is one row of one _pl_rows call, mirrored
+    back to its counts. Counts outside [0, n] raise ParameterError.
+    """
+    k, inverse = _folded_counts(n, counts)
     xbar = (2.0 * k - n) / n
     t = np.stack([xbar - 1.0 / n, xbar + 1.0 / n], axis=1)
     w = np.stack([k, n - k], axis=1).astype(np.float64)
-    return t, w, n * xbar * xbar - 1.0
-
-
-def _pl_estimate(t: np.ndarray, w: np.ndarray, s: float) -> EstimateResult:
-    """One-row _pl_rows as an EstimateResult.
-
-    The diagnostics record the bound sum w|t|, ``degenerate`` for all-zero
-    fields and, for a root, the residual there.
-    """
-    row = _pl_rows(np.reshape(t, (1, -1)), np.reshape(w, (1, -1)), [s])
-    diagnostics = {"sum_abs_fields": float(row.sum_abs[0])}
-    if not row.exists[0]:
-        if row.sum_abs[0] == 0.0:
-            diagnostics["degenerate"] = True
-        return EstimateResult(
-            value=float(row.value[0]), exists=False, method="mple", iterations=0,
-            bracket=None, diagnostics=diagnostics,
-        )
-    diagnostics["residual"] = float(row.residual[0])
-    return EstimateResult(
-        value=float(row.value[0]), exists=True, method="mple",
-        iterations=int(row.iterations[0]),
-        bracket=(float(row.lo[0]), float(row.hi[0])), diagnostics=diagnostics,
-    )
+    rows = _pl_rows(t, w, n * xbar * xbar - 1.0)
+    return PLRows(*(column[inverse] for column in rows))
 
 
 def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
@@ -229,15 +219,26 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
            vector, in which case ``coupling`` is required.
         coupling: matrix used to derive fields for raw spin input.
 
-    The diagnostics record the attainable bound sum|t_i|, the residual at
-    the root, and whether the simple sign-pattern reading of the existence
-    rule (all-plus or all-minus on the support of t) agrees with the
-    boundary criterion actually used.
+    The diagnostics record the attainable bound sum|t_i|, ``degenerate``
+    for all-zero fields, the residual at the root, and whether the simple
+    sign-pattern reading of the existence rule (all-plus or all-minus on
+    the support of t) agrees with the boundary criterion actually used.
     """
     spins, t, s = _fields_and_stat(x, coupling)
-    result = _pl_estimate(t, np.ones_like(t), s)
-    if "degenerate" in result.diagnostics:
-        return result
+    row = _pl_rows(t[None, :], np.ones((1, t.size)), [s])
+    diagnostics = {"sum_abs_fields": float(row.sum_abs[0])}
+    if row.sum_abs[0] == 0.0:
+        diagnostics["degenerate"] = True
+        return EstimateResult(math.nan, False, "mple", 0, None, diagnostics)
+    exists = bool(row.exists[0])
+    if exists:
+        diagnostics["residual"] = float(row.residual[0])
+    result = EstimateResult(
+        value=float(row.value[0]), exists=exists, method="mple",
+        iterations=int(row.iterations[0]),
+        bracket=(float(row.lo[0]), float(row.hi[0])) if exists else None,
+        diagnostics=diagnostics,
+    )
     support = t != 0.0
     pattern_nonexistent = bool(
         np.all(spins[support] == 1) or np.all(spins[support] == -1)
@@ -250,20 +251,6 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
             np.array2string(spins, max_line_width=200),
         )
     return result
-
-
-def mple_from_counts(n: int, plus_count: int) -> EstimateResult:
-    """Complete-family MPLE from the number of +1 spins alone.
-
-    Under the complete coupling every pseudolikelihood quantity is a
-    function of k = #{+1}: fields take the two values xbar -+ 1/n with
-    multiplicities (k, n-k) and x'Qx = n xbar^2 - 1. Runs in O(1) memory
-    at any n.
-    """
-    if not 0 <= plus_count <= n:
-        raise ParameterError("plus_count must lie in [0, n]")
-    t, w, s = _count_rows(n, [plus_count])
-    return _pl_estimate(t[0], w[0], float(s[0]))
 
 
 def suff_stat_bounds(coupling: CouplingMatrix) -> tuple[float, float]:
@@ -334,6 +321,31 @@ def mle_exact(x, coupling: CouplingMatrix) -> EstimateResult:
     _, _, s = _fields_and_stat(x, coupling)
     values, counts = suff_stat_table(coupling)
     return _table_mle(s, values, np.log(counts))
+
+
+class MLERows(NamedTuple):
+    """Per-count outcome of mle_counts; ``residual`` is NaN without a root."""
+
+    value: np.ndarray
+    exists: np.ndarray
+    residual: np.ndarray
+
+
+def mle_counts(n: int, counts) -> MLERows:
+    """Exact complete-family MLE for each +1 count in a 1-D array ``counts``.
+
+    Solves once per distinct min(k, n - k) on the symmetric binomial table
+    complete_log_table(n), whose entry k is x'Qx at k plus spins.
+    """
+    folded, inverse = _folded_counts(n, counts)
+    values, log_mult = complete_log_table(n)
+    solved = [_table_mle(float(values[j]), values, log_mult) for j in folded]
+    value = np.array([r.value for r in solved], dtype=np.float64)
+    exists = np.array([r.exists for r in solved], dtype=bool)
+    residual = np.array(
+        [r.diagnostics.get("residual", math.nan) for r in solved], dtype=np.float64
+    )
+    return MLERows(value[inverse], exists[inverse], residual[inverse])
 
 
 def mle_stochastic(
@@ -465,14 +477,3 @@ def mle_stochastic(
         bracket=(lo, hi), diagnostics=diagnostics,
     )
 
-
-def mle_complete_large_n(n: int, plus_count: int) -> EstimateResult:
-    """Exact complete-family MLE at any n from the +1 count alone.
-
-    Solves on the binomial table complete_log_table(n), whose entries are
-    the values n xbar^2 - 1 that x'Qx takes under the complete coupling.
-    """
-    if not 0 <= plus_count <= n:
-        raise ParameterError("plus_count must lie in [0, n]")
-    xbar = (2.0 * plus_count - n) / n
-    return _table_mle(n * xbar * xbar - 1.0, *complete_log_table(n))

@@ -28,7 +28,7 @@ from ising_infer import (
     magnetization_variance,
     mle_exact,
     mple,
-    mple_from_counts,
+    mple_counts,
     sample_mple_limit,
     spontaneous_magnetization,
     suff_stat_table,
@@ -124,9 +124,9 @@ def test_critical_magnetization_matches_quartic_law():
 def test_low_temperature_mple_is_gaussian():
     n, reps, theta0 = 1600, 400, 1.5
     counts, _ = cw_aux_counts(n, theta0, derive_seed(ACCEPT_SEED, 501), reps)
-    estimates = [mple_from_counts(n, int(k)) for k in counts]
-    assert all(e.exists for e in estimates)
-    scaled = np.array([math.sqrt(n) * (e.value - theta0) for e in estimates])
+    estimates = mple_counts(n, counts)
+    assert estimates.exists.all()
+    scaled = math.sqrt(n) * (estimates.value - theta0)
     sd = 1.0 / math.sqrt(information_rate(theta0))
     pvalue = kstest(scaled, norm(loc=0.0, scale=sd).cdf).pvalue
     assert pvalue > 0.01, pvalue
@@ -141,9 +141,7 @@ def test_critical_mple_quartiles_match_limit():
     n = 10_000
     _, _, pmf = tilted_table(*complete_log_table(n), 1.0)
     counts = np.flatnonzero(pmf > 0.0)
-    scaled = np.array(
-        [math.sqrt(n) * (mple_from_counts(n, int(k)).value - 1.0) for k in counts]
-    )
+    scaled = math.sqrt(n) * (mple_counts(n, counts).value - 1.0)
     order = np.argsort(scaled, kind="stable")
     cdf = np.cumsum(pmf[counts][order])
     limit = sample_mple_limit(

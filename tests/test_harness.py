@@ -20,8 +20,9 @@ from ising_infer import (
     parse_config,
     read_results,
     run_experiment,
+    sample_mple_limit,
 )
-from ising_infer import htests, sampler
+from ising_infer import htests, inference, sampler
 from ising_infer.cli import main
 from ising_infer.coupling import build_coupling, centered_quadratic_forms, save_matrix
 from ising_infer.htests import (
@@ -227,6 +228,42 @@ def test_estimator_law_complete_records():
     assert 0.0 <= block["mple_exists_rate"] <= 1.0
     # supercritical runs report the plug-in limit sd
     assert math.isclose(block["theory_sd"], 1.0 / math.sqrt(0.3199208645349059))
+
+
+def test_complete_estimator_law_solves_each_fold_once(monkeypatch):
+    # the MLE is a function of min(k, n - k): one solve per distinct fold
+    # per n, however many replications share it
+    solves = []
+    table_mle = inference._table_mle
+
+    def counting(s, values, log_mult):
+        solves.append(values.size - 1)
+        return table_mle(s, values, log_mult)
+
+    monkeypatch.setattr(inference, "_table_mle", counting)
+    cfg = ExperimentConfig(
+        experiment="estimator_law", n=(60, 61), theta0=1.5, reps=40, master_seed=31
+    )
+    result = run_experiment(cfg)
+    assert len(result.records) == 80
+    for n in cfg.n:
+        counts, _ = sampler.cw_aux_counts(n, 1.5, 31, 40)
+        folds = np.unique(np.minimum(counts, n - counts)).size
+        assert folds < 40
+        assert solves.count(n) == folds, n
+
+
+def test_critical_estimator_summary_reads_the_family_limit():
+    cfg = ExperimentConfig(
+        experiment="estimator_law", family="bipartite", n=(8,), theta0=1.0,
+        reps=3, master_seed=5,
+    )
+    block = run_experiment(cfg).summary["n=8"]
+    draws = sample_mple_limit(0, (1, -1), 0, 200_000, derive_seed(5, 2**32))
+    assert block["theory_quartiles"] == [
+        float(np.quantile(draws, p)) for p in (0.25, 0.5, 0.75)
+    ]
+    assert len(block["scaled_quartiles"]) in (0, 3)
 
 
 def test_estimator_law_deterministic_modulo_timing():

@@ -13,9 +13,10 @@ from ising_infer import (
     calibrate,
     empirical_power,
     exact_power,
-    mple_from_counts,
+    mple_counts,
     run_test,
 )
+from ising_infer import htests
 from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _count_statistics, _statistics_and_tie_breaks
 from ising_infer.sampler import complete_log_table, tilted_table
@@ -56,7 +57,7 @@ def test_statistic_equal_on_glauber_configuration_and_its_spins():
             ), (seed, kind)
 
 
-def test_spec_validation():
+def test_spec_validation(monkeypatch):
     with pytest.raises(ParameterError):
         TestSpec("xx", 1.0, 0.05, 100)
     with pytest.raises(ParameterError):
@@ -65,9 +66,17 @@ def test_spec_validation():
         TestSpec("ms", 0.0, 0.05, 100)
     with pytest.raises(ParameterError):
         TestSpec("ms", 1.0, 0.05, 100, calibration="bootstrap")
-    with pytest.raises(ParameterError):
-        TestSpec("ms", 1.0, 0.05, 100, reps=500)
     TestSpec("ms", 1.0, 0.05, 100, calibration="asymptotic", reps=500)
+    # only the Glauber calibration reads reps, so only it needs the floor,
+    # checked before any chain runs
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a Glauber draw ran")
+
+    monkeypatch.setattr(htests, "glauber_sample", no_draws)
+    few = TestSpec("ms", 1.0, 0.05, 100, reps=500)
+    with pytest.raises(ParameterError):
+        calibrate(few, build_coupling("bipartite", 100))
+    assert calibrate(few, build_coupling("complete", 100)).sampler == "exact"
 
 
 def test_exact_calibration_has_level_alpha():
@@ -368,8 +377,8 @@ def test_pl_count_statistics_are_mirrored():
         stats = _count_statistics("pl", n, k)
         assert np.array_equal(stats, stats[::-1])
         want = [
-            e.value if e.exists else -math.inf
-            for e in (mple_from_counts(n, int(j)) for j in k)
+            e.value[0] if e.exists[0] else -math.inf
+            for e in (mple_counts(n, [j]) for j in k)
         ]
         assert np.array_equal(stats, want), n
 

@@ -14,15 +14,14 @@ from ising_infer import (
     build_coupling,
     derive_seed,
     glauber_sample,
-    mle_complete_large_n,
+    mle_counts,
     mle_exact,
     mle_stochastic,
     mple,
-    mple_from_counts,
+    mple_counts,
     suff_stat_bounds,
     substream,
 )
-from ising_infer.inference import _count_rows, _pl_rows
 from ising_infer.sampler import enumerate_state_distribution, enumerate_suff_stats
 
 
@@ -95,27 +94,36 @@ def test_mple_existence_phrasings_can_disagree():
     assert res.diagnostics.get("existence_phrasings_disagree") is True
 
 
-def test_mple_from_counts_matches_full_vector():
-    n = 51
-    cpl = build_coupling("complete", n)
-    for k in (0, 1, 7, 25, 26, 44, 50, 51):
-        spins = np.concatenate([np.ones(k), -np.ones(n - k)]).astype(np.int8)
-        full = mple(spins, cpl)
-        collapsed = mple_from_counts(n, k)
-        assert full.exists == collapsed.exists
-        if full.exists:
-            assert abs(full.value - collapsed.value) < 1e-11
-        else:
-            assert full.value == collapsed.value
+def test_count_estimates_match_explicit_spin_vectors():
+    # both batched count paths against the spin-vector estimators, at
+    # every count of every n the enumeration oracle reaches
+    for n in range(2, 25):
+        cpl = build_coupling("complete", n)
+        counts = np.arange(n + 1)
+        pl, ml = mple_counts(n, counts), mle_counts(n, counts)
+        for k in counts:
+            spins = np.concatenate([np.ones(k), -np.ones(n - k)]).astype(np.int8)
+            for full, value, exists, tol in (
+                (mple(spins, cpl), pl.value[k], pl.exists[k], 1e-11),
+                (mle_exact(spins, cpl), ml.value[k], ml.exists[k], 1e-9),
+            ):
+                assert full.exists == exists, (n, k)
+                if full.exists:
+                    assert abs(full.value - value) < tol, (n, k)
+                else:
+                    assert full.value == value, (n, k)
 
 
-def test_mple_from_counts_balanced_even_n():
+def test_count_estimates_balanced_even_n_and_range():
     # k = n/2 gives s = -1 = -sum|t|: the root diverges to -infinity
-    res = mple_from_counts(50, 25)
-    assert not res.exists
-    assert res.value == -math.inf
-    with pytest.raises(ParameterError):
-        mple_from_counts(10, 11)
+    res = mple_counts(50, [25])
+    assert not res.exists[0]
+    assert res.value[0] == -math.inf
+    for counts in ([11], [-1], [0, 3, 11]):
+        with pytest.raises(ParameterError):
+            mple_counts(10, counts)
+        with pytest.raises(ParameterError):
+            mle_counts(10, counts)
 
 
 def _digest(results) -> str:
@@ -130,13 +138,16 @@ def _digest(results) -> str:
 
 
 def test_pl_core_reproduces_the_scalar_root_finder():
-    # digests of every result field, recorded with the scalar root-finder
-    # the batched core replaced; a one-row call must iterate exactly as it did
-    counts = [
-        mple_from_counts(n, k) for n in (1, 2, 3, 50, 51, 1600) for k in range(n + 1)
-    ]
-    assert _digest(counts) == (
-        "29c4fe49750316e33b637b6ebc857bb68d91dc6f8cffb6801653858b2ee39d11"
+    # digests of every result field: the count half recorded with one
+    # unfolded row per count, so folding and mirroring must change no bit;
+    # the configuration half recorded with the scalar root-finder the
+    # batched core replaced, so a one-row call must iterate exactly as it did
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 50, 51, 1600):
+        for column in mple_counts(n, np.arange(n + 1)):
+            h.update(np.ascontiguousarray(column).tobytes())
+    assert h.hexdigest() == (
+        "cd5edc9d0012e0121dd321989df8ff93e3b405e12dc6d0beb7ac73841b802ed4"
     )
     configs = []
     for family, n, kwargs, theta in (
@@ -159,17 +170,13 @@ def test_pl_core_reproduces_the_scalar_root_finder():
 def test_pl_core_rows_iterate_independently():
     # one call over every count gives each row what a one-row call gives it
     for n in (1, 2, 3, 50, 51, 1600):
-        rows = _pl_rows(*_count_rows(n, np.arange(n + 1)))
+        rows = mple_counts(n, np.arange(n + 1))
         for k in range(n + 1):
-            one = mple_from_counts(n, k)
-            value = float(rows.value[k])
-            assert value == one.value or (math.isnan(value) and math.isnan(one.value))
-            assert bool(rows.exists[k]) == one.exists
-            assert rows.sum_abs[k] == one.diagnostics["sum_abs_fields"]
-            if one.exists:
-                assert int(rows.iterations[k]) == one.iterations
-                assert (rows.lo[k], rows.hi[k]) == one.bracket
-                assert rows.residual[k] == one.diagnostics["residual"]
+            one = mple_counts(n, [k])
+            for column, alone in zip(rows, one):
+                assert column[k] == alone[0] or (
+                    np.isnan(column[k]) and np.isnan(alone[0])
+                ), (n, k)
 
 
 def test_suff_stat_bounds_closed_forms():
@@ -211,34 +218,23 @@ def test_mle_exact_boundaries():
         mle_exact(np.ones(25, dtype=np.int8), build_coupling("complete", 25))
 
 
-def test_mle_large_n_route_matches_enumeration():
-    for n in range(2, 25):
-        cpl = build_coupling("complete", n)
-        for k in range(n + 1):
-            spins = np.concatenate([np.ones(k), -np.ones(n - k)]).astype(np.int8)
-            a = mle_exact(spins, cpl)
-            b = mle_complete_large_n(n, k)
-            assert a.exists == b.exists
-            if a.exists:
-                assert abs(a.value - b.value) < 1e-9
-            else:
-                assert a.value == b.value
-
-
 def test_mle_large_n_residual_is_checked():
     n = 1600
-    for k in range(0, n + 1, 40):
-        res = mle_complete_large_n(n, k)
+    counts = np.arange(0, n + 1, 40)
+    res = mle_counts(n, counts)
+    for k, exists, residual in zip(counts, res.exists, res.residual):
         # x'Qx sits on an attainable extreme at k = 0, n/2 and n
-        assert res.exists == (k not in (0, n // 2, n)), k
-        if res.exists:
-            assert res.diagnostics["residual"] <= 1e-10, k
+        assert exists == (k not in (0, n // 2, n)), k
+        if exists:
+            assert residual <= 1e-10, k
+        else:
+            assert math.isnan(residual), k
 
 
 def test_mle_large_n_negative_root():
-    res = mle_complete_large_n(16, 9)
-    assert res.exists
-    assert res.value < 0.0
+    res = mle_counts(16, [9])
+    assert res.exists[0]
+    assert res.value[0] < 0.0
 
 
 def test_mle_stochastic_agrees_with_exact():
@@ -324,6 +320,7 @@ def test_float_noise_near_boundary_is_nonexistence():
 
 
 def test_estimate_result_immutable():
-    res = mple_from_counts(20, 15)
+    spins = np.repeat([1, -1], [15, 5]).astype(np.int8)
+    res = mple(spins, build_coupling("complete", 20))
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.value = 0.0

@@ -1,4 +1,7 @@
-"""The package's public namespace."""
+"""The package's public namespace and its module boundaries."""
+import ast
+from pathlib import Path
+
 import ising_infer
 
 
@@ -12,3 +15,22 @@ def test_star_import_gives_every_export():
     namespace = {}
     exec("from ising_infer import *", namespace)
     assert set(ising_infer.__all__) <= set(namespace)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a single-underscore name is private to its module; a sibling that
+    # needs it should get a public entry point instead (dunders are exempt)
+    offenders = []
+    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("ising_infer"):
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+                and not (alias.name.startswith("__") and alias.name.endswith("__"))
+            ]
+    assert not offenders, offenders
