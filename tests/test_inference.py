@@ -94,24 +94,29 @@ def test_mple_existence_phrasings_can_disagree():
     assert res.diagnostics.get("existence_phrasings_disagree") is True
 
 
-def test_count_estimates_match_explicit_spin_vectors():
-    # both batched count paths against the spin-vector estimators, at
-    # every count of every n the enumeration oracle reaches
+def _check_counts_against_spins(estimate_counts, estimate_spins, tol):
+    # the batched count path against the spin-vector estimator, at every
+    # count of every n the enumeration oracle reaches
     for n in range(2, 25):
         cpl = build_coupling("complete", n)
         counts = np.arange(n + 1)
-        pl, ml = mple_counts(n, counts), mle_counts(n, counts)
+        res = estimate_counts(n, counts)
         for k in counts:
             spins = np.concatenate([np.ones(k), -np.ones(n - k)]).astype(np.int8)
-            for full, value, exists, tol in (
-                (mple(spins, cpl), pl.value[k], pl.exists[k], 1e-11),
-                (mle_exact(spins, cpl), ml.value[k], ml.exists[k], 1e-9),
-            ):
-                assert full.exists == exists, (n, k)
-                if full.exists:
-                    assert abs(full.value - value) < tol, (n, k)
-                else:
-                    assert full.value == value, (n, k)
+            full = estimate_spins(spins, cpl)
+            assert full.exists == res.exists[k], (n, k)
+            if full.exists:
+                assert abs(full.value - res.value[k]) < tol, (n, k)
+            else:
+                assert full.value == res.value[k], (n, k)
+
+
+def test_mple_from_counts_matches_full_vector():
+    _check_counts_against_spins(mple_counts, mple, 1e-11)
+
+
+def test_mle_large_n_route_matches_enumeration():
+    _check_counts_against_spins(mle_counts, mle_exact, 1e-9)
 
 
 def test_count_estimates_balanced_even_n_and_range():
