@@ -1,8 +1,11 @@
 """Command line front end.
 
-Verbs: run (config file), spectra, estimate, power, limits. All output is
-CSV (stdout unless --output is given) with the same metadata header the
-harness writes. Exit codes: 0 success, 2 configuration/parameter errors,
+Verbs: run (config file), spectra, estimate, power, limits. run writes
+its result where the config says, in the harness's CSV or JSON format,
+and prints the path and summary as one JSON line. The other verbs write
+CSV to stdout unless --output is given: spectra and power start with the
+harness's metadata header line, estimate and limits with their bare
+column line. Exit codes: 0 success, 2 configuration/parameter errors,
 3 numeric failures.
 """
 from __future__ import annotations

@@ -151,8 +151,22 @@ class CouplingMatrix:
         return float(np.where(absent, 0.0, self.weights).max())
 
     def local_fields(self, spins: np.ndarray) -> np.ndarray:
-        """Return t with t_i = sum_j Q(i, j) * spins[j]."""
+        """Return t = Qx, with t_i = sum_j Q(i, j) * spins[j].
+
+        The one place the package forms Qx; callers check the spins.
+        """
         return self.entries @ np.asarray(spins, dtype=np.float64)
+
+
+def as_spins(values, n: int | None = None) -> np.ndarray:
+    """A writable int8 copy of a 1-D +-1 vector, of length n when n is given."""
+    s = np.asarray(values)
+    if s.ndim != 1 or n not in (None, s.shape[0]):
+        length = "" if n is None else f" of length {n}"
+        raise ParameterError(f"spins must be a 1-D vector{length}, got shape {s.shape}")
+    if not np.all((s == 1) | (s == -1)):
+        raise ParameterError("spins must be +-1")
+    return s.astype(np.int8)
 
 
 def _check_entries(n: int, entries) -> np.ndarray:
@@ -502,8 +516,8 @@ def validate_assumptions(coupling: CouplingMatrix) -> ValidationReport:
 
 def quadratic_form(coupling: CouplingMatrix, spins: np.ndarray) -> float:
     """Return x'Qx for a +-1 configuration x."""
-    x = np.asarray(spins, dtype=np.float64)
-    return float(x @ (coupling.entries @ x))
+    x = as_spins(spins, coupling.n).astype(np.float64)
+    return float(x @ coupling.local_fields(x))
 
 
 def centered_quadratic_forms(
@@ -515,11 +529,9 @@ def centered_quadratic_forms(
     for any symmetric Q, hence x'Bx = x'u - n*xbar^2 and x'B^2x equals
     the squared norm of u - xbar * ones.
     """
-    x = np.asarray(spins, dtype=np.float64)
     n = coupling.n
-    if x.shape != (n,):
-        raise ParameterError("spin vector length does not match coupling size")
-    u = coupling.entries @ x
+    x = as_spins(spins, n).astype(np.float64)
+    u = coupling.local_fields(x)
     xbar = x.mean()
     xbx = float(x @ u - n * xbar * xbar)
     centered = u - xbar

@@ -70,7 +70,8 @@ _GRID_KEYS = {"n", "h"}
 _STR_KEYS = {"experiment", "family", "output_path", "format", "calibration"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _GRID_KEYS | _STR_KEYS
 
-# desk-scale defaults, per experiment where they differ
+# desk-scale defaults of n, theta0, reps and h, per experiment; the only
+# source of them: ExperimentConfig fills each field left unset from here
 _EXPERIMENT_DEFAULTS = {
     "estimator_law": {"n": (1600,), "theta0": 1.5, "reps": 400, "h": (0.0,)},
     "power_curve": {
@@ -92,15 +93,17 @@ _EXPERIMENT_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One validated run; n, theta0, h and reps default per experiment."""
+
     experiment: str
     family: str = "complete"
     q: int | None = None
     d: int | None = None
-    n: tuple = (1600,)
-    theta0: float = 1.5
-    h: tuple = (0.0,)
+    n: tuple | None = None
+    theta0: float | None = None
+    h: tuple | None = None
     alpha: float = 0.05
-    reps: int = 400
+    reps: int | None = None
     master_seed: int = 20260815
     output_path: str = "results.csv"
     format: str = "csv"
@@ -111,6 +114,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment: {self.experiment!r} is not one of {EXPERIMENTS}"
             )
+        for key, value in _EXPERIMENT_DEFAULTS[self.experiment].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         if self.family not in FAMILIES:
             raise ConfigError(f"family: {self.family!r} is not one of {FAMILIES}")
         if not 0.0 < self.alpha < 1.0:
@@ -152,12 +158,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raw[key] = value
     if "experiment" not in raw:
         raise ConfigError("experiment: key is required")
-    experiment = raw.pop("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment: {experiment!r} is not one of {EXPERIMENTS}"
-        )
-    values = dict(_EXPERIMENT_DEFAULTS[experiment])
+    values = {}
     for key, text_value in raw.items():
         try:
             if key in _INT_KEYS:
@@ -176,7 +177,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = text_value
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {text_value!r} ({exc})") from exc
-    return ExperimentConfig(experiment=experiment, **values)
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -494,9 +495,7 @@ def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
     try:
         limit = limiting_spectrum(config.family, **kwargs)
     except ParameterError as exc:
-        raise ConfigError(
-            "family: limit_law_density needs a cataloged family"
-        ) from exc
+        raise ConfigError(f"family: {exc}") from exc
     h = config.h[0]
     draws = sample_mple_limit(
         h,

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .coupling import CouplingMatrix, family_limit
+from .coupling import CouplingMatrix, as_spins, family_limit
 from .errors import ParameterError
 from .inference import mple, mple_counts
 from .sampler import (
@@ -154,29 +154,20 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
     """
     if kind not in KINDS:
         raise ParameterError(f"kind must be one of {KINDS}")
-    if coupling is not None and coupling.family == "complete":
-        spins = np.asarray(x.spins if isinstance(x, SpinConfiguration) else x)
-        if spins.shape != (coupling.n,):
-            raise ParameterError("spin vector length does not match coupling")
-        plus = np.count_nonzero(spins > 0)
-        return float(_count_statistics(kind, coupling.n, np.array([plus]))[0])
-    if isinstance(x, SpinConfiguration):
-        if kind == "ms":
-            return float(x.n * x.xbar * x.xbar)
-        if kind == "np":
-            return x.suff_stat()
-    else:
-        spins = np.asarray(x, dtype=np.float64)
-        if kind == "ms":
-            # the product SpinConfiguration uses, so both inputs agree
-            xbar = float(spins.mean())
-            return float(spins.size * xbar * xbar)
-        if coupling is None:
-            raise ParameterError("np/pl statistics need the coupling matrix")
-        if kind == "np":
-            t = coupling.local_fields(spins)
-            return float(spins @ t)
-    result = mple(x, coupling)
+    complete = coupling is not None and coupling.family == "complete"
+    if kind == "ms" or complete:
+        # the spins alone: Qx is never formed, so no dense matrix is built
+        n = None if coupling is None else coupling.n
+        spins = as_spins(x.spins if isinstance(x, SpinConfiguration) else x, n)
+        if complete:
+            plus = np.count_nonzero(spins > 0)
+            return float(_count_statistics(kind, n, np.array([plus]))[0])
+        xbar = float(spins.mean())
+        return float(spins.size * xbar * xbar)
+    config = SpinConfiguration.of(x, coupling)
+    if kind == "np":
+        return config.suff_stat()
+    result = mple(config)
     return result.value if result.exists else -math.inf
 
 

@@ -78,19 +78,6 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _fields_and_stat(x, coupling: CouplingMatrix | None):
-    if isinstance(x, SpinConfiguration):
-        t = x.local_fields
-        spins = x.spins
-    else:
-        if coupling is None:
-            raise ParameterError("raw spins need an explicit coupling")
-        spins = np.asarray(x)
-        t = coupling.local_fields(spins)
-    s = float(spins.astype(np.float64) @ t)
-    return spins, t, s
-
-
 class PLRows(NamedTuple):
     """Per-row outcome of _pl_rows; ``lo``/``hi`` is the final bracket."""
 
@@ -216,7 +203,7 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
 
     Args:
         x: SpinConfiguration (preferred; carries local fields) or a +-1
-           vector, in which case ``coupling`` is required.
+           vector, checked against ``coupling`` (then required).
         coupling: matrix used to derive fields for raw spin input.
 
     The diagnostics record the attainable bound sum|t_i|, ``degenerate``
@@ -224,7 +211,8 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
     sign-pattern reading of the existence rule (all-plus or all-minus on
     the support of t) agrees with the boundary criterion actually used.
     """
-    spins, t, s = _fields_and_stat(x, coupling)
+    config = SpinConfiguration.of(x, coupling)
+    spins, t, s = config.spins, config.local_fields, config.suff_stat()
     row = _pl_rows(t[None, :], np.ones((1, t.size)), [s])
     diagnostics = {"sum_abs_fields": float(row.sum_abs[0])}
     if row.sum_abs[0] == 0.0:
@@ -318,7 +306,7 @@ def mle_exact(x, coupling: CouplingMatrix) -> EstimateResult:
 
     ``x`` is a SpinConfiguration or a +-1 vector under ``coupling``.
     """
-    _, _, s = _fields_and_stat(x, coupling)
+    s = SpinConfiguration.of(x, coupling).suff_stat()
     values, counts = suff_stat_table(coupling)
     return _table_mle(s, values, np.log(counts))
 
@@ -393,7 +381,8 @@ def mle_stochastic(
 
     if chains < 4:
         raise ParameterError("mle_stochastic needs at least 4 chains")
-    _, t, s = _fields_and_stat(x, coupling)
+    config = SpinConfiguration.of(x, coupling)
+    t, s = config.local_fields, config.suff_stat()
     upper = float(coupling.entries.sum())
     guard = BOUNDARY_GUARD * max(1.0, upper)
     diagnostics = {"target": s, "b_n": upper}

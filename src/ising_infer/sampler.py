@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .coupling import CouplingMatrix
+from .coupling import CouplingMatrix, as_spins
 from .errors import CapacityError, ParameterError
 from .streams import as_generator, substream
 
@@ -56,16 +56,27 @@ class SpinConfiguration:
 
     @classmethod
     def from_spins(cls, spins, coupling: CouplingMatrix) -> "SpinConfiguration":
-        s = _as_spins(spins)
-        if s.shape[0] != coupling.n:
-            raise ParameterError("spin vector length does not match coupling")
-        t = coupling.entries @ s.astype(np.float64)
-        return cls.from_parts(s, t)
+        s = as_spins(spins, coupling.n)
+        return cls.from_parts(s, coupling.local_fields(s))
+
+    @classmethod
+    def of(cls, x, coupling: CouplingMatrix | None) -> "SpinConfiguration":
+        """``x`` itself if it is a configuration, else from_spins(x, coupling).
+
+        Either way its size must match the coupling, when one is given.
+        """
+        if not isinstance(x, cls):
+            if coupling is None:
+                raise ParameterError("a +-1 vector needs its coupling")
+            return cls.from_spins(x, coupling)
+        if coupling is not None and x.n != coupling.n:
+            raise ParameterError(f"{x.n} spins under a coupling of {coupling.n}")
+        return x
 
     @classmethod
     def from_parts(cls, spins, local_fields) -> "SpinConfiguration":
-        s = _as_spins(spins)
-        t = np.asarray(local_fields, dtype=np.float64).copy()
+        t = np.array(local_fields, dtype=np.float64)
+        s = as_spins(spins, t.size)
         s.flags.writeable = False
         t.flags.writeable = False
         return cls(spins=s, local_fields=t, xbar=float(s.mean()))
@@ -79,19 +90,12 @@ class SpinConfiguration:
         return float(self.spins @ self.local_fields)
 
     def check(self, coupling: CouplingMatrix) -> None:
-        t = coupling.entries @ self.spins.astype(np.float64)
+        t = coupling.local_fields(as_spins(self.spins, coupling.n))
         err = float(np.max(np.abs(t - self.local_fields))) if self.n else 0.0
         if err > FIELD_CONSISTENCY_TOL:
             raise ParameterError(
                 f"cached local fields deviate by {err:.3e} (tol 1e-12)"
             )
-
-
-def _as_spins(values) -> np.ndarray:
-    s = np.asarray(values)
-    if not np.all(np.abs(s) == 1):
-        raise ParameterError("spins must be +-1")
-    return s.astype(np.int8).copy()
 
 
 @dataclass(frozen=True)
@@ -215,13 +219,12 @@ def default_burn_in(n: int, theta: float) -> int:
 
 
 def _initial_spins(n: int, init, rng: np.random.Generator) -> np.ndarray:
-    if init is None or init == "random":
+    if init is None or isinstance(init, str) and init == "random":
         return (rng.integers(0, 2, size=n) * 2 - 1).astype(np.int8)
-    if init == "plus":
-        return np.ones(n, dtype=np.int8)
-    if init == "minus":
-        return -np.ones(n, dtype=np.int8)
-    return _as_spins(init)
+    if isinstance(init, str) and init in ("plus", "minus"):
+        return np.full(n, 1 if init == "plus" else -1, dtype=np.int8)
+    # an explicit vector; any other name fails the same check
+    return as_spins(init, n)
 
 
 def _run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
@@ -255,7 +258,7 @@ def glauber_sample(
     if sweeps is None:
         sweeps = default_burn_in(n, theta)
     spins = _initial_spins(n, init, rng)
-    t = coupling.entries @ spins.astype(np.float64)
+    t = coupling.local_fields(spins)
     _run_sweeps(coupling.entries, theta, spins, t, sweeps, rng)
     # fresh fields, so statistics agree with those computed from the spins
     return SpinConfiguration.from_spins(spins, coupling)
@@ -276,7 +279,7 @@ def glauber_series(
     if burn_in is None:
         burn_in = default_burn_in(n, theta)
     spins = _initial_spins(n, init, rng)
-    t = coupling.entries @ spins.astype(np.float64)
+    t = coupling.local_fields(spins)
     _run_sweeps(coupling.entries, theta, spins, t, burn_in, rng)
     suff = np.empty(samples)
     xbar = np.empty(samples)

@@ -33,6 +33,7 @@ from ising_infer.htests import (
     _statistics_and_tie_breaks,
 )
 from ising_infer.harness import (
+    EXPERIMENTS,
     ExperimentResult,
     load_config,
     render_csv,
@@ -138,6 +139,13 @@ def test_parse_config_bad_value_names_key():
 def test_config_validation(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_config_defaults_agree_in_python_and_in_files(experiment):
+    assert ExperimentConfig(experiment=experiment) == parse_config(
+        f"experiment = {experiment}"
+    )
 
 
 def test_load_config_missing_file(tmp_path):
@@ -496,6 +504,22 @@ def test_limit_law_density_grid():
 def test_limit_law_density_requires_critical_theta():
     cfg = ExperimentConfig(experiment="limit_law_density", theta0=1.5, n=(100,))
     with pytest.raises(ConfigError, match="theta0"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"family": "qpartite"}, "family: qpartite needs q >= 2"),
+        ({"family": "random_regular", "d": 200}, r"family: random_regular needs eta"),
+        ({"family": "cyclic_qpartite", "q": 2}, "family: cyclic_qpartite needs q >= 3"),
+    ],
+)
+def test_limit_law_density_names_the_parameter_at_fault(kwargs, message):
+    cfg = ExperimentConfig(
+        experiment="limit_law_density", theta0=1.0, n=(100,), **kwargs
+    )
+    with pytest.raises(ConfigError, match=message):
         run_experiment(cfg)
 
 

@@ -34,3 +34,29 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 and not (alias.name.startswith("__") and alias.name.endswith("__"))
             ]
     assert not offenders, offenders
+
+
+def test_only_local_fields_forms_qx():
+    # Qx has one home, CouplingMatrix.local_fields, so a structured matvec
+    # (O(n) on block couplings, say) is a change to one function
+    home, offenders = [], []
+    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "CouplingMatrix":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "local_fields":
+                        allowed |= {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult)
+                and isinstance(node.left, ast.Attribute)
+                and node.left.attr == "entries"
+            ):
+                (home if id(node) in allowed else offenders).append(
+                    f"{path.name}:{node.lineno}"
+                )
+    assert len(home) == 1, home
+    assert not offenders, offenders

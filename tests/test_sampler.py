@@ -7,10 +7,13 @@ import pytest
 from scipy.stats import binom, chisquare
 
 from ising_infer import (
+    Calibration,
     CapacityError,
     ParameterError,
     SpinConfiguration,
+    TestSpec,
     build_coupling,
+    centered_quadratic_forms,
     cw_aux_counts,
     cw_dlog_partition,
     cw_log_partition,
@@ -19,12 +22,18 @@ from ising_infer import (
     glauber_sample,
     glauber_series,
     glauber_sweep_kernel,
+    mle_exact,
+    mle_stochastic,
+    mple,
     quadratic_form,
     read_sample_dump,
+    run_test,
     substream,
     suff_stat_table,
     write_sample_dump,
 )
+from ising_infer import test_statistic as statistic_value
+from ising_infer.htests import KINDS
 from ising_infer.sampler import (
     CW_PARTITION_MAX_N,
     complete_log_table,
@@ -69,6 +78,76 @@ def test_spin_configuration_rejects_non_pm1():
         SpinConfiguration.from_spins([1, 0, 1, 1], cpl)
     with pytest.raises(ParameterError):
         SpinConfiguration.from_spins([1, 1, 1], cpl)
+
+
+def _run_np_test(x, cpl):
+    spec = TestSpec("np", 1.0, 0.05, cpl.n)
+    return run_test(x, spec, cpl, Calibration(0.0, None, "theory", spec))
+
+
+# every entry point that takes a raw spin vector, as f(x, coupling)
+SPIN_ENTRY_POINTS = {
+    **{
+        f"test_statistic_{kind}_{family}": (
+            lambda x, cpl, kind=kind: statistic_value(kind, x, cpl), family
+        )
+        for kind in KINDS
+        for family in ("complete", "bipartite")
+    },
+    "run_test": (_run_np_test, "bipartite"),
+    "mple": (mple, "bipartite"),
+    "mle_exact": (mle_exact, "bipartite"),
+    "mle_stochastic": (mle_stochastic, "bipartite"),
+    "quadratic_form": (lambda x, cpl: quadratic_form(cpl, x), "bipartite"),
+    "centered_quadratic_forms": (
+        lambda x, cpl: centered_quadratic_forms(cpl, x), "bipartite"
+    ),
+    "from_spins": (SpinConfiguration.from_spins, "bipartite"),
+    "glauber_sample_init": (
+        lambda x, cpl: glauber_sample(cpl, 1.0, 0, sweeps=1, init=x), "bipartite"
+    ),
+    "glauber_series_init": (
+        lambda x, cpl: glauber_series(cpl, 1.0, 0, samples=1, burn_in=0, init=x),
+        "bipartite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPIN_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "x", [[0.5, 3, -2, 1, 1, 1], [1, -1, 1, 0, 1, -1], [1, -1, 1, -1]],
+    ids=["non_pm1", "zero", "short"],
+)
+def test_spin_entry_points_refuse_bad_vectors(name, x):
+    call, family = SPIN_ENTRY_POINTS[name]
+    cpl = build_coupling(family, 6)
+    call(np.array([1, -1, 1, 1, -1, -1]), cpl)  # a valid vector goes through
+    with pytest.raises(ParameterError):
+        call(x, cpl)
+
+
+def test_ms_without_coupling_checks_spins():
+    assert statistic_value("ms", [1, 1, 1, -1]) == 1.0
+    with pytest.raises(ParameterError):
+        statistic_value("ms", [0.5, 3, -2, 1, 1, 1])
+
+
+def test_configuration_must_match_its_coupling():
+    six = build_coupling("bipartite", 6)
+    config = SpinConfiguration.from_spins([1, -1, 1, 1, -1, -1], six)
+    with pytest.raises(ParameterError):
+        mle_exact(config, build_coupling("bipartite", 8))
+
+
+def test_complete_statistics_at_large_n_build_no_dense_matrix():
+    # n above DENSE_MAX_N: the statistics come from the +1 count alone
+    cpl = build_coupling("complete", 30_000)
+    spins = np.tile([1, 1, -1], 10_000)
+    for kind in KINDS:
+        assert math.isfinite(statistic_value(kind, spins, cpl))
+        with pytest.raises(ParameterError):
+            statistic_value(kind, spins[:-1], cpl)
+    assert cpl._entries is None
 
 
 @pytest.mark.parametrize("n", [4, 9, 14])
