@@ -6,10 +6,11 @@ carrying the package version and a hash of the effective config. Outputs
 are deterministic given the master seed: replication r always uses the
 derived stream hash(master_seed, r), so serial and worker-pool runs agree
 and records can be aggregated in any order. Where an experiment also runs
-limit-law Monte Carlo (critical estimator-law quartiles, critical pl
-asymptotic power), those streams take indices at and above 2^32, disjoint from every replication
-stream. A power curve draws one sample set per (n, h), plus one null set
-per n for Glauber calibration, and computes ms, np and pl from each.
+limit-law Monte Carlo (the critical estimator-law quartiles), its stream
+takes index 2^32, disjoint from every replication stream. A power curve
+draws one sample set per (n, h), plus one null set per n for Glauber
+calibration, and computes ms, np and pl from each; its asymptotic power
+is limit_power, exact and drawn from no stream.
 """
 from __future__ import annotations
 
@@ -39,10 +40,10 @@ from .htests import (
     KINDS,
     MIN_CALIBRATION_REPS,
     TestSpec,
-    asymptotic_power,
     calibrate,
     empirical_power,
     exact_power,
+    limit_power,
 )
 from .inference import mle_counts, mle_exact, mple, mple_counts
 from .sampler import ENUMERATION_MAX_N, cw_aux_counts, cw_log_partition, glauber_sample
@@ -58,8 +59,8 @@ EXPERIMENTS = (
     "spectrum_report",
 )
 WORKERS_ENV = "ISING_INFER_WORKERS"
-# stream indices at and above 2^32 seed limit-law Monte Carlo next to
-# replications, so they never meet replication streams of the same master
+# stream index 2^32 seeds limit-law Monte Carlo next to replications, so it
+# never meets a replication stream of the same master
 ASYMPTOTIC_STREAMS = 1 << 32
 FLOAT_FMT = "%.17g"
 
@@ -379,7 +380,6 @@ _POWER_COLUMNS = (
     "mc_stderr",
     "exact_power",
     "asymptotic_power",
-    "asymptotic_stderr",
     "critical_value",
     "gamma",
     "achieved_level",
@@ -427,18 +427,18 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                     if config.family == "complete"
                     else math.nan
                 )
-                if limit is not None:
-                    asym, asym_err = asymptotic_power(
+                asym = (
+                    limit_power(
                         kind,
                         config.theta0,
                         h,
                         config.alpha,
                         limit_eigs=limit.limit_eigs,
                         kappa=limit.kappa,
-                        seed=derive_seed(config.master_seed, ASYMPTOTIC_STREAMS + j),
                     )
-                else:
-                    asym, asym_err = math.nan, math.nan
+                    if limit is not None
+                    else math.nan
+                )
                 rows[kind].append(
                     {
                         "n": n,
@@ -451,7 +451,6 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                         ),
                         "exact_power": exact,
                         "asymptotic_power": asym,
-                        "asymptotic_stderr": asym_err,
                         "critical_value": cal.critical_value,
                         "gamma": cal.gamma,
                         "achieved_level": (

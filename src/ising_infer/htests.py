@@ -22,17 +22,22 @@ test (Lehmann & Romano, Testing Statistical Hypotheses, section 3.2). On
 the complete family every statistic depends on the +1 count alone, so P
 is the exact count law and the level is exact; on the other families P
 is the empirical law of a Glauber null sample. The limit laws are
-continuous, so asymptotic calibration has gamma = 0. Each replication
-draws its tie-break uniform from its own stream after its sample, so
-runs are deterministic.
+continuous, so asymptotic calibration has gamma = 0; at theta0 = 1 the
+pl cutoff is the quadrature quantile theory.mple_limit_quantile. Each
+replication draws its tie-break uniform from its own stream after its
+sample, so runs are deterministic.
 
 One routine draws: every kind's statistics come from the same sample set
 of a (coupling, theta, seed, reps), and the last set is kept, so ms, np
 and pl calibrated or evaluated in turn share one set of draws. On the
 complete family pl is mple_counts, one batched pseudolikelihood root over
-the distinct folded counts. Power against theta0 + h/sqrt(n) alternatives is
-available empirically, exactly on the complete family (the (K, gamma)
-rule summed against the count law), and from the limiting formulas.
+the distinct folded counts, and the exact law reads one table of every
+count's statistics per n. Power against theta0 + h/sqrt(n) alternatives
+is available empirically, exactly on the complete family (the (K, gamma)
+rule summed against the count law), and in the limit: limit_power is
+exact for every kind (normal curve, quartic-tilt law, and the critical
+pl ratio law by quadrature), and asymptotic_power keeps the critical pl
+Monte Carlo as its oracle.
 """
 from __future__ import annotations
 
@@ -57,7 +62,8 @@ from .streams import as_generator, derive_seed, substream
 from .theory import (
     critical_law,
     information_rate,
-    law_quantile,
+    mple_limit_quantile,
+    mple_limit_sf,
     quadratic_limit_mean,
     sample_mple_limit,
     spontaneous_magnetization,
@@ -66,12 +72,6 @@ from .theory import (
 KINDS = ("ms", "np", "pl")
 CALIBRATIONS = ("monte_carlo", "asymptotic")
 MIN_CALIBRATION_REPS = 1000
-
-# fixed stream for the Monte Carlo quantile of the critical pl null law, so
-# asymptotic calibration stays a pure function of its arguments; drawn 4x
-# larger than power curves so quantile noise stays below power-draw noise
-V_QUANTILE_SEED = 714025
-V_QUANTILE_REPS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -188,11 +188,24 @@ def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
     return np.where(rows.exists, rows.value, -math.inf)
 
 
+@lru_cache(maxsize=4)
+def _count_statistic_table(n: int) -> dict:
+    """Every kind's statistic of each +1 count 0..n, as read-only arrays.
+
+    A count's statistic does not depend on theta, so one table per n
+    serves the exact calibration and every exact power.
+    """
+    table = {kind: _count_statistics(kind, n, np.arange(n + 1)) for kind in KINDS}
+    for array in table.values():
+        array.setflags(write=False)
+    return table
+
+
 def _exact_count_law(kind: str, n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Statistics and pmf masses of the +1 counts with mass at ``theta``."""
     pmf = tilted_table(*complete_log_table(n), theta)[2]
     counts = np.flatnonzero(pmf)
-    return _count_statistics(kind, n, counts), pmf[counts]
+    return _count_statistic_table(n)[kind][counts], pmf[counts]
 
 
 @lru_cache(maxsize=1)
@@ -222,14 +235,6 @@ def _statistics_and_tie_breaks(
     for array in (*stats.values(), uniforms):
         array.setflags(write=False)
     return stats, uniforms
-
-
-@lru_cache(maxsize=64)
-def _v0_quantile(p: float, limit_eigs: tuple, kappa: float) -> float:
-    draws = sample_mple_limit(
-        0.0, limit_eigs, kappa, V_QUANTILE_REPS, V_QUANTILE_SEED
-    )
-    return law_quantile(draws, p)
 
 
 def _randomized_cutoff(
@@ -308,7 +313,7 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
             critical += quadratic_limit_mean(1.0, lim.limit_eigs, lim.kappa)
     else:
         lim = family_limit(coupling)
-        v0 = _v0_quantile(1.0 - alpha, lim.limit_eigs, lim.kappa)
+        v0 = mple_limit_quantile(1.0 - alpha, lim.limit_eigs, lim.kappa)
         critical = 1.0 + v0 / math.sqrt(n)
     return Calibration(critical, None, "theory", spec)
 
@@ -390,6 +395,46 @@ def exact_power(
     return float(above + calibration.gamma * mass[stats == critical].sum())
 
 
+def limit_power(
+    kind: str,
+    theta0: float,
+    h: float,
+    alpha: float,
+    *,
+    limit_eigs=None,
+    kappa: float | None = None,
+) -> float:
+    """Limiting power against theta0 + h/sqrt(n), exact for every kind.
+
+    Above the critical point all three tests share the normal power curve.
+    At the critical point ms and np reject when U_h^2 exceeds the squared
+    1 - alpha/2 quantile of U_0, read off the quartic-tilt law, and pl
+    rejects when the ratio-law limit V_h exceeds its 1 - alpha null
+    quantile, both by quadrature (theory.mple_limit_sf and
+    theory.mple_limit_quantile). ``limit_eigs``/``kappa`` are only
+    consulted for critical pl.
+    """
+    if kind not in KINDS:
+        raise ParameterError(f"kind must be one of {KINDS}")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError("alpha must lie in (0, 1)")
+    if h < 0.0:
+        raise ParameterError("h must be nonnegative")
+    if theta0 > 1.0:
+        rate = information_rate(theta0)
+        z = float(ndtri(1.0 - alpha))
+        return float(ndtr(h * math.sqrt(rate) - z))
+    if theta0 != 1.0:
+        raise ParameterError("no limiting power law below the critical point")
+    if kind in ("ms", "np"):
+        u_cut = critical_law(0.0).quantile(1.0 - alpha / 2.0)
+        return float(2.0 * (1.0 - critical_law(h).cdf_at(u_cut)))
+    if limit_eigs is None or kappa is None:
+        raise ParameterError("critical pl power needs limit_eigs and kappa")
+    cut = mple_limit_quantile(1.0 - alpha, limit_eigs, kappa)
+    return mple_limit_sf(cut, h, limit_eigs, kappa)
+
+
 def asymptotic_power(
     kind: str,
     theta0: float,
@@ -403,34 +448,17 @@ def asymptotic_power(
 ) -> tuple[float, float]:
     """Limiting power against theta0 + h/sqrt(n), with its MC standard error.
 
-    Above the critical point all three tests share the normal power curve
-    and the error is zero. At the critical point the ms/np value comes
-    from quadrature of the quartic-tilt law (zero error) while pl is
-    Monte Carlo over the ratio-law draws, so its binomial standard error
-    is reported. ``limit_eigs``/``kappa`` are only consulted for critical
-    pl.
+    The Monte Carlo oracle of limit_power. Critical pl draws ``reps``
+    ratio-law values at h from derive_seed(seed, 0) and reports the
+    fraction above the quadrature null quantile with its binomial
+    standard error; every other case is (limit_power(...), 0.0).
     """
-    if kind not in KINDS:
-        raise ParameterError(f"kind must be one of {KINDS}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
-    if h < 0.0:
-        raise ParameterError("h must be nonnegative")
-    if theta0 > 1.0:
-        rate = information_rate(theta0)
-        z = float(ndtri(1.0 - alpha))
-        return float(ndtr(h * math.sqrt(rate) - z)), 0.0
-    if theta0 != 1.0:
-        raise ParameterError("no limiting power law below the critical point")
-    if kind in ("ms", "np"):
-        u_cut = critical_law(0.0).quantile(1.0 - alpha / 2.0)
-        power = 2.0 * (1.0 - critical_law(h).cdf_at(u_cut))
-        return float(power), 0.0
-    if limit_eigs is None or kappa is None:
-        raise ParameterError("critical pl power needs limit_eigs and kappa")
-    eigs = tuple(float(v) for v in limit_eigs)
-    cut = _v0_quantile(1.0 - alpha, eigs, float(kappa))
-    draws = sample_mple_limit(h, eigs, float(kappa), reps, derive_seed(seed, 0))
+    # limit_power also checks the arguments
+    exact = limit_power(kind, theta0, h, alpha, limit_eigs=limit_eigs, kappa=kappa)
+    if kind != "pl" or theta0 != 1.0:
+        return exact, 0.0
+    cut = mple_limit_quantile(1.0 - alpha, limit_eigs, kappa)
+    draws = sample_mple_limit(h, limit_eigs, kappa, reps, derive_seed(seed, 0))
     power = float(np.mean(draws > cut))
     stderr = math.sqrt(max(power * (1.0 - power), 0.0) / reps)
     return power, stderr

@@ -22,7 +22,7 @@ from ising_infer import (
     run_experiment,
     sample_mple_limit,
 )
-from ising_infer import htests, inference, sampler
+from ising_infer import harness, htests, inference, sampler, theory
 from ising_infer.cli import main
 from ising_infer.coupling import build_coupling, centered_quadratic_forms, save_matrix
 from ising_infer.htests import (
@@ -30,6 +30,7 @@ from ising_infer.htests import (
     calibrate,
     empirical_power,
     exact_power,
+    limit_power,
     _statistics_and_tie_breaks,
 )
 from ising_infer.harness import (
@@ -449,7 +450,8 @@ def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch):
 
 def test_power_curve_hands_out_no_seed_twice(monkeypatch):
     # the critical pl limit Monte Carlo used to reuse the stream of the
-    # first power draw at the next h
+    # first power draw at the next h; the limit power draws nothing, so
+    # the run makes exactly one stream per replication per h
     seeds = []
     default_rng = np.random.default_rng
 
@@ -463,9 +465,30 @@ def test_power_curve_hands_out_no_seed_twice(monkeypatch):
         reps=50, master_seed=7,
     )
     run_experiment(cfg)
-    assert len(seeds) >= 3 * 50 + 3
+    assert len(seeds) == 3 * 50
     assert all(isinstance(seed, int) for seed in seeds)
     assert len(set(seeds)) == len(seeds)
+
+
+@pytest.mark.parametrize("calibration", ["monte_carlo", "asymptotic"])
+def test_critical_power_curve_draws_no_limit_law(monkeypatch, calibration):
+    # the asymptotic column and the pl cutoff come from quadrature; the
+    # limit-law Monte Carlo must not creep back into the power curve
+    draws = [
+        _counting(monkeypatch, harness, "sample_mple_limit"),
+        _counting(monkeypatch, htests, "sample_mple_limit"),
+        _counting(monkeypatch, theory, "sample_quadratic_limits"),
+    ]
+    cfg = ExperimentConfig(
+        experiment="power_curve", family="bipartite", n=(4,), theta0=1.0,
+        h=(0.0, 1.0), reps=20, master_seed=3, calibration=calibration,
+    )
+    result = run_experiment(cfg)
+    assert draws == [[], [], []]
+    assert "asymptotic_stderr" not in result.columns
+    for row in result.records:
+        want = limit_power(row["kind"], 1.0, row["h"], 0.05, limit_eigs=(1.0, -1.0), kappa=0.0)
+        assert row["asymptotic_power"] == want
 
 
 def test_power_curve_exact_power_column():

@@ -13,10 +13,11 @@ from ising_infer import (
     calibrate,
     empirical_power,
     exact_power,
+    limit_power,
     mple_counts,
     run_test,
 )
-from ising_infer import htests
+from ising_infer import htests, theory
 from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _count_statistics, _statistics_and_tie_breaks
 from ising_infer.sampler import complete_log_table, tilted_table
@@ -413,6 +414,69 @@ def test_asymptotic_power_critical_pl_needs_limit():
     assert 0.0 < p < 1.0
     assert err > 0.0
     assert err < 0.01
+
+
+def test_limit_power_complete_pl_equals_ms():
+    # on the complete spectrum D = -1, so V_h > v0 iff U_h^2 > t(v0), the
+    # ms rejection region
+    for h in (0.0, 0.5, 1.0, 2.0, 4.0):
+        ms = limit_power("ms", 1.0, h, 0.05)
+        pl = limit_power("pl", 1.0, h, 0.05, limit_eigs=(1.0,), kappa=0.0)
+        assert abs(pl - ms) < 1e-12, h
+
+
+def test_asymptotic_power_wraps_limit_power():
+    bipartite = dict(limit_eigs=(1.0, -1.0), kappa=0.0)
+    for kind, theta0 in (("ms", 1.0), ("np", 1.0), ("ms", 1.5), ("pl", 1.5)):
+        for h in (0.0, 2.0):
+            exact = limit_power(kind, theta0, h, 0.05, **bipartite)
+            assert asymptotic_power(kind, theta0, h, 0.05, **bipartite) == (exact, 0.0)
+    assert abs(limit_power("pl", 1.0, 0.0, 0.05, **bipartite) - 0.05) < 1e-10
+    with pytest.raises(ParameterError):
+        limit_power("pl", 1.0, 1.0, 0.05)
+    with pytest.raises(ParameterError):
+        limit_power("ms", 0.9, 1.0, 0.05)
+
+
+def _no_limit_draws(monkeypatch):
+    """Make every limit-law Monte Carlo path raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("limit-law Monte Carlo was called")
+
+    monkeypatch.setattr(theory, "sample_quadratic_limits", forbidden)
+    monkeypatch.setattr(htests, "sample_mple_limit", forbidden)
+
+
+def test_critical_pl_asymptotic_calibration_draws_nothing(monkeypatch):
+    _no_limit_draws(monkeypatch)
+    for family, n in (("complete", 400), ("bipartite", 400)):
+        spec = TestSpec("pl", 1.0, 0.05, n, calibration="asymptotic")
+        lim = (1.0,) if family == "complete" else (1.0, -1.0)
+        cut = theory.mple_limit_quantile(0.95, lim, 0.0)
+        k_pl = calibrate(spec, build_coupling(family, n)).critical_value
+        assert k_pl == 1.0 + cut / math.sqrt(n)
+
+
+def test_count_statistics_are_solved_once_per_n(monkeypatch):
+    # a count's statistic does not depend on theta, so calibration and
+    # every exact power read one table of counts 0..n
+    solves = []
+    solve = htests.mple_counts
+
+    def counted(n, counts):
+        solves.append((n, np.asarray(counts).tolist()))
+        return solve(n, counts)
+
+    monkeypatch.setattr(htests, "mple_counts", counted)
+    htests._count_statistic_table.cache_clear()
+    n = 300
+    cpl = build_coupling("complete", n)
+    for kind in ("ms", "np", "pl"):
+        cal = calibrate(TestSpec(kind, 1.2, 0.05, n), cpl)
+        for h in (0.0, 1.0, 3.0):
+            exact_power(cal.spec, cpl, h, cal)
+    assert solves == [(n, list(range(n + 1)))]
 
 
 def test_asymptotic_power_validation():

@@ -9,6 +9,7 @@ from ising_infer import (
     ParameterError,
     critical_law,
     cw_log_partition,
+    derive_seed,
     delta_log_partition,
     information_rate,
     law_quantile,
@@ -17,6 +18,8 @@ from ising_infer import (
     magnetization_slope,
     magnetization_variance,
     mle_critical_cdf,
+    mple_limit_quantile,
+    mple_limit_sf,
     quadratic_limit_mean,
     sample_mple_limit,
     sample_quadratic_limits,
@@ -25,6 +28,20 @@ from ising_infer import (
 
 M_15 = 0.8585596366401105
 R_15 = 0.3199208645349059
+
+# one spectrum per route of the quadrature survival function: D = -1,
+# one chi-square group, D = -1 + N(0, 2 kappa), a zero eigenvalue pair
+# dropped (q = 4), and the lattice convolution (q = 5, 6)
+LIMIT_SPECTRA = (
+    ("complete", {}),
+    ("bipartite", {}),
+    ("qpartite", {"q": 3}),
+    ("random_regular", {"eta": 0.5}),
+    ("cyclic_qpartite", {"q": 3}),
+    ("cyclic_qpartite", {"q": 4}),
+    ("cyclic_qpartite", {"q": 5}),
+    ("cyclic_qpartite", {"q": 6}),
+)
 
 
 def test_magnetization_zero_below_transition():
@@ -211,6 +228,62 @@ def test_mple_limit_sign_probability():
     # P(V <= 0) = P(U^2 <= sqrt(3)); compare against the tabulated law
     draws = sample_mple_limit(0.0, (1.0,), 0.0, 100_000, 31)
     assert abs((draws <= 0.0).mean() - 0.7436776469082957) < 0.007
+
+
+def test_mple_limit_quantile_inverts_the_survival_function():
+    for family, kwargs in LIMIT_SPECTRA:
+        lim = limiting_spectrum(family, **kwargs)
+        for alpha in (0.01, 0.05, 0.2):
+            v = mple_limit_quantile(1.0 - alpha, lim.limit_eigs, lim.kappa)
+            sf = mple_limit_sf(v, 0.0, lim.limit_eigs, lim.kappa)
+            assert abs(sf - alpha) < 1e-10, (family, kwargs, alpha)
+
+
+@pytest.mark.parametrize("index", range(len(LIMIT_SPECTRA)))
+def test_mple_limit_sf_matches_monte_carlo(index):
+    family, kwargs = LIMIT_SPECTRA[index]
+    lim = limiting_spectrum(family, **kwargs)
+    eigs, kappa, reps = lim.limit_eigs, lim.kappa, 1_000_000
+    cuts = [mple_limit_quantile(p, eigs, kappa) for p in (0.5, 0.95)]
+    for j, h in enumerate((0.0, 1.0, 2.0)):
+        draws = sample_mple_limit(h, eigs, kappa, reps, derive_seed(4111, 3 * index + j))
+        for v in cuts:
+            sf = mple_limit_sf(v, h, eigs, kappa)
+            se = math.sqrt(sf * (1.0 - sf) / reps)
+            assert abs(np.mean(draws > v) - sf) <= 4.0 * se, (family, kwargs, h, v)
+
+
+def test_mple_limit_lattice_matches_the_chi_square_route():
+    # a vanishing kappa sends one chi-square group through the lattice
+    # convolution instead of chdtr; the two must agree
+    eigs = (1.0, -0.5, -0.5)
+    for alpha in (0.01, 0.05, 0.2):
+        v = mple_limit_quantile(1.0 - alpha, eigs, 0.0)
+        for h in (0.0, 1.0, 2.0, 4.0):
+            exact = mple_limit_sf(v, h, eigs, 0.0)
+            assert abs(mple_limit_sf(v, h, eigs, 1e-12) - exact) < 1e-5, (alpha, h)
+
+
+def test_mple_limit_sf_complete_reads_the_quartic_law():
+    # D = -1: V_h > v iff U_h^2 > t(v), so the survival function is the
+    # quartic law's tail at sqrt(t), through cdf_at
+    for v in (-3.0, 0.0, 1.5):
+        t = 1.5 * (v + math.sqrt(v * v + 4.0 / 3.0))
+        assert abs(t / 3.0 - 1.0 / t - v) < 1e-12
+        for h in (0.0, 2.0):
+            tail = 2.0 * (1.0 - critical_law(h).cdf_at(math.sqrt(t)))
+            assert mple_limit_sf(v, h, (1.0,), 0.0) == tail
+
+
+def test_mple_limit_validation():
+    with pytest.raises(ParameterError):
+        mple_limit_sf(1.0, 0.0, (0.5,), 0.0)
+    with pytest.raises(ParameterError):
+        mple_limit_sf(1.0, 0.0, (1.0,), -0.1)
+    with pytest.raises(ParameterError):
+        mple_limit_sf(1.0, 0.0, (1.0, 1.0), 0.0)
+    with pytest.raises(ParameterError):
+        mple_limit_quantile(1.0, (1.0,), 0.0)
 
 
 def test_log_partition_shift_values():
