@@ -46,8 +46,8 @@ from .htests import (
     limit_power,
 )
 from .inference import mle_counts, mle_exact, mple, mple_counts
-from .sampler import ENUMERATION_MAX_N, cw_aux_counts, cw_log_partition, glauber_sample
-from .sampler import complete_log_table
+from .sampler import ENUMERATION_MAX_N, count_law, cw_log_partition, draw_counts
+from .sampler import glauber_sample
 from .streams import derive_seed
 from .theory import delta_log_partition, information_rate, sample_mple_limit
 
@@ -280,7 +280,7 @@ _ESTIMATOR_COLUMNS = (
 
 
 def _estimator_replication(coupling, theta0, master_seed, r):
-    """One non-complete replication: Glauber draw plus both estimates."""
+    """One replication without a count law: Glauber draw plus both estimates."""
     start, seed = time.perf_counter(), derive_seed(master_seed, r)
     config = glauber_sample(coupling, theta0, seed)
     pl = mple(config)
@@ -294,21 +294,21 @@ def _estimator_replication(coupling, theta0, master_seed, r):
     return dict(zip(_ESTIMATOR_COLUMNS, row))
 
 
-def _complete_estimator_records(config: ExperimentConfig, n: int) -> list:
-    """Every complete-family replication at n, from one batch of +1 counts.
+def _count_law_records(config: ExperimentConfig, law) -> list:
+    """Every replication under a count law, from one batch of +1 counts.
 
     ``elapsed_s`` is the batch's wall time split evenly over its records.
     """
     start, reps = time.perf_counter(), config.reps
-    counts, _ = cw_aux_counts(n, config.theta0, config.master_seed, reps)
-    pl, ml = mple_counts(n, counts), mle_counts(n, counts)
+    counts, _ = draw_counts(law, config.theta0, config.master_seed, reps)
+    pl, ml = mple_counts(law, counts), mle_counts(law, counts)
     columns = (  # in _ESTIMATOR_COLUMNS order, elapsed_s last
         range(reps),
         [derive_seed(config.master_seed, r) for r in range(reps)],
-        [n] * reps,
+        [law.n] * reps,
         [config.theta0] * reps,
-        ((2.0 * counts - n) / n).tolist(),
-        complete_log_table(n)[0][counts].tolist(),
+        law.xbar(counts).tolist(),
+        law.values[counts].tolist(),
         pl.value.tolist(), pl.exists.tolist(), ml.value.tolist(), ml.exists.tolist(),
     )
     elapsed = (time.perf_counter() - start) / reps
@@ -320,8 +320,9 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
     for n in config.n:
         coupling = _coupling_for(config, n)
         limits[n] = family_limit(coupling)
-        if config.family == "complete":
-            records.extend(_complete_estimator_records(config, n))
+        law = count_law(coupling)
+        if law is not None:
+            records.extend(_count_law_records(config, law))
         else:
             replication = functools.partial(
                 _estimator_replication, coupling, config.theta0, config.master_seed
@@ -394,6 +395,7 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     for n in config.n:
         coupling = _coupling_for(config, n)
         limit = family_limit(coupling) if config.theta0 >= 1.0 else None
+        law = count_law(coupling)
         calibrations = {
             kind: calibrate(
                 TestSpec(
@@ -424,7 +426,7 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                 )
                 exact = (
                     exact_power(cal.spec, coupling, h, calibration=cal)
-                    if config.family == "complete"
+                    if law is not None
                     else math.nan
                 )
                 asym = (

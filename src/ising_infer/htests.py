@@ -19,25 +19,25 @@ finite-n ("monte_carlo") calibration takes K as the smallest value with
 P(T > K) <= alpha and sets gamma so the randomized level
 P(T > K) + gamma P(T = K) is exactly alpha: the randomized Neyman-Pearson
 test (Lehmann & Romano, Testing Statistical Hypotheses, section 3.2). On
-the complete family every statistic depends on the +1 count alone, so P
-is the exact count law and the level is exact; on the other families P
-is the empirical law of a Glauber null sample. The limit laws are
-continuous, so asymptotic calibration has gamma = 0; at theta0 = 1 the
-pl cutoff is the quadrature quantile theory.mple_limit_quantile. Each
-replication draws its tie-break uniform from its own stream after its
-sample, so runs are deterministic.
+a coupling with a count law every statistic depends on the +1 count
+alone, so P is that law and the level is exact; elsewhere P is the
+empirical law of a Glauber null sample. The limit laws are continuous,
+so asymptotic calibration has gamma = 0; at theta0 = 1 the pl cutoff is
+the quadrature quantile theory.mple_limit_quantile. Each replication
+draws its tie-break uniform from its own stream after its sample, so
+runs are deterministic.
 
 One routine draws: every kind's statistics come from the same sample set
 of a (coupling, theta, seed, reps), and the last set is kept, so ms, np
-and pl calibrated or evaluated in turn share one set of draws. On the
-complete family pl is mple_counts, one batched pseudolikelihood root over
-the distinct folded counts, and the exact law reads one table of every
-count's statistics per n. Power against theta0 + h/sqrt(n) alternatives
-is available empirically, exactly on the complete family (the (K, gamma)
-rule summed against the count law), and in the limit: limit_power is
-exact for every kind (normal curve, quartic-tilt law, and the critical
-pl ratio law by quadrature), and asymptotic_power keeps the critical pl
-Monte Carlo as its oracle.
+and pl calibrated or evaluated in turn share one set of draws. Under a
+count law pl is mple_counts, one batched pseudolikelihood root over the
+distinct folded counts, and the exact law reads one table of every
+count's statistics per law. Power against theta0 + h/sqrt(n) is
+available empirically, exactly under a count law (the (K, gamma) rule
+summed against it), and in the limit: limit_power is exact for every
+kind (normal curve, quartic-tilt law, and the critical pl ratio law by
+quadrature), and asymptotic_power keeps the critical pl Monte Carlo as
+its oracle.
 """
 from __future__ import annotations
 
@@ -52,11 +52,11 @@ from .coupling import CouplingMatrix, as_spins, family_limit
 from .errors import ParameterError
 from .inference import mple, mple_counts
 from .sampler import (
+    CountLaw,
     SpinConfiguration,
-    complete_log_table,
-    cw_aux_counts,
+    count_law,
+    draw_counts,
     glauber_sample,
-    tilted_table,
 )
 from .streams import as_generator, derive_seed, substream
 from .theory import (
@@ -79,7 +79,7 @@ class TestSpec:
     """What to test and how to calibrate it.
 
     ``reps`` and ``seed`` drive the Glauber null simulation, which needs
-    reps >= MIN_CALIBRATION_REPS; exact (complete-family) and asymptotic
+    reps >= MIN_CALIBRATION_REPS; exact (count-law) and asymptotic
     calibration ignore them.
     """
 
@@ -114,8 +114,8 @@ class Calibration:
     it rejects with probability ``gamma`` in [0, 1].
 
     ``achieved_level`` is P(T > K), the level of the non-randomized test,
-    which never exceeds alpha: exact on the complete family, the fraction
-    of the Glauber calibration sample elsewhere (None for asymptotic
+    which never exceeds alpha: exact under a count law, the fraction of
+    the Glauber calibration sample elsewhere (None for asymptotic
     calibration). ``gamma`` tops that up on the atom at K, so
     P(T > K) + gamma P(T = K) is alpha. It is 0 for asymptotic
     calibration, whose limit laws have no atoms. ``sampler`` records which
@@ -148,20 +148,20 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
 
     pl returns -inf whenever the pseudolikelihood estimate does not exist
     (boundary or degenerate data), so such samples can never reject.
-    Under the complete coupling the value comes from the +1 count, by the
-    same arithmetic as the calibration's null draws, so a statistic on the
-    critical atom equals K exactly.
+    Under a coupling with a count law the value comes from the +1 count, by
+    the same arithmetic as the calibration's null draws, so a statistic on
+    the critical atom equals K exactly.
     """
     if kind not in KINDS:
         raise ParameterError(f"kind must be one of {KINDS}")
-    complete = coupling is not None and coupling.family == "complete"
-    if kind == "ms" or complete:
+    law = None if coupling is None else count_law(coupling)
+    if kind == "ms" or law is not None:
         # the spins alone: Qx is never formed, so no dense matrix is built
         n = None if coupling is None else coupling.n
         spins = as_spins(x.spins if isinstance(x, SpinConfiguration) else x, n)
-        if complete:
+        if law is not None:
             plus = np.count_nonzero(spins > 0)
-            return float(_count_statistics(kind, n, np.array([plus]))[0])
+            return float(_count_statistics(kind, law, np.array([plus]))[0])
         xbar = float(spins.mean())
         return float(spins.size * xbar * xbar)
     config = SpinConfiguration.of(x, coupling)
@@ -171,41 +171,34 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
     return result.value if result.exists else -math.inf
 
 
-def _count_statistics(kind: str, n: int, counts: np.ndarray) -> np.ndarray:
-    """Complete-family statistics from +1 counts.
+def _count_statistics(kind: str, law: CountLaw, counts: np.ndarray) -> np.ndarray:
+    """Statistics from +1 counts under a count law.
 
-    Every statistic depends on a complete-family configuration only
-    through its +1 count (x'Qx = n xbar^2 - 1); pl comes from mple_counts,
-    so pl(k) equals pl(n - k) exactly.
+    Every statistic depends on the configuration only through its +1
+    count (x'Qx = n xbar^2 - 1); pl comes from mple_counts, so pl(k)
+    equals pl(n - k) exactly.
     """
-    xbar = (2.0 * counts - n) / n
-    ms = n * xbar * xbar
+    xbar = law.xbar(counts)
+    ms = law.n * xbar * xbar
     if kind == "ms":
         return ms
     if kind == "np":
         return ms - 1.0
-    rows = mple_counts(n, counts)
+    rows = mple_counts(law, counts)
     return np.where(rows.exists, rows.value, -math.inf)
 
 
 @lru_cache(maxsize=4)
-def _count_statistic_table(n: int) -> dict:
+def _count_statistic_table(law: CountLaw) -> dict:
     """Every kind's statistic of each +1 count 0..n, as read-only arrays.
 
-    A count's statistic does not depend on theta, so one table per n
+    A count's statistic does not depend on theta, so one table per law
     serves the exact calibration and every exact power.
     """
-    table = {kind: _count_statistics(kind, n, np.arange(n + 1)) for kind in KINDS}
+    table = {kind: _count_statistics(kind, law, np.arange(law.n + 1)) for kind in KINDS}
     for array in table.values():
         array.setflags(write=False)
     return table
-
-
-def _exact_count_law(kind: str, n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Statistics and pmf masses of the +1 counts with mass at ``theta``."""
-    pmf = tilted_table(*complete_log_table(n), theta)[2]
-    counts = np.flatnonzero(pmf)
-    return _count_statistic_table(n)[kind][counts], pmf[counts]
 
 
 @lru_cache(maxsize=1)
@@ -220,9 +213,10 @@ def _statistics_and_tie_breaks(
     calibrated or evaluated in turn at one (coupling, theta, seed, reps)
     share one set of draws.
     """
-    if coupling.family == "complete":
-        counts, uniforms = cw_aux_counts(coupling.n, theta, master_seed, reps)
-        stats = {kind: _count_statistics(kind, coupling.n, counts) for kind in KINDS}
+    law = count_law(coupling)
+    if law is not None:
+        counts, uniforms = draw_counts(law, theta, master_seed, reps)
+        stats = {kind: _count_statistics(kind, law, counts) for kind in KINDS}
     else:
         stats = {kind: np.empty(reps) for kind in KINDS}
         uniforms = np.empty(reps)
@@ -261,8 +255,8 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
     """Produce the randomized critical value (K, gamma) for a specification.
 
     Monte Carlo mode reads (K, gamma) off a finite-n null law with
-    _randomized_cutoff: on the complete family the exact law, one atom per
-    +1 count with positive mass; elsewhere the sample of ``spec.reps``
+    _randomized_cutoff: under a count law the exact law, one atom per +1
+    count with positive mass; elsewhere the sample of ``spec.reps``
     Glauber draws, each with equal weight, which raises before drawing
     when reps < MIN_CALIBRATION_REPS. Asymptotic mode evaluates the
     limiting null law of the statistic and sets gamma = 0; theta0 < 1 has
@@ -271,8 +265,10 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
     if spec.n != coupling.n:
         raise ParameterError("spec.n does not match the coupling size")
     if spec.calibration == "monte_carlo":
-        if coupling.family == "complete":
-            stats, weights = _exact_count_law(spec.kind, spec.n, spec.theta0)
+        law = count_law(coupling)
+        if law is not None:
+            counts, weights = law.atoms(spec.theta0)
+            stats = _count_statistic_table(law)[spec.kind][counts]
             sampler = "exact"
         else:
             if spec.reps < MIN_CALIBRATION_REPS:
@@ -377,19 +373,21 @@ def exact_power(
 ) -> float:
     """Exact randomized rejection probability at theta0 + h/sqrt(n).
 
-    Complete family only: the statistic of each +1 count with positive
-    mass under the exact count law at theta0 + h/sqrt(n) comes from the
-    same per-count arithmetic as the draws, and the (K, gamma) rule is
-    summed against that law.
+    Couplings with a count law only: the statistic of each +1 count with
+    positive mass under the law at theta0 + h/sqrt(n) comes from the same
+    per-count arithmetic as the draws, and the (K, gamma) rule is summed
+    against that law.
     """
-    if coupling.family != "complete":
-        raise ParameterError("exact power needs the complete family's count law")
+    law = count_law(coupling)
+    if law is None:
+        raise ParameterError("exact power needs a coupling with a count law")
     if h < 0.0:
         raise ParameterError("h must be nonnegative")
     if calibration is None:
         calibration = calibrate(spec, coupling)
     theta_n = spec.theta0 + h / math.sqrt(spec.n)
-    stats, mass = _exact_count_law(spec.kind, spec.n, theta_n)
+    counts, mass = law.atoms(theta_n)
+    stats = _count_statistic_table(law)[spec.kind][counts]
     critical = calibration.critical_value
     above = mass[stats > critical].sum()
     return float(above + calibration.gamma * mass[stats == critical].sum())

@@ -7,10 +7,10 @@ inside the bracket, for any number of equations in one batched solve
 (``_pl_rows``). The likelihood estimate solves dlog Z/dtheta = x'Qx / 2.
 Where the model is exactly summable it has one solver, ``_table_mle``, on
 the sampler's cached exact tables: the 2^n enumeration for n <= 24
-(``mle_exact``), built once per coupling, and the complete family's
-binomial table at any n. Otherwise it runs confidence-gated bisection on
-Glauber chain means. On the complete family both estimates depend on the
-+1 count k alone, symmetrically in k <-> n - k: ``mple_counts`` and
+(``mle_exact``), built once per coupling, and a count law's table at
+any n. Otherwise it runs confidence-gated bisection on Glauber chain
+means. On a coupling with a count law both estimates depend on the +1
+count k alone, symmetrically in k <-> n - k: ``mple_counts`` and
 ``mle_counts`` solve each distinct min(k, n - k) of a count array once.
 
 Existence is decided before any iteration: the pseudolikelihood equation
@@ -30,11 +30,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .coupling import CouplingMatrix
-from .errors import NumericError, ParameterError
+from .errors import CapacityError, NumericError, ParameterError
 from .sampler import (
-    ENUMERATION_MAX_N,
+    CountLaw,
     SpinConfiguration,
-    complete_log_table,
+    count_law,
     suff_stat_table,
     tilted_table,
 )
@@ -174,27 +174,16 @@ def _pl_rows(t, w, s) -> PLRows:
     return PLRows(value, exists, iterations, lo, hi, sum_abs, residual)
 
 
-def _folded_counts(n: int, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct min(k, n - k) of +1 ``counts`` and each count's index there."""
-    k = np.asarray(counts, dtype=np.int64)
-    if k.size and (k.min() < 0 or k.max() > n):
-        raise ParameterError("counts must lie in [0, n]")
-    return np.unique(np.minimum(k, n - k), return_inverse=True)
+def mple_counts(law: CountLaw, counts) -> PLRows:
+    """MPLE for each +1 count in a 1-D array ``counts`` under a count law.
 
-
-def mple_counts(n: int, counts) -> PLRows:
-    """Complete-family MPLE for each +1 count in a 1-D array ``counts``.
-
-    The fields take the two values xbar -+ 1/n with multiplicities
-    (k, n-k) and x'Qx = n xbar^2 - 1. k and n - k give the same equation,
-    so each distinct min(k, n - k) is one row of one _pl_rows call, mirrored
-    back to its counts. Counts outside [0, n] raise ParameterError.
+    Each count's fields and x'Qx come from the law. k and n - k give the
+    same equation, so each distinct min(k, n - k) is one row of one
+    _pl_rows call, mirrored back to its counts. Counts outside [0, n] raise
+    ParameterError.
     """
-    k, inverse = _folded_counts(n, counts)
-    xbar = (2.0 * k - n) / n
-    t = np.stack([xbar - 1.0 / n, xbar + 1.0 / n], axis=1)
-    w = np.stack([k, n - k], axis=1).astype(np.float64)
-    rows = _pl_rows(t, w, n * xbar * xbar - 1.0)
+    k, inverse = law.fold(counts)
+    rows = _pl_rows(*law.fields(k), law.values[k])
     return PLRows(*(column[inverse] for column in rows))
 
 
@@ -244,15 +233,14 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
 def suff_stat_bounds(coupling: CouplingMatrix) -> tuple[float, float]:
     """Attainable (min, max) of x'Qx over all configurations.
 
-    Closed forms for the complete and bipartite families; exhaustive
-    enumeration otherwise (n <= 24).
+    A count law's table extremes, the bipartite closed form, and
+    exhaustive enumeration otherwise (n <= 24).
     """
-    n = coupling.n
-    if coupling.family == "complete":
-        low = -1.0 if n % 2 == 0 else (1.0 - n) / n
-        return low, float(n - 1)
+    law = count_law(coupling)
+    if law is not None:
+        return float(law.values.min()), float(law.values.max())
     if coupling.family == "bipartite":
-        return -float(n), float(n)
+        return -float(coupling.n), float(coupling.n)
     values = suff_stat_table(coupling)[0]
     return float(values[0]), float(values[-1])
 
@@ -319,14 +307,14 @@ class MLERows(NamedTuple):
     residual: np.ndarray
 
 
-def mle_counts(n: int, counts) -> MLERows:
-    """Exact complete-family MLE for each +1 count in a 1-D array ``counts``.
+def mle_counts(law: CountLaw, counts) -> MLERows:
+    """Exact MLE for each +1 count in a 1-D array ``counts`` under a count law.
 
-    Solves once per distinct min(k, n - k) on the symmetric binomial table
-    complete_log_table(n), whose entry k is x'Qx at k plus spins.
+    Solves once per distinct min(k, n - k) on the law's symmetric table,
+    whose entry k is x'Qx at k plus spins.
     """
-    folded, inverse = _folded_counts(n, counts)
-    values, log_mult = complete_log_table(n)
+    folded, inverse = law.fold(counts)
+    values, log_mult = law.values, law.log_mult
     solved = [_table_mle(float(values[j]), values, log_mult) for j in folded]
     value = np.array([r.value for r in solved], dtype=np.float64)
     exists = np.array([r.exists for r in solved], dtype=bool)
@@ -360,10 +348,10 @@ def mle_stochastic(
 
     Boundary cases skip MCMC entirely: for matrices with nonnegative
     entries the attainable maximum of x'Qx is the total entry sum, and the
-    minimum comes from a family closed form or enumeration when n <= 24.
-    When the minimum is unknown (custom matrix, large n) existence is
-    assumed as long as the pseudolikelihood-style strict bound holds and
-    ``existence_assumed`` is flagged.
+    minimum comes from suff_stat_bounds wherever it does not raise
+    CapacityError. When the minimum is unknown (custom matrix, large n)
+    existence is assumed as long as the pseudolikelihood-style strict bound
+    holds and ``existence_assumed`` is flagged.
 
     Args:
         x: SpinConfiguration or +-1 vector.
@@ -391,9 +379,10 @@ def mle_stochastic(
             value=math.inf, exists=False, method="mle_stochastic",
             iterations=0, bracket=None, diagnostics=diagnostics,
         )
-    lower = None
-    if coupling.family in ("complete", "bipartite") or coupling.n <= ENUMERATION_MAX_N:
+    try:
         lower = suff_stat_bounds(coupling)[0]
+    except CapacityError:
+        lower = None
     if lower is not None:
         diagnostics["a_n"] = lower
         if s <= lower + guard:

@@ -7,19 +7,19 @@ Three sampling routes with different validity/scale trade-offs:
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
   from its spins;
-* exact draws of the +1 count of the mean-field (complete) model, by
-  inverse CDF on the binomial table below, so the large-n critical
-  experiments never touch a matrix.
+* exact draws of the +1 count of a coupling with a count law
+  (``draw_counts``), by inverse CDF on the law's table, so the large-n
+  critical experiments never touch a matrix.
 
 Every exactly summable model is one table of attainable x'Qx values with
 log multiplicities: the 2^n enumeration for n <= 24 (``suff_stat_table``,
-built once per coupling and cached) and, for the complete family at any n,
-the binomial table over the +1 count (``complete_log_table``, cached per
-n). ``tilted_table`` turns a table into log Z, its derivative and the
-tilted pmf; ``exact_enumerate`` and the mean-field
-``cw_log_partition``/``cw_dlog_partition`` are thin callers of it, and the
-exact MLE solves on the same tables. The tables are in matrix convention;
-the mean-field nx̄²/2 convention differs from it by exactly theta/2.
+built once per coupling and cached) and, for a coupling with a count law
+at any n, the binomial table over the +1 count (``count_law``, cached per
+coupling). ``tilted_table`` turns a table into log Z, its derivative and
+the tilted pmf; ``exact_enumerate`` and the mean-field
+``cw_log_partition`` are thin callers of it, and the exact MLE solves on
+the same tables. The tables are in matrix convention; the mean-field
+nx̄²/2 convention differs from it by exactly theta/2.
 """
 from __future__ import annotations
 
@@ -148,24 +148,6 @@ def suff_stat_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     values.flags.writeable = False
     counts.flags.writeable = False
     return values, counts
-
-
-@lru_cache(maxsize=4)
-def complete_log_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x'Qx, log multiplicity) of the complete coupling, one entry per +1 count.
-
-    k plus spins give x'Qx = n xbar^2 - 1 with xbar = (2k - n)/n, in C(n, k)
-    configurations. The arrays are cached per n and read-only.
-    """
-    if n < 1 or n > CW_PARTITION_MAX_N:
-        raise CapacityError(f"n must lie in [1, {CW_PARTITION_MAX_N}]")
-    k = np.arange(n + 1, dtype=np.float64)
-    xbar = (2.0 * k - n) / n
-    values = n * xbar * xbar - 1.0
-    log_mult = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    values.flags.writeable = False
-    log_mult.flags.writeable = False
-    return values, log_mult
 
 
 def tilted_table(
@@ -317,46 +299,106 @@ def glauber_sweep_kernel(
 
 
 # ---------------------------------------------------------------------------
-# Mean-field (complete family) machinery
+# Count laws
+
+
+class CountLaw:
+    """The law of the +1 count k of the complete coupling on n spins.
+
+    Read-only ``values[k]`` is x'Qx = n xbar^2 - 1 and ``log_mult[k]`` is
+    log C(n, k), for k = 0..n; every statistic is a function of k. n outside
+    [1, CW_PARTITION_MAX_N] raises CapacityError.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 1 or n > CW_PARTITION_MAX_N:
+            raise CapacityError(f"n must lie in [1, {CW_PARTITION_MAX_N}]")
+        self.n = n
+        k = np.arange(n + 1, dtype=np.float64)
+        xbar = self.xbar(k)
+        self.values = n * xbar * xbar - 1.0
+        self.log_mult = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+        self.values.flags.writeable = False
+        self.log_mult.flags.writeable = False
+
+    def xbar(self, counts: np.ndarray) -> np.ndarray:
+        """The mean spin (2k - n)/n of each count."""
+        return (2.0 * counts - self.n) / self.n
+
+    def fold(self, counts) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct min(k, n - k) of ``counts`` in [0, n], and each one's index."""
+        k = np.asarray(counts, dtype=np.int64)
+        if k.size and (k.min() < 0 or k.max() > self.n):
+            raise ParameterError("counts must lie in [0, n]")
+        return np.unique(np.minimum(k, self.n - k), return_inverse=True)
+
+    def fields(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each count's field values xbar -+ 1/n and multiplicities (k, n - k)."""
+        xbar = self.xbar(counts)
+        t = np.stack([xbar - 1.0 / self.n, xbar + 1.0 / self.n], axis=1)
+        return t, np.stack([counts, self.n - counts], axis=1).astype(np.float64)
+
+    def atoms(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """The counts with positive mass at ``theta``, and their masses."""
+        pmf = tilted_table(self.values, self.log_mult, theta)[2]
+        counts = np.flatnonzero(pmf)
+        return counts, pmf[counts]
+
+
+def count_law(coupling: CouplingMatrix) -> CountLaw | None:
+    """The +1-count law of ``coupling``, cached per coupling, or None.
+
+    Only the complete coupling, a single class of weight 1/n, has one.
+    """
+    sizes, weights = coupling.sizes, coupling.weights
+    if sizes is None or sizes.size != 1 or weights[0, 0] != 1.0 / coupling.n:
+        return None
+    return _coupling_law(coupling)
+
+
+@lru_cache(maxsize=4)
+def _coupling_law(coupling: CouplingMatrix) -> CountLaw:
+    return CountLaw(coupling.n)
+
+
+@lru_cache(maxsize=4)
+def _complete_law(n: int) -> CountLaw:
+    return CountLaw(n)
 
 
 def cw_log_partition(n: int, theta: float) -> float:
-    """log sum_x exp(n*theta*xbar^2/2), from the complete family's table.
+    """log sum_x exp(n*theta*xbar^2/2), from the complete count law of n.
 
     This is the nx̄²/2 convention: the table's matrix-convention log Z plus
     theta/2.
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
-    return tilted_table(*complete_log_table(n), theta)[0] + 0.5 * theta
+    law = _complete_law(n)
+    return tilted_table(law.values, law.log_mult, theta)[0] + 0.5 * theta
 
 
-def cw_dlog_partition(n: int, theta: float) -> float:
-    """d/dtheta of cw_log_partition: the tilted mean of n*xbar^2/2."""
-    return tilted_table(*complete_log_table(n), theta)[1] + 0.5
-
-
-def cw_aux_counts(
-    n: int, theta: float, master_seed: int, reps: int
+def draw_counts(
+    law: CountLaw, theta: float, master_seed: int, reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """+1 counts and tie-break uniforms of ``reps`` complete-family draws.
+    """+1 counts and tie-break uniforms of ``reps`` draws from a count law.
 
-    The count law is exact: the pmf of tilted_table(*complete_log_table(n),
-    theta). Replication r draws two uniforms from substream(master_seed, r),
-    the first mapped to its count by inverse CDF and the second kept for the
-    randomized tests' tie-break. Every complete-family statistic is a
-    function of the count, so no spin vector is ever drawn.
+    The count law is exact: the pmf of the law's table at ``theta``.
+    Replication r draws two uniforms from substream(master_seed, r), the
+    first mapped to its count by inverse CDF and the second kept for the
+    randomized tests' tie-break. Every statistic is a function of the
+    count, so no spin vector is ever drawn.
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
     if reps < 0:
         raise ParameterError("reps must be nonnegative")
-    cdf = np.cumsum(tilted_table(*complete_log_table(n), theta)[2])
+    cdf = np.cumsum(tilted_table(law.values, law.log_mult, theta)[2])
     draws = np.empty((reps, 2))
     for r in range(reps):
         draws[r] = substream(master_seed, r).random(2)
     # a uniform past the rounded total mass lands on the last count
-    counts = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), n)
+    counts = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), law.n)
     return counts, draws[:, 1].copy()
 
 

@@ -16,10 +16,11 @@ from ising_infer import (
     asymptotic_power,
     build_coupling,
     calibrate,
+    count_law,
     critical_law,
-    cw_aux_counts,
     cw_log_partition,
     derive_seed,
+    draw_counts,
     empirical_power,
     exact_enumerate,
     glauber_series,
@@ -33,11 +34,7 @@ from ising_infer import (
     spontaneous_magnetization,
     suff_stat_table,
 )
-from ising_infer.sampler import (
-    complete_log_table,
-    enumerate_state_distribution,
-    tilted_table,
-)
+from ising_infer.sampler import enumerate_state_distribution, tilted_table
 
 ACCEPT_SEED = 20260815  # committed up front; every stream derives from it
 
@@ -110,7 +107,8 @@ def test_normalizer_expansion_converges():
 
 def test_critical_magnetization_matches_quartic_law():
     n, reps = 10_000, 2000
-    counts, _ = cw_aux_counts(n, 1.0, derive_seed(ACCEPT_SEED, 401), reps)
+    law = count_law(build_coupling("complete", n))
+    counts, _ = draw_counts(law, 1.0, derive_seed(ACCEPT_SEED, 401), reps)
     stats = np.sort(n**0.25 * (2.0 * counts - n) / n)
     cdf = critical_law(0.0).cdf_at(stats)
     grid = np.arange(1, reps + 1) / reps
@@ -123,8 +121,9 @@ def test_critical_magnetization_matches_quartic_law():
 
 def test_low_temperature_mple_is_gaussian():
     n, reps, theta0 = 1600, 400, 1.5
-    counts, _ = cw_aux_counts(n, theta0, derive_seed(ACCEPT_SEED, 501), reps)
-    estimates = mple_counts(n, counts)
+    law = count_law(build_coupling("complete", n))
+    counts, _ = draw_counts(law, theta0, derive_seed(ACCEPT_SEED, 501), reps)
+    estimates = mple_counts(law, counts)
     assert estimates.exists.all()
     scaled = math.sqrt(n) * (estimates.value - theta0)
     sd = 1.0 / math.sqrt(information_rate(theta0))
@@ -139,9 +138,10 @@ def test_critical_mple_quartiles_match_limit():
     # the finite-n law is exact: the +1-count pmf at theta = 1, each count
     # mapped through the count-collapsed MPLE
     n = 10_000
-    _, _, pmf = tilted_table(*complete_log_table(n), 1.0)
+    law = count_law(build_coupling("complete", n))
+    _, _, pmf = tilted_table(law.values, law.log_mult, 1.0)
     counts = np.flatnonzero(pmf > 0.0)
-    scaled = math.sqrt(n) * (mple_counts(n, counts).value - 1.0)
+    scaled = math.sqrt(n) * (mple_counts(law, counts).value - 1.0)
     order = np.argsort(scaled, kind="stable")
     cdf = np.cumsum(pmf[counts][order])
     limit = sample_mple_limit(

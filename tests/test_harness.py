@@ -256,7 +256,8 @@ def test_complete_estimator_law_solves_each_fold_once(monkeypatch):
     result = run_experiment(cfg)
     assert len(result.records) == 80
     for n in cfg.n:
-        counts, _ = sampler.cw_aux_counts(n, 1.5, 31, 40)
+        law = sampler.count_law(build_coupling("complete", n))
+        counts, _ = sampler.draw_counts(law, 1.5, 31, 40)
         folds = np.unique(np.minimum(counts, n - counts)).size
         assert folds < 40
         assert solves.count(n) == folds, n
@@ -426,7 +427,7 @@ def _assert_records_match_per_kind_calls(cfg, result):
 
 
 def test_power_curve_draws_once_per_h_on_complete(monkeypatch):
-    draws = _counting(monkeypatch, htests, "cw_aux_counts")
+    draws = _counting(monkeypatch, htests, "draw_counts")
     cfg = ExperimentConfig(
         experiment="power_curve", n=(100, 400), theta0=1.5, h=(0.0, 1.0, 2.0),
         reps=500, master_seed=3,

@@ -20,8 +20,8 @@ from ising_infer import (
 from ising_infer import htests, theory
 from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _count_statistics, _statistics_and_tie_breaks
-from ising_infer.sampler import complete_log_table, tilted_table
-from ising_infer import cw_aux_counts, derive_seed, glauber_sample, substream
+from ising_infer.sampler import CountLaw, tilted_table
+from ising_infer import count_law, derive_seed, draw_counts, glauber_sample, substream
 
 
 def test_statistic_values():
@@ -85,7 +85,8 @@ def test_exact_calibration_has_level_alpha():
     alpha = 0.05
     for n, theta0 in ((400, 1.5), (2500, 1.0)):
         cpl = build_coupling("complete", n)
-        pmf = tilted_table(*complete_log_table(n), theta0)[2]
+        law = count_law(cpl)
+        pmf = tilted_table(law.values, law.log_mult, theta0)[2]
         k = np.arange(n + 1)
         regions, gammas = set(), []
         for kind in ("ms", "np", "pl"):
@@ -149,7 +150,7 @@ def test_statistic_batch_ignores_tie_break_draws():
     # are those of the sample streams alone
     n, reps = 50, 40
     cpl = build_coupling("complete", n)
-    counts, uniforms = cw_aux_counts(n, 1.2, 8, reps)
+    counts, uniforms = draw_counts(count_law(cpl), 1.2, 8, reps)
     assert np.all((0.0 <= uniforms) & (uniforms < 1.0))
     xbar = (2.0 * counts - n) / n
     batch, batch_uniforms = _statistics_and_tie_breaks(cpl, 1.2, 8, reps)
@@ -374,12 +375,12 @@ def test_pl_count_statistics_are_mirrored():
     # pl is solved once per min(k, n - k), and each count gets exactly the
     # one-count estimate, -inf where it does not exist
     for n in (1, 2, 3, 50, 51, 400):
-        k = np.arange(n + 1)
-        stats = _count_statistics("pl", n, k)
+        k, law = np.arange(n + 1), CountLaw(n)
+        stats = _count_statistics("pl", law, k)
         assert np.array_equal(stats, stats[::-1])
         want = [
             e.value[0] if e.exists[0] else -math.inf
-            for e in (mple_counts(n, [j]) for j in k)
+            for e in (mple_counts(law, [j]) for j in k)
         ]
         assert np.array_equal(stats, want), n
 
@@ -464,12 +465,11 @@ def test_count_statistics_are_solved_once_per_n(monkeypatch):
     solves = []
     solve = htests.mple_counts
 
-    def counted(n, counts):
-        solves.append((n, np.asarray(counts).tolist()))
-        return solve(n, counts)
+    def counted(law, counts):
+        solves.append((law.n, np.asarray(counts).tolist()))
+        return solve(law, counts)
 
     monkeypatch.setattr(htests, "mple_counts", counted)
-    htests._count_statistic_table.cache_clear()
     n = 300
     cpl = build_coupling("complete", n)
     for kind in ("ms", "np", "pl"):

@@ -12,6 +12,7 @@ from ising_infer import (
     ParameterError,
     SpinConfiguration,
     build_coupling,
+    count_law,
     derive_seed,
     glauber_sample,
     mle_counts,
@@ -22,7 +23,11 @@ from ising_infer import (
     suff_stat_bounds,
     substream,
 )
-from ising_infer.sampler import enumerate_state_distribution, enumerate_suff_stats
+from ising_infer.sampler import (
+    CountLaw,
+    enumerate_state_distribution,
+    enumerate_suff_stats,
+)
 
 
 def _spins_from_code(code: int, n: int) -> np.ndarray:
@@ -100,7 +105,7 @@ def _check_counts_against_spins(estimate_counts, estimate_spins, tol):
     for n in range(2, 25):
         cpl = build_coupling("complete", n)
         counts = np.arange(n + 1)
-        res = estimate_counts(n, counts)
+        res = estimate_counts(count_law(cpl), counts)
         for k in counts:
             spins = np.concatenate([np.ones(k), -np.ones(n - k)]).astype(np.int8)
             full = estimate_spins(spins, cpl)
@@ -121,14 +126,14 @@ def test_mle_large_n_route_matches_enumeration():
 
 def test_count_estimates_balanced_even_n_and_range():
     # k = n/2 gives s = -1 = -sum|t|: the root diverges to -infinity
-    res = mple_counts(50, [25])
+    res = mple_counts(CountLaw(50), [25])
     assert not res.exists[0]
     assert res.value[0] == -math.inf
     for counts in ([11], [-1], [0, 3, 11]):
         with pytest.raises(ParameterError):
-            mple_counts(10, counts)
+            mple_counts(CountLaw(10), counts)
         with pytest.raises(ParameterError):
-            mle_counts(10, counts)
+            mle_counts(CountLaw(10), counts)
 
 
 def _digest(results) -> str:
@@ -149,7 +154,7 @@ def test_pl_core_reproduces_the_scalar_root_finder():
     # batched core replaced, so a one-row call must iterate exactly as it did
     h = hashlib.sha256()
     for n in (1, 2, 3, 50, 51, 1600):
-        for column in mple_counts(n, np.arange(n + 1)):
+        for column in mple_counts(CountLaw(n), np.arange(n + 1)):
             h.update(np.ascontiguousarray(column).tobytes())
     assert h.hexdigest() == (
         "cd5edc9d0012e0121dd321989df8ff93e3b405e12dc6d0beb7ac73841b802ed4"
@@ -175,9 +180,10 @@ def test_pl_core_reproduces_the_scalar_root_finder():
 def test_pl_core_rows_iterate_independently():
     # one call over every count gives each row what a one-row call gives it
     for n in (1, 2, 3, 50, 51, 1600):
-        rows = mple_counts(n, np.arange(n + 1))
+        law = CountLaw(n)
+        rows = mple_counts(law, np.arange(n + 1))
         for k in range(n + 1):
-            one = mple_counts(n, [k])
+            one = mple_counts(law, [k])
             for column, alone in zip(rows, one):
                 assert column[k] == alone[0] or (
                     np.isnan(column[k]) and np.isnan(alone[0])
@@ -191,6 +197,15 @@ def test_suff_stat_bounds_closed_forms():
     cpl = build_coupling("qpartite", 12, q=3)
     stats = enumerate_suff_stats(cpl)
     assert suff_stat_bounds(cpl) == (float(stats.min()), float(stats.max()))
+
+
+def test_suff_stat_bounds_are_the_count_law_extremes():
+    # one source for the extremes: the closed form (1 - n)/n once rounded
+    # one ulp away from the table's n xbar^2 - 1 at odd n such as 3 and 7
+    for n in range(2, 65):
+        cpl = build_coupling("complete", n)
+        values = count_law(cpl).values
+        assert suff_stat_bounds(cpl) == (float(values.min()), float(values.max())), n
 
 
 def test_mle_exact_recovers_parameter():
@@ -226,7 +241,7 @@ def test_mle_exact_boundaries():
 def test_mle_large_n_residual_is_checked():
     n = 1600
     counts = np.arange(0, n + 1, 40)
-    res = mle_counts(n, counts)
+    res = mle_counts(CountLaw(n), counts)
     for k, exists, residual in zip(counts, res.exists, res.residual):
         # x'Qx sits on an attainable extreme at k = 0, n/2 and n
         assert exists == (k not in (0, n // 2, n)), k
@@ -237,7 +252,7 @@ def test_mle_large_n_residual_is_checked():
 
 
 def test_mle_large_n_negative_root():
-    res = mle_counts(16, [9])
+    res = mle_counts(CountLaw(16), [9])
     assert res.exists[0]
     assert res.value[0] < 0.0
 

@@ -60,3 +60,37 @@ def test_only_local_fields_forms_qx():
                 )
     assert len(home) == 1, home
     assert not offenders, offenders
+
+
+def _complete_family_tests(path: Path) -> list:
+    """Names of the functions holding a comparison of ``.family`` with "complete"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            family = any(
+                isinstance(side, ast.Attribute) and side.attr == "family"
+                for side in sides
+            )
+            complete = any(
+                isinstance(leaf, ast.Constant) and leaf.value == "complete"
+                for side in sides
+                for leaf in ast.walk(side)
+            )
+            if family and complete:
+                found.append(fn.name)
+    return found
+
+
+def test_count_law_decides_the_exact_path():
+    # the exact +1-count path is chosen by count_law(coupling), not by the
+    # family name; only the mean-field normalizer check still names it
+    package = Path(ising_infer.__file__).parent
+    assert _complete_family_tests(package / "htests.py") == []
+    assert _complete_family_tests(package / "inference.py") == []
+    assert _complete_family_tests(package / "harness.py") == ["_run_normalizer_check"]

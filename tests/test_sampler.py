@@ -12,12 +12,13 @@ from ising_infer import (
     ParameterError,
     SpinConfiguration,
     TestSpec,
+    CouplingMatrix,
     build_coupling,
     centered_quadratic_forms,
-    cw_aux_counts,
-    cw_dlog_partition,
+    count_law,
     cw_log_partition,
     derive_seed,
+    draw_counts,
     exact_enumerate,
     glauber_sample,
     glauber_series,
@@ -36,7 +37,7 @@ from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import KINDS
 from ising_infer.sampler import (
     CW_PARTITION_MAX_N,
-    complete_log_table,
+    CountLaw,
     decode_spins,
     default_burn_in,
     encode_spins,
@@ -283,12 +284,15 @@ def test_cw_partition_against_enumeration():
 
 
 def test_cw_dlog_matches_finite_difference():
-    eps = 1e-6
+    # the count law's tilted mean of x'Qx/2 is dlog Z/dtheta, which the
+    # exact MLE solves on; n xbar^2 / 2 = x'Qx / 2 + 1/2
+    eps, law = 1e-6, count_law(build_coupling("complete", 500))
     for theta in (0.8, 1.5):
         fd = (
             cw_log_partition(500, theta + eps) - cw_log_partition(500, theta - eps)
         ) / (2.0 * eps)
-        assert abs(cw_dlog_partition(500, theta) - fd) < 1e-5
+        dlog_z = tilted_table(law.values, law.log_mult, theta)[1]
+        assert abs(dlog_z + 0.5 - fd) < 1e-5
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.5])
@@ -302,8 +306,58 @@ def test_complete_count_pmf_matches_enumeration(theta):
         w = np.exp(logw - logw.max())
         plus = ((x + 1.0) / 2.0).sum(axis=1).astype(np.int64)
         want = np.bincount(plus, weights=w, minlength=n + 1) / w.sum()
-        got = tilted_table(*complete_log_table(n), theta)[2]
+        law = count_law(cpl)
+        got = tilted_table(law.values, law.log_mult, theta)[2]
         assert np.max(np.abs(got - want)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.7])
+def test_count_law_matches_enumeration(theta):
+    # the law's tilted table, summed by x'Qx value, is the 2^n state law of
+    # the sufficient statistic, with the same log Z
+    for n in range(2, 17):
+        cpl = build_coupling("complete", n)
+        law = count_law(cpl)
+        log_z, _, pmf = tilted_table(law.values, law.log_mult, theta)
+        exact = exact_enumerate(cpl, theta)
+        assert abs(log_z - exact.log_z) <= 1e-12, n
+        grouped = {}
+        for value, mass in zip(np.round(law.values, 10), pmf):
+            grouped[value] = grouped.get(value, 0.0) + float(mass)
+        assert grouped.keys() == exact.suff_stat_pmf.keys(), n
+        for value, mass in grouped.items():
+            assert abs(mass - exact.suff_stat_pmf[value]) <= 1e-12, (n, value)
+
+
+def test_count_law_fields_are_the_local_fields():
+    # each count's two field values, repeated by their multiplicities, are
+    # the local fields of a configuration with that many plus spins
+    for n in (2, 3, 8, 17):
+        cpl = build_coupling("complete", n)
+        law = count_law(cpl)
+        counts = np.arange(n + 1)
+        t, w = law.fields(counts)
+        for k in counts:
+            spins = np.where(np.arange(n) < k, 1, -1).astype(np.int8)
+            want = np.sort(cpl.local_fields(spins))
+            got = np.sort(np.repeat(t[k], w[k].astype(np.int64)))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (n, k)
+        assert np.array_equal(law.xbar(counts), (2.0 * counts - n) / n)
+
+
+def test_count_law_only_for_the_complete_coupling():
+    assert isinstance(count_law(build_coupling("complete", 12)), CountLaw)
+    others = [
+        build_coupling("bipartite", 12),
+        build_coupling("qpartite", 12, q=3),
+        build_coupling("cyclic_qpartite", 12, q=3),
+        build_coupling("random_regular", 12, d=4, seed=1),
+        CouplingMatrix(3, np.full((3, 3), 0.5) - np.diag(np.full(3, 0.5))),
+        # one class whose weight is not 1/n is not the complete coupling
+        CouplingMatrix(4, family="custom", sizes=[4], weights=[[0.5]]),
+    ]
+    for cpl in others:
+        assert count_law(cpl) is None, cpl.family
 
 
 def _chi_square_pvalue(counts, pmf) -> float:
@@ -320,11 +374,12 @@ def _chi_square_pvalue(counts, pmf) -> float:
 
 def test_cw_aux_counts_match_the_count_pmf():
     n, reps = 30, 20_000
-    counts, _ = cw_aux_counts(n, 1.2, 6006, reps)
-    pmf = tilted_table(*complete_log_table(n), 1.2)[2]
+    law = count_law(build_coupling("complete", n))
+    counts, _ = draw_counts(law, 1.2, 6006, reps)
+    pmf = tilted_table(law.values, law.log_mult, 1.2)[2]
     assert _chi_square_pvalue(counts, pmf) > 1e-3
     # theta = 0 is the free model: each count is Binomial(n, 1/2)
-    counts, _ = cw_aux_counts(n, 0.0, 6007, reps)
+    counts, _ = draw_counts(law, 0.0, 6007, reps)
     assert _chi_square_pvalue(counts, binom.pmf(np.arange(n + 1), n, 0.5)) > 1e-3
 
 
@@ -332,8 +387,9 @@ def test_cw_aux_counts_substream_alignment():
     # replication r draws from substream(seed, r): the count's uniform,
     # mapped by inverse CDF on the count pmf, then the tie-break uniform
     n, theta, seed, reps = 40, 1.4, 123, 6
-    counts, uniforms = cw_aux_counts(n, theta, seed, reps)
-    cdf = np.cumsum(tilted_table(*complete_log_table(n), theta)[2])
+    law = count_law(build_coupling("complete", n))
+    counts, uniforms = draw_counts(law, theta, seed, reps)
+    cdf = np.cumsum(tilted_table(law.values, law.log_mult, theta)[2])
     for r in range(reps):
         rng = substream(seed, r)
         assert counts[r] == min(np.searchsorted(cdf, rng.random(), side="right"), n)
@@ -342,14 +398,15 @@ def test_cw_aux_counts_substream_alignment():
 
 
 def test_cw_aux_counts_input_checks():
+    law = count_law(build_coupling("complete", 10))
     with pytest.raises(ParameterError):
-        cw_aux_counts(10, -0.1, 1, 5)
+        draw_counts(law, -0.1, 1, 5)
     with pytest.raises(ParameterError):
-        cw_aux_counts(10, 1.0, 1, -1)
+        draw_counts(law, 1.0, 1, -1)
     for n in (0, CW_PARTITION_MAX_N + 1):
         with pytest.raises(CapacityError):
-            cw_aux_counts(n, 1.0, 1, 5)
-    counts, uniforms = cw_aux_counts(10, 1.0, 1, 0)
+            CountLaw(n)
+    counts, uniforms = draw_counts(law, 1.0, 1, 0)
     assert counts.shape == uniforms.shape == (0,)
 
 
