@@ -5,12 +5,12 @@ to one of five experiment pipelines, and emitted with a metadata header
 carrying the package version and a hash of the effective config. Outputs
 are deterministic given the master seed: replication r always uses the
 derived stream hash(master_seed, r), so serial and worker-pool runs agree
-and records can be aggregated in any order. Where an experiment also runs
-limit-law Monte Carlo (the critical estimator-law quartiles), its stream
-takes index 2^32, disjoint from every replication stream. A power curve
+and records can be aggregated in any order. A power curve
 draws one sample set per (n, h), plus one null set per n for Glauber
 calibration, and computes ms, np and pl from each; its asymptotic power
-is limit_power, exact and drawn from no stream.
+is limit_power, exact and drawn from no stream. Every critical limit-law
+number (the estimator-law quartiles, limit_law_density) comes from the
+quadrature of theory.mple_limit_sf and draws nothing.
 """
 from __future__ import annotations
 
@@ -49,7 +49,14 @@ from .inference import mle_counts, mle_exact, mple, mple_counts
 from .sampler import ENUMERATION_MAX_N, count_law, cw_log_partition, draw_counts
 from .sampler import glauber_sample
 from .streams import derive_seed
-from .theory import delta_log_partition, information_rate, sample_mple_limit
+from .theory import (
+    H_MAX,
+    delta_log_partition,
+    information_rate,
+    mle_critical_cdf,
+    mple_limit_quantile,
+    mple_limit_sf,
+)
 
 EXPERIMENTS = (
     "estimator_law",
@@ -59,9 +66,6 @@ EXPERIMENTS = (
     "spectrum_report",
 )
 WORKERS_ENV = "ISING_INFER_WORKERS"
-# stream index 2^32 seeds limit-law Monte Carlo next to replications, so it
-# never meets a replication stream of the same master
-ASYMPTOTIC_STREAMS = 1 << 32
 FLOAT_FMT = "%.17g"
 
 # keys accepted in config files, with parsers
@@ -81,7 +85,7 @@ _EXPERIMENT_DEFAULTS = {
         "reps": 2000,
         "h": (0.0, 0.5, 1.0, 2.0, 4.0),
     },
-    "limit_law_density": {"n": (10000,), "theta0": 1.0, "reps": 2000, "h": (0.0,)},
+    "limit_law_density": {"n": (10000,), "theta0": 1.0, "reps": 1, "h": (0.0,)},
     "normalizer_check": {
         "n": (1000, 10000, 100000, 1000000),
         "theta0": 1.5,
@@ -130,6 +134,10 @@ class ExperimentConfig:
             raise ConfigError("n: all grid entries must be positive")
         if any(v < 0 for v in self.h):
             raise ConfigError("h: grid entries must be nonnegative")
+        # at theta0 = 1 these read critical_law(h), which caps h at H_MAX
+        critical = ("power_curve", "limit_law_density", "normalizer_check")
+        if self.theta0 == 1.0 and self.experiment in critical and max(self.h) > H_MAX:
+            raise ConfigError(f"h: the critical limit law caps h at {H_MAX}")
         if self.format not in ("csv", "json"):
             raise ConfigError("format: must be csv or json")
         if self.calibration not in CALIBRATIONS:
@@ -353,15 +361,10 @@ def _estimator_summary(config: ExperimentConfig, records, limits) -> dict:
         if config.theta0 > 1.0:
             block["theory_sd"] = 1.0 / math.sqrt(information_rate(config.theta0))
         elif config.theta0 == 1.0:
-            draws = sample_mple_limit(
-                0.0,
-                limits[n].limit_eigs,
-                limits[n].kappa,
-                200_000,
-                derive_seed(config.master_seed, ASYMPTOTIC_STREAMS),
-            )
+            lim = limits[n]
             block["theory_quartiles"] = [
-                float(np.quantile(draws, p)) for p in (0.25, 0.5, 0.75)
+                mple_limit_quantile(p, 0.0, lim.limit_eigs, lim.kappa)
+                for p in (0.25, 0.5, 0.75)
             ]
             block["scaled_quartiles"] = (
                 [float(np.quantile(scaled, p)) for p in (0.25, 0.5, 0.75)]
@@ -478,14 +481,10 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, _POWER_COLUMNS, records, summary)
 
 
-_DENSITY_COLUMNS = ("index", "value", "mple_limit_kde", "mle_limit_cdf")
+_DENSITY_COLUMNS = ("index", "value", "mple_limit_density", "mle_limit_cdf")
 
 
 def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
-    from scipy.stats import gaussian_kde
-
-    from .theory import H_MAX, mle_critical_cdf
-
     if config.theta0 != 1.0:
         raise ConfigError("theta0: limit_law_density is a critical-point experiment")
     kwargs = {} if config.q is None else {"q": config.q}
@@ -498,35 +497,28 @@ def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
     except ParameterError as exc:
         raise ConfigError(f"family: {exc}") from exc
     h = config.h[0]
-    draws = sample_mple_limit(
-        h,
-        limit.limit_eigs,
-        limit.kappa,
-        max(config.reps, 2000),
-        derive_seed(config.master_seed, 0),
-    )
-    # the ratio law has no mean; clamp the display window to the cdf domain
-    # and fit the kde inside it, rescaled to the retained mass
-    lo, hi = np.quantile(draws, [0.005, 0.995])
-    lo, hi = max(float(lo), -H_MAX), min(float(hi), H_MAX)
-    inside = draws[(draws >= lo) & (draws <= hi)]
-    kde = gaussian_kde(inside)
-    grid = np.linspace(lo, hi, 257)
-    dens = (inside.size / draws.size) * kde(grid)
+
+    def quantile(p):
+        return mple_limit_quantile(p, h, limit.limit_eigs, limit.kappa)
+
+    # the ratio law has no mean; clamp the display window to the cdf domain.
+    # Each cell's density is its exact mass over its width: the quadrature
+    # sf is accurate in value but not in slope (the chi-square cusp of D)
+    lo, hi = max(quantile(0.005), -H_MAX), min(quantile(0.995), H_MAX)
+    edges = np.linspace(lo, hi, 258)  # 257 cells
+    sf = np.array([mple_limit_sf(v, h, limit.limit_eigs, limit.kappa) for v in edges])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    dens = -np.diff(sf) / np.diff(edges)
     records = [
         {
             "index": i,
-            "value": float(grid[i]),
-            "mple_limit_kde": float(dens[i]),
-            "mle_limit_cdf": mle_critical_cdf(float(grid[i])),
+            "value": float(mids[i]),
+            "mple_limit_density": float(dens[i]),
+            "mle_limit_cdf": mle_critical_cdf(float(mids[i])),
         }
-        for i in range(grid.size)
+        for i in range(mids.size)
     ]
-    summary = {
-        "h": h,
-        "draws": int(draws.size),
-        "mple_quartiles": [float(np.quantile(draws, p)) for p in (0.25, 0.5, 0.75)],
-    }
+    summary = {"h": h, "mple_quartiles": [quantile(p) for p in (0.25, 0.5, 0.75)]}
     return ExperimentResult(config, _DENSITY_COLUMNS, records, summary)
 
 

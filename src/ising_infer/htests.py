@@ -309,7 +309,7 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
             critical += quadratic_limit_mean(1.0, lim.limit_eigs, lim.kappa)
     else:
         lim = family_limit(coupling)
-        v0 = mple_limit_quantile(1.0 - alpha, lim.limit_eigs, lim.kappa)
+        v0 = mple_limit_quantile(1.0 - alpha, 0.0, lim.limit_eigs, lim.kappa)
         critical = 1.0 + v0 / math.sqrt(n)
     return Calibration(critical, None, "theory", spec)
 
@@ -429,7 +429,7 @@ def limit_power(
         return float(2.0 * (1.0 - critical_law(h).cdf_at(u_cut)))
     if limit_eigs is None or kappa is None:
         raise ParameterError("critical pl power needs limit_eigs and kappa")
-    cut = mple_limit_quantile(1.0 - alpha, limit_eigs, kappa)
+    cut = mple_limit_quantile(1.0 - alpha, 0.0, limit_eigs, kappa)
     return mple_limit_sf(cut, h, limit_eigs, kappa)
 
 
@@ -455,7 +455,7 @@ def asymptotic_power(
     exact = limit_power(kind, theta0, h, alpha, limit_eigs=limit_eigs, kappa=kappa)
     if kind != "pl" or theta0 != 1.0:
         return exact, 0.0
-    cut = mple_limit_quantile(1.0 - alpha, limit_eigs, kappa)
+    cut = mple_limit_quantile(1.0 - alpha, 0.0, limit_eigs, kappa)
     draws = sample_mple_limit(h, limit_eigs, kappa, reps, derive_seed(seed, 0))
     power = float(np.mean(draws > cut))
     stderr = math.sqrt(max(power * (1.0 - power), 0.0) / reps)

@@ -15,7 +15,7 @@ Every exactly summable model is one table of attainable x'Qx values with
 log multiplicities: the 2^n enumeration for n <= 24 (``suff_stat_table``,
 built once per coupling and cached) and, for a coupling with a count law
 at any n, the binomial table over the +1 count (``count_law``, cached per
-coupling). ``tilted_table`` turns a table into log Z, its derivative and
+n). ``tilted_table`` turns a table into log Z, its derivative and
 the tilted pmf; ``exact_enumerate`` and the mean-field
 ``cw_log_partition`` are thin callers of it, and the exact MLE solves on
 the same tables. The tables are in matrix convention; the mean-field
@@ -346,19 +346,14 @@ class CountLaw:
 
 
 def count_law(coupling: CouplingMatrix) -> CountLaw | None:
-    """The +1-count law of ``coupling``, cached per coupling, or None.
+    """The +1-count law of ``coupling``, cached per n, or None.
 
     Only the complete coupling, a single class of weight 1/n, has one.
     """
     sizes, weights = coupling.sizes, coupling.weights
     if sizes is None or sizes.size != 1 or weights[0, 0] != 1.0 / coupling.n:
         return None
-    return _coupling_law(coupling)
-
-
-@lru_cache(maxsize=4)
-def _coupling_law(coupling: CouplingMatrix) -> CountLaw:
-    return CountLaw(coupling.n)
+    return _complete_law(coupling.n)
 
 
 @lru_cache(maxsize=4)

@@ -8,10 +8,12 @@ linear) inverse interpolation. Quantiles of finite samples use the
 ceil(p*N) order statistic, matching the left-continuous convention
 Psi(p) = inf{t : F(t) >= p}.
 
-The critical MPLE limit law has two routes. sample_mple_limit draws it
-(the Monte Carlo oracle, and the estimator-law quartiles);
-mple_limit_sf and mple_limit_quantile compute it by quadrature, which is
-what power curves and asymptotic pl calibration use.
+The critical MPLE limit law has two routes. mple_limit_sf and
+mple_limit_quantile compute it by quadrature, and every experiment reads
+that route: power curves, asymptotic pl calibration, the estimator-law
+quartiles and limit_law_density. sample_mple_limit draws it; it is the
+Monte Carlo oracle the quadrature is tested against and the source of the
+``limits`` verb's draws, and no experiment reads it.
 """
 from __future__ import annotations
 
@@ -414,21 +416,21 @@ def mple_limit_sf(v: float, h: float, limit_eigs, kappa: float) -> float:
     return float(np.trapezoid(integrand, law.u) / np.trapezoid(law.pdf, law.u))
 
 
-def mple_limit_quantile(p: float, limit_eigs, kappa: float) -> float:
-    """The level-p quantile of the critical MPLE null limit V_0.
+def mple_limit_quantile(p: float, h: float, limit_eigs, kappa: float) -> float:
+    """The level-p quantile of the critical MPLE limit V_h.
 
-    A brentq root of 1 - p - mple_limit_sf(., 0), cached per
-    (p, limit_eigs, kappa).
+    A brentq root of 1 - p - mple_limit_sf(., h), cached per
+    (p, h, limit_eigs, kappa).
     """
     if not 0.0 < p < 1.0:
         raise ParameterError("quantile levels must lie strictly in (0, 1)")
-    return _limit_quantile(float(p), *_limit_key(limit_eigs, kappa))
+    return _limit_quantile(float(p), float(h), *_limit_key(limit_eigs, kappa))
 
 
 @lru_cache(maxsize=64)
-def _limit_quantile(p: float, limit_eigs: tuple, kappa: float) -> float:
+def _limit_quantile(p: float, h: float, limit_eigs: tuple, kappa: float) -> float:
     def excess(v):
-        return mple_limit_sf(v, 0.0, limit_eigs, kappa) - (1.0 - p)
+        return mple_limit_sf(v, h, limit_eigs, kappa) - (1.0 - p)
 
     lo, hi = -1.0, 1.0
     for _ in range(64):

@@ -7,6 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from ising_infer import (
     ConfigError,
@@ -24,7 +25,12 @@ from ising_infer import (
 )
 from ising_infer import harness, htests, inference, sampler, theory
 from ising_infer.cli import main
-from ising_infer.coupling import build_coupling, centered_quadratic_forms, save_matrix
+from ising_infer.coupling import (
+    build_coupling,
+    centered_quadratic_forms,
+    limiting_spectrum,
+    save_matrix,
+)
 from ising_infer.htests import (
     TestSpec,
     calibrate,
@@ -140,6 +146,21 @@ def test_parse_config_bad_value_names_key():
 def test_config_validation(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "experiment", ["power_curve", "limit_law_density", "normalizer_check"]
+)
+def test_critical_h_above_the_cap_fails_in_the_config(experiment):
+    # these read critical_law(h) at theta0 = 1, which caps h; the config
+    # refuses a larger h before any draw or calibration
+    with pytest.raises(ConfigError, match=r"^h: "):
+        ExperimentConfig(
+            experiment=experiment, family="bipartite", n=(8,), theta0=1.0,
+            h=(0.0, 60.0),
+        )
+    ExperimentConfig(experiment=experiment, theta0=1.0, h=(0.0, theory.H_MAX))
+    ExperimentConfig(experiment=experiment, theta0=1.5, h=(0.0, 60.0))
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -269,9 +290,8 @@ def test_critical_estimator_summary_reads_the_family_limit():
         reps=3, master_seed=5,
     )
     block = run_experiment(cfg).summary["n=8"]
-    draws = sample_mple_limit(0, (1, -1), 0, 200_000, derive_seed(5, 2**32))
     assert block["theory_quartiles"] == [
-        float(np.quantile(draws, p)) for p in (0.25, 0.5, 0.75)
+        theory.mple_limit_quantile(p, 0.0, (1, -1), 0.0) for p in (0.25, 0.5, 0.75)
     ]
     assert len(block["scaled_quartiles"]) in (0, 3)
 
@@ -471,15 +491,20 @@ def test_power_curve_hands_out_no_seed_twice(monkeypatch):
     assert len(set(seeds)) == len(seeds)
 
 
+def _counting_limit_draws(monkeypatch):
+    """Call counters on every route into the limit-law Monte Carlo."""
+    return [
+        _counting(monkeypatch, theory, "sample_mple_limit"),
+        _counting(monkeypatch, htests, "sample_mple_limit"),
+        _counting(monkeypatch, theory, "sample_quadratic_limits"),
+    ]
+
+
 @pytest.mark.parametrize("calibration", ["monte_carlo", "asymptotic"])
 def test_critical_power_curve_draws_no_limit_law(monkeypatch, calibration):
     # the asymptotic column and the pl cutoff come from quadrature; the
     # limit-law Monte Carlo must not creep back into the power curve
-    draws = [
-        _counting(monkeypatch, harness, "sample_mple_limit"),
-        _counting(monkeypatch, htests, "sample_mple_limit"),
-        _counting(monkeypatch, theory, "sample_quadratic_limits"),
-    ]
+    draws = _counting_limit_draws(monkeypatch)
     cfg = ExperimentConfig(
         experiment="power_curve", family="bipartite", n=(4,), theta0=1.0,
         h=(0.0, 1.0), reps=20, master_seed=3, calibration=calibration,
@@ -490,6 +515,23 @@ def test_critical_power_curve_draws_no_limit_law(monkeypatch, calibration):
     for row in result.records:
         want = limit_power(row["kind"], 1.0, row["h"], 0.05, limit_eigs=(1.0, -1.0), kappa=0.0)
         assert row["asymptotic_power"] == want
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(
+            experiment="estimator_law", family="bipartite", n=(8,), theta0=1.0, reps=3
+        ),
+        ExperimentConfig(experiment="estimator_law", n=(100,), theta0=1.0, reps=20),
+        ExperimentConfig(experiment="limit_law_density", family="bipartite", h=(1.0,)),
+    ],
+)
+def test_critical_estimator_law_and_density_draw_no_limit_law(monkeypatch, cfg):
+    # theory_quartiles and the density cells come from quadrature
+    draws = _counting_limit_draws(monkeypatch)
+    run_experiment(cfg)
+    assert draws == [[], [], []]
 
 
 def test_power_curve_exact_power_column():
@@ -512,17 +554,68 @@ def test_limit_law_density_grid():
         experiment="limit_law_density", n=(10000,), theta0=1.0, reps=2000
     )
     result = run_experiment(cfg)
-    assert result.columns == ("index", "value", "mple_limit_kde", "mle_limit_cdf")
+    assert result.columns == ("index", "value", "mple_limit_density", "mle_limit_cdf")
     assert len(result.records) == 257
     values = [row["value"] for row in result.records]
     cdf = [row["mle_limit_cdf"] for row in result.records]
     assert values == sorted(values)
     assert all(b >= a for a, b in zip(cdf, cdf[1:]))
     assert 0.0 <= cdf[0] <= cdf[-1] <= 1.0
-    assert all(row["mple_limit_kde"] >= 0.0 for row in result.records)
-    assert result.summary["draws"] == 2000
+    assert all(row["mple_limit_density"] >= 0.0 for row in result.records)
     q1, q2, q3 = result.summary["mple_quartiles"]
     assert q1 < q2 < q3
+
+
+# (family, config keys, limiting_spectrum keys); random_regular's eta is
+# d / n at the default n = 10000
+DENSITY_FAMILIES = (
+    ("complete", {}, {}),
+    ("bipartite", {}, {}),
+    ("qpartite", {"q": 3}, {"q": 3}),
+    ("cyclic_qpartite", {"q": 5}, {"q": 5}),
+    ("random_regular", {"d": 1000}, {"eta": 0.1}),
+)
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0])
+@pytest.mark.parametrize("index", range(len(DENSITY_FAMILIES)))
+def test_limit_law_density_cells_are_exact_masses(index, h):
+    family, config_kwargs, limit_kwargs = DENSITY_FAMILIES[index]
+    runs = [
+        run_experiment(
+            ExperimentConfig(
+                experiment="limit_law_density", family=family, h=(h,),
+                master_seed=seed, **config_kwargs,
+            )
+        )
+        for seed in (7, 11)
+    ]
+    # quadrature only: nothing depends on the seed
+    assert runs[0].records == runs[1].records
+    assert runs[0].summary == runs[1].summary
+    lim = limiting_spectrum(family, **limit_kwargs)
+    eigs, kappa = lim.limit_eigs, lim.kappa
+    lo = max(theory.mple_limit_quantile(0.005, h, eigs, kappa), -theory.H_MAX)
+    hi = min(theory.mple_limit_quantile(0.995, h, eigs, kappa), theory.H_MAX)
+    edges = np.linspace(lo, hi, 258)
+    values = np.array([row["value"] for row in runs[0].records])
+    dens = np.array([row["mple_limit_density"] for row in runs[0].records])
+    assert np.array_equal(values, 0.5 * (edges[1:] + edges[:-1]))
+    width = (hi - lo) / 257
+    mass = theory.mple_limit_sf(lo, h, eigs, kappa) - theory.mple_limit_sf(
+        hi, h, eigs, kappa
+    )
+    assert abs(dens.sum() * width - mass) <= 1e-12
+    reps = 1_000_000
+    draws = sample_mple_limit(h, eigs, kappa, reps, derive_seed(4729, 2 * index + int(h)))
+    hist = np.histogram(draws, edges)[0] / (reps * width)
+    cell = dens * width
+    z = (hist - dens) / (np.sqrt(cell * (1.0 - cell) / reps) / width)
+    # 4 SE for each case as a whole: per cell after Bonferroni over the 257
+    # cells (about 5.2 SE), and the chi-square sum, which sees a small bias
+    # spread over many cells, within 4 SD of its mean
+    assert np.abs(z).max() <= -ndtri(ndtr(-4.0) / 257), (family, h)
+    assert (z * z).sum() <= 257 + 4.0 * math.sqrt(2 * 257), (family, h)
 
 
 def test_limit_law_density_requires_critical_theta():
@@ -830,6 +923,19 @@ def test_cli_power_writes_rows(tmp_path):
     assert meta["experiment"] == "power_curve"
     assert len(records) == 6
     assert {row["kind"] for row in records} == {"ms", "np", "pl"}
+
+
+def test_cli_power_refuses_a_critical_h_above_the_cap(tmp_path, capsys):
+    out = tmp_path / "power.csv"
+    code = main(
+        [
+            "power", "--family", "complete", "--n", "400", "--theta0", "1",
+            "--h", "0,60", "--output", str(out),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: h:")
+    assert not out.exists()
 
 
 def test_cli_limits_columns(tmp_path):

@@ -454,7 +454,7 @@ def test_critical_pl_asymptotic_calibration_draws_nothing(monkeypatch):
     for family, n in (("complete", 400), ("bipartite", 400)):
         spec = TestSpec("pl", 1.0, 0.05, n, calibration="asymptotic")
         lim = (1.0,) if family == "complete" else (1.0, -1.0)
-        cut = theory.mple_limit_quantile(0.95, lim, 0.0)
+        cut = theory.mple_limit_quantile(0.95, 0.0, lim, 0.0)
         k_pl = calibrate(spec, build_coupling(family, n)).critical_value
         assert k_pl == 1.0 + cut / math.sqrt(n)
 

@@ -234,7 +234,7 @@ def test_mple_limit_quantile_inverts_the_survival_function():
     for family, kwargs in LIMIT_SPECTRA:
         lim = limiting_spectrum(family, **kwargs)
         for alpha in (0.01, 0.05, 0.2):
-            v = mple_limit_quantile(1.0 - alpha, lim.limit_eigs, lim.kappa)
+            v = mple_limit_quantile(1.0 - alpha, 0.0, lim.limit_eigs, lim.kappa)
             sf = mple_limit_sf(v, 0.0, lim.limit_eigs, lim.kappa)
             assert abs(sf - alpha) < 1e-10, (family, kwargs, alpha)
 
@@ -244,7 +244,7 @@ def test_mple_limit_sf_matches_monte_carlo(index):
     family, kwargs = LIMIT_SPECTRA[index]
     lim = limiting_spectrum(family, **kwargs)
     eigs, kappa, reps = lim.limit_eigs, lim.kappa, 1_000_000
-    cuts = [mple_limit_quantile(p, eigs, kappa) for p in (0.5, 0.95)]
+    cuts = [mple_limit_quantile(p, 0.0, eigs, kappa) for p in (0.5, 0.95)]
     for j, h in enumerate((0.0, 1.0, 2.0)):
         draws = sample_mple_limit(h, eigs, kappa, reps, derive_seed(4111, 3 * index + j))
         for v in cuts:
@@ -253,12 +253,41 @@ def test_mple_limit_sf_matches_monte_carlo(index):
             assert abs(np.mean(draws > v) - sf) <= 4.0 * se, (family, kwargs, h, v)
 
 
+ORACLE_SPECTRA = (
+    ("complete", {}),
+    ("bipartite", {}),
+    ("qpartite", {"q": 3}),
+    ("cyclic_qpartite", {"q": 5}),
+    ("random_regular", {"eta": 0.1}),
+)
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0])
+@pytest.mark.parametrize("index", range(len(ORACLE_SPECTRA)))
+def test_mple_limit_quartiles_match_monte_carlo(index, h):
+    family, kwargs = ORACLE_SPECTRA[index]
+    lim = limiting_spectrum(family, **kwargs)
+    eigs, kappa, reps = lim.limit_eigs, lim.kappa, 200_000
+    draws = sample_mple_limit(h, eigs, kappa, reps, derive_seed(5923, 2 * index + int(h)))
+    for p in (0.25, 0.5, 0.75):
+        v = mple_limit_quantile(p, h, eigs, kappa)
+        assert abs(mple_limit_sf(v, h, eigs, kappa) - (1.0 - p)) < 1e-10
+        # the sample quantile's SE: sqrt(p(1-p)/N) over the density at v,
+        # the exact mass of a small cell around v divided by its width
+        delta = 0.01
+        mass = mple_limit_sf(v - delta, h, eigs, kappa) - mple_limit_sf(
+            v + delta, h, eigs, kappa
+        )
+        se = math.sqrt(p * (1.0 - p) / reps) / (mass / (2.0 * delta))
+        assert abs(law_quantile(draws, p) - v) <= 4.0 * se, (family, h, p)
+
+
 def test_mple_limit_lattice_matches_the_chi_square_route():
     # a vanishing kappa sends one chi-square group through the lattice
     # convolution instead of chdtr; the two must agree
     eigs = (1.0, -0.5, -0.5)
     for alpha in (0.01, 0.05, 0.2):
-        v = mple_limit_quantile(1.0 - alpha, eigs, 0.0)
+        v = mple_limit_quantile(1.0 - alpha, 0.0, eigs, 0.0)
         for h in (0.0, 1.0, 2.0, 4.0):
             exact = mple_limit_sf(v, h, eigs, 0.0)
             assert abs(mple_limit_sf(v, h, eigs, 1e-12) - exact) < 1e-5, (alpha, h)
@@ -283,7 +312,7 @@ def test_mple_limit_validation():
     with pytest.raises(ParameterError):
         mple_limit_sf(1.0, 0.0, (1.0, 1.0), 0.0)
     with pytest.raises(ParameterError):
-        mple_limit_quantile(1.0, (1.0,), 0.0)
+        mple_limit_quantile(1.0, 0.0, (1.0,), 0.0)
 
 
 def test_log_partition_shift_values():
