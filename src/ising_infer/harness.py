@@ -5,12 +5,13 @@ to one of five experiment pipelines, and emitted with a metadata header
 carrying the package version and a hash of the effective config. Outputs
 are deterministic given the master seed: replication r always uses the
 derived stream hash(master_seed, r), so serial and worker-pool runs agree
-and records can be aggregated in any order. A power curve
-draws one sample set per (n, h), plus one null set per n for Glauber
-calibration, and computes ms, np and pl from each; its asymptotic power
-is limit_power, exact and drawn from no stream. Every critical limit-law
-number (the estimator-law quartiles, limit_law_density) comes from the
-quadrature of theory.mple_limit_sf and draws nothing.
+and records can be aggregated in any order. A power curve holds one
+htests.DrawSet per (n, h), shared by ms, np and pl, and one null DrawSet
+per n, which only a Glauber calibration reads and so draws; its
+asymptotic power is limit_power, exact and drawn from no stream.
+Every critical limit-law number (the estimator-law quartiles,
+limit_law_density) comes from the quadrature of theory.mple_limit_sf and
+draws nothing.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .htests import (
     CALIBRATIONS,
     KINDS,
     MIN_CALIBRATION_REPS,
+    DrawSet,
     TestSpec,
     calibrate,
     empirical_power,
@@ -399,34 +401,26 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
         coupling = _coupling_for(config, n)
         limit = family_limit(coupling) if config.theta0 >= 1.0 else None
         law = count_law(coupling)
-        calibrations = {
-            kind: calibrate(
-                TestSpec(
-                    kind=kind,
-                    theta0=config.theta0,
-                    alpha=config.alpha,
-                    n=n,
-                    calibration=config.calibration,
-                    reps=max(config.reps, MIN_CALIBRATION_REPS),
-                    seed=derive_seed(config.master_seed, 0),
-                ),
-                coupling,
-            )
-            for kind in KINDS
-        }
+        # drawn on first read, and only a Glauber calibration reads it
+        null_reps = max(config.reps, MIN_CALIBRATION_REPS)
+        null = DrawSet(
+            coupling, config.theta0, derive_seed(config.master_seed, 0), null_reps
+        )
+        calibrations = {}
+        for kind in KINDS:
+            spec = TestSpec(kind, config.theta0, config.alpha, n, config.calibration)
+            calibrations[kind] = calibrate(spec, coupling, null)
         rows = {kind: [] for kind in KINDS}
-        # kinds inner, so the three kinds at one h share one draw set
+        # kinds inner, so the three kinds at one h share one draw set, drawn
+        # by the first kind's empirical_power
         for j, h in enumerate(config.h):
+            theta_n = config.theta0 + h / math.sqrt(n)
+            draws = DrawSet(
+                coupling, theta_n, derive_seed(config.master_seed, 1 + j), config.reps
+            )
             for kind, cal in calibrations.items():
                 start = time.perf_counter()
-                power = empirical_power(
-                    cal.spec,
-                    coupling,
-                    h,
-                    config.reps,
-                    derive_seed(config.master_seed, 1 + j),
-                    calibration=cal,
-                )
+                power = empirical_power(cal, draws)
                 exact = (
                     exact_power(cal.spec, coupling, h, calibration=cal)
                     if law is not None
@@ -449,7 +443,7 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                         "n": n,
                         "kind": kind,
                         "h": h,
-                        "theta_n": config.theta0 + h / math.sqrt(n),
+                        "theta_n": theta_n,
                         "empirical_power": power,
                         "mc_stderr": math.sqrt(
                             max(power * (1.0 - power), 0.0) / config.reps

@@ -27,23 +27,22 @@ the quadrature quantile theory.mple_limit_quantile. Each replication
 draws its tie-break uniform from its own stream after its sample, so
 runs are deterministic.
 
-One routine draws: every kind's statistics come from the same sample set
-of a (coupling, theta, seed, reps), and the last set is kept, so ms, np
-and pl calibrated or evaluated in turn share one set of draws. Under a
-count law pl is mple_counts, one batched pseudolikelihood root over the
-distinct folded counts, and the exact law reads one table of every
-count's statistics per law. Power against theta0 + h/sqrt(n) is
-available empirically, exactly under a count law (the (K, gamma) rule
-summed against it), and in the limit: limit_power is exact for every
-kind (normal curve, quartic-tilt law, and the critical pl ratio law by
-quadrature), and asymptotic_power keeps the critical pl Monte Carlo as
-its oracle.
+A DrawSet holds every kind's statistics on one set of draws; its caller
+holds it, so kinds read from one set share its draws whatever else is
+drawn. Under a count law every statistic is read off one per-law table of
+every count's statistics, pl by mple_counts (one batched pseudolikelihood
+root over the distinct folded counts). Power against theta0 + h/sqrt(n)
+is available empirically over a DrawSet, exactly under a count law (the
+(K, gamma) rule summed against it), and in the limit: limit_power is
+exact for every kind (normal curve, quartic-tilt law, and the critical pl
+ratio law by quadrature), and asymptotic_power keeps the critical pl
+Monte Carlo as its oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -51,13 +50,7 @@ from scipy.special import ndtr, ndtri
 from .coupling import CouplingMatrix, as_spins, family_limit
 from .errors import ParameterError
 from .inference import mple, mple_counts
-from .sampler import (
-    CountLaw,
-    SpinConfiguration,
-    count_law,
-    draw_counts,
-    glauber_sample,
-)
+from .sampler import CountLaw, SpinConfiguration, count_law, draw_counts, glauber_sample
 from .streams import as_generator, derive_seed, substream
 from .theory import (
     critical_law,
@@ -78,9 +71,8 @@ MIN_CALIBRATION_REPS = 1000
 class TestSpec:
     """What to test and how to calibrate it.
 
-    ``reps`` and ``seed`` drive the Glauber null simulation, which needs
-    reps >= MIN_CALIBRATION_REPS; exact (count-law) and asymptotic
-    calibration ignore them.
+    A Glauber null law comes from the DrawSet handed to calibrate, not
+    from the spec.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -90,8 +82,6 @@ class TestSpec:
     alpha: float
     n: int
     calibration: str = "monte_carlo"
-    reps: int = 10_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -161,7 +151,7 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
         spins = as_spins(x.spins if isinstance(x, SpinConfiguration) else x, n)
         if law is not None:
             plus = np.count_nonzero(spins > 0)
-            return float(_count_statistics(kind, law, np.array([plus]))[0])
+            return float(_count_statistic_table(law)[kind][plus])
         xbar = float(spins.mean())
         return float(spins.size * xbar * xbar)
     config = SpinConfiguration.of(x, coupling)
@@ -171,64 +161,70 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
     return result.value if result.exists else -math.inf
 
 
-def _count_statistics(kind: str, law: CountLaw, counts: np.ndarray) -> np.ndarray:
-    """Statistics from +1 counts under a count law.
-
-    Every statistic depends on the configuration only through its +1
-    count (x'Qx = n xbar^2 - 1); pl comes from mple_counts, so pl(k)
-    equals pl(n - k) exactly.
-    """
-    xbar = law.xbar(counts)
-    ms = law.n * xbar * xbar
-    if kind == "ms":
-        return ms
-    if kind == "np":
-        return ms - 1.0
-    rows = mple_counts(law, counts)
-    return np.where(rows.exists, rows.value, -math.inf)
-
-
 @lru_cache(maxsize=4)
 def _count_statistic_table(law: CountLaw) -> dict:
     """Every kind's statistic of each +1 count 0..n, as read-only arrays.
 
-    A count's statistic does not depend on theta, so one table per law
-    serves the exact calibration and every exact power.
+    A statistic depends on the configuration only through its +1 count
+    (x'Qx = n xbar^2 - 1), and not on theta, so one table per law serves
+    test_statistic, every draw set, the exact calibration and every exact
+    power. pl comes from mple_counts, so pl(k) equals pl(n - k) exactly.
     """
-    table = {kind: _count_statistics(kind, law, np.arange(law.n + 1)) for kind in KINDS}
+    xbar = law.xbar(np.arange(law.n + 1))
+    ms = law.n * xbar * xbar
+    rows = mple_counts(law, np.arange(law.n + 1))
+    pl = np.where(rows.exists, rows.value, -math.inf)
+    table = {"ms": ms, "np": ms - 1.0, "pl": pl}
     for array in table.values():
         array.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=1)
-def _statistics_and_tie_breaks(
-    coupling: CouplingMatrix, theta: float, master_seed: int, reps: int
-) -> tuple[dict, np.ndarray]:
-    """Every kind's statistics on ``reps`` draws, and their tie-break uniforms.
+@dataclass(frozen=True, eq=False)
+class DrawSet:
+    """Every kind's statistics on ``reps`` draws at ``theta``, and their
+    tie-break uniforms, drawn on the first read and kept read-only.
 
     Replication r draws from substream(master_seed, r), first its sample
     and then its uniform, so the statistics do not depend on the uniforms.
-    The arrays are read-only: the last draw set is kept, so the three kinds
-    calibrated or evaluated in turn at one (coupling, theta, seed, reps)
-    share one set of draws.
+    Under a count law the draws are +1 counts (draw_counts) read off the
+    per-law table; elsewhere each replication is one Glauber chain.
     """
-    law = count_law(coupling)
-    if law is not None:
-        counts, uniforms = draw_counts(law, theta, master_seed, reps)
-        stats = {kind: _count_statistics(kind, law, counts) for kind in KINDS}
-    else:
-        stats = {kind: np.empty(reps) for kind in KINDS}
-        uniforms = np.empty(reps)
-        for r in range(reps):
-            rng = substream(master_seed, r)
-            config = glauber_sample(coupling, theta, rng)
-            for kind in KINDS:
-                stats[kind][r] = test_statistic(kind, config, coupling)
-            uniforms[r] = rng.random()
-    for array in (*stats.values(), uniforms):
-        array.setflags(write=False)
-    return stats, uniforms
+
+    coupling: CouplingMatrix
+    theta: float
+    master_seed: int
+    reps: int
+
+    @cached_property
+    def _drawn(self) -> tuple[dict, np.ndarray]:
+        law = count_law(self.coupling)
+        if law is not None:
+            counts, uniforms = draw_counts(law, self.theta, self.master_seed, self.reps)
+            table = _count_statistic_table(law)
+            stats = {kind: table[kind][counts] for kind in KINDS}
+        else:
+            stats = {kind: np.empty(self.reps) for kind in KINDS}
+            uniforms = np.empty(self.reps)
+            for r in range(self.reps):
+                rng = substream(self.master_seed, r)
+                config = glauber_sample(self.coupling, self.theta, rng)
+                for kind in KINDS:
+                    stats[kind][r] = test_statistic(kind, config, self.coupling)
+                uniforms[r] = rng.random()
+        for array in (*stats.values(), uniforms):
+            array.setflags(write=False)
+        return stats, uniforms
+
+    @property
+    def stats(self) -> dict:
+        """kind -> the statistic of each replication."""
+        return self._drawn[0]
+
+    @property
+    def uniforms(self) -> np.ndarray:
+        """The tie-break uniform of each replication."""
+        return self._drawn[1]
 
 
 def _randomized_cutoff(
@@ -251,16 +247,19 @@ def _randomized_cutoff(
     return float(values[i]), above, gamma
 
 
-def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
+def calibrate(
+    spec: TestSpec, coupling: CouplingMatrix, null: DrawSet | None = None
+) -> Calibration:
     """Produce the randomized critical value (K, gamma) for a specification.
 
     Monte Carlo mode reads (K, gamma) off a finite-n null law with
     _randomized_cutoff: under a count law the exact law, one atom per +1
-    count with positive mass; elsewhere the sample of ``spec.reps``
-    Glauber draws, each with equal weight, which raises before drawing
-    when reps < MIN_CALIBRATION_REPS. Asymptotic mode evaluates the
-    limiting null law of the statistic and sets gamma = 0; theta0 < 1 has
-    no such law here and raises.
+    count with positive mass; elsewhere the draws of ``null``, a DrawSet
+    on ``coupling`` at spec.theta0 of at least MIN_CALIBRATION_REPS reps,
+    each with equal weight; a missing, smaller or misplaced ``null``
+    raises before any chain runs, and no other route reads (or draws) it.
+    Asymptotic mode evaluates the limiting null law of the statistic and
+    sets gamma = 0; theta0 < 1 has no such law here and raises.
     """
     if spec.n != coupling.n:
         raise ParameterError("spec.n does not match the coupling size")
@@ -271,14 +270,15 @@ def calibrate(spec: TestSpec, coupling: CouplingMatrix) -> Calibration:
             stats = _count_statistic_table(law)[spec.kind][counts]
             sampler = "exact"
         else:
-            if spec.reps < MIN_CALIBRATION_REPS:
+            if null is None or null.reps < MIN_CALIBRATION_REPS or (
+                null.coupling is not coupling or null.theta != spec.theta0
+            ):
                 raise ParameterError(
-                    f"glauber calibration needs reps >= {MIN_CALIBRATION_REPS}"
+                    "glauber calibration needs a null DrawSet on the coupling at "
+                    f"theta0 with reps >= {MIN_CALIBRATION_REPS}"
                 )
-            stats = _statistics_and_tie_breaks(
-                coupling, spec.theta0, spec.seed, spec.reps
-            )[0][spec.kind]
-            weights, sampler = np.ones(spec.reps), "glauber"
+            stats = null.stats[spec.kind]
+            weights, sampler = np.ones(null.reps), "glauber"
         critical, achieved, gamma = _randomized_cutoff(stats, weights, spec.alpha)
         return Calibration(critical, achieved, sampler, spec, gamma)
 
@@ -323,11 +323,12 @@ def run_test(
 ) -> TestOutcome:
     """Calibrate (or reuse a calibration) and decide on one configuration.
 
-    The decision is the randomized (K, gamma) rule. ``tie_break`` is an int
-    seed or Generator; one uniform is drawn from it, and only a statistic
-    equal to K consults it. Without ``tie_break`` the decision is the
-    non-randomized one, reject iff the statistic exceeds K, whose level is
-    ``achieved_level``.
+    Calibrating here reads no null set, so off a count law a monte_carlo
+    ``calibration`` must be passed in. The decision is the randomized
+    (K, gamma) rule. ``tie_break`` is an int seed or Generator; one uniform
+    is drawn from it, and only a statistic equal to K consults it. Without
+    ``tie_break`` the decision is the non-randomized one, reject iff the
+    statistic exceeds K, whose level is ``achieved_level``.
     """
     if calibration is None:
         calibration = calibrate(spec, coupling)
@@ -341,28 +342,19 @@ def run_test(
     )
 
 
-def empirical_power(
-    spec: TestSpec,
-    coupling: CouplingMatrix,
-    h: float,
-    reps: int,
-    seed: int,
-    calibration: Calibration | None = None,
-) -> float:
-    """Randomized rejection fraction over draws at theta0 + h/sqrt(n).
+def empirical_power(calibration: Calibration, draws: DrawSet) -> float:
+    """Randomized rejection fraction of ``calibration`` over ``draws``.
 
-    ``seed`` drives the alternative draws and should differ from the
-    calibration seed. Each draw's tie-break uniform comes from its own
-    stream, after the draw. Pass a precomputed ``calibration`` to share one
-    critical value across an h-grid.
+    ``draws`` sits on a coupling of the spec's n at theta >= theta0, at
+    theta0 + h/sqrt(n) for the power at h, and should not be the
+    calibration's own null set. Each draw's tie-break uniform comes from
+    its own stream, after the draw.
     """
-    if h < 0.0:
-        raise ParameterError("h must be nonnegative")
-    if calibration is None:
-        calibration = calibrate(spec, coupling)
-    theta_n = spec.theta0 + h / math.sqrt(spec.n)
-    stats, uniforms = _statistics_and_tie_breaks(coupling, theta_n, seed, reps)
-    return float(np.mean(calibration.rejects(stats[spec.kind], uniforms)))
+    spec = calibration.spec
+    if draws.coupling.n != spec.n or draws.theta < spec.theta0:
+        raise ParameterError("draws must sit at the spec's n and theta >= theta0")
+    rejects = calibration.rejects(draws.stats[spec.kind], draws.uniforms)
+    return float(np.mean(rejects))
 
 
 def exact_power(

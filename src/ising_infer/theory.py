@@ -141,10 +141,10 @@ class CriticalLaw:
         return np.interp(rng.random(size), self.cdf, self.u)
 
 
-@lru_cache(maxsize=64)
-def critical_law(h: float) -> CriticalLaw:
-    """Build the tilted quartic law at tilt ``h``, |h| <= 50, on a grid of
-    CRITICAL_GRID_POINTS points."""
+def _quartic_moments(h: float) -> tuple[float, float, float]:
+    """(F(h), E U_h^2, E U_h^4) of the tilted quartic law, by adaptive
+    quadrature over the support where the density exceeds e^-40 of its
+    peak; no grid."""
     if abs(h) > H_MAX:
         raise ParameterError(f"|h| is capped at {H_MAX}")
     edge = _support_edge(h)
@@ -154,10 +154,17 @@ def critical_law(h: float) -> CriticalLaw:
         return u**power * np.exp(-(u**4) / 12.0 + h * u * u / 2.0 - peak)
 
     total = 2.0 * quad(shifted, 0.0, edge, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-    log_norm = peak + math.log(total)
     m2 = 2.0 * quad(shifted, 0, edge, args=(2,), epsabs=1e-14, limit=200)[0] / total
     m4 = 2.0 * quad(shifted, 0, edge, args=(4,), epsabs=1e-14, limit=200)[0] / total
+    return peak + math.log(total), m2, m4
 
+
+@lru_cache(maxsize=64)
+def critical_law(h: float) -> CriticalLaw:
+    """Build the tilted quartic law at tilt ``h``, |h| <= 50, on a grid of
+    CRITICAL_GRID_POINTS points."""
+    log_norm, m2, m4 = _quartic_moments(h)
+    edge = _support_edge(h)
     u = np.linspace(-edge, edge, CRITICAL_GRID_POINTS)
     log_pdf = -(u**4) / 12.0 + h * u * u / 2.0 - log_norm
     pdf = np.exp(log_pdf)
@@ -493,7 +500,7 @@ def mle_critical_cdf(h: float) -> float:
     """P(U_0^2 <= E U_h^2): the limiting distribution function, at ``h``,
     of the centered and rescaled maximum-likelihood point estimate at
     criticality."""
-    e = critical_law(h).moment2
+    e = _quartic_moments(h)[1]
     law0 = critical_law(0.0)
     root = math.sqrt(e)
     return float(law0.cdf_at(root) - law0.cdf_at(-root))

@@ -11,6 +11,7 @@ from scipy.special import gammaln, logsumexp
 from scipy.stats import kstest, norm
 
 from ising_infer import (
+    DrawSet,
     SpinConfiguration,
     TestSpec,
     asymptotic_power,
@@ -268,18 +269,18 @@ def test_calibrated_tests_hold_their_level():
                 alpha=alpha,
                 n=n,
                 calibration="monte_carlo",
-                reps=reps,
-                seed=derive_seed(ACCEPT_SEED, 1100 + 10 * r + k),
             )
-            cal = calibrate(spec, coupling)
-            rate = empirical_power(
-                spec,
+            null_seed = derive_seed(ACCEPT_SEED, 1100 + 10 * r + k)
+            null = DrawSet(coupling, theta0, null_seed, reps)
+            cal = calibrate(spec, coupling, null)
+            h = 0.0
+            draws = DrawSet(
                 coupling,
-                0.0,
-                reps,
+                theta0 + h / math.sqrt(n),
                 derive_seed(ACCEPT_SEED, 1150 + 10 * r + k),
-                calibration=cal,
+                reps,
             )
+            rate = empirical_power(cal, draws)
             if not alpha - band <= rate <= alpha + band:
                 failures.append((n, theta0, kind, rate))
     assert not failures, f"null rejection rate outside {alpha}+-{band}: {failures}"

@@ -32,12 +32,12 @@ from ising_infer.coupling import (
     save_matrix,
 )
 from ising_infer.htests import (
+    DrawSet,
     TestSpec,
     calibrate,
     empirical_power,
     exact_power,
     limit_power,
-    _statistics_and_tie_breaks,
 )
 from ising_infer.harness import (
     EXPERIMENTS,
@@ -420,26 +420,29 @@ def _counting(monkeypatch, module, name):
 
 
 def _assert_records_match_per_kind_calls(cfg, result):
-    """Every record equals its own calibrate + empirical_power, bit for bit."""
+    """Every record equals its own calibrate + empirical_power on fresh draw
+    sets, bit for bit."""
     for n in cfg.n:
         coupling = build_coupling(cfg.family, n)
         for kind in ("ms", "np", "pl"):
-            _statistics_and_tie_breaks.cache_clear()
-            spec = TestSpec(
-                kind, cfg.theta0, cfg.alpha, n, cfg.calibration,
-                reps=max(cfg.reps, 1000), seed=derive_seed(cfg.master_seed, 0),
-            )
-            cal = calibrate(spec, coupling)
+            spec = TestSpec(kind, cfg.theta0, cfg.alpha, n, cfg.calibration)
+            null_seed = derive_seed(cfg.master_seed, 0)
+            null = DrawSet(coupling, cfg.theta0, null_seed, max(cfg.reps, 1000))
+            cal = calibrate(spec, coupling, null)
             rows = [r for r in result.records if (r["n"], r["kind"]) == (n, kind)]
             assert [r["h"] for r in rows] == list(cfg.h)
             for j, row in enumerate(rows):
-                _statistics_and_tie_breaks.cache_clear()
                 seed = derive_seed(cfg.master_seed, 1 + j)
-                power = empirical_power(spec, coupling, row["h"], cfg.reps, seed, cal)
+                theta_n = cfg.theta0 + row["h"] / math.sqrt(n)
+                draws = DrawSet(coupling, theta_n, seed, cfg.reps)
+                power = empirical_power(cal, draws)
                 assert row["empirical_power"] == power, (n, kind, j)
                 assert row["critical_value"] == cal.critical_value
                 assert row["gamma"] == cal.gamma
-                assert row["achieved_level"] == cal.achieved_level
+                if cal.achieved_level is None:  # asymptotic calibration
+                    assert math.isnan(row["achieved_level"])
+                else:
+                    assert row["achieved_level"] == cal.achieved_level
                 if cfg.family == "complete":
                     assert row["exact_power"] == exact_power(spec, coupling, row["h"], cal)
                 else:
@@ -458,14 +461,18 @@ def test_power_curve_draws_once_per_h_on_complete(monkeypatch):
     _assert_records_match_per_kind_calls(cfg, result)
 
 
-def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch):
+@pytest.mark.parametrize("calibration", ["monte_carlo", "asymptotic"])
+def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch, calibration):
+    # one null set per n, drawn only when a Glauber calibration reads it,
+    # and one set per h shared by the three kinds
     draws = _counting(monkeypatch, htests, "glauber_sample")
     cfg = ExperimentConfig(
         experiment="power_curve", family="bipartite", n=(4,), theta0=1.1,
-        h=(0.0, 2.0), reps=100, master_seed=5,
+        h=(0.0, 2.0), reps=100, master_seed=5, calibration=calibration,
     )
     result = run_experiment(cfg)
-    assert len(draws) == 1000 + 100 * 2
+    null_draws = 1000 if calibration == "monte_carlo" else 0
+    assert len(draws) == null_draws + 100 * 2
     _assert_records_match_per_kind_calls(cfg, result)
 
 
@@ -564,6 +571,15 @@ def test_limit_law_density_grid():
     assert all(row["mple_limit_density"] >= 0.0 for row in result.records)
     q1, q2, q3 = result.summary["mple_quartiles"]
     assert q1 < q2 < q3
+
+
+def test_limit_law_density_builds_few_critical_laws():
+    # mle_limit_cdf reads E U_h^2 by quadrature alone, so the 257 cells
+    # neither build nor evict the shared critical_law grids
+    cfg = ExperimentConfig(experiment="limit_law_density", family="bipartite", h=(0.7,))
+    before = theory.critical_law.cache_info().misses
+    run_experiment(cfg)
+    assert theory.critical_law.cache_info().misses - before <= 4
 
 
 # (family, config keys, limiting_spectrum keys); random_regular's eta is

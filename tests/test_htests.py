@@ -6,6 +6,7 @@ import pytest
 
 from ising_infer import (
     Calibration,
+    DrawSet,
     ParameterError,
     TestSpec,
     asymptotic_power,
@@ -19,7 +20,7 @@ from ising_infer import (
 )
 from ising_infer import htests, theory
 from ising_infer import test_statistic as statistic_value
-from ising_infer.htests import _count_statistics, _statistics_and_tie_breaks
+from ising_infer.htests import _count_statistic_table
 from ising_infer.sampler import CountLaw, tilted_table
 from ising_infer import count_law, derive_seed, draw_counts, glauber_sample, substream
 
@@ -67,17 +68,30 @@ def test_spec_validation(monkeypatch):
         TestSpec("ms", 0.0, 0.05, 100)
     with pytest.raises(ParameterError):
         TestSpec("ms", 1.0, 0.05, 100, calibration="bootstrap")
-    TestSpec("ms", 1.0, 0.05, 100, calibration="asymptotic", reps=500)
-    # only the Glauber calibration reads reps, so only it needs the floor,
-    # checked before any chain runs
+    TestSpec("ms", 1.0, 0.05, 100, calibration="asymptotic")
+    # only the Glauber calibration reads its null draw set, so only it needs
+    # one of reps >= MIN_CALIBRATION_REPS at (coupling, theta0), checked
+    # before any chain runs
     def no_draws(*args, **kwargs):
-        raise AssertionError("a Glauber draw ran")
+        raise AssertionError("a draw ran")
 
     monkeypatch.setattr(htests, "glauber_sample", no_draws)
-    few = TestSpec("ms", 1.0, 0.05, 100, reps=500)
-    with pytest.raises(ParameterError):
-        calibrate(few, build_coupling("bipartite", 100))
-    assert calibrate(few, build_coupling("complete", 100)).sampler == "exact"
+    monkeypatch.setattr(htests, "draw_counts", no_draws)
+    spec = TestSpec("ms", 1.0, 0.05, 100)
+    bip = build_coupling("bipartite", 100)
+    bad_nulls = {
+        "missing": None,
+        "too few reps": DrawSet(bip, 1.0, 0, 500),
+        "another coupling": DrawSet(build_coupling("bipartite", 100), 1.0, 0, 1000),
+        "another theta": DrawSet(bip, 1.1, 0, 1000),
+    }
+    for case, null in bad_nulls.items():
+        with pytest.raises(ParameterError):
+            calibrate(spec, bip, null)
+    cpl = build_coupling("complete", 100)
+    few = DrawSet(cpl, 1.0, 0, 500)
+    assert calibrate(spec, cpl, few).sampler == "exact"
+    assert calibrate(spec, cpl).sampler == "exact"
 
 
 def test_exact_calibration_has_level_alpha():
@@ -127,10 +141,10 @@ def test_randomized_calibration_has_level_alpha_in_sample():
     # Glauber calibration sample
     alpha = 0.05
     cpl, kind, theta0, seed = build_coupling("bipartite", 4), "np", 1.0, 5
-    spec = TestSpec(kind, theta0, alpha, cpl.n, reps=1000, seed=seed)
-    cal = calibrate(spec, cpl)
+    null = DrawSet(cpl, theta0, seed, 1000)
+    cal = calibrate(TestSpec(kind, theta0, alpha, cpl.n), cpl, null)
     assert cal.sampler == "glauber"
-    stats = _statistics_and_tie_breaks(cpl, theta0, seed, 1000)[0][kind]
+    stats = null.stats[kind]
     above = float(np.mean(stats > cal.critical_value))
     at = float(np.mean(stats == cal.critical_value))
     assert above == cal.achieved_level <= alpha
@@ -153,7 +167,8 @@ def test_statistic_batch_ignores_tie_break_draws():
     counts, uniforms = draw_counts(count_law(cpl), 1.2, 8, reps)
     assert np.all((0.0 <= uniforms) & (uniforms < 1.0))
     xbar = (2.0 * counts - n) / n
-    batch, batch_uniforms = _statistics_and_tie_breaks(cpl, 1.2, 8, reps)
+    batch_set = DrawSet(cpl, 1.2, 8, reps)
+    batch, batch_uniforms = batch_set.stats, batch_set.uniforms
     assert np.array_equal(batch["ms"], n * xbar * xbar)
     assert np.array_equal(batch_uniforms, uniforms)
     # one configuration's statistic is bit-identical to the batch value of
@@ -164,7 +179,7 @@ def test_statistic_batch_ignores_tie_break_draws():
             assert statistic_value(kind, spins, cpl) == value, (kind, k)
 
     bip = build_coupling("bipartite", 6)
-    stats = _statistics_and_tie_breaks(bip, 1.0, 9, 5)[0]["np"]
+    stats = DrawSet(bip, 1.0, 9, 5).stats["np"]
     want = [
         statistic_value("np", glauber_sample(bip, 1.0, derive_seed(9, r)), bip)
         for r in range(5)
@@ -175,11 +190,12 @@ def test_statistic_batch_ignores_tie_break_draws():
 def test_randomized_decisions_are_reproducible():
     n = 64
     cpl = build_coupling("complete", n)
-    spec = TestSpec("ms", 1.0, 0.05, n, reps=1000, seed=1)
+    spec = TestSpec("ms", 1.0, 0.05, n)
     cal = calibrate(spec, cpl)
     assert 0.0 < cal.gamma < 1.0
-    a = empirical_power(spec, cpl, 1.0, 1000, 21, cal)
-    assert a == empirical_power(spec, cpl, 1.0, 1000, 21, cal)
+    theta_n = 1.0 + 1.0 / math.sqrt(n)
+    a = empirical_power(cal, DrawSet(cpl, theta_n, 21, 1000))
+    assert a == empirical_power(cal, DrawSet(cpl, theta_n, 21, 1000))
 
     # a configuration on the atom at K rejects with probability gamma
     plus = round(0.5 * n * (1.0 + math.sqrt(cal.critical_value / n)))
@@ -204,7 +220,7 @@ def test_calibration_rejects_size_mismatch():
 
 def test_ms_np_critical_values_differ_by_one():
     cpl = build_coupling("complete", 150)
-    kw = dict(theta0=1.2, alpha=0.05, n=150, reps=2000, seed=9)
+    kw = dict(theta0=1.2, alpha=0.05, n=150)
     k_ms = calibrate(TestSpec("ms", **kw), cpl).critical_value
     k_np = calibrate(TestSpec("np", **kw), cpl).critical_value
     assert abs((k_ms - k_np) - 1.0) < 1e-9
@@ -215,7 +231,7 @@ def test_ms_np_identical_decisions_on_complete():
     # so calibrated at the same level they must reject the same samples
     n = 100
     cpl = build_coupling("complete", n)
-    kw = dict(theta0=1.0, alpha=0.1, n=n, reps=2000, seed=17)
+    kw = dict(theta0=1.0, alpha=0.1, n=n)
     cal_ms = calibrate(TestSpec("ms", **kw), cpl)
     cal_np = calibrate(TestSpec("np", **kw), cpl)
     ties = 0
@@ -245,7 +261,7 @@ def test_ms_np_identical_decisions_on_complete():
 
 def test_run_test_outcome_shape():
     cpl = build_coupling("complete", 64)
-    spec = TestSpec("ms", 1.0, 0.05, 64, reps=1000, seed=1)
+    spec = TestSpec("ms", 1.0, 0.05, 64)
     out = run_test(np.ones(64, dtype=np.int8), spec, cpl)
     assert out.reject == (out.statistic > out.critical_value)
     assert out.statistic == 64.0
@@ -254,11 +270,51 @@ def test_run_test_outcome_shape():
 
 def test_glauber_batch_used_off_complete():
     cpl = build_coupling("bipartite", 40)
-    stats = _statistics_and_tie_breaks(cpl, 1.0, 5, 50)[0]["ms"]
+    stats = DrawSet(cpl, 1.0, 5, 50).stats["ms"]
     assert stats.shape == (50,)
-    _statistics_and_tie_breaks.cache_clear()
-    again = _statistics_and_tie_breaks(cpl, 1.0, 5, 50)[0]["ms"]
+    again = DrawSet(cpl, 1.0, 5, 50).stats["ms"]
     assert np.array_equal(stats, again)
+
+
+def _reading(draws: DrawSet) -> list:
+    """The uniforms, and per kind the statistics and the power of a
+    randomized rule whose K is the set's median atom."""
+    out = [draws.uniforms.tolist()]
+    for kind in ("ms", "np", "pl"):
+        stats = draws.stats[kind]
+        spec = TestSpec(kind, 1.0, 0.05, draws.coupling.n)
+        median = float(np.sort(stats)[stats.size // 2])
+        cal = Calibration(median, None, "theory", spec, 0.5)
+        out += [stats.tolist(), empirical_power(cal, draws)]
+    return out
+
+
+@pytest.mark.parametrize("family, n", [("complete", 64), ("bipartite", 6)])
+def test_draw_sets_do_not_depend_on_call_order(family, n):
+    # a set's draws are its own: sets at other (theta, seed) made and read
+    # before, between its making and its first read, or after change nothing
+    cpl = build_coupling(family, n)
+    first = DrawSet(cpl, 1.2, 3, 40)
+    alone = _reading(first)
+    _reading(DrawSet(cpl, 1.5, 4, 40))
+    target = DrawSet(cpl, 1.2, 3, 40)
+    _reading(DrawSet(cpl, 1.2, 5, 40))
+    assert _reading(target) == alone
+    _reading(DrawSet(cpl, 1.0, 6, 40))
+    assert _reading(target) == alone
+    assert _reading(first) == alone
+
+
+def test_run_test_needs_a_calibration_off_count_laws(monkeypatch):
+    # with no null draw set to read, a Glauber calibration raises rather
+    # than run chains of its own
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a Glauber draw ran")
+
+    monkeypatch.setattr(htests, "glauber_sample", no_draws)
+    spec = TestSpec("ms", 1.0, 0.05, 8)
+    with pytest.raises(ParameterError):
+        run_test(np.ones(8, dtype=np.int8), spec, build_coupling("bipartite", 8))
 
 
 def test_asymptotic_calibration_low_regime():
@@ -295,7 +351,7 @@ def test_asymptotic_matches_monte_carlo_at_critical():
     # n = 10^4 for the magnetization statistic at the critical point
     n = 10_000
     cpl = build_coupling("complete", n)
-    k_mc = calibrate(TestSpec("ms", 1.0, 0.05, n, reps=10_000, seed=88), cpl)
+    k_mc = calibrate(TestSpec("ms", 1.0, 0.05, n), cpl)
     k_th = calibrate(TestSpec("ms", 1.0, 0.05, n, calibration="asymptotic"), cpl)
     ratio = k_mc.critical_value / k_th.critical_value
     assert abs(ratio - 1.0) < 0.05
@@ -315,10 +371,9 @@ def test_asymptotic_calibration_pl_critical():
 def test_empirical_power_monotone_in_h():
     n = 400
     cpl = build_coupling("complete", n)
-    spec = TestSpec("ms", 1.5, 0.05, n, reps=2000, seed=101)
-    cal = calibrate(spec, cpl)
+    cal = calibrate(TestSpec("ms", 1.5, 0.05, n), cpl)
     powers = [
-        empirical_power(spec, cpl, h, 2000, 500 + j, cal)
+        empirical_power(cal, DrawSet(cpl, 1.5 + h / math.sqrt(n), 500 + j, 2000))
         for j, h in enumerate((0.0, 1.0, 2.0, 4.0))
     ]
     se = 2.0 * math.sqrt(0.25 / 2000)
@@ -352,9 +407,9 @@ def test_empirical_power_tracks_normal_limit():
     assert abs(exact_power - 0.30375791027441085) < 0.05
 
     cpl = build_coupling("complete", n)
-    spec = TestSpec("ms", theta0, alpha, n, reps=1000, seed=7)
+    spec = TestSpec("ms", theta0, alpha, n)
     cal = Calibration(critical, None, "exact-pmf", spec)
-    power = empirical_power(spec, cpl, h, 8000, 77, cal)
+    power = empirical_power(cal, DrawSet(cpl, theta0 + h / math.sqrt(n), 77, 8000))
     assert abs(power - exact_power) < 3.0 * math.sqrt(
         exact_power * (1.0 - exact_power) / 8000
     )
@@ -363,8 +418,12 @@ def test_empirical_power_tracks_normal_limit():
 def test_empirical_power_validation():
     cpl = build_coupling("complete", 100)
     spec = TestSpec("ms", 1.0, 0.05, 100)
+    cal = calibrate(spec, cpl)
+    # power draws sit at theta0 + h/sqrt(n) with h >= 0, on the spec's n
     with pytest.raises(ParameterError):
-        empirical_power(spec, cpl, -1.0, 1000, 0)
+        empirical_power(cal, DrawSet(cpl, 1.0 - 1.0 / math.sqrt(100), 0, 1000))
+    with pytest.raises(ParameterError):
+        empirical_power(cal, DrawSet(build_coupling("complete", 101), 1.0, 0, 1000))
     with pytest.raises(ParameterError):
         exact_power(spec, cpl, -1.0)
     with pytest.raises(ParameterError):
@@ -376,7 +435,7 @@ def test_pl_count_statistics_are_mirrored():
     # one-count estimate, -inf where it does not exist
     for n in (1, 2, 3, 50, 51, 400):
         k, law = np.arange(n + 1), CountLaw(n)
-        stats = _count_statistics("pl", law, k)
+        stats = _count_statistic_table(law)["pl"]
         assert np.array_equal(stats, stats[::-1])
         want = [
             e.value[0] if e.exists[0] else -math.inf
@@ -460,8 +519,8 @@ def test_critical_pl_asymptotic_calibration_draws_nothing(monkeypatch):
 
 
 def test_count_statistics_are_solved_once_per_n(monkeypatch):
-    # a count's statistic does not depend on theta, so calibration and
-    # every exact power read one table of counts 0..n
+    # a count's statistic does not depend on theta, so calibration, every
+    # exact power and every draw set read one table of counts 0..n
     solves = []
     solve = htests.mple_counts
 
@@ -474,8 +533,9 @@ def test_count_statistics_are_solved_once_per_n(monkeypatch):
     cpl = build_coupling("complete", n)
     for kind in ("ms", "np", "pl"):
         cal = calibrate(TestSpec(kind, 1.2, 0.05, n), cpl)
-        for h in (0.0, 1.0, 3.0):
+        for j, h in enumerate((0.0, 1.0, 3.0)):
             exact_power(cal.spec, cpl, h, cal)
+            empirical_power(cal, DrawSet(cpl, 1.2 + h / math.sqrt(n), j, 200))
     assert solves == [(n, list(range(n + 1)))]
 
 
@@ -490,7 +550,7 @@ def test_asymptotic_power_validation():
 
 def test_calibration_dataclass_fields():
     cpl = build_coupling("complete", 64)
-    spec = TestSpec("pl", 1.0, 0.1, 64, reps=1000, seed=2)
+    spec = TestSpec("pl", 1.0, 0.1, 64)
     cal = calibrate(spec, cpl)
     assert isinstance(cal, Calibration)
     assert cal.spec is spec

@@ -94,3 +94,25 @@ def test_count_law_decides_the_exact_path():
     assert _complete_family_tests(package / "htests.py") == []
     assert _complete_family_tests(package / "inference.py") == []
     assert _complete_family_tests(package / "harness.py") == ["_run_normalizer_check"]
+
+
+def _decorator_name(node) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_no_cached_function_takes_a_seed():
+    # a cache keyed on a seed shares draws only by call order; a set of
+    # draws is a value its caller holds (htests.DrawSet)
+    offenders = []
+    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cached = {_decorator_name(d) for d in fn.decorator_list}
+            args = fn.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if cached & {"lru_cache", "cache"} and names & {"seed", "master_seed"}:
+                offenders.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert not offenders, offenders
