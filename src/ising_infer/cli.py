@@ -197,14 +197,9 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    kwargs = {}
-    if args.q is not None:
-        kwargs["q"] = args.q
-    if args.family == "random_regular":
-        if args.eta is None:
-            raise ConfigError("--eta: required for random_regular limits")
-        kwargs["eta"] = args.eta
-    lim = limiting_spectrum(args.family, **kwargs)
+    if args.family == "random_regular" and args.eta is None:
+        raise ConfigError("--eta: required for random_regular limits")
+    lim = limiting_spectrum(args.family, q=args.q, eta=args.eta)
     pair = sample_quadratic_limits(
         args.theta0, lim.limit_eigs, lim.kappa, args.reps, derive_seed(args.seed, 0)
     )

@@ -439,12 +439,10 @@ def family_limit(coupling: CouplingMatrix) -> LimitingSpectrum:
     q comes from the coupling's params and, for random_regular, eta = d/n.
     Never eigendecomposes; raises ParameterError for uncataloged families.
     """
-    kwargs = {}
-    if "q" in coupling.params:
-        kwargs["q"] = coupling.params["q"]
+    eta = None
     if coupling.family == "random_regular":
-        kwargs["eta"] = coupling.params["d"] / coupling.n
-    return limiting_spectrum(coupling.family, **kwargs)
+        eta = coupling.params["d"] / coupling.n
+    return limiting_spectrum(coupling.family, q=coupling.params.get("q"), eta=eta)
 
 
 def spectrum(coupling: CouplingMatrix) -> SpectralSummary:

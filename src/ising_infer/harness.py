@@ -136,6 +136,10 @@ class ExperimentConfig:
             raise ConfigError("n: all grid entries must be positive")
         if any(v < 0 for v in self.h):
             raise ConfigError("h: grid entries must be nonnegative")
+        for key in ("n", "h"):
+            grid = getattr(self, key)
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{key}: grid entries must be distinct")
         # at theta0 = 1 these read critical_law(h), which caps h at H_MAX
         critical = ("power_curve", "limit_law_density", "normalizer_check")
         if self.theta0 == 1.0 and self.experiment in critical and max(self.h) > H_MAX:
@@ -481,13 +485,11 @@ _DENSITY_COLUMNS = ("index", "value", "mple_limit_density", "mle_limit_cdf")
 def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
     if config.theta0 != 1.0:
         raise ConfigError("theta0: limit_law_density is a critical-point experiment")
-    kwargs = {} if config.q is None else {"q": config.q}
-    if config.family == "random_regular":
-        if config.d is None:
-            raise ConfigError("d: random_regular needs a degree")
-        kwargs["eta"] = config.d / min(config.n)
+    if config.family == "random_regular" and config.d is None:
+        raise ConfigError("d: random_regular needs a degree")
+    eta = None if config.d is None else config.d / min(config.n)
     try:
-        limit = limiting_spectrum(config.family, **kwargs)
+        limit = limiting_spectrum(config.family, q=config.q, eta=eta)
     except ParameterError as exc:
         raise ConfigError(f"family: {exc}") from exc
     h = config.h[0]

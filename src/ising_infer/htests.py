@@ -22,16 +22,20 @@ test (Lehmann & Romano, Testing Statistical Hypotheses, section 3.2). On
 a coupling with a count law every statistic depends on the +1 count
 alone, so P is that law and the level is exact; elsewhere P is the
 empirical law of a Glauber null sample. The limit laws are continuous,
-so asymptotic calibration has gamma = 0; at theta0 = 1 the pl cutoff is
-the quadrature quantile theory.mple_limit_quantile. Each replication
-draws its tie-break uniform from its own stream after its sample, so
-runs are deterministic.
+so asymptotic calibration has gamma = 0. One function, _limit_cutoff,
+computes each level-alpha cutoff on the limit scale (the normal quantile
+above the critical point; at theta0 = 1 the quartic-tilt quantile for ms
+and np and the quadrature quantile theory.mple_limit_quantile for pl),
+and asymptotic calibration, limit_power and the asymptotic_power oracle
+all read it. Each replication draws its tie-break uniform from its own
+stream after its sample, so runs are deterministic.
 
 A DrawSet holds every kind's statistics on one set of draws; its caller
 holds it, so kinds read from one set share its draws whatever else is
-drawn. Under a count law every statistic is read off one per-law table of
-every count's statistics, pl by mple_counts (one batched pseudolikelihood
-root over the distinct folded counts). Power against theta0 + h/sqrt(n)
+drawn. Under a count law every statistic is read off a per-law column of
+every count's statistic, built on its first read; pl comes from
+mple_counts (one batched pseudolikelihood root over the distinct folded
+counts), which ms and np never run. Power against theta0 + h/sqrt(n)
 is available empirically over a DrawSet, exactly under a count law (the
 (K, gamma) rule summed against it), and in the limit: limit_power is
 exact for every kind (normal curve, quartic-tilt law, and the critical pl
@@ -151,7 +155,7 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
         spins = as_spins(x.spins if isinstance(x, SpinConfiguration) else x, n)
         if law is not None:
             plus = np.count_nonzero(spins > 0)
-            return float(_count_statistic_table(law)[kind][plus])
+            return float(_count_statistics(law, kind)[plus])
         xbar = float(spins.mean())
         return float(spins.size * xbar * xbar)
     config = SpinConfiguration.of(x, coupling)
@@ -161,23 +165,26 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
     return result.value if result.exists else -math.inf
 
 
-@lru_cache(maxsize=4)
-def _count_statistic_table(law: CountLaw) -> dict:
-    """Every kind's statistic of each +1 count 0..n, as read-only arrays.
+@lru_cache(maxsize=12)
+def _count_statistics(law: CountLaw, kind: str) -> np.ndarray:
+    """The ``kind`` statistic of each +1 count 0..n, as a read-only array.
 
     A statistic depends on the configuration only through its +1 count
-    (x'Qx = n xbar^2 - 1), and not on theta, so one table per law serves
-    test_statistic, every draw set, the exact calibration and every exact
-    power. pl comes from mple_counts, so pl(k) equals pl(n - k) exactly.
+    (x'Qx = n xbar^2 - 1), and not on theta, so one column per law and kind
+    serves test_statistic, every draw set, the exact calibration and every
+    exact power. Each column is built on its first read, so ms and np never
+    solve pl. pl comes from mple_counts, so pl(k) equals pl(n - k) exactly.
     """
-    xbar = law.xbar(np.arange(law.n + 1))
-    ms = law.n * xbar * xbar
-    rows = mple_counts(law, np.arange(law.n + 1))
-    pl = np.where(rows.exists, rows.value, -math.inf)
-    table = {"ms": ms, "np": ms - 1.0, "pl": pl}
-    for array in table.values():
-        array.setflags(write=False)
-    return table
+    if kind == "pl":
+        rows = mple_counts(law, np.arange(law.n + 1))
+        column = np.where(rows.exists, rows.value, -math.inf)
+    else:
+        xbar = law.xbar(np.arange(law.n + 1))
+        column = law.n * xbar * xbar
+        if kind == "np":
+            column = column - 1.0
+    column.setflags(write=False)
+    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +195,8 @@ class DrawSet:
     Replication r draws from substream(master_seed, r), first its sample
     and then its uniform, so the statistics do not depend on the uniforms.
     Under a count law the draws are +1 counts (draw_counts) read off the
-    per-law table; elsewhere each replication is one Glauber chain.
+    per-law columns; elsewhere each replication is one Glauber chain.
+    reps < 1 raises at construction.
     """
 
     coupling: CouplingMatrix
@@ -196,13 +204,16 @@ class DrawSet:
     master_seed: int
     reps: int
 
+    def __post_init__(self) -> None:
+        if self.reps < 1:
+            raise ParameterError("a draw set needs reps >= 1")
+
     @cached_property
     def _drawn(self) -> tuple[dict, np.ndarray]:
         law = count_law(self.coupling)
         if law is not None:
             counts, uniforms = draw_counts(law, self.theta, self.master_seed, self.reps)
-            table = _count_statistic_table(law)
-            stats = {kind: table[kind][counts] for kind in KINDS}
+            stats = {kind: _count_statistics(law, kind)[counts] for kind in KINDS}
         else:
             stats = {kind: np.empty(self.reps) for kind in KINDS}
             uniforms = np.empty(self.reps)
@@ -247,6 +258,24 @@ def _randomized_cutoff(
     return float(values[i]), above, gamma
 
 
+def _limit_cutoff(kind: str, theta0: float, alpha: float, limit) -> float:
+    """The level-alpha cutoff of ``kind`` on its limit scale.
+
+    Above the critical point it is the 1 - alpha normal quantile z; at
+    theta0 = 1 it is the 1 - alpha/2 quantile of U_0 (the quartic-tilt law)
+    for ms and np, and the 1 - alpha quantile of the ratio law V_0 for pl,
+    whose spectrum ``limit()`` returns as (limit_eigs, kappa) and is called
+    for critical pl only. theta0 < 1 has no limiting null law and raises.
+    """
+    if theta0 > 1.0:
+        return float(ndtri(1.0 - alpha))
+    if theta0 != 1.0:
+        raise ParameterError("no limiting null law below the critical point")
+    if kind in ("ms", "np"):
+        return critical_law(0.0).quantile(1.0 - alpha / 2.0)
+    return mple_limit_quantile(1.0 - alpha, 0.0, *limit())
+
+
 def calibrate(
     spec: TestSpec, coupling: CouplingMatrix, null: DrawSet | None = None
 ) -> Calibration:
@@ -258,8 +287,10 @@ def calibrate(
     on ``coupling`` at spec.theta0 of at least MIN_CALIBRATION_REPS reps,
     each with equal weight; a missing, smaller or misplaced ``null``
     raises before any chain runs, and no other route reads (or draws) it.
-    Asymptotic mode evaluates the limiting null law of the statistic and
-    sets gamma = 0; theta0 < 1 has no such law here and raises.
+    Asymptotic mode maps _limit_cutoff to the statistic's scale, adds the
+    quadratic-form limit mean for np, and sets gamma = 0; theta0 < 1 has
+    no limiting null law and raises. Only np, and pl at theta0 = 1, read
+    the coupling's cataloged limit spectrum.
     """
     if spec.n != coupling.n:
         raise ParameterError("spec.n does not match the coupling size")
@@ -267,7 +298,7 @@ def calibrate(
         law = count_law(coupling)
         if law is not None:
             counts, weights = law.atoms(spec.theta0)
-            stats = _count_statistic_table(law)[spec.kind][counts]
+            stats = _count_statistics(law, spec.kind)[counts]
             sampler = "exact"
         else:
             if null is None or null.reps < MIN_CALIBRATION_REPS or (
@@ -282,35 +313,26 @@ def calibrate(
         critical, achieved, gamma = _randomized_cutoff(stats, weights, spec.alpha)
         return Calibration(critical, achieved, sampler, spec, gamma)
 
-    theta0, alpha, n = spec.theta0, spec.alpha, spec.n
-    if theta0 < 1.0:
-        raise ParameterError(
-            "no limiting null law below the critical point; use monte_carlo"
-        )
+    theta0, n = spec.theta0, spec.n
+
+    def limit():
+        lim = family_limit(coupling)
+        return lim.limit_eigs, lim.kappa
+
+    cut = _limit_cutoff(spec.kind, theta0, spec.alpha, limit)
     if theta0 > 1.0:
         m = spontaneous_magnetization(theta0)
         rate = information_rate(theta0)
-        z = float(ndtri(1.0 - alpha))
-        if spec.kind == "ms":
-            critical = n * m * m + 2.0 * z * math.sqrt(n * rate)
-        elif spec.kind == "np":
-            lim = family_limit(coupling)
-            shift = quadratic_limit_mean(theta0, lim.limit_eigs, lim.kappa)
-            critical = n * m * m + 2.0 * z * math.sqrt(n * rate) + shift
+        if spec.kind == "pl":
+            critical = theta0 + cut / math.sqrt(n * rate)
         else:
-            critical = theta0 + z / math.sqrt(n * rate)
-        return Calibration(critical, None, "theory", spec)
-
-    if spec.kind in ("ms", "np"):
-        u_cut = critical_law(0.0).quantile(1.0 - alpha / 2.0)
-        critical = math.sqrt(n) * u_cut * u_cut
-        if spec.kind == "np":
-            lim = family_limit(coupling)
-            critical += quadratic_limit_mean(1.0, lim.limit_eigs, lim.kappa)
+            critical = n * m * m + 2.0 * cut * math.sqrt(n * rate)
+    elif spec.kind == "pl":
+        critical = 1.0 + cut / math.sqrt(n)
     else:
-        lim = family_limit(coupling)
-        v0 = mple_limit_quantile(1.0 - alpha, 0.0, lim.limit_eigs, lim.kappa)
-        critical = 1.0 + v0 / math.sqrt(n)
+        critical = math.sqrt(n) * cut * cut
+    if spec.kind == "np":
+        critical += quadratic_limit_mean(theta0, *limit())
     return Calibration(critical, None, "theory", spec)
 
 
@@ -379,7 +401,7 @@ def exact_power(
         calibration = calibrate(spec, coupling)
     theta_n = spec.theta0 + h / math.sqrt(spec.n)
     counts, mass = law.atoms(theta_n)
-    stats = _count_statistic_table(law)[spec.kind][counts]
+    stats = _count_statistics(law, spec.kind)[counts]
     critical = calibration.critical_value
     above = mass[stats > critical].sum()
     return float(above + calibration.gamma * mass[stats == critical].sum())
@@ -396,13 +418,14 @@ def limit_power(
 ) -> float:
     """Limiting power against theta0 + h/sqrt(n), exact for every kind.
 
-    Above the critical point all three tests share the normal power curve.
-    At the critical point ms and np reject when U_h^2 exceeds the squared
-    1 - alpha/2 quantile of U_0, read off the quartic-tilt law, and pl
-    rejects when the ratio-law limit V_h exceeds its 1 - alpha null
-    quantile, both by quadrature (theory.mple_limit_sf and
-    theory.mple_limit_quantile). ``limit_eigs``/``kappa`` are only
-    consulted for critical pl.
+    Each kind's limit law is evaluated at h beyond the cutoff that
+    asymptotic calibration uses (_limit_cutoff). Above the critical point
+    all three tests share the normal power curve. At the critical point ms
+    and np reject when U_h^2 exceeds the squared 1 - alpha/2 quantile of
+    U_0, read off the quartic-tilt law, and pl rejects when the ratio-law
+    limit V_h exceeds its 1 - alpha null quantile, by quadrature
+    (theory.mple_limit_sf). ``limit_eigs``/``kappa`` are only consulted
+    for critical pl.
     """
     if kind not in KINDS:
         raise ParameterError(f"kind must be one of {KINDS}")
@@ -410,18 +433,17 @@ def limit_power(
         raise ParameterError("alpha must lie in (0, 1)")
     if h < 0.0:
         raise ParameterError("h must be nonnegative")
+
+    def limit():
+        if limit_eigs is None or kappa is None:
+            raise ParameterError("critical pl power needs limit_eigs and kappa")
+        return limit_eigs, kappa
+
+    cut = _limit_cutoff(kind, theta0, alpha, limit)
     if theta0 > 1.0:
-        rate = information_rate(theta0)
-        z = float(ndtri(1.0 - alpha))
-        return float(ndtr(h * math.sqrt(rate) - z))
-    if theta0 != 1.0:
-        raise ParameterError("no limiting power law below the critical point")
+        return float(ndtr(h * math.sqrt(information_rate(theta0)) - cut))
     if kind in ("ms", "np"):
-        u_cut = critical_law(0.0).quantile(1.0 - alpha / 2.0)
-        return float(2.0 * (1.0 - critical_law(h).cdf_at(u_cut)))
-    if limit_eigs is None or kappa is None:
-        raise ParameterError("critical pl power needs limit_eigs and kappa")
-    cut = mple_limit_quantile(1.0 - alpha, 0.0, limit_eigs, kappa)
+        return float(2.0 * (1.0 - critical_law(h).cdf_at(cut)))
     return mple_limit_sf(cut, h, limit_eigs, kappa)
 
 
@@ -440,14 +462,14 @@ def asymptotic_power(
 
     The Monte Carlo oracle of limit_power. Critical pl draws ``reps``
     ratio-law values at h from derive_seed(seed, 0) and reports the
-    fraction above the quadrature null quantile with its binomial
+    fraction above the _limit_cutoff null quantile with its binomial
     standard error; every other case is (limit_power(...), 0.0).
     """
     # limit_power also checks the arguments
     exact = limit_power(kind, theta0, h, alpha, limit_eigs=limit_eigs, kappa=kappa)
     if kind != "pl" or theta0 != 1.0:
         return exact, 0.0
-    cut = mple_limit_quantile(1.0 - alpha, 0.0, limit_eigs, kappa)
+    cut = _limit_cutoff(kind, theta0, alpha, lambda: (limit_eigs, kappa))
     draws = sample_mple_limit(h, limit_eigs, kappa, reps, derive_seed(seed, 0))
     power = float(np.mean(draws > cut))
     stderr = math.sqrt(max(power * (1.0 - power), 0.0) / reps)

@@ -229,6 +229,22 @@ def _tail_groups(limit_eigs) -> tuple[np.ndarray, np.ndarray]:
     return distinct[order], mult[order].astype(np.float64)
 
 
+def _tail_spectrum(theta: float, limit_eigs, kappa: float) -> tuple[float, float]:
+    """(1 - m^2, c) at ``theta``, with c = theta (1 - m^2), once theta >= 1,
+    kappa >= 0 and 1 - c lambda > 0 for every tail eigenvalue lambda hold;
+    raises ParameterError otherwise."""
+    if theta < 1.0:
+        raise ParameterError("quadratic-form limits are defined for theta >= 1")
+    if kappa < 0:
+        raise ParameterError("kappa must be nonnegative")
+    m = spontaneous_magnetization(theta)
+    one_minus = 1.0 - m * m
+    c = theta * one_minus
+    if np.any(1.0 - c * _tail_eigs(limit_eigs) <= 0.0):
+        raise ParameterError("spectral gap violated: 1 - theta(1-m^2)lambda <= 0")
+    return one_minus, c
+
+
 def sample_quadratic_limits(
     theta: float, limit_eigs, kappa: float, reps: int, seed
 ) -> LimitSampleSet:
@@ -238,8 +254,9 @@ def sample_quadratic_limits(
     share one chi-square draw with their multiplicity as degrees of
     freedom, which is exact because S and T are linear in the draws with
     coefficients that depend on lambda alone; groups keep the order of
-    first occurrence. Requires 1 - theta(1-m^2)*lambda > 0 for each tail
-    eigenvalue.
+    first occurrence. Like quadratic_limit_mean and log_partition_shift it
+    raises ParameterError unless theta >= 1, kappa >= 0 and
+    1 - theta(1-m^2)*lambda > 0 for each tail eigenvalue (_tail_spectrum).
 
     Args:
         theta: inverse temperature, theta >= 1.
@@ -248,18 +265,10 @@ def sample_quadratic_limits(
         reps: number of replications.
         seed: int seed or Generator.
     """
-    if theta < 1.0:
-        raise ParameterError("quadratic-form limits are defined for theta >= 1")
-    if kappa < 0:
-        raise ParameterError("kappa must be nonnegative")
+    one_minus, c = _tail_spectrum(theta, limit_eigs, kappa)
     rng = as_generator(seed)
-    m = spontaneous_magnetization(theta)
-    one_minus = 1.0 - m * m
-    c = theta * one_minus
     lam, mult = _tail_groups(limit_eigs)
     denom = 1.0 - c * lam
-    if np.any(denom <= 0.0):
-        raise ParameterError("spectral gap violated: 1 - theta(1-m^2)lambda <= 0")
     y = rng.chisquare(mult, size=(reps, lam.size)) if lam.size else np.zeros((reps, 0))
     w = rng.normal(0.0, math.sqrt(2.0 * kappa), size=reps) if kappa > 0 else 0.0
     s = one_minus * (
@@ -280,19 +289,11 @@ def quadratic_limit_mean(theta: float, limit_eigs, kappa: float) -> float:
                         - 1 + (1-m^2) theta kappa ],  c = theta (1-m^2).
 
     Reduces to -(1-m^2) when the tail spectrum is empty and kappa = 0.
+    Needs theta >= 1, kappa >= 0 and 1 - c lambda_j > 0 (_tail_spectrum).
     """
-    if theta < 1.0:
-        raise ParameterError("quadratic-form limits are defined for theta >= 1")
-    if kappa < 0:
-        raise ParameterError("kappa must be nonnegative")
-    m = spontaneous_magnetization(theta)
-    one_minus = 1.0 - m * m
-    c = theta * one_minus
+    one_minus, c = _tail_spectrum(theta, limit_eigs, kappa)
     lam = _tail_eigs(limit_eigs)
-    denom = 1.0 - c * lam
-    if np.any(denom <= 0.0):
-        raise ParameterError("spectral gap violated: 1 - theta(1-m^2)lambda <= 0")
-    tail = float(np.sum(lam * (1.0 / denom - 1.0)))
+    tail = float(np.sum(lam * (1.0 / (1.0 - c * lam) - 1.0)))
     return one_minus * (tail - 1.0 + one_minus * theta * kappa)
 
 
@@ -321,8 +322,6 @@ def sample_mple_limit(
 
 
 def _limit_key(limit_eigs, kappa) -> tuple[tuple, float]:
-    if kappa < 0:
-        raise ParameterError("kappa must be nonnegative")
     return tuple(float(v) for v in limit_eigs), float(kappa)
 
 
@@ -334,11 +333,11 @@ def _d_survival(limit_eigs: tuple, kappa: float):
     cyclic_qpartite with 4 | q) are left out. Without a tail D is -1 or
     -1 + N(0, 2 kappa) (ndtr); one chi-square group with kappa = 0 is read
     through chdtr at the points themselves, keeping the chi-square cusp
-    exact; anything else goes through _lattice_survival.
+    exact; anything else goes through _lattice_survival. A negative kappa
+    or a tail eigenvalue >= 1 raises (_tail_spectrum at theta = 1).
     """
+    _tail_spectrum(1.0, limit_eigs, kappa)
     lam, mult = _tail_groups(limit_eigs)
-    if np.any(lam >= 1.0):
-        raise ParameterError("spectral gap violated: 1 - theta(1-m^2)lambda <= 0")
     keep = np.abs(lam) > ZERO_EIG
     lam, mult = lam[keep], mult[keep]
     if lam.size == 0:
@@ -464,18 +463,12 @@ def log_partition_shift(theta0: float, limit_eigs, kappa: float) -> float:
 
         -c/2 + kappa c^2/4 - (1/2) sum_j [log(1 - c lambda_j) + c lambda_j]
 
-    with c = theta0 (1 - m^2). Matrix-convention comparisons must add
-    theta0/2 on the mean-field side.
+    with c = theta0 (1 - m^2), defined when theta0 >= 1, kappa >= 0 and
+    1 - c lambda_j > 0 (_tail_spectrum). Matrix-convention comparisons must
+    add theta0/2 on the mean-field side.
     """
-    if theta0 < 1.0:
-        raise ParameterError("the shift is defined on theta0 >= 1")
-    if kappa < 0:
-        raise ParameterError("kappa must be nonnegative")
-    m = spontaneous_magnetization(theta0)
-    c = theta0 * (1.0 - m * m)
+    c = _tail_spectrum(theta0, limit_eigs, kappa)[1]
     lam = _tail_eigs(limit_eigs)
-    if np.any(1.0 - c * lam <= 0.0):
-        raise ParameterError("spectral gap violated: log(1 - c lambda) undefined")
     tail = float(np.sum(np.log1p(-c * lam) + c * lam))
     return -0.5 * c + 0.25 * kappa * c * c - 0.5 * tail
 
@@ -485,13 +478,13 @@ def delta_log_partition(theta0: float, h: float) -> tuple[float, float]:
 
     Returns (limit, drift) where the full expansion is
     drift * sqrt(n) + limit + o(1): at theta0 > 1 the pair is
-    (R(theta0) h^2/2, h m^2/2); at theta0 = 1 it is (F(h) - F(0), 0).
+    (R(theta0) h^2/2, h m^2/2); at theta0 = 1 it is (F(h) - F(0), 0),
+    with F read from _quartic_moments, so no critical_law grid is built.
     """
     if theta0 < 1.0:
         raise ParameterError("asymptotics cover theta0 >= 1 only")
     if theta0 == 1.0:
-        limit = critical_law(h).log_normalizer - critical_law(0.0).log_normalizer
-        return limit, 0.0
+        return _quartic_moments(h)[0] - _quartic_moments(0.0)[0], 0.0
     m = spontaneous_magnetization(theta0)
     return information_rate(theta0) * h * h / 2.0, h * m * m / 2.0
 

@@ -954,6 +954,25 @@ def test_cli_power_refuses_a_critical_h_above_the_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_grid_entries_fail_in_the_config(tmp_path, capsys):
+    # a repeated n would write every replication twice, and a repeated h
+    # two powers for one (n, kind, h)
+    with pytest.raises(ConfigError, match=r"^n: "):
+        ExperimentConfig(experiment="estimator_law", n=(50, 50), reps=3)
+    with pytest.raises(ConfigError, match=r"^h: "):
+        ExperimentConfig(experiment="power_curve", h=(1.0, 1.0))
+    out = tmp_path / "power.csv"
+    code = main(
+        [
+            "power", "--family", "complete", "--n", "400", "--theta0", "1",
+            "--h", "1,1", "--output", str(out),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: h:")
+    assert not out.exists()
+
+
 def test_cli_limits_columns(tmp_path):
     out = tmp_path / "lims.csv"
     code = main(

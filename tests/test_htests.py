@@ -15,12 +15,15 @@ from ising_infer import (
     empirical_power,
     exact_power,
     limit_power,
+    limiting_spectrum,
+    load_matrix,
     mple_counts,
     run_test,
+    save_matrix,
 )
 from ising_infer import htests, theory
 from ising_infer import test_statistic as statistic_value
-from ising_infer.htests import _count_statistic_table
+from ising_infer.htests import _count_statistics
 from ising_infer.sampler import CountLaw, tilted_table
 from ising_infer import count_law, derive_seed, draw_counts, glauber_sample, substream
 
@@ -435,7 +438,7 @@ def test_pl_count_statistics_are_mirrored():
     # one-count estimate, -inf where it does not exist
     for n in (1, 2, 3, 50, 51, 400):
         k, law = np.arange(n + 1), CountLaw(n)
-        stats = _count_statistic_table(law)["pl"]
+        stats = _count_statistics(law, "pl")
         assert np.array_equal(stats, stats[::-1])
         want = [
             e.value[0] if e.exists[0] else -math.inf
@@ -491,11 +494,45 @@ def test_asymptotic_power_wraps_limit_power():
         for h in (0.0, 2.0):
             exact = limit_power(kind, theta0, h, 0.05, **bipartite)
             assert asymptotic_power(kind, theta0, h, 0.05, **bipartite) == (exact, 0.0)
-    assert abs(limit_power("pl", 1.0, 0.0, 0.05, **bipartite) - 0.05) < 1e-10
     with pytest.raises(ParameterError):
         limit_power("pl", 1.0, 1.0, 0.05)
     with pytest.raises(ParameterError):
         limit_power("ms", 0.9, 1.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "family,kwargs",
+    [
+        ("complete", {}),
+        ("bipartite", {}),
+        ("qpartite", {"q": 3}),
+        ("cyclic_qpartite", {"q": 5}),
+        ("random_regular", {"eta": 0.1}),
+    ],
+)
+def test_limit_power_at_h0_is_alpha(family, kwargs):
+    # calibration and limit power read one cutoff, so at h = 0 every kind
+    # rejects with probability alpha under its own limit law
+    lim = limiting_spectrum(family, **kwargs)
+    for kind in ("ms", "np", "pl"):
+        for theta0 in (1.0, 1.5):
+            power = limit_power(
+                kind, theta0, 0.0, 0.05, limit_eigs=lim.limit_eigs, kappa=lim.kappa
+            )
+            assert abs(power - 0.05) < 1e-10, (kind, theta0)
+
+
+def test_asymptotic_ms_calibration_needs_no_cataloged_spectrum(tmp_path):
+    # ms reads no limit spectrum, so a loaded (uncataloged) coupling
+    # calibrates as the complete one of its n
+    n = 40
+    path = tmp_path / "complete.txt"
+    save_matrix(build_coupling("complete", n), path)
+    custom = load_matrix(path)
+    for theta0 in (1.0, 1.5):
+        spec = TestSpec("ms", theta0, 0.05, n, calibration="asymptotic")
+        want = calibrate(spec, build_coupling("complete", n)).critical_value
+        assert calibrate(spec, custom).critical_value == want, theta0
 
 
 def _no_limit_draws(monkeypatch):
@@ -537,6 +574,30 @@ def test_count_statistics_are_solved_once_per_n(monkeypatch):
             exact_power(cal.spec, cpl, h, cal)
             empirical_power(cal, DrawSet(cpl, 1.2 + h / math.sqrt(n), j, 200))
     assert solves == [(n, list(range(n + 1)))]
+
+
+def test_ms_np_statistics_solve_no_pl(monkeypatch):
+    # each kind's per-count column is built on its first read, so ms and np
+    # on a fresh law never run the pseudolikelihood solver
+    def forbidden(law, counts):
+        raise AssertionError("mple_counts was called")
+
+    monkeypatch.setattr(htests, "mple_counts", forbidden)
+    n = 1013  # used by no other test, so its law is fresh
+    cpl = build_coupling("complete", n)
+    spins = np.where(np.arange(n) < 600, 1, -1).astype(np.int8)
+    for kind in ("ms", "np"):
+        assert math.isfinite(statistic_value(kind, spins, cpl))
+        cal = calibrate(TestSpec(kind, 1.0, 0.05, n), cpl)
+        exact_power(cal.spec, cpl, 1.0, cal)
+
+
+@pytest.mark.parametrize("family", ["complete", "bipartite"])
+def test_draw_set_needs_a_positive_rep_count(family):
+    cpl = build_coupling(family, 8)
+    for reps in (0, -1):
+        with pytest.raises(ParameterError, match="reps"):
+            DrawSet(cpl, 1.0, 0, reps)
 
 
 def test_asymptotic_power_validation():

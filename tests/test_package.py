@@ -116,3 +116,20 @@ def test_no_cached_function_takes_a_seed():
             if cached & {"lru_cache", "cache"} and names & {"seed", "master_seed"}:
                 offenders.append(f"{path.name}:{fn.lineno} {fn.name}")
     assert not offenders, offenders
+
+
+def test_limit_cutoffs_have_one_home():
+    # calibration, limit power and the Monte Carlo oracle read each level-alpha
+    # limit cutoff from one htests function, so they cannot drift apart
+    path = Path(ising_infer.__file__).parent / "htests.py"
+    callers = set()
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") in {
+                "ndtri",
+                "mple_limit_quantile",
+            }:
+                callers.add(fn.name)
+    assert len(callers) == 1, callers
