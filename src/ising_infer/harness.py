@@ -309,7 +309,7 @@ def _estimator_replication(coupling, theta0, master_seed, r):
 
 
 def _count_law_records(config: ExperimentConfig, law) -> list:
-    """Every replication under a count law, from one batch of +1 counts.
+    """Every replication under a count law, from one batch of atoms.
 
     ``elapsed_s`` is the batch's wall time split evenly over its records.
     """

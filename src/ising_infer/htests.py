@@ -19,7 +19,8 @@ finite-n ("monte_carlo") calibration takes K as the smallest value with
 P(T > K) <= alpha and sets gamma so the randomized level
 P(T > K) + gamma P(T = K) is exactly alpha: the randomized Neyman-Pearson
 test (Lehmann & Romano, Testing Statistical Hypotheses, section 3.2). On
-a coupling with a count law every statistic depends on the +1 count
+a coupling with a count law (every block coupling under the atom cap)
+every statistic depends on the atom, the plus count of each class,
 alone, so P is that law and the level is exact; elsewhere P is the
 empirical law of a Glauber null sample. The limit laws are continuous,
 so asymptotic calibration has gamma = 0. One function, _limit_cutoff,
@@ -33,14 +34,14 @@ stream after its sample, so runs are deterministic.
 A DrawSet holds every kind's statistics on one set of draws; its caller
 holds it, so kinds read from one set share its draws whatever else is
 drawn. Under a count law every statistic is read off a per-law column of
-every count's statistic, built on its first read; pl comes from
-mple_counts (one batched pseudolikelihood root over the distinct folded
-counts), which ms and np never run. Power against theta0 + h/sqrt(n)
-is available empirically over a DrawSet, exactly under a count law (the
-(K, gamma) rule summed against it), and in the limit: limit_power is
-exact for every kind (normal curve, quartic-tilt law, and the critical pl
-ratio law by quadrature), and asymptotic_power keeps the critical pl
-Monte Carlo as its oracle.
+every atom's statistic, built on its first read; np is the law's values,
+and pl comes from mple_counts (one batched pseudolikelihood root over the
+distinct folded atoms), which ms and np never run. Power against
+theta0 + h/sqrt(n) is available empirically over a DrawSet, exactly under
+a count law (the (K, gamma) rule summed against it), and in the limit:
+limit_power is exact for every kind (normal curve, quartic-tilt law, and
+the critical pl ratio law by quadrature), and asymptotic_power keeps the
+critical pl Monte Carlo as its oracle.
 """
 from __future__ import annotations
 
@@ -142,9 +143,9 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
 
     pl returns -inf whenever the pseudolikelihood estimate does not exist
     (boundary or degenerate data), so such samples can never reject.
-    Under a coupling with a count law the value comes from the +1 count, by
-    the same arithmetic as the calibration's null draws, so a statistic on
-    the critical atom equals K exactly.
+    Under a coupling with a count law the value comes from the atom (the
+    plus count of each class), by the same arithmetic as the calibration's
+    null draws, so a statistic on the critical atom equals K exactly.
     """
     if kind not in KINDS:
         raise ParameterError(f"kind must be one of {KINDS}")
@@ -154,8 +155,7 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
         n = None if coupling is None else coupling.n
         spins = as_spins(x.spins if isinstance(x, SpinConfiguration) else x, n)
         if law is not None:
-            plus = np.count_nonzero(spins > 0)
-            return float(_count_statistics(law, kind)[plus])
+            return float(_count_statistics(law, kind)[law.atom(spins)])
         xbar = float(spins.mean())
         return float(spins.size * xbar * xbar)
     config = SpinConfiguration.of(x, coupling)
@@ -167,22 +167,24 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
 
 @lru_cache(maxsize=12)
 def _count_statistics(law: CountLaw, kind: str) -> np.ndarray:
-    """The ``kind`` statistic of each +1 count 0..n, as a read-only array.
+    """The ``kind`` statistic of each atom of a count law, as a read-only array.
 
-    A statistic depends on the configuration only through its +1 count
-    (x'Qx = n xbar^2 - 1), and not on theta, so one column per law and kind
-    serves test_statistic, every draw set, the exact calibration and every
-    exact power. Each column is built on its first read, so ms and np never
-    solve pl. pl comes from mple_counts, so pl(k) equals pl(n - k) exactly.
+    A statistic depends on the configuration only through its atom, and
+    not on theta, so one column per law and kind serves test_statistic,
+    every draw set, the exact calibration and every exact power. np is the
+    law's values; the other columns are built on their first read, so ms
+    and np never solve pl. pl comes from mple_counts, so it takes equal
+    values on an atom and its flip.
     """
+    if kind == "np":
+        return law.values
+    atoms = np.arange(law.size)
     if kind == "pl":
-        rows = mple_counts(law, np.arange(law.n + 1))
+        rows = mple_counts(law, atoms)
         column = np.where(rows.exists, rows.value, -math.inf)
     else:
-        xbar = law.xbar(np.arange(law.n + 1))
+        xbar = law.xbar(atoms)
         column = law.n * xbar * xbar
-        if kind == "np":
-            column = column - 1.0
     column.setflags(write=False)
     return column
 
@@ -194,7 +196,7 @@ class DrawSet:
 
     Replication r draws from substream(master_seed, r), first its sample
     and then its uniform, so the statistics do not depend on the uniforms.
-    Under a count law the draws are +1 counts (draw_counts) read off the
+    Under a count law the draws are atoms (draw_counts) read off the
     per-law columns; elsewhere each replication is one Glauber chain.
     reps < 1 raises at construction.
     """
@@ -387,9 +389,9 @@ def exact_power(
 ) -> float:
     """Exact randomized rejection probability at theta0 + h/sqrt(n).
 
-    Couplings with a count law only: the statistic of each +1 count with
+    Couplings with a count law only: the statistic of each atom with
     positive mass under the law at theta0 + h/sqrt(n) comes from the same
-    per-count arithmetic as the draws, and the (K, gamma) rule is summed
+    per-atom arithmetic as the draws, and the (K, gamma) rule is summed
     against that law.
     """
     law = count_law(coupling)

@@ -7,11 +7,13 @@ inside the bracket, for any number of equations in one batched solve
 (``_pl_rows``). The likelihood estimate solves dlog Z/dtheta = x'Qx / 2.
 Where the model is exactly summable it has one solver, ``_table_mle``, on
 the sampler's cached exact tables: the 2^n enumeration for n <= 24
-(``mle_exact``), built once per coupling, and a count law's table at
-any n. Otherwise it runs confidence-gated bisection on Glauber chain
-means. On a coupling with a count law both estimates depend on the +1
-count k alone, symmetrically in k <-> n - k: ``mple_counts`` and
-``mle_counts`` solve each distinct min(k, n - k) of a count array once.
+(``mle_exact``), built once per coupling, and the count law's table of a
+block coupling under the atom cap, at any n. Otherwise it runs
+confidence-gated bisection on Glauber chain means. On a coupling with a
+count law both estimates depend on the atom (the plus count of each
+class) alone, symmetrically under the global flip k <-> m - k:
+``mple_counts`` solves each distinct folded atom of an atom array once,
+and ``mle_counts`` each distinct x'Qx.
 
 Existence is decided before any iteration: the pseudolikelihood equation
 has a real root iff -sum|t_i| < x'Qx < sum|t_i| strictly, and the
@@ -175,11 +177,11 @@ def _pl_rows(t, w, s) -> PLRows:
 
 
 def mple_counts(law: CountLaw, counts) -> PLRows:
-    """MPLE for each +1 count in a 1-D array ``counts`` under a count law.
+    """MPLE for each atom in a 1-D integer array ``counts`` under a count law.
 
-    Each count's fields and x'Qx come from the law. k and n - k give the
-    same equation, so each distinct min(k, n - k) is one row of one
-    _pl_rows call, mirrored back to its counts. Counts outside [0, n] raise
+    Each atom's fields and x'Qx come from the law. An atom and its global
+    flip give the same equation, so each distinct folded atom is one row of
+    one _pl_rows call, mirrored back to its atoms. Other input raises
     ParameterError.
     """
     k, inverse = law.fold(counts)
@@ -233,14 +235,12 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
 def suff_stat_bounds(coupling: CouplingMatrix) -> tuple[float, float]:
     """Attainable (min, max) of x'Qx over all configurations.
 
-    A count law's table extremes, the bipartite closed form, and
-    exhaustive enumeration otherwise (n <= 24).
+    A count law's table extremes, and exhaustive enumeration otherwise
+    (n <= 24).
     """
     law = count_law(coupling)
     if law is not None:
         return float(law.values.min()), float(law.values.max())
-    if coupling.family == "bipartite":
-        return -float(coupling.n), float(coupling.n)
     values = suff_stat_table(coupling)[0]
     return float(values[0]), float(values[-1])
 
@@ -308,20 +308,22 @@ class MLERows(NamedTuple):
 
 
 def mle_counts(law: CountLaw, counts) -> MLERows:
-    """Exact MLE for each +1 count in a 1-D array ``counts`` under a count law.
+    """Exact MLE for each atom in a 1-D integer array ``counts`` under a count law.
 
-    Solves once per distinct min(k, n - k) on the law's symmetric table,
-    whose entry k is x'Qx at k plus spins.
+    The MLE depends on the atom only through its x'Qx, so the law's table
+    is solved once per distinct x'Qx among the atoms.
     """
     folded, inverse = law.fold(counts)
     values, log_mult = law.values, law.log_mult
-    solved = [_table_mle(float(values[j]), values, log_mult) for j in folded]
+    targets, merged = np.unique(values[folded], return_inverse=True)
+    solved = [_table_mle(float(s), values, log_mult) for s in targets]
     value = np.array([r.value for r in solved], dtype=np.float64)
     exists = np.array([r.exists for r in solved], dtype=bool)
     residual = np.array(
         [r.diagnostics.get("residual", math.nan) for r in solved], dtype=np.float64
     )
-    return MLERows(value[inverse], exists[inverse], residual[inverse])
+    index = merged[inverse]
+    return MLERows(value[index], exists[index], residual[index])
 
 
 def mle_stochastic(

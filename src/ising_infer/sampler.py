@@ -6,24 +6,27 @@ Three sampling routes with different validity/scale trade-offs:
   ground-truth oracle for everything else;
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
-  from its spins;
-* exact draws of the +1 count of a coupling with a count law
-  (``draw_counts``), by inverse CDF on the law's table, so the large-n
-  critical experiments never touch a matrix.
+  from its spins. It draws for dense couplings and for block couplings
+  past the atom cap, and is an oracle elsewhere;
+* exact draws from the count law of a block coupling (``draw_counts``):
+  one atom, the plus count of each class, by inverse CDF on the law's
+  table, so the experiments on a block coupling never touch a matrix.
 
 Every exactly summable model is one table of attainable x'Qx values with
 log multiplicities: the 2^n enumeration for n <= 24 (``suff_stat_table``,
-built once per coupling and cached) and, for a coupling with a count law
-at any n, the binomial table over the +1 count (``count_law``, cached per
-n). ``tilted_table`` turns a table into log Z, its derivative and
-the tilted pmf; ``exact_enumerate`` and the mean-field
-``cw_log_partition`` are thin callers of it, and the exact MLE solves on
-the same tables. The tables are in matrix convention; the mean-field
-nx̄²/2 convention differs from it by exactly theta/2.
+built once per coupling and cached) and, for a block coupling whose
+Π(m_a + 1) class-count vectors fit under COUNT_LAW_MAX_ATOMS, the table
+over those vectors (``count_law``, cached per class sizes and weights).
+``tilted_table`` turns a table into log Z, its derivative and the tilted
+pmf, which a count law keeps once per theta; ``exact_enumerate`` and the
+mean-field ``cw_log_partition`` are thin callers of it, and the exact MLE
+solves on the same tables. The tables are in matrix convention; the
+mean-field nx̄²/2 convention differs from it by exactly theta/2.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +40,6 @@ from .streams import as_generator, substream
 ENUMERATION_MAX_N = 24
 # state-indexed laws and kernels hold 2^n floats, or 2^n x n spins
 STATE_LAW_MAX_N = 20
-CW_PARTITION_MAX_N = 10_000_000
 FIELD_CONSISTENCY_TOL = 1e-12
 
 
@@ -159,9 +161,11 @@ def tilted_table(
     dlog Z/dtheta is the tilted mean of value / 2. The weights are shifted
     by their maximum and normalized by their own sum.
     """
-    logw = 0.5 * theta * values + log_mult
+    logw = 0.5 * theta * values
+    logw += log_mult
     shift = logw.max()
-    w = np.exp(logw - shift)
+    logw -= shift
+    w = np.exp(logw, out=logw)
     total = w.sum()
     return float(shift + np.log(total)), float(0.5 * (values @ w) / total), w / total
 
@@ -301,64 +305,149 @@ def glauber_sweep_kernel(
 # ---------------------------------------------------------------------------
 # Count laws
 
+#: Most atoms a count law holds: every complete coupling to n = 10^7,
+#: bipartite to n = 6322 and qpartite at q = 3 to n = 642.
+COUNT_LAW_MAX_ATOMS = 10_000_001
+
 
 class CountLaw:
-    """The law of the +1 count k of the complete coupling on n spins.
+    """The law of the class-count vector k of a block coupling.
 
-    Read-only ``values[k]`` is x'Qx = n xbar^2 - 1 and ``log_mult[k]`` is
-    log C(n, k), for k = 0..n; every statistic is a function of k. n outside
-    [1, CW_PARTITION_MAX_N] raises CapacityError.
+    Class a of size m_a holds k_a plus spins, 0 <= k_a <= m_a. The atoms
+    are the vectors k flattened in C order, so the global flip k -> m - k
+    takes atom i to atom size - 1 - i. With S = 2k - m, read-only
+    ``values[i]`` is x'Qx = S'WS - sum_a W_aa m_a and ``log_mult[i]`` is
+    sum_a log C(m_a, k_a); every statistic is a function of the atom.
+    ``sizes`` and ``weights`` default to the complete coupling on n spins,
+    one class of weight 1/n. n < 1 or more than COUNT_LAW_MAX_ATOMS atoms
+    raises CapacityError.
+
+    The sums run over y = S/n and C = nW, so at q = 1 they are n xbar^2 - 1
+    and xbar -+ 1/n bit for bit wherever n (1/n) == 1.
     """
 
-    def __init__(self, n: int) -> None:
-        if n < 1 or n > CW_PARTITION_MAX_N:
-            raise CapacityError(f"n must lie in [1, {CW_PARTITION_MAX_N}]")
+    def __init__(self, n: int, sizes=None, weights=None) -> None:
+        if n < 1:
+            raise CapacityError("a count law needs n >= 1")
+        self.sizes = np.array([n] if sizes is None else sizes, dtype=np.int64)
+        w = np.array([[1.0 / n]] if weights is None else weights, dtype=np.float64)
+        if int(self.sizes.sum()) != n or w.shape != (self.sizes.size,) * 2:
+            raise ParameterError(f"class sizes and weights do not fit n={n}")
+        self.shape = tuple(int(m) + 1 for m in self.sizes)
+        self.size = math.prod(self.shape)
+        if self.size > COUNT_LAW_MAX_ATOMS:
+            raise CapacityError(
+                f"a count law is capped at {COUNT_LAW_MAX_ATOMS} atoms, got {self.size}"
+            )
         self.n = n
-        k = np.arange(n + 1, dtype=np.float64)
-        xbar = self.xbar(k)
-        self.values = n * xbar * xbar - 1.0
-        self.log_mult = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+        self._c = n * w
+        # class a's counts 0..m_a along axis a of the atom grid
+        k = np.ix_(*map(np.arange, self.shape))
+        self.values = self._values(k).reshape(-1)
+        self.log_mult = np.zeros(self.shape)
+        for k_a, m_a in zip(k, self.sizes):
+            self.log_mult += (
+                gammaln(m_a + 1.0) - gammaln(k_a + 1.0) - gammaln(m_a - k_a + 1.0)
+            )
+        self.log_mult = self.log_mult.reshape(-1)
         self.values.flags.writeable = False
         self.log_mult.flags.writeable = False
 
-    def xbar(self, counts: np.ndarray) -> np.ndarray:
-        """The mean spin (2k - n)/n of each count."""
-        return (2.0 * counts - self.n) / self.n
+    def _values(self, k) -> np.ndarray:
+        # x'Qx = sum_a (n y_a)(C y)_a - sum_a C_aa m_a / n over the atom grid
+        y = self._y(k)
+        values = np.zeros(self.shape)
+        for y_a, cy_a in zip(y, self._cy(y, ())):
+            values += (self.n * y_a) * cy_a
+        values -= float(np.diagonal(self._c) @ self.sizes) / self.n
+        return values
 
-    def fold(self, counts) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct min(k, n - k) of ``counts`` in [0, n], and each one's index."""
-        k = np.asarray(counts, dtype=np.int64)
-        if k.size and (k.min() < 0 or k.max() > self.n):
-            raise ParameterError("counts must lie in [0, n]")
-        return np.unique(np.minimum(k, self.n - k), return_inverse=True)
+    def _y(self, k) -> list:
+        # S_a / n of each class count
+        return [(2.0 * k_a - m_a) / self.n for k_a, m_a in zip(k, self.sizes)]
 
-    def fields(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each count's field values xbar -+ 1/n and multiplicities (k, n - k)."""
-        xbar = self.xbar(counts)
-        t = np.stack([xbar - 1.0 / self.n, xbar + 1.0 / self.n], axis=1)
-        return t, np.stack([counts, self.n - counts], axis=1).astype(np.float64)
+    def _cy(self, y, shape) -> list:
+        # (WS)_a = sum_b C_ab y_b, broadcast against the zeros of ``shape``
+        return [
+            sum((c * y_b for c, y_b in zip(row, y) if c), np.zeros(shape))
+            for row in self._c
+        ]
+
+    def class_counts(self, atoms) -> tuple:
+        """The plus count k_a of each class at each atom, one array per class."""
+        return np.unravel_index(atoms, self.shape)
+
+    def atom(self, spins: np.ndarray) -> int:
+        """The atom of a checked +-1 vector: its plus count in each class."""
+        starts = np.cumsum(self.sizes) - self.sizes
+        plus = np.add.reduceat((spins > 0).astype(np.int64), starts)
+        return int(np.ravel_multi_index(tuple(plus), self.shape))
+
+    def xbar(self, atoms: np.ndarray) -> np.ndarray:
+        """The mean spin (2K - n)/n of each atom, K its total plus count."""
+        plus = sum(self.class_counts(atoms))
+        return (2.0 * plus - self.n) / self.n
+
+    def fold(self, atoms) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct min(i, size - 1 - i) of 1-D integer ``atoms``, with each index.
+
+        Every count entry point goes through it; other input raises
+        ParameterError.
+        """
+        i = np.asarray(atoms)
+        if i.ndim != 1 or (i.size and i.dtype.kind not in "iu"):
+            raise ParameterError("atoms must be a 1-D array of integers")
+        last = self.size - 1
+        if i.size and (i.min() < 0 or i.max() > last):
+            raise ParameterError(f"atoms must lie in [0, {last}]")
+        i = i.astype(np.int64)
+        return np.unique(np.minimum(i, last - i), return_inverse=True)
+
+    def fields(self, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each atom's field values and multiplicities, two per class.
+
+        Class a contributes (WS)_a - W_aa on its k_a plus spins and
+        (WS)_a + W_aa on its m_a - k_a minus spins.
+        """
+        k = self.class_counts(atoms)
+        cy = self._cy(self._y(k), np.shape(atoms))
+        offsets = np.diagonal(self._c) / self.n  # W_aa
+        t = [f for cy_a, d in zip(cy, offsets) for f in (cy_a - d, cy_a + d)]
+        w = [f for k_a, m_a in zip(k, self.sizes) for f in (k_a, m_a - k_a)]
+        return np.stack(t, axis=1), np.stack(w, axis=1).astype(np.float64)
+
+    @lru_cache(maxsize=4)
+    def tilted(self, theta: float) -> tuple[float, float, np.ndarray]:
+        """tilted_table of the law at ``theta``, once per theta; pmf read-only."""
+        log_z, dlog_z, pmf = tilted_table(self.values, self.log_mult, theta)
+        pmf.flags.writeable = False
+        return log_z, dlog_z, pmf
 
     def atoms(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """The counts with positive mass at ``theta``, and their masses."""
-        pmf = tilted_table(self.values, self.log_mult, theta)[2]
-        counts = np.flatnonzero(pmf)
-        return counts, pmf[counts]
+        """The atoms with positive mass at ``theta``, and their masses."""
+        pmf = self.tilted(theta)[2]
+        atoms = np.flatnonzero(pmf)
+        return atoms, pmf[atoms]
 
 
 def count_law(coupling: CouplingMatrix) -> CountLaw | None:
-    """The +1-count law of ``coupling``, cached per n, or None.
+    """The count law of a block coupling, cached per sizes and weights, or None.
 
-    Only the complete coupling, a single class of weight 1/n, has one.
+    A dense coupling, and a block coupling of more than COUNT_LAW_MAX_ATOMS
+    atoms, has none.
     """
-    sizes, weights = coupling.sizes, coupling.weights
-    if sizes is None or sizes.size != 1 or weights[0, 0] != 1.0 / coupling.n:
+    if coupling.sizes is None:
         return None
-    return _complete_law(coupling.n)
+    try:
+        return _block_law(tuple(coupling.sizes.tolist()), tuple(coupling.weights.flat))
+    except CapacityError:
+        return None
 
 
 @lru_cache(maxsize=4)
-def _complete_law(n: int) -> CountLaw:
-    return CountLaw(n)
+def _block_law(sizes: tuple, weights: tuple) -> CountLaw:
+    q = len(sizes)
+    return CountLaw(sum(sizes), sizes, np.reshape(weights, (q, q)))
 
 
 def cw_log_partition(n: int, theta: float) -> float:
@@ -369,31 +458,33 @@ def cw_log_partition(n: int, theta: float) -> float:
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
-    law = _complete_law(n)
-    return tilted_table(law.values, law.log_mult, theta)[0] + 0.5 * theta
+    if n < 1:
+        raise CapacityError("a count law needs n >= 1")
+    law = _block_law((n,), (1.0 / n,))
+    return law.tilted(theta)[0] + 0.5 * theta
 
 
 def draw_counts(
     law: CountLaw, theta: float, master_seed: int, reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """+1 counts and tie-break uniforms of ``reps`` draws from a count law.
+    """Atoms and tie-break uniforms of ``reps`` draws from a count law.
 
     The count law is exact: the pmf of the law's table at ``theta``.
     Replication r draws two uniforms from substream(master_seed, r), the
-    first mapped to its count by inverse CDF and the second kept for the
+    first mapped to its atom by inverse CDF and the second kept for the
     randomized tests' tie-break. Every statistic is a function of the
-    count, so no spin vector is ever drawn.
+    atom, so no spin vector is ever drawn.
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
     if reps < 0:
         raise ParameterError("reps must be nonnegative")
-    cdf = np.cumsum(tilted_table(law.values, law.log_mult, theta)[2])
+    cdf = np.cumsum(law.tilted(theta)[2])
     draws = np.empty((reps, 2))
     for r in range(reps):
         draws[r] = substream(master_seed, r).random(2)
-    # a uniform past the rounded total mass lands on the last count
-    counts = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), law.n)
+    # a uniform past the rounded total mass lands on the last atom
+    counts = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), law.size - 1)
     return counts, draws[:, 1].copy()
 
 

@@ -26,6 +26,7 @@ from ising_infer import (
 from ising_infer import harness, htests, inference, sampler, theory
 from ising_infer.cli import main
 from ising_infer.coupling import (
+    CouplingMatrix,
     build_coupling,
     centered_quadratic_forms,
     limiting_spectrum,
@@ -405,6 +406,11 @@ def test_power_curve_records():
     assert set(result.summary["n=100"]) == {"ms", "np", "pl"}
 
 
+def _dense_copy(coupling):
+    """The same matrix stored densely, so it has no count law."""
+    return CouplingMatrix(coupling.n, coupling.entries, coupling.family)
+
+
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that counts its calls per n."""
     calls = []
@@ -423,7 +429,7 @@ def _assert_records_match_per_kind_calls(cfg, result):
     """Every record equals its own calibrate + empirical_power on fresh draw
     sets, bit for bit."""
     for n in cfg.n:
-        coupling = build_coupling(cfg.family, n)
+        coupling = harness._coupling_for(cfg, n)
         for kind in ("ms", "np", "pl"):
             spec = TestSpec(kind, cfg.theta0, cfg.alpha, n, cfg.calibration)
             null_seed = derive_seed(cfg.master_seed, 0)
@@ -443,7 +449,7 @@ def _assert_records_match_per_kind_calls(cfg, result):
                     assert math.isnan(row["achieved_level"])
                 else:
                     assert row["achieved_level"] == cal.achieved_level
-                if cfg.family == "complete":
+                if sampler.count_law(coupling) is not None:
                     assert row["exact_power"] == exact_power(spec, coupling, row["h"], cal)
                 else:
                     assert math.isnan(row["exact_power"])
@@ -461,10 +467,26 @@ def test_power_curve_draws_once_per_h_on_complete(monkeypatch):
     _assert_records_match_per_kind_calls(cfg, result)
 
 
+def test_power_curve_tilts_the_count_law_once_per_theta(monkeypatch):
+    # calibration, the draws and the exact power at one theta share one
+    # tilted table; h = 0 sits at theta0 itself
+    sampler.CountLaw.tilted.cache_clear()
+    tilts = _counting(monkeypatch, sampler, "tilted_table")
+    cfg = ExperimentConfig(experiment="power_curve", n=(300,), reps=50, master_seed=7)
+    run_experiment(cfg)
+    assert cfg.h == (0.0, 0.5, 1.0, 2.0, 4.0)
+    assert len(tilts) == len(cfg.h)
+
+
 @pytest.mark.parametrize("calibration", ["monte_carlo", "asymptotic"])
 def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch, calibration):
     # one null set per n, drawn only when a Glauber calibration reads it,
-    # and one set per h shared by the three kinds
+    # and one set per h shared by the three kinds; a dense copy of the
+    # bipartite coupling has no count law, so it draws by Glauber
+    block = harness._coupling_for
+    monkeypatch.setattr(
+        harness, "_coupling_for", lambda config, n: _dense_copy(block(config, n))
+    )
     draws = _counting(monkeypatch, htests, "glauber_sample")
     cfg = ExperimentConfig(
         experiment="power_curve", family="bipartite", n=(4,), theta0=1.1,

@@ -6,6 +6,7 @@ import pytest
 
 from ising_infer import (
     Calibration,
+    CouplingMatrix,
     DrawSet,
     ParameterError,
     TestSpec,
@@ -26,6 +27,11 @@ from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _count_statistics
 from ising_infer.sampler import CountLaw, tilted_table
 from ising_infer import count_law, derive_seed, draw_counts, glauber_sample, substream
+
+
+def _dense_bipartite(n):
+    """The bipartite matrix stored densely: no count law, so Glauber draws."""
+    return CouplingMatrix(n, build_coupling("bipartite", n).entries, "bipartite")
 
 
 def test_statistic_values():
@@ -81,11 +87,11 @@ def test_spec_validation(monkeypatch):
     monkeypatch.setattr(htests, "glauber_sample", no_draws)
     monkeypatch.setattr(htests, "draw_counts", no_draws)
     spec = TestSpec("ms", 1.0, 0.05, 100)
-    bip = build_coupling("bipartite", 100)
+    bip = _dense_bipartite(100)
     bad_nulls = {
         "missing": None,
         "too few reps": DrawSet(bip, 1.0, 0, 500),
-        "another coupling": DrawSet(build_coupling("bipartite", 100), 1.0, 0, 1000),
+        "another coupling": DrawSet(_dense_bipartite(100), 1.0, 0, 1000),
         "another theta": DrawSet(bip, 1.1, 0, 1000),
     }
     for case, null in bad_nulls.items():
@@ -143,7 +149,7 @@ def test_randomized_calibration_has_level_alpha_in_sample():
     # gamma tops the conservative level P(T > K) up to exactly alpha on the
     # Glauber calibration sample
     alpha = 0.05
-    cpl, kind, theta0, seed = build_coupling("bipartite", 4), "np", 1.0, 5
+    cpl, kind, theta0, seed = _dense_bipartite(4), "np", 1.0, 5
     null = DrawSet(cpl, theta0, seed, 1000)
     cal = calibrate(TestSpec(kind, theta0, alpha, cpl.n), cpl, null)
     assert cal.sampler == "glauber"
@@ -181,7 +187,7 @@ def test_statistic_batch_ignores_tie_break_draws():
             spins = np.where(np.arange(n) < k, 1, -1).astype(np.int8)
             assert statistic_value(kind, spins, cpl) == value, (kind, k)
 
-    bip = build_coupling("bipartite", 6)
+    bip = _dense_bipartite(6)
     stats = DrawSet(bip, 1.0, 9, 5).stats["np"]
     want = [
         statistic_value("np", glauber_sample(bip, 1.0, derive_seed(9, r)), bip)
@@ -317,7 +323,7 @@ def test_run_test_needs_a_calibration_off_count_laws(monkeypatch):
     monkeypatch.setattr(htests, "glauber_sample", no_draws)
     spec = TestSpec("ms", 1.0, 0.05, 8)
     with pytest.raises(ParameterError):
-        run_test(np.ones(8, dtype=np.int8), spec, build_coupling("bipartite", 8))
+        run_test(np.ones(8, dtype=np.int8), spec, _dense_bipartite(8))
 
 
 def test_asymptotic_calibration_low_regime():
@@ -430,7 +436,7 @@ def test_empirical_power_validation():
     with pytest.raises(ParameterError):
         exact_power(spec, cpl, -1.0)
     with pytest.raises(ParameterError):
-        exact_power(TestSpec("ms", 1.0, 0.05, 4), build_coupling("bipartite", 4), 0.0)
+        exact_power(TestSpec("ms", 1.0, 0.05, 4), _dense_bipartite(4), 0.0)
 
 
 def test_pl_count_statistics_are_mirrored():

@@ -62,8 +62,9 @@ def test_only_local_fields_forms_qx():
     assert not offenders, offenders
 
 
-def _complete_family_tests(path: Path) -> list:
-    """Names of the functions holding a comparison of ``.family`` with "complete"."""
+def _family_tests(path: Path, value=None) -> list:
+    """Names of the functions holding a comparison of ``.family``, with
+    ``value`` when one is given."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
     for fn in ast.walk(tree):
@@ -77,23 +78,24 @@ def _complete_family_tests(path: Path) -> list:
                 isinstance(side, ast.Attribute) and side.attr == "family"
                 for side in sides
             )
-            complete = any(
-                isinstance(leaf, ast.Constant) and leaf.value == "complete"
+            named = value is None or any(
+                isinstance(leaf, ast.Constant) and leaf.value == value
                 for side in sides
                 for leaf in ast.walk(side)
             )
-            if family and complete:
+            if family and named:
                 found.append(fn.name)
     return found
 
 
 def test_count_law_decides_the_exact_path():
-    # the exact +1-count path is chosen by count_law(coupling), not by the
-    # family name; only the mean-field normalizer check still names it
+    # the exact count path is chosen by count_law(coupling), not by the
+    # family name: the sampler, the estimators and the tests name no family,
+    # and only the mean-field normalizer check names the complete one
     package = Path(ising_infer.__file__).parent
-    assert _complete_family_tests(package / "htests.py") == []
-    assert _complete_family_tests(package / "inference.py") == []
-    assert _complete_family_tests(package / "harness.py") == ["_run_normalizer_check"]
+    for module in ("sampler.py", "inference.py", "htests.py"):
+        assert _family_tests(package / module) == [], module
+    assert _family_tests(package / "harness.py", "complete") == ["_run_normalizer_check"]
 
 
 def _decorator_name(node) -> str:

@@ -23,9 +23,11 @@ from ising_infer import (
     glauber_sample,
     glauber_series,
     glauber_sweep_kernel,
+    mle_counts,
     mle_exact,
     mle_stochastic,
     mple,
+    mple_counts,
     quadratic_form,
     read_sample_dump,
     run_test,
@@ -36,7 +38,7 @@ from ising_infer import (
 from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import KINDS
 from ising_infer.sampler import (
-    CW_PARTITION_MAX_N,
+    COUNT_LAW_MAX_ATOMS,
     CountLaw,
     decode_spins,
     default_burn_in,
@@ -311,16 +313,40 @@ def test_complete_count_pmf_matches_enumeration(theta):
         assert np.max(np.abs(got - want)) <= 1e-12, n
 
 
+def _block_couplings():
+    """Small block couplings of every kind, each under n = 16."""
+    return [
+        *(build_coupling("complete", n) for n in range(2, 17)),
+        *(build_coupling("bipartite", n) for n in (2, 8, 16)),
+        *(build_coupling("qpartite", n, q=3) for n in (3, 9, 15)),
+        build_coupling("cyclic_qpartite", 12, q=3),
+        *(build_coupling("cyclic_qpartite", n, q=5) for n in (5, 15)),
+        # uneven classes, one of size 1, whose own weight pairs no spins
+        CouplingMatrix(
+            11, family="custom", sizes=[1, 4, 6],
+            weights=[[0.3, 0.1, 0.2], [0.1, 0.05, 0.15], [0.2, 0.15, 0.0]],
+        ),
+    ]
+
+
+def _atom_spins(law, atom):
+    """A +-1 vector whose class a holds the atom's k_a plus spins first."""
+    counts = [int(k[0]) for k in law.class_counts([atom])]
+    return np.concatenate(
+        [np.where(np.arange(m) < k, 1, -1) for k, m in zip(counts, law.sizes)]
+    ).astype(np.int8)
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.7])
 def test_count_law_matches_enumeration(theta):
     # the law's tilted table, summed by x'Qx value, is the 2^n state law of
-    # the sufficient statistic, with the same log Z
-    for n in range(2, 17):
-        cpl = build_coupling("complete", n)
-        law = count_law(cpl)
-        log_z, _, pmf = tilted_table(law.values, law.log_mult, theta)
+    # the sufficient statistic, with the same log Z and dlog Z
+    for cpl in _block_couplings():
+        law, n = count_law(cpl), (cpl.family, cpl.n)
+        log_z, dlog_z, pmf = tilted_table(law.values, law.log_mult, theta)
         exact = exact_enumerate(cpl, theta)
         assert abs(log_z - exact.log_z) <= 1e-12, n
+        assert abs(dlog_z - exact.dlog_z) <= 1e-12, n
         grouped = {}
         for value, mass in zip(np.round(law.values, 10), pmf):
             grouped[value] = grouped.get(value, 0.0) + float(mass)
@@ -330,34 +356,74 @@ def test_count_law_matches_enumeration(theta):
 
 
 def test_count_law_fields_are_the_local_fields():
-    # each count's two field values, repeated by their multiplicities, are
-    # the local fields of a configuration with that many plus spins
-    for n in (2, 3, 8, 17):
-        cpl = build_coupling("complete", n)
+    # each atom's field values, repeated by their multiplicities, are the
+    # local fields of a configuration with the atom's plus count per class
+    for cpl in _block_couplings():
         law = count_law(cpl)
-        counts = np.arange(n + 1)
-        t, w = law.fields(counts)
-        for k in counts:
-            spins = np.where(np.arange(n) < k, 1, -1).astype(np.int8)
+        atoms = np.arange(law.size)
+        t, w = law.fields(atoms)
+        xbar = law.xbar(atoms)
+        for i in atoms:
+            spins = _atom_spins(law, i)
+            assert law.atom(spins) == i
+            assert xbar[i] == spins.mean()
             want = np.sort(cpl.local_fields(spins))
-            got = np.sort(np.repeat(t[k], w[k].astype(np.int64)))
-            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (n, k)
-        assert np.array_equal(law.xbar(counts), (2.0 * counts - n) / n)
+            got = np.sort(np.repeat(t[i], w[i].astype(np.int64)))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (cpl.family, i)
+            x = spins.astype(np.float64)
+            assert abs(law.values[i] - x @ cpl.local_fields(x)) <= 1e-12
 
 
-def test_count_law_only_for_the_complete_coupling():
-    assert isinstance(count_law(build_coupling("complete", 12)), CountLaw)
-    others = [
+def test_count_law_only_for_block_couplings_under_the_cap():
+    blocks = [
+        build_coupling("complete", 12),
         build_coupling("bipartite", 12),
         build_coupling("qpartite", 12, q=3),
         build_coupling("cyclic_qpartite", 12, q=3),
+        CouplingMatrix(4, family="custom", sizes=[4], weights=[[0.5]]),
+    ]
+    for cpl in blocks:
+        assert isinstance(count_law(cpl), CountLaw), cpl.family
+    others = [
         build_coupling("random_regular", 12, d=4, seed=1),
         CouplingMatrix(3, np.full((3, 3), 0.5) - np.diag(np.full(3, 0.5))),
-        # one class whose weight is not 1/n is not the complete coupling
-        CouplingMatrix(4, family="custom", sizes=[4], weights=[[0.5]]),
+        # 801^3 atoms: past the cap, so it keeps Glauber
+        build_coupling("qpartite", 2400, q=3),
     ]
     for cpl in others:
         assert count_law(cpl) is None, cpl.family
+    # the cap admits every complete coupling to n = 10^7
+    assert COUNT_LAW_MAX_ATOMS == 10**7 + 1
+
+
+def test_fold_refuses_non_integral_and_nested_atoms():
+    law = CountLaw(10)
+    for atoms in ([2.5, 7.9], [2.0], [[1, 2]], np.array([True])):
+        with pytest.raises(ParameterError):
+            law.fold(atoms)
+        with pytest.raises(ParameterError):
+            mple_counts(law, atoms)
+        with pytest.raises(ParameterError):
+            mle_counts(law, atoms)
+    folded, inverse = law.fold([2, 8, 10, 5])
+    assert folded.tolist() == [0, 2, 5] and inverse.tolist() == [1, 1, 0, 2]
+    assert law.fold([])[0].size == 0
+
+
+def test_glauber_matches_the_bipartite_count_law():
+    # off the complete family Glauber is only an oracle; its per-sweep x'Qx
+    # frequencies match the exact law's pmf grouped by value
+    coupling, theta = build_coupling("bipartite", 16), 0.8
+    law = count_law(coupling)
+    exact = {}
+    for value, mass in zip(np.round(law.values, 10), law.tilted(theta)[2]):
+        exact[value] = exact.get(value, 0.0) + float(mass)
+    suff, _ = glauber_series(coupling, theta, 4242, samples=40_000)
+    keys, observed = np.unique(np.round(suff, 10), return_counts=True)
+    empirical = dict(zip(keys.tolist(), (observed / suff.size).tolist()))
+    support = set(exact) | set(empirical)
+    tv = 0.5 * sum(abs(empirical.get(v, 0.0) - exact.get(v, 0.0)) for v in support)
+    assert tv < 0.03, tv
 
 
 def _chi_square_pvalue(counts, pmf) -> float:
@@ -403,7 +469,7 @@ def test_cw_aux_counts_input_checks():
         draw_counts(law, -0.1, 1, 5)
     with pytest.raises(ParameterError):
         draw_counts(law, 1.0, 1, -1)
-    for n in (0, CW_PARTITION_MAX_N + 1):
+    for n in (0, COUNT_LAW_MAX_ATOMS):
         with pytest.raises(CapacityError):
             CountLaw(n)
     counts, uniforms = draw_counts(law, 1.0, 1, 0)
