@@ -53,6 +53,9 @@ MLE_RESIDUAL_ULPS = 256
 # extreme is treated as sitting on it (the coupling entries themselves are
 # rounded, so finer distinctions are noise).
 BOUNDARY_GUARD = 1e-9
+# mple_counts solves its folded atoms this many rows at a time, so its
+# working memory stays bounded however many atoms a law has
+PL_BLOCK_ROWS = 1 << 15
 
 logger = logging.getLogger(__name__)
 
@@ -180,13 +183,17 @@ def mple_counts(law: CountLaw, counts) -> PLRows:
     """MPLE for each atom in a 1-D integer array ``counts`` under a count law.
 
     Each atom's fields and x'Qx come from the law. An atom and its global
-    flip give the same equation, so each distinct folded atom is one row of
-    one _pl_rows call, mirrored back to its atoms. Other input raises
-    ParameterError.
+    flip give the same equation, so each distinct folded atom is one row,
+    solved in _pl_rows calls of PL_BLOCK_ROWS rows and mirrored back to its
+    atoms. Each row iterates on its own, so the blocks do not change a bit.
+    Other input raises ParameterError.
     """
     k, inverse = law.fold(counts)
-    rows = _pl_rows(*law.fields(k), law.values[k])
-    return PLRows(*(column[inverse] for column in rows))
+    blocks = [
+        _pl_rows(*law.fields(part), law.values[part])
+        for part in np.split(k, range(PL_BLOCK_ROWS, k.size, PL_BLOCK_ROWS))
+    ]
+    return PLRows(*(np.concatenate(column)[inverse] for column in zip(*blocks)))
 
 
 def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:

@@ -35,7 +35,7 @@ from scipy.special import gammaln
 
 from .coupling import CouplingMatrix, as_spins
 from .errors import CapacityError, ParameterError
-from .streams import as_generator, substream
+from .streams import as_generator, substream_uniforms
 
 ENUMERATION_MAX_N = 24
 # state-indexed laws and kernels hold 2^n floats, or 2^n x n spins
@@ -470,19 +470,18 @@ def draw_counts(
     """Atoms and tie-break uniforms of ``reps`` draws from a count law.
 
     The count law is exact: the pmf of the law's table at ``theta``.
-    Replication r draws two uniforms from substream(master_seed, r), the
-    first mapped to its atom by inverse CDF and the second kept for the
-    randomized tests' tie-break. Every statistic is a function of the
-    atom, so no spin vector is ever drawn.
+    Replication r draws the first two uniforms of substream(master_seed,
+    r), read for every r at once by substream_uniforms, the first mapped to
+    its atom by inverse CDF and the second kept for the randomized tests'
+    tie-break. Every statistic is a function of the atom, so no spin vector
+    is ever drawn.
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
     if reps < 0:
         raise ParameterError("reps must be nonnegative")
     cdf = np.cumsum(law.tilted(theta)[2])
-    draws = np.empty((reps, 2))
-    for r in range(reps):
-        draws[r] = substream(master_seed, r).random(2)
+    draws = substream_uniforms(master_seed, reps, 2)
     # a uniform past the rounded total mass lands on the last atom
     counts = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), law.size - 1)
     return counts, draws[:, 1].copy()

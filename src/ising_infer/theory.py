@@ -38,6 +38,9 @@ CRITICAL_GRID_POINTS = 4096
 ZERO_EIG = 1e-12
 LIMIT_LATTICE_POINTS = 1 << 16
 LIMIT_TAIL_LOG = 40.0
+# Gauss-Legendre nodes per side of the cusp when one chi-square group is
+# smoothed by N(0, 2 kappa)
+LIMIT_SMOOTHING_NODES = 64
 
 
 def spontaneous_magnetization(theta: float) -> float:
@@ -331,9 +334,10 @@ def _d_survival(limit_eigs: tuple, kappa: float):
 
     Tail eigenvalues within ZERO_EIG of zero (the float cos(pi/2) of a
     cyclic_qpartite with 4 | q) are left out. Without a tail D is -1 or
-    -1 + N(0, 2 kappa) (ndtr); one chi-square group with kappa = 0 is read
-    through chdtr at the points themselves, keeping the chi-square cusp
-    exact; anything else goes through _lattice_survival. A negative kappa
+    -1 + N(0, 2 kappa) (ndtr). One chi-square group is read through chdtr
+    at the points themselves when kappa = 0, and through
+    _smoothed_chi_square when kappa > 0, so its cusp stays exact either
+    way; two or more groups go through _lattice_survival. A negative kappa
     or a tail eigenvalue >= 1 raises (_tail_spectrum at theta = 1).
     """
     _tail_spectrum(1.0, limit_eigs, kappa)
@@ -345,9 +349,11 @@ def _d_survival(limit_eigs: tuple, kappa: float):
             return None
         sd = math.sqrt(2.0 * kappa)
         return lambda x: ndtr(-(x + 1.0) / sd)
-    if lam.size == 1 and kappa == 0.0:
+    if lam.size == 1:
         (eig,), (m,) = lam, mult
         tail = chdtrc if eig > 0.0 else chdtr
+        if kappa > 0.0:
+            return _smoothed_chi_square(tail, eig, m, kappa)
         return lambda x: _chi_square_at(tail, eig, m, x + 1.0)
     return _lattice_survival(lam, mult, kappa)
 
@@ -359,6 +365,34 @@ def _chi_square_at(fn, eig: float, m: float, z):
     P(eig (y - m) > z) for eig < 0; chdtrc gives the complements.
     """
     return fn(m, np.maximum(m + z / eig, 0.0))
+
+
+def _smoothed_chi_square(tail, eig: float, m: float, kappa: float):
+    """P(D > x) for D = eig (y - m) - 1 + W, y ~ chi^2_m, W = sd s ~ N(0, 2 kappa).
+
+    The chi-square survival _chi_square_at(tail, eig, m, x + 1 - sd s) is
+    integrated against the normal density of s on |s| <= sqrt(2
+    LIMIT_TAIL_LOG), which leaves out less than e^-LIMIT_TAIL_LOG of its
+    mass. The range is broken at the chi-square cusp, s = (x + 1 + eig m) /
+    sd clipped to it; each side runs in t with s = cusp -+ t^2, where the
+    integrand is smooth in t, by LIMIT_SMOOTHING_NODES Gauss-Legendre nodes.
+    """
+    sd, reach = math.sqrt(2.0 * kappa), math.sqrt(2.0 * LIMIT_TAIL_LOG)
+    nodes, weights = np.polynomial.legendre.leggauss(LIMIT_SMOOTHING_NODES)
+
+    def survival(x):
+        z = np.asarray(x, dtype=np.float64)[..., None] + 1.0
+        cusp = np.clip((z + eig * m) / sd, -reach, reach)
+        total = 0.0
+        for sign in (-1.0, 1.0):
+            half = 0.5 * np.sqrt(reach - sign * cusp)
+            t = half * (nodes + 1.0)
+            s = cusp + sign * t * t
+            chi = _chi_square_at(tail, eig, m, z - sd * s)
+            total = total + (np.exp(-0.5 * s * s) * chi * t * half) @ weights
+        return total * math.sqrt(2.0 / math.pi)
+
+    return survival
 
 
 def _lattice_survival(lam: np.ndarray, mult: np.ndarray, kappa: float):
@@ -375,9 +409,9 @@ def _lattice_survival(lam: np.ndarray, mult: np.ndarray, kappa: float):
     Laurent and Massart (2000, Lemma 1) every component, and their sum,
     leaves less than e^-LIMIT_TAIL_LOG of its mass outside. The cataloged
     cyclic_qpartite laws agree with a 16 times finer lattice to 1e-8 in
-    power. A chi-square_1 spike that no wider component smooths (one group
-    beside a tiny kappa) falls inside one cell, and linear interpolation
-    then costs up to about 5e-4.
+    power. A lone group never comes here (_d_survival reads it exactly);
+    a chi-square_1 group whose spike no other component widens past one
+    cell, as beside a group of eigenvalue 1e-9, still costs about 1e-3.
     """
     size, x = LIMIT_LATTICE_POINTS, LIMIT_TAIL_LOG
     half = 2.0 * math.sqrt(2.0 * x * (mult @ (lam * lam) + kappa))

@@ -23,7 +23,7 @@ from ising_infer import (
     run_experiment,
     sample_mple_limit,
 )
-from ising_infer import harness, htests, inference, sampler, theory
+from ising_infer import harness, htests, inference, sampler, streams, theory
 from ising_infer.cli import main
 from ising_infer.coupling import (
     CouplingMatrix,
@@ -501,15 +501,22 @@ def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch, calibration)
 def test_power_curve_hands_out_no_seed_twice(monkeypatch):
     # the critical pl limit Monte Carlo used to reuse the stream of the
     # first power draw at the next h; the limit power draws nothing, so
-    # the run makes exactly one stream per replication per h
+    # the run makes exactly one stream per replication per h. A stream is
+    # either a Generator (default_rng) or a row of a batch (seed_uniforms)
     seeds = []
     default_rng = np.random.default_rng
+    seed_uniforms = streams.seed_uniforms
 
     def recording(seed=None):
         seeds.append(seed)
         return default_rng(seed)
 
+    def recording_batch(batch, k):
+        seeds.extend(np.asarray(batch, dtype=np.uint64).tolist())
+        return seed_uniforms(batch, k)
+
     monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(streams, "seed_uniforms", recording_batch)
     cfg = ExperimentConfig(
         experiment="power_curve", n=(100,), theta0=1.0, h=(0.0, 1.0, 2.0),
         reps=50, master_seed=7,

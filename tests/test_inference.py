@@ -23,6 +23,7 @@ from ising_infer import (
     suff_stat_bounds,
     substream,
 )
+from ising_infer import inference
 from ising_infer.sampler import (
     CountLaw,
     enumerate_state_distribution,
@@ -188,6 +189,18 @@ def test_pl_core_rows_iterate_independently():
                 assert column[k] == alone[0] or (
                     np.isnan(column[k]) and np.isnan(alone[0])
                 ), (n, k)
+
+
+def test_pl_blocks_change_no_bit(monkeypatch):
+    # mple_counts solves PL_BLOCK_ROWS folded atoms per _pl_rows call
+    law = count_law(build_coupling("bipartite", 60))
+    atoms = np.arange(law.size)
+    whole = mple_counts(law, atoms)
+    assert law.size < inference.PL_BLOCK_ROWS
+    monkeypatch.setattr(inference, "PL_BLOCK_ROWS", 5)
+    for column, blocked in zip(whole, mple_counts(law, atoms)):
+        assert column.dtype == blocked.dtype
+        assert np.array_equal(column, blocked, equal_nan=True)
 
 
 def test_suff_stat_bounds_closed_forms():

@@ -36,6 +36,7 @@ from ising_infer import (
     write_sample_dump,
 )
 from ising_infer import test_statistic as statistic_value
+from ising_infer import streams
 from ising_infer.htests import KINDS
 from ising_infer.sampler import (
     COUNT_LAW_MAX_ATOMS,
@@ -47,6 +48,7 @@ from ising_infer.sampler import (
     flip_probability,
     tilted_table,
 )
+from ising_infer.streams import seed_uniforms, substream_uniforms
 
 
 def test_derive_seed_matches_documented_formula():
@@ -61,6 +63,42 @@ def test_substreams_differ():
     b = substream(7, 1).random(4)
     assert not np.allclose(a, b)
     assert np.array_equal(a, substream(7, 0).random(4))
+
+
+def test_substream_uniforms_match_the_scalar_streams():
+    # 102 000 (master seed, r) pairs, each against its own Generator
+    reps = 17_000
+    for k, master in zip((1, 2, 3, 1, 2, 3), (0, 7, 20260815, 123456789, 2**63 - 1, 2**64 - 1)):
+        fast = substream_uniforms(master, reps, k)
+        slow = np.array([substream(master, r).random(k) for r in range(reps)])
+        assert fast.shape == (reps, k)
+        assert np.array_equal(fast, slow), (master, k)
+    assert substream_uniforms(7, 0, 3).shape == (0, 3)
+    with pytest.raises(ValueError):
+        substream_uniforms(7, -1, 2)
+
+
+def test_seed_uniforms_at_the_edge_seeds():
+    # one and two 32-bit seed words, and the top bit of each
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    for k in (1, 2, 3):
+        fast = seed_uniforms(np.array(seeds, dtype=np.uint64), k)
+        slow = np.array([np.random.default_rng(seed).random(k) for seed in seeds])
+        assert np.array_equal(fast, slow), k
+
+
+def test_draw_counts_builds_no_generator(monkeypatch):
+    law = count_law(build_coupling("bipartite", 40))
+    counts, uniforms = draw_counts(law, 1.1, 20260815, 500)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("draw_counts built a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(streams, "substream", refuse)
+    again = draw_counts(law, 1.1, 20260815, 500)
+    assert np.array_equal(again[0], counts)
+    assert np.array_equal(again[1], uniforms)
 
 
 def test_spin_configuration_consistency():

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.integrate import quad
+from scipy.special import chdtr, chdtrc, gammaln, logsumexp
 
 from ising_infer import (
     ParameterError,
@@ -25,6 +26,7 @@ from ising_infer import (
     sample_quadratic_limits,
     spontaneous_magnetization,
 )
+from ising_infer import theory
 
 M_15 = 0.8585596366401105
 R_15 = 0.3199208645349059
@@ -283,14 +285,56 @@ def test_mple_limit_quartiles_match_monte_carlo(index, h):
 
 
 def test_mple_limit_lattice_matches_the_chi_square_route():
-    # a vanishing kappa sends one chi-square group through the lattice
-    # convolution instead of chdtr; the two must agree
+    # a vanishing kappa sends one chi-square group through
+    # _smoothed_chi_square instead of chdtr at the points; the two must agree
     eigs = (1.0, -0.5, -0.5)
     for alpha in (0.01, 0.05, 0.2):
         v = mple_limit_quantile(1.0 - alpha, 0.0, eigs, 0.0)
         for h in (0.0, 1.0, 2.0, 4.0):
             exact = mple_limit_sf(v, h, eigs, 0.0)
             assert abs(mple_limit_sf(v, h, eigs, 1e-12) - exact) < 1e-5, (alpha, h)
+    # a chi-square_1 group smoothed by N(0, 2 kappa) moves the survival
+    # function by about sqrt(sd) within sd of the cusp, which the u^4 near
+    # u = 0 spreads over a u-range of sd^(1/4): the gap to kappa = 0 shrinks
+    # like kappa^(3/8), 3.7e-6 at kappa = 1e-12
+    eigs = (1.0, -1.0)
+    for kappa, bound, grid in ((1e-12, 1e-5, (-1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0)),
+                               (1e-20, 1e-8, (0.0, 0.5))):
+        for h in (0.0, 1.0):
+            for v in grid:
+                gap = mple_limit_sf(v, h, eigs, kappa) - mple_limit_sf(v, h, eigs, 0.0)
+                assert abs(gap) < bound, (kappa, h, v)
+
+
+def test_one_group_beside_kappa_matches_adaptive_quadrature():
+    # D = eig (y - m) - 1 + W: the chi-square tail against W's normal
+    # density, by adaptive quad broken at the cusp w = x + 1 + eig m
+    for eig, m, kappa in ((-1.0, 1.0, 1e-12), (0.7, 1.0, 1e-3), (-0.3, 2.0, 0.05),
+                          (0.5, 3.0, 1.0), (-0.01, 1.0, 100.0)):
+        survival = theory._d_survival((1.0,) + (eig,) * int(m), kappa)
+        tail = chdtrc if eig > 0.0 else chdtr
+        sd = math.sqrt(2.0 * kappa)
+        for x in (-3.0, -1.0, -0.2, 0.0, 1e-7, 0.3, 2.5):
+            def integrand(w):
+                y = max(m + (x + 1.0 - w) / eig, 0.0)
+                return math.exp(-0.5 * (w / sd) ** 2) * tail(m, y)
+
+            cusp = x + 1.0 + eig * m
+            ref = quad(integrand, -9.0 * sd, 9.0 * sd, epsabs=1e-14, epsrel=1e-13,
+                       points=[cusp] if abs(cusp) < 9.0 * sd else None,
+                       limit=500)[0] / (sd * math.sqrt(2.0 * math.pi))
+            assert abs(survival(np.array([x]))[0] - ref) < 1e-10, (eig, m, kappa, x)
+
+
+def test_lattice_matches_one_smoothed_group():
+    # the lattice convolution, which serves two or more groups, against
+    # the exact one-group route where kappa smooths the chi-square spike
+    xs = np.linspace(-6.0, 4.0, 201)
+    for eig, m in ((-1.0, 1.0), (0.5, 1.0), (-0.5, 2.0)):
+        for kappa in (0.05, 0.5):
+            lattice = theory._lattice_survival(np.array([eig]), np.array([m]), kappa)
+            exact = theory._d_survival((1.0,) + (eig,) * int(m), kappa)
+            assert np.abs(lattice(xs) - exact(xs)).max() < 2e-5, (eig, m, kappa)
 
 
 def test_mple_limit_sf_complete_reads_the_quartic_law():
