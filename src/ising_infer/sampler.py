@@ -7,7 +7,11 @@ Three sampling routes with different validity/scale trade-offs:
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
   from its spins. It draws for dense couplings and for block couplings
-  past the atom cap, and is an oracle elsewhere;
+  past the atom cap, and is an oracle elsewhere. Its sweeps run on
+  Python floats with ``math.tanh``, on halved fields that a flip of site
+  i updates by one in-place add of row i of the symmetric Q; that gives
+  numpy-tanh sweeps' spins except with probability at most 2^-53 per
+  site update (see ``_run_sweeps``);
 * exact draws from the count law of a block coupling (``draw_counts``):
   one atom, the plus count of each class, by inverse CDF on the law's
   table, so the experiments on a block coupling never touch a matrix.
@@ -213,16 +217,57 @@ def _initial_spins(n: int, init, rng: np.random.Generator) -> np.ndarray:
     return as_spins(init, n)
 
 
+def _check_chain(theta, **counts) -> float:
+    """``theta`` as a float, after refusing a non-finite one or a bad count.
+
+    Every count must be a nonnegative integer (a bool is not one). theta
+    may be negative; 2 theta must be finite, since the sweeps multiply the
+    halved fields by it.
+    """
+    theta = float(theta)
+    if not math.isfinite(2.0 * theta):
+        raise ParameterError(
+            f"theta must be finite with |theta| < 2^1023, got {theta!r}"
+        )
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ParameterError(f"{name} must be nonnegative, got {value}")
+    return theta
+
+
 def _run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
-    n = spins.shape[0]
+    """``sweeps`` systematic-scan sweeps, updating ``spins`` and ``t`` in place.
+
+    Site i turns +1 when its uniform falls below
+    flip_probability(theta, t_i), else -1. The loop runs on Python
+    floats: one ``random(n)`` list per sweep, each field read with
+    ``t.item(i)`` and ``math.tanh`` for the probability. The fields are
+    kept halved for the sweeps, so a flip of site i is one in-place
+    ``t += entries[i]`` or ``t -= entries[i]``: Q is symmetric, so row i
+    is column i, and nothing is allocated. Halving changes no bit while
+    every half is normal or zero, which holds whenever the nonzero entries
+    are at least 2^-969 (fl(t + 2q) = 2 fl(t/2 + q), and 2 theta t/2 is
+    theta t). ``math.tanh`` and numpy's ``tanh`` differ by at most 1 ulp,
+    so a spin can differ from a numpy-tanh sweep only when its uniform, a
+    multiple of 2^-53, falls between the two: probability at most 2^-53
+    per site update.
+    """
+    field, tanh, theta2 = t.item, math.tanh, 2.0 * theta
+    s = spins.tolist()
+    t *= 0.5
     for _ in range(sweeps):
-        u = rng.random(n)
-        for i in range(n):
-            p = 0.5 * (1.0 + np.tanh(theta * t[i]))
-            new = 1 if u[i] < p else -1
-            if new != spins[i]:
-                spins[i] = new
-                t += (2.0 * new) * entries[:, i]
+        for i, u in enumerate(rng.random(len(s)).tolist()):
+            if u < 0.5 * (1.0 + tanh(theta2 * field(i))):
+                if s[i] < 0:
+                    s[i] = 1
+                    t += entries[i]
+            elif s[i] > 0:
+                s[i] = -1
+                t -= entries[i]
+    t *= 2.0
+    spins[:] = s
 
 
 def glauber_sample(
@@ -237,13 +282,17 @@ def glauber_sample(
 
     ``sweeps`` defaults to default_burn_in(n, theta). ``init`` is "random"
     (default), "plus", "minus", or an explicit +-1 vector; replication-level
-    sign stratification at low temperature is the caller's concern.
+    sign stratification at low temperature is the caller's concern. A
+    non-finite theta, or a ``sweeps`` that is not a nonnegative integer,
+    raises ParameterError. Each site update costs one ``math.tanh`` on a
+    Python float and, when the spin flips, one in-place add of a row of Q
+    (see _run_sweeps for why that gives the numpy-tanh spins).
     """
-    rng = as_generator(seed)
-    n = coupling.n
     if sweeps is None:
-        sweeps = default_burn_in(n, theta)
-    spins = _initial_spins(n, init, rng)
+        sweeps = default_burn_in(coupling.n, theta)
+    theta = _check_chain(theta, sweeps=sweeps)
+    rng = as_generator(seed)
+    spins = _initial_spins(coupling.n, init, rng)
     t = coupling.local_fields(spins)
     _run_sweeps(coupling.entries, theta, spins, t, sweeps, rng)
     # fresh fields, so statistics agree with those computed from the spins
@@ -259,12 +308,15 @@ def glauber_series(
     burn_in: int | None = None,
     init=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sweep (x'Qx, xbar) series after burn-in, one entry per sweep."""
-    rng = as_generator(seed)
-    n = coupling.n
+    """Per-sweep (x'Qx, xbar) series after burn-in, one entry per sweep.
+
+    The checks are glauber_sample's, on ``samples`` and ``burn_in``.
+    """
     if burn_in is None:
-        burn_in = default_burn_in(n, theta)
-    spins = _initial_spins(n, init, rng)
+        burn_in = default_burn_in(coupling.n, theta)
+    theta = _check_chain(theta, samples=samples, burn_in=burn_in)
+    rng = as_generator(seed)
+    spins = _initial_spins(coupling.n, init, rng)
     t = coupling.local_fields(spins)
     _run_sweeps(coupling.entries, theta, spins, t, burn_in, rng)
     suff = np.empty(samples)

@@ -1,6 +1,7 @@
 """Samplers: enumeration, Glauber dynamics, exact count draws, dumps."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ from ising_infer import (
 from ising_infer import test_statistic as statistic_value
 from ising_infer import streams
 from ising_infer.htests import KINDS
+from ising_infer import sampler
 from ising_infer.sampler import (
     COUNT_LAW_MAX_ATOMS,
+    FIELD_CONSISTENCY_TOL,
     CountLaw,
     decode_spins,
     default_burn_in,
@@ -294,6 +297,125 @@ def test_glauber_series_shapes():
     assert np.all(suff >= -1.0 - 1e-12)
     again, _ = glauber_series(cpl, 0.8, 5, samples=25, burn_in=10)
     assert np.array_equal(suff, again)
+
+
+
+def _numpy_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
+    # the numpy-scalar sweep loop the Python-float loop replaced, verbatim
+    n = spins.shape[0]
+    for _ in range(sweeps):
+        u = rng.random(n)
+        for i in range(n):
+            p = 0.5 * (1.0 + np.tanh(theta * t[i]))
+            new = 1 if u[i] < p else -1
+            if new != spins[i]:
+                spins[i] = new
+                t += (2.0 * new) * entries[:, i]
+
+
+def _non_dyadic_custom():
+    a = np.random.default_rng(12).random((30, 30)) / 7.0
+    a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    return CouplingMatrix(30, a)
+
+
+_SWEEP_COUPLINGS = {
+    "random_regular_20": lambda: build_coupling("random_regular", 20, d=10, seed=7),
+    "random_regular_100": lambda: build_coupling("random_regular", 100, d=10, seed=7),
+    "custom": _non_dyadic_custom,
+    "bipartite": lambda: build_coupling("bipartite", 40),
+    "qpartite": lambda: build_coupling("qpartite", 30, q=3),
+}
+
+
+def _both_sweeps(monkeypatch, draw):
+    """``draw()`` under the Python-float sweeps, then under _numpy_sweeps."""
+    fast = draw()
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_run_sweeps", _numpy_sweeps)
+        return fast, draw()
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_COUPLINGS))
+@pytest.mark.parametrize("theta", [-0.5, 0.5, 1.0, 1.5])
+def test_python_float_sweeps_match_numpy_sweeps(monkeypatch, name, theta):
+    # halved fields and a row read give the same bits; math.tanh can move
+    # a spin only with probability 2^-53 per update
+    cpl = _SWEEP_COUPLINGS[name]()
+    seed = derive_seed(18, 100 * cpl.n + int(10 * theta))
+    fast, slow = _both_sweeps(
+        monkeypatch, lambda: glauber_sample(cpl, theta, seed, sweeps=60)
+    )
+    assert np.array_equal(fast.spins, slow.spins)
+    assert np.array_equal(fast.local_fields, slow.local_fields)
+    fast, slow = _both_sweeps(
+        monkeypatch,
+        lambda: glauber_series(cpl, theta, seed, samples=15, burn_in=25),
+    )
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a, b)
+
+
+def test_python_float_sweeps_match_on_the_workload_draws(monkeypatch):
+    # the estimator law's random_regular draws at their default burn-in
+    for n in (20, 100):
+        cpl = build_coupling("random_regular", n, d=10, seed=7)
+        seed = derive_seed(7, 0)
+        fast, slow = _both_sweeps(monkeypatch, lambda: glauber_sample(cpl, 1.5, seed))
+        assert np.array_equal(fast.spins, slow.spins)
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 40])
+def test_series_fields_agree_with_a_fresh_draw(burn_in):
+    # the series keeps its fields across sweeps; the draw recomputes them
+    cpl = build_coupling("random_regular", 60, d=10, seed=3)
+    suff, _ = glauber_series(cpl, 1.2, 5, samples=1, burn_in=burn_in)
+    config = glauber_sample(cpl, 1.2, 5, sweeps=burn_in + 1)
+    assert suff[-1] == pytest.approx(config.suff_stat(), abs=FIELD_CONSISTENCY_TOL)
+
+
+def test_glauber_draw_allocates_no_matrix():
+    # a flip adds a row in place; a 2Q copy or an n x n temporary would show
+    cpl = build_coupling("random_regular", 400, d=10, seed=1)
+    cpl.entries
+    tracemalloc.start()
+    try:
+        glauber_sample(cpl, 1.5, 2, sweeps=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cpl.entries.nbytes / 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cpl: glauber_sample(cpl, 1.0, 0, sweeps=-3),
+        lambda cpl: glauber_sample(cpl, 1.0, 0, sweeps=2.0),
+        lambda cpl: glauber_sample(cpl, 1.0, 0, sweeps=True),
+        lambda cpl: glauber_sample(cpl, math.nan, 0, sweeps=1),
+        lambda cpl: glauber_sample(cpl, math.nan, 0),
+        lambda cpl: glauber_sample(cpl, -math.inf, 0, sweeps=1),
+        lambda cpl: glauber_series(cpl, 1.0, 0, samples=-1, burn_in=0),
+        lambda cpl: glauber_series(cpl, 1.0, 0, samples=1.5, burn_in=0),
+        lambda cpl: glauber_series(cpl, 1.0, 0, samples=3, burn_in=-2),
+        lambda cpl: glauber_series(cpl, math.inf, 0, samples=3),
+    ],
+)
+def test_glauber_refuses_bad_counts_and_theta(call):
+    with pytest.raises(ParameterError):
+        call(build_coupling("complete", 6))
+
+
+def test_glauber_takes_negative_theta_and_integer_types():
+    # mle_stochastic brackets below 0; numpy integers are counts too
+    cpl = build_coupling("bipartite", 8)
+    a = glauber_sample(cpl, -2.5, 4, sweeps=np.int64(12))
+    b = glauber_sample(cpl, np.float64(-2.5), 4, sweeps=12)
+    assert np.array_equal(a.spins, b.spins)
+    suff, xbar = glauber_series(cpl, -1.0, 4, samples=np.int32(0), burn_in=0)
+    assert suff.shape == xbar.shape == (0,)
 
 
 def test_sweep_kernel_stationarity_small():
