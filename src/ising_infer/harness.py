@@ -130,12 +130,12 @@ class ExperimentConfig:
             raise ConfigError("alpha: must lie strictly in (0, 1)")
         if self.reps < 1:
             raise ConfigError("reps: must be a positive integer")
-        if self.theta0 <= 0.0:
-            raise ConfigError("theta0: must be positive")
+        if not 0.0 < self.theta0 < math.inf:
+            raise ConfigError("theta0: must be positive and finite")
         if any(v < 1 for v in self.n):
             raise ConfigError("n: all grid entries must be positive")
-        if any(v < 0 for v in self.h):
-            raise ConfigError("h: grid entries must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in self.h):
+            raise ConfigError("h: grid entries must be nonnegative and finite")
         for key in ("n", "h"):
             grid = getattr(self, key)
             if len(set(grid)) < len(grid):

@@ -50,12 +50,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .coupling import CouplingMatrix, as_spins, family_limit
 from .errors import ParameterError
 from .inference import mple, mple_counts
 from .sampler import CountLaw, SpinConfiguration, count_law, draw_counts, glauber_sample
+from .special import ndtr, ndtri
 from .streams import as_generator, derive_seed, substream
 from .theory import (
     critical_law,

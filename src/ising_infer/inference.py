@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coupling import CouplingMatrix
 from .errors import CapacityError, NumericError, ParameterError
@@ -40,6 +39,7 @@ from .sampler import (
     suff_stat_table,
     tilted_table,
 )
+from .special import brentq
 from .streams import derive_seed
 
 RESIDUAL_SCALE = 1e-12

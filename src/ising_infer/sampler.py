@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .coupling import CouplingMatrix, as_spins
 from .errors import CapacityError, ParameterError
+from .special import gammaln
 from .streams import as_generator, substream_uniforms
 
 ENUMERATION_MAX_N = 24
@@ -397,10 +397,10 @@ class CountLaw:
         k = np.ix_(*map(np.arange, self.shape))
         self.values = self._values(k).reshape(-1)
         self.log_mult = np.zeros(self.shape)
-        for k_a, m_a in zip(k, self.sizes):
-            self.log_mult += (
-                gammaln(m_a + 1.0) - gammaln(k_a + 1.0) - gammaln(m_a - k_a + 1.0)
-            )
+        for k_a in k:
+            # log C(m_a, k_a) from log k_a!, whose reverse is log (m_a - k_a)!
+            log_fact = gammaln(k_a + 1.0)
+            self.log_mult += log_fact.flat[-1] - log_fact - np.flip(log_fact)
         self.log_mult = self.log_mult.reshape(-1)
         self.values.flags.writeable = False
         self.log_mult.flags.writeable = False

@@ -138,8 +138,13 @@ def test_parse_config_bad_value_names_key():
         ({"experiment": "estimator_law", "alpha": 1.0}, "alpha"),
         ({"experiment": "estimator_law", "reps": 0}, "reps"),
         ({"experiment": "estimator_law", "theta0": -1.0}, "theta0"),
+        # NaN fails no ordered comparison, so these once ran to all-NaN rows
+        ({"experiment": "estimator_law", "theta0": math.nan}, "theta0"),
+        ({"experiment": "power_curve", "theta0": math.inf}, "theta0"),
         ({"experiment": "estimator_law", "n": (0,)}, "n"),
         ({"experiment": "estimator_law", "h": (-1.0,)}, "h"),
+        ({"experiment": "power_curve", "h": (0.0, math.nan)}, "h"),
+        ({"experiment": "power_curve", "theta0": 1.5, "h": (math.inf,)}, "h"),
         ({"experiment": "estimator_law", "format": "yaml"}, "format"),
         ({"experiment": "estimator_law", "calibration": "bootstrap"}, "calibration"),
     ],
@@ -147,6 +152,19 @@ def test_parse_config_bad_value_names_key():
 def test_config_validation(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_run_and_limits_refuse_a_non_finite_theta0(tmp_path, capsys, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment=estimator_law\ntheta0={value}\n", encoding="utf-8")
+    assert main(["run", str(cfg)]) == 2
+    assert "theta0" in capsys.readouterr().err
+    out = tmp_path / "lims.csv"
+    args = ["limits", "--family", "bipartite", "--reps", "5", "--output", str(out)]
+    assert main(args + ["--theta0", value]) == 2
+    assert "theta" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

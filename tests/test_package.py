@@ -1,5 +1,8 @@
 """The package's public namespace and its module boundaries."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ising_infer
@@ -135,3 +138,61 @@ def test_limit_cutoffs_have_one_home():
             }:
                 callers.add(fn.name)
     assert len(callers) == 1, callers
+
+
+def _imported_modules(path: Path) -> set:
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module or "")
+    return modules
+
+
+def test_no_module_imports_scipy():
+    # the package's numerics are numpy and math (ising_infer.special);
+    # scipy is the tests' oracle only, and importing it costs every
+    # process about half a second
+    offenders = []
+    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
+        offenders += [
+            f"{path.name}: {name}"
+            for name in _imported_modules(path)
+            if name == "scipy" or name.startswith("scipy.")
+        ]
+    assert not offenders, offenders
+
+
+_RUN_WITHOUT_SCIPY = """
+import sys
+import ising_infer
+from ising_infer import cli, harness
+
+configs = [
+    dict(experiment="power_curve", family="complete", n=(60,), theta0=1.0,
+         h=(0.0, 1.0), reps=50),
+    dict(experiment="estimator_law", family="random_regular", d=4, n=(12,),
+         theta0=1.5, reps=2),
+    dict(experiment="spectrum_report", family="qpartite", q=3, n=(12,)),
+    dict(experiment="limit_law_density", family="bipartite", n=(100,)),
+    dict(experiment="normalizer_check", family="complete", n=(100, 1000)),
+]
+for params in configs:
+    config = harness.ExperimentConfig(master_seed=7, **params)
+    harness.render_csv(harness.run_experiment(config))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_experiments_run_without_loading_scipy():
+    # one small run of each experiment path in a fresh interpreter
+    src = str(Path(ising_infer.__file__).parent.parent)
+    env = dict(os.environ, ISING_INFER_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]", done.stdout

@@ -61,6 +61,35 @@ def test_magnetization_fixed_point():
     assert abs(spontaneous_magnetization(5.0) - 0.9999091217152325) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.5])
+def test_magnetization_refuses_non_finite_and_negative_theta(theta):
+    # inf used to return NaN past the residual check, NaN to escape as the
+    # root finder's error
+    with pytest.raises(ParameterError, match="theta"):
+        spontaneous_magnetization(theta)
+    with pytest.raises(ParameterError):
+        sample_quadratic_limits(theta, (1.0, -1.0), 0.0, 10, 0)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_limit_laws_refuse_a_non_finite_kappa(kappa):
+    with pytest.raises(ParameterError, match="kappa"):
+        quadratic_limit_mean(1.5, (1.0,), kappa)
+    with pytest.raises(ParameterError, match="kappa"):
+        log_partition_shift(1.5, (1.0,), kappa)
+    with pytest.raises(ParameterError, match="kappa"):
+        mple_limit_quantile(0.95, 0.0, (1.0,), kappa)
+    with pytest.raises(ParameterError, match="kappa"):
+        sample_quadratic_limits(1.0, (1.0,), kappa, 10, 0)
+
+
+def test_quartic_law_refuses_a_nan_tilt():
+    with pytest.raises(ParameterError, match=r"\|h\|"):
+        critical_law(math.nan)
+    with pytest.raises(ParameterError, match=r"\|h\|"):
+        delta_log_partition(1.0, math.nan)
+
+
 def test_magnetization_monotone():
     grid = [1.05, 1.2, 1.5, 2.0, 3.0, 6.0]
     vals = [spontaneous_magnetization(t) for t in grid]
