@@ -7,11 +7,12 @@ Three sampling routes with different validity/scale trade-offs:
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
   from its spins. It draws for dense couplings and for block couplings
-  past the atom cap, and is an oracle elsewhere. Its sweeps run on
-  Python floats with ``math.tanh``, on halved fields that a flip of site
-  i updates by one in-place add of row i of the symmetric Q; that gives
-  numpy-tanh sweeps' spins except with probability at most 2^-53 per
-  site update (see ``_run_sweeps``);
+  past the atom cap, and is an oracle elsewhere. Each sweep maps its
+  uniforms to thresholds atanh(2u - 1) in one numpy pass; a site update
+  is one Python-float comparison with theta times the field, and a flip
+  of site i is one in-place add of row i of the symmetric Q to the
+  halved fields. That gives numpy-tanh sweeps' spins except with
+  probability at most 2^-51 per site update (see ``_run_sweeps``);
 * exact draws from the count law of a block coupling (``draw_counts``):
   one atom, the plus count of each class, by inverse CDF on the law's
   table, so the experiments on a block coupling never touch a matrix.
@@ -124,31 +125,37 @@ def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
     """Return x'Qx for every configuration, indexed by the state's bit code.
 
     State code s encodes spin i as +1 when bit i of s is set. Evaluation is
-    chunked so memory stays flat regardless of n.
+    chunked so memory stays flat regardless of n: one (2^low, n) spin block,
+    low = min(n, 14), is built once, and chunk c rewrites only its columns
+    low: with the bits of c, so each chunk's product sees the same arrays as
+    a block built from scratch.
     """
     n = coupling.n
     if n > ENUMERATION_MAX_N:
         raise CapacityError(
             f"exact enumeration is capped at n={ENUMERATION_MAX_N}, got {n}"
         )
-    total = 1 << n
-    out = np.empty(total, dtype=np.float64)
+    low = min(n, 14)
+    out = np.empty(1 << n, dtype=np.float64)
     bits = np.arange(n, dtype=np.int64)
     q = coupling.entries
-    chunk = 1 << min(n, 14)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        x = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(np.float64)
-        out[start : start + idx.shape[0]] = np.einsum("ij,ij->i", x @ q, x)
+    x = (((np.arange(1 << low)[:, None] >> bits) & 1) * 2 - 1).astype(np.float64)
+    for c in range(1 << (n - low)):
+        x[:, low:] = ((c >> bits[: n - low]) & 1) * 2.0 - 1.0
+        out[c << low : (c + 1) << low] = np.einsum("ij,ij->i", x @ q, x)
     return out
 
 
 @lru_cache(maxsize=4)
 def suff_stat_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Unique attainable x'Qx values with multiplicities (n <= 24).
+    """Distinct enumerated x'Qx floats with multiplicities (n <= 24).
 
-    The arrays are cached per coupling and read-only, so every exact
-    consumer in a process enumerates a coupling once.
+    The values are the distinct floats ``enumerate_suff_stats`` returns, not
+    the distinct exact values of x'Qx: sums rounded in different orders
+    split one true value into several floats. On random_regular with d = 10
+    and n = 20 (graph seed 7) there are 195 floats for 25 true values. The
+    arrays are cached per coupling and read-only, so every exact consumer in
+    a process enumerates a coupling once.
     """
     values, counts = np.unique(enumerate_suff_stats(coupling), return_counts=True)
     values.flags.writeable = False
@@ -240,32 +247,46 @@ def _check_chain(theta, **counts) -> float:
 def _run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
     """``sweeps`` systematic-scan sweeps, updating ``spins`` and ``t`` in place.
 
-    Site i turns +1 when its uniform falls below
-    flip_probability(theta, t_i), else -1. The loop runs on Python
-    floats: one ``random(n)`` list per sweep, each field read with
-    ``t.item(i)`` and ``math.tanh`` for the probability. The fields are
-    kept halved for the sweeps, so a flip of site i is one in-place
-    ``t += entries[i]`` or ``t -= entries[i]``: Q is symmetric, so row i
-    is column i, and nothing is allocated. Halving changes no bit while
-    every half is normal or zero, which holds whenever the nonzero entries
-    are at least 2^-969 (fl(t + 2q) = 2 fl(t/2 + q), and 2 theta t/2 is
-    theta t). ``math.tanh`` and numpy's ``tanh`` differ by at most 1 ulp,
-    so a spin can differ from a numpy-tanh sweep only when its uniform, a
-    multiple of 2^-53, falls between the two: probability at most 2^-53
-    per site update.
+    Site i turns +1 when its uniform u falls below
+    flip_probability(theta, t_i) = (1 + tanh(theta t_i)) / 2, that is when
+    atanh(2u - 1) < theta t_i. Each sweep maps its ``random(n)`` to the
+    thresholds g = atanh(2u - 1) in one numpy pass; 2u - 1 is exact on the
+    2^-53 grid of u, and u = 0 gives g = -inf, so that site turns +1 as the
+    exact rule says. The loop compares each g with 2 theta times the halved
+    field, read through a memoryview as a Python float. The fields stay halved
+    during the sweeps, so a flip of site i is one in-place
+    ``t += entries[i]`` or ``t -= entries[i]``: Q is symmetric, so row i is
+    column i, and nothing is allocated. Halving changes no bit while every
+    half is normal or zero, which holds whenever the nonzero entries are at
+    least 2^-969 (fl(t + 2q) = 2 fl(t/2 + q), and 2 theta t/2 is theta t).
+
+    Neither numpy's ``arctanh`` (its SIMD kernels are within about 4 ulp)
+    nor ``tanh`` is taken as correctly rounded. With v = 2u - 1 and
+    |atanh(v)| (1 - v^2) < 0.45, a threshold off by 4 ulp moves the
+    decision only for u within 1.8 * 2^-53 of the exact probability, and
+    the rounded probability of the numpy-tanh rule only for u within 2^-53
+    of it. So the two rules can differ on at most four grid points of u:
+    probability at most 2^-51 per site update.
     """
-    field, tanh, theta2 = t.item, math.tanh, 2.0 * theta
+    field, theta2 = memoryview(t), 2.0 * theta
     s = spins.tolist()
+    n = len(s)
     t *= 0.5
-    for _ in range(sweeps):
-        for i, u in enumerate(rng.random(len(s)).tolist()):
-            if u < 0.5 * (1.0 + tanh(theta2 * field(i))):
-                if s[i] < 0:
-                    s[i] = 1
-                    t += entries[i]
-            elif s[i] > 0:
-                s[i] = -1
-                t -= entries[i]
+    with np.errstate(divide="ignore"):
+        for _ in range(sweeps):
+            g = rng.random(n)
+            g *= 2.0
+            g -= 1.0
+            # both iterators read as the scan reaches site i, so f sees the
+            # flips made earlier in the sweep; only site i writes s[i]
+            for i, gi, f, si in zip(range(n), np.arctanh(g, out=g).tolist(), field, s):
+                if gi < theta2 * f:
+                    if si < 0:
+                        s[i] = 1
+                        t += entries[i]
+                elif si > 0:
+                    s[i] = -1
+                    t -= entries[i]
     t *= 2.0
     spins[:] = s
 
@@ -284,8 +305,8 @@ def glauber_sample(
     (default), "plus", "minus", or an explicit +-1 vector; replication-level
     sign stratification at low temperature is the caller's concern. A
     non-finite theta, or a ``sweeps`` that is not a nonnegative integer,
-    raises ParameterError. Each site update costs one ``math.tanh`` on a
-    Python float and, when the spin flips, one in-place add of a row of Q
+    raises ParameterError. Each site update costs one comparison of
+    Python floats and, when the spin flips, one in-place add of a row of Q
     (see _run_sweeps for why that gives the numpy-tanh spins).
     """
     if sweeps is None:

@@ -2,6 +2,8 @@
 import hashlib
 import math
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -313,11 +315,11 @@ def _numpy_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
                 t += (2.0 * new) * entries[:, i]
 
 
-def _non_dyadic_custom():
+def _non_dyadic_custom(n=30):
     a = np.random.default_rng(12).random((30, 30)) / 7.0
     a = a + a.T
     np.fill_diagonal(a, 0.0)
-    return CouplingMatrix(30, a)
+    return CouplingMatrix(n, a[:n, :n])
 
 
 _SWEEP_COUPLINGS = {
@@ -364,6 +366,62 @@ def test_python_float_sweeps_match_on_the_workload_draws(monkeypatch):
         seed = derive_seed(7, 0)
         fast, slow = _both_sweeps(monkeypatch, lambda: glauber_sample(cpl, 1.5, seed))
         assert np.array_equal(fast.spins, slow.spins)
+
+
+def _sweep_decisions(u, t, theta=0.5):
+    """Where one sweep of _run_sweeps sets +1, at uniforms u and fields t.
+
+    The generator stand-in returns u, and the rows stand-in is a zero
+    vector, so a flip adds 0.0 and no field moves. Sites run in blocks of
+    1000 so each flip's add stays short.
+    """
+    plus = np.empty(u.size, dtype=bool)
+    for lo in range(0, u.size, 1000):
+        block = slice(lo, lo + 1000)
+        m = u[block].size
+        spins = np.where(np.arange(m) % 2, -1, 1).astype(np.int8)
+        rng = types.SimpleNamespace(random=lambda size, b=block: u[b].copy())
+        sampler._run_sweeps(np.zeros(m), theta, spins, t[block].copy(), 1, rng)
+        plus[block] = spins > 0
+    return plus
+
+
+def _tanh_rule(u, x):
+    return np.array(
+        [a < 0.5 * (1.0 + math.tanh(b)) for a, b in zip(u.tolist(), x.tolist())]
+    )
+
+
+def test_sweep_thresholds_at_the_ends_of_the_grid():
+    # u = 0 maps to atanh(-1) = -inf without a divide warning and sets +1
+    # at any field, as the exact rule does; u = 1 - 2^-53 sets +1 only
+    # above atanh(1 - 2^-52) = 18.37. At theta = 1/2, theta t = x for t = 2x.
+    x = np.array([-40.0, -19.0, 0.0, 18.0, 19.0, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _sweep_decisions(np.zeros(x.size), 2.0 * x).all()
+        top = _sweep_decisions(np.full(x.size, 1.0 - 2.0**-53), 2.0 * x)
+    assert top.tolist() == [False] * 4 + [True] * 2
+
+
+def test_sweep_decisions_match_the_tanh_rule():
+    # on random pairs the atanh thresholds decide as u < (1 + tanh x) / 2
+    rng = np.random.default_rng(2026)
+    u = rng.random(1_000_000)
+    x = rng.uniform(-25.0, 25.0, u.size)
+    assert np.array_equal(_sweep_decisions(u, 2.0 * x), _tanh_rule(u, x))
+    # around the probability they may differ on at most four grid points
+    x = rng.uniform(-15.0, 15.0, 20_000)
+    centre = np.floor(0.5 * (1.0 + np.tanh(x)) * 2.0**53)
+    steps = np.arange(-8, 9)
+    u = (np.clip(centre[:, None] + steps, 0, 2.0**53 - 1) * 2.0**-53).ravel()
+    x = np.repeat(x, steps.size)
+    differ = _sweep_decisions(u, 2.0 * x) != _tanh_rule(u, x)
+    assert differ.reshape(-1, steps.size).sum(axis=1).max() <= 4
+    # at theta = 0 the field drops out: +1 iff u < 1/2, for either sign of t
+    u = np.concatenate([rng.random(10_000), 0.5 + np.arange(-3, 4) * 2.0**-53, [0.0]])
+    t = rng.uniform(-5.0, 5.0, u.size)
+    assert np.array_equal(_sweep_decisions(u, t, theta=0.0), u < 0.5)
 
 
 @pytest.mark.parametrize("burn_in", [0, 1, 40])
@@ -416,6 +474,36 @@ def test_glauber_takes_negative_theta_and_integer_types():
     assert np.array_equal(a.spins, b.spins)
     suff, xbar = glauber_series(cpl, -1.0, 4, samples=np.int32(0), burn_in=0)
     assert suff.shape == xbar.shape == (0,)
+
+
+def _shift_per_chunk_suff_stats(coupling):
+    # the enumeration loop that rebuilt each chunk's spins by shifts, verbatim
+    n = coupling.n
+    total = 1 << n
+    out = np.empty(total, dtype=np.float64)
+    bits = np.arange(n, dtype=np.int64)
+    q = coupling.entries
+    chunk = 1 << min(n, 14)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        x = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(np.float64)
+        out[start : start + idx.shape[0]] = np.einsum("ij,ij->i", x @ q, x)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 13, 14, 15, 20])
+def test_enumeration_matches_the_shift_per_chunk_loop(n):
+    # one spin block with only the high columns rewritten per chunk feeds
+    # the same products, so every x'Qx keeps its bits
+    couplings = [_non_dyadic_custom(n)]
+    if n > 10:
+        couplings.append(build_coupling("random_regular", n, d=10, seed=7))
+    if n == 20:
+        # a block coupling, enumerated through its dense entries
+        couplings.append(build_coupling("qpartite", 18, q=3))
+    for cpl in couplings:
+        got = sampler.enumerate_suff_stats(cpl)
+        assert np.array_equal(got, _shift_per_chunk_suff_stats(cpl)), cpl.family
 
 
 def test_sweep_kernel_stationarity_small():
@@ -607,6 +695,23 @@ def test_cw_aux_counts_match_the_count_pmf():
     # theta = 0 is the free model: each count is Binomial(n, 1/2)
     counts, _ = draw_counts(law, 0.0, 6007, reps)
     assert _chi_square_pvalue(counts, binom.pmf(np.arange(n + 1), n, 0.5)) > 1e-3
+
+
+def test_glauber_chain_matches_the_bipartite_count_law_by_chi_square():
+    # one chain, thinned to every 10th sweep (ample at theta = 0.5, well
+    # inside the high-temperature phase); its class-count atoms against
+    # the exact pmf. Seed 6008 and the floor p > 1e-3 were fixed before
+    # the first run.
+    coupling, theta, draws = build_coupling("bipartite", 100), 0.5, 4000
+    law = count_law(coupling)
+    config = glauber_sample(coupling, theta, derive_seed(6008, 0))
+    atoms = np.empty(draws, dtype=np.int64)
+    for r in range(draws):
+        config = glauber_sample(
+            coupling, theta, derive_seed(6008, r + 1), sweeps=10, init=config.spins
+        )
+        atoms[r] = law.atom(config.spins)
+    assert _chi_square_pvalue(atoms, law.tilted(theta)[2]) > 1e-3
 
 
 def test_cw_aux_counts_substream_alignment():
