@@ -49,7 +49,7 @@ from .htests import (
 )
 from .inference import mle_counts, mle_exact, mple, mple_counts
 from .sampler import ENUMERATION_MAX_N, count_law, cw_log_partition, draw_counts
-from .sampler import glauber_sample
+from .sampler import default_burn_in, glauber_sample
 from .streams import derive_seed
 from .theory import (
     H_MAX,
@@ -330,11 +330,12 @@ def _count_law_records(config: ExperimentConfig, law) -> list:
 
 
 def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
-    records, limits = [], {}
+    records, limits, burn_ins = [], {}, {}
     for n in config.n:
         coupling = _coupling_for(config, n)
         limits[n] = family_limit(coupling)
         law = count_law(coupling)
+        burn_ins[n] = _burn_in(law, n, config.theta0)
         if law is not None:
             records.extend(_count_law_records(config, law))
         else:
@@ -343,11 +344,16 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
             )
             rows = _parallel_map(replication, range(config.reps), worker_count())
             records.extend(sorted(rows, key=lambda row: row["replication"]))
-    summary = _estimator_summary(config, records, limits)
+    summary = _estimator_summary(config, records, limits, burn_ins)
     return ExperimentResult(config, _ESTIMATOR_COLUMNS, records, summary)
 
 
-def _estimator_summary(config: ExperimentConfig, records, limits) -> dict:
+def _burn_in(law, n: int, theta: float) -> int | None:
+    """Sweeps of each Glauber chain at n, or None under a count law."""
+    return None if law is not None else default_burn_in(n, theta)
+
+
+def _estimator_summary(config: ExperimentConfig, records, limits, burn_ins) -> dict:
     summary = {}
     for n in config.n:
         rows = [row for row in records if row["n"] == n]
@@ -359,6 +365,8 @@ def _estimator_summary(config: ExperimentConfig, records, limits) -> dict:
             ]
         )
         block = {
+            "sampler": "exact" if burn_ins[n] is None else "glauber",
+            "burn_in": burn_ins[n],
             "reps": len(rows),
             "mple_exists_rate": float(np.mean([row["mple_exists"] for row in rows])),
             "scaled_mple_mean": float(scaled.mean()) if scaled.size else math.nan,
@@ -467,12 +475,15 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                 )
         for kind in KINDS:
             records.extend(rows[kind])
+        # one rule for the null and every theta_n, so one count per n
+        burn_in = _burn_in(law, n, config.theta0)
         summary[f"n={n}"] = {
             kind: {
                 "critical_value": cal.critical_value,
                 "gamma": cal.gamma,
                 "achieved_level": cal.achieved_level,
                 "sampler": cal.sampler,
+                "burn_in": burn_in,
             }
             for kind, cal in calibrations.items()
         }

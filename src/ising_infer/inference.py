@@ -367,7 +367,7 @@ def mle_stochastic(
         coupling: the coupling matrix.
         chains: independent chains per evaluation, at least 4.
         sweeps: post burn-in sweeps averaged per chain.
-        burn_in: sweeps to discard (defaults per sampler policy).
+        burn_in: sweeps to discard (default_burn_in(n, theta) when None).
         tol: bracket width at which to declare convergence.
         seed: master seed; chain c of evaluation k uses the derived
             stream hash(seed, k * chains + c).

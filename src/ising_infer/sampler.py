@@ -12,7 +12,10 @@ Three sampling routes with different validity/scale trade-offs:
   is one Python-float comparison with theta times the field, and a flip
   of site i is one in-place add of row i of the symmetric Q to the
   halved fields. That gives numpy-tanh sweeps' spins except with
-  probability at most 2^-51 per site update (see ``_run_sweeps``);
+  probability at most 2^-51 per site update (see ``_run_sweeps``). A draw
+  runs ``default_burn_in(n, theta)`` = 20 ceil(sqrt(n)) sweeps at every
+  theta, the O(sqrt(n)) mixing of the critical window with a measured
+  safety factor of at least 14 (tools/burn_in_probe.py);
 * exact draws from the count law of a block coupling (``draw_counts``):
   one atom, the plus count of each class, by inverse CDF on the law's
   table, so the experiments on a block coupling never touch a matrix.
@@ -23,9 +26,9 @@ built once per coupling and cached) and, for a block coupling whose
 Π(m_a + 1) class-count vectors fit under COUNT_LAW_MAX_ATOMS, the table
 over those vectors (``count_law``, cached per class sizes and weights).
 ``tilted_table`` turns a table into log Z, its derivative and the tilted
-pmf, which a count law keeps once per theta; ``exact_enumerate`` and the
-mean-field ``cw_log_partition`` are thin callers of it, and the exact MLE
-solves on the same tables. The tables are in matrix convention; the
+pmf, which a count law keeps once per theta; the mean-field
+``cw_log_partition`` is a thin caller of it, and the exact MLE solves on
+the same tables. The tables are in matrix convention; the
 mean-field nx̄²/2 convention differs from it by exactly theta/2.
 """
 from __future__ import annotations
@@ -43,8 +46,6 @@ from .special import gammaln
 from .streams import as_generator, substream_uniforms
 
 ENUMERATION_MAX_N = 24
-# state-indexed laws and kernels hold 2^n floats, or 2^n x n spins
-STATE_LAW_MAX_N = 20
 FIELD_CONSISTENCY_TOL = 1e-12
 
 
@@ -103,22 +104,6 @@ class SpinConfiguration:
             raise ParameterError(
                 f"cached local fields deviate by {err:.3e} (tol 1e-12)"
             )
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    """Exact partition data at one inverse temperature.
-
-    suff_stat_pmf maps attainable x'Qx values (keys rounded to 10 decimal
-    places) to exact probabilities; log_z and dlog_z are computed from the
-    unrounded enumeration.
-    """
-
-    n: int
-    theta: float
-    log_z: float
-    dlog_z: float
-    suff_stat_pmf: dict
 
 
 def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
@@ -181,38 +166,25 @@ def tilted_table(
     return float(shift + np.log(total)), float(0.5 * (values @ w) / total), w / total
 
 
-def exact_enumerate(coupling: CouplingMatrix, theta: float) -> EnumerationResult:
-    """Exact log_z, dlog_z and sufficient-statistic pmf at ``theta`` (n <= 24)."""
-    values, counts = suff_stat_table(coupling)
-    log_z, dlog_z, probs = tilted_table(values, np.log(counts), theta)
-    pmf: dict = {}
-    for v, p in zip(np.round(values, 10), probs):
-        pmf[v] = pmf.get(v, 0.0) + float(p)
-    return EnumerationResult(
-        n=coupling.n, theta=theta, log_z=log_z, dlog_z=dlog_z, suff_stat_pmf=pmf
-    )
-
-
-def enumerate_state_distribution(coupling: CouplingMatrix, theta: float) -> np.ndarray:
-    """Normalized probability of every state code at ``theta`` (n <= 20)."""
-    if coupling.n > STATE_LAW_MAX_N:
-        raise CapacityError(f"state distributions are capped at n={STATE_LAW_MAX_N}")
-    stats = enumerate_suff_stats(coupling)
-    return tilted_table(stats, np.zeros_like(stats), theta)[2]
-
-
 # ---------------------------------------------------------------------------
 # Glauber dynamics
 
 
-def flip_probability(theta: float, t) -> np.ndarray | float:
-    """P(X_i = +1 | rest) = e^{theta t}/(e^{theta t} + e^{-theta t})."""
-    return 0.5 * (1.0 + np.tanh(theta * np.asarray(t, dtype=np.float64)))
-
-
 def default_burn_in(n: int, theta: float) -> int:
-    """Sweep count before samples are trusted: 10n, or 50n past theta=1.2."""
-    return 50 * n if theta > 1.2 else 10 * n
+    """Sweeps before a Glauber draw is taken: 20 ceil(sqrt(n)), at every theta.
+
+    Glauber on the mean-field model mixes in O(log n) sweeps away from
+    theta = 1 and in O(sqrt(n)) at theta = 1 (Levin, Luczak & Peres 2010),
+    so one sqrt(n) rule covers the critical window and exceeds c log n
+    elsewhere. The factor 20 comes from tools/burn_in_probe.py: with
+    independent chains against the exact count laws, the 2^20 enumeration
+    and reference chains of 20n sweeps, x'Qx and |2K - n| were in law after
+    at most 1.4 ceil(sqrt(n)) sweeps on every probed family, n and theta,
+    so 20 is a safety factor of at least 14. ``theta`` does not change the
+    count; callers pass it with n as the chain's parameters.
+    """
+    root = math.isqrt(n)
+    return 20 * (root + (root * root < n))
 
 
 def _initial_spins(n: int, init, rng: np.random.Generator) -> np.ndarray:
@@ -247,8 +219,8 @@ def _check_chain(theta, **counts) -> float:
 def _run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
     """``sweeps`` systematic-scan sweeps, updating ``spins`` and ``t`` in place.
 
-    Site i turns +1 when its uniform u falls below
-    flip_probability(theta, t_i) = (1 + tanh(theta t_i)) / 2, that is when
+    Site i turns +1 when its uniform u falls below its conditional
+    probability P(x_i = +1 | rest) = (1 + tanh(theta t_i)) / 2, that is when
     atanh(2u - 1) < theta t_i. Each sweep maps its ``random(n)`` to the
     thresholds g = atanh(2u - 1) in one numpy pass; 2u - 1 is exact on the
     2^-53 grid of u, and u = 0 gives g = -inf, so that site turns +1 as the
@@ -301,13 +273,14 @@ def glauber_sample(
 ) -> SpinConfiguration:
     """One configuration after ``sweeps`` full systematic-scan sweeps.
 
-    ``sweeps`` defaults to default_burn_in(n, theta). ``init`` is "random"
-    (default), "plus", "minus", or an explicit +-1 vector; replication-level
-    sign stratification at low temperature is the caller's concern. A
-    non-finite theta, or a ``sweeps`` that is not a nonnegative integer,
-    raises ParameterError. Each site update costs one comparison of
-    Python floats and, when the spin flips, one in-place add of a row of Q
-    (see _run_sweeps for why that gives the numpy-tanh spins).
+    ``sweeps`` defaults to default_burn_in(n, theta), 20 ceil(sqrt(n)) at
+    every theta. ``init`` is "random" (default), "plus", "minus", or an
+    explicit +-1 vector; replication-level sign stratification at low
+    temperature is the caller's concern. A non-finite theta, or a
+    ``sweeps`` that is not a nonnegative integer, raises ParameterError.
+    Each site update costs one comparison of Python floats and, when the
+    spin flips, one in-place add of a row of Q (see _run_sweeps for why
+    that gives the numpy-tanh spins).
     """
     if sweeps is None:
         sweeps = default_burn_in(coupling.n, theta)
@@ -347,32 +320,6 @@ def glauber_series(
         suff[k] = float(spins @ t)
         xbar[k] = float(spins.mean())
     return suff, xbar
-
-
-def glauber_sweep_kernel(
-    coupling: CouplingMatrix, theta: float, pi: np.ndarray
-) -> np.ndarray:
-    """Apply the exact one-sweep transition kernel to a state distribution.
-
-    States are bit codes as in enumerate_suff_stats. Used to assert exact
-    stationarity of the enumerated Gibbs law at small n.
-    """
-    n = coupling.n
-    if n > STATE_LAW_MAX_N:
-        raise CapacityError(f"exact kernels are capped at n={STATE_LAW_MAX_N}")
-    total = 1 << n
-    if pi.shape != (total,):
-        raise ParameterError("distribution length must be 2^n")
-    bits = np.arange(n, dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    x = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(np.float64)
-    out = pi.astype(np.float64).copy()
-    for i in range(n):
-        t_i = x @ coupling.entries[:, i]
-        p_plus = 0.5 * (1.0 + np.tanh(theta * t_i))
-        own = np.where(x[:, i] > 0, p_plus, 1.0 - p_plus)
-        out = (out + out[idx ^ (1 << i)]) * own
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,26 @@ def test_critical_estimator_summary_reads_the_family_limit():
     assert len(block["scaled_quartiles"]) in (0, 3)
 
 
+def test_estimator_law_summary_records_the_sampler_and_burn_in(tmp_path):
+    exact = ExperimentConfig(
+        experiment="estimator_law", family="bipartite", n=(8,), theta0=1.2, reps=3
+    )
+    block = run_experiment(exact).summary["n=8"]
+    assert block["sampler"] == "exact" and block["burn_in"] is None
+    dense = dataclasses.replace(exact, family="random_regular", d=4, n=(16, 34))
+    result = run_experiment(dense)
+    for n in dense.n:
+        block = result.summary[f"n={n}"]
+        assert block["sampler"] == "glauber"
+        assert block["burn_in"] == sampler.default_burn_in(n, 1.2)
+    assert [result.summary[f"n={n}"]["burn_in"] for n in dense.n] == [80, 120]
+    # a count law's null reaches the JSON summary as null
+    as_json = dataclasses.replace(exact, format="json")
+    path = emit(run_experiment(as_json), tmp_path / "e.json")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh)["summary"]["n=8"]["burn_in"] is None
+
+
 def test_estimator_law_deterministic_modulo_timing():
     cfg = ExperimentConfig(experiment="estimator_law", n=(40,), reps=12)
     a = run_experiment(cfg)
@@ -524,6 +544,29 @@ def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch, calibration)
     null_draws = 1000 if calibration == "monte_carlo" else 0
     assert len(draws) == null_draws + 100 * 2
     _assert_records_match_per_kind_calls(cfg, result)
+
+
+@pytest.mark.parametrize("calibration", ["monte_carlo", "asymptotic"])
+def test_power_curve_summary_records_the_burn_in(monkeypatch, calibration):
+    # a count law draws no chain; a dense copy draws every set by Glauber,
+    # the asymptotic calibration's power draws included
+    exact = ExperimentConfig(
+        experiment="power_curve", n=(100,), theta0=1.5, h=(0.0,), reps=50,
+        calibration=calibration,
+    )
+    for block in run_experiment(exact).summary["n=100"].values():
+        assert block["burn_in"] is None
+    build = harness._coupling_for
+    monkeypatch.setattr(
+        harness, "_coupling_for", lambda config, n: _dense_copy(build(config, n))
+    )
+    dense = dataclasses.replace(exact, family="bipartite", n=(4,), theta0=1.1, reps=100)
+    summary = run_experiment(dense).summary["n=4"]
+    assert set(summary) == {"ms", "np", "pl"}
+    sampler_name = "glauber" if calibration == "monte_carlo" else "theory"
+    for block in summary.values():
+        assert block["sampler"] == sampler_name
+        assert block["burn_in"] == sampler.default_burn_in(4, 1.1) == 40
 
 
 def test_power_curve_hands_out_no_seed_twice(monkeypatch):

@@ -26,9 +26,9 @@ from ising_infer import (
 from ising_infer import inference
 from ising_infer.sampler import (
     CountLaw,
-    enumerate_state_distribution,
     enumerate_suff_stats,
 )
+from oracles import enumerate_state_distribution
 
 
 def _spins_from_code(code: int, n: int) -> np.ndarray:

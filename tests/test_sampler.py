@@ -22,10 +22,8 @@ from ising_infer import (
     cw_log_partition,
     derive_seed,
     draw_counts,
-    exact_enumerate,
     glauber_sample,
     glauber_series,
-    glauber_sweep_kernel,
     mle_counts,
     mle_exact,
     mle_stochastic,
@@ -49,11 +47,15 @@ from ising_infer.sampler import (
     decode_spins,
     default_burn_in,
     encode_spins,
-    enumerate_state_distribution,
-    flip_probability,
     tilted_table,
 )
 from ising_infer.streams import seed_uniforms, substream_uniforms
+from oracles import (
+    enumerate_state_distribution,
+    exact_enumerate,
+    flip_probability,
+    glauber_sweep_kernel,
+)
 
 
 def test_derive_seed_matches_documented_formula():
@@ -266,8 +268,14 @@ def test_flip_probability_shape():
 
 
 def test_default_burn_in_threshold():
-    assert default_burn_in(100, 1.2) == 1000
-    assert default_burn_in(100, 1.21) == 5000
+    # 20 ceil(sqrt(n)) sweeps, the same on both sides of theta = 1.2
+    assert default_burn_in(100, 1.2) == 200
+    assert default_burn_in(100, 1.21) == 200
+    for theta in (-1.0, 0.5, 1.0, 3.0):
+        assert default_burn_in(100, theta) == 200
+    assert default_burn_in(99, 1.0) == 200
+    assert default_burn_in(101, 1.0) == 220
+    assert default_burn_in(1, 1.0) == 20
 
 
 def test_glauber_deterministic_and_consistent():
@@ -712,6 +720,52 @@ def test_glauber_chain_matches_the_bipartite_count_law_by_chi_square():
         )
         atoms[r] = law.atom(config.spins)
     assert _chi_square_pvalue(atoms, law.tilted(theta)[2]) > 1e-3
+
+
+# One independent chain per replication at the default burn-in, against the
+# exact law of x'Qx. The seeds and the floor p > 1e-3 were fixed before the
+# first run.
+@pytest.mark.parametrize(
+    "family, n, kwargs, theta, seed",
+    [
+        ("bipartite", 100, {}, 1.0, 6011),
+        ("bipartite", 100, {}, 1.5, 6012),
+        ("qpartite", 99, {"q": 3}, 1.0, 6013),
+        ("qpartite", 99, {"q": 3}, 1.5, 6014),
+    ],
+)
+def test_default_burn_in_chains_match_the_count_law_by_chi_square(
+    family, n, kwargs, theta, seed
+):
+    coupling = build_coupling(family, n, **kwargs)
+    law = count_law(coupling)
+    # cells are the distinct x'Qx values; each atom falls in its value's cell
+    cells, cell_of_atom = np.unique(np.round(law.values, 9), return_inverse=True)
+    pmf = np.bincount(cell_of_atom, weights=law.tilted(theta)[2], minlength=cells.size)
+    chains = [glauber_sample(coupling, theta, derive_seed(seed, r)) for r in range(300)]
+    drawn = np.array([cell_of_atom[law.atom(chain.spins)] for chain in chains])
+    assert _chi_square_pvalue(drawn, pmf) > 1e-3
+
+
+@pytest.mark.parametrize("theta, seed", [(1.0, 6015), (1.5, 6016)])
+def test_default_burn_in_chains_match_the_enumeration_by_chi_square(theta, seed):
+    # the graph of the estimator_random_regular benchmark workload
+    coupling = build_coupling("random_regular", 20, d=10, seed=7)
+    values, counts = suff_stat_table(coupling)
+    # the table splits one x'Qx into several floats; rounding joins them
+    cells, cell_of_value = np.unique(np.round(values, 8), return_inverse=True)
+    probs = tilted_table(values, np.log(counts), theta)[2]
+    pmf = np.bincount(cell_of_value, weights=probs)
+    drawn = np.round(
+        [
+            glauber_sample(coupling, theta, derive_seed(seed, r)).suff_stat()
+            for r in range(1000)
+        ],
+        8,
+    )
+    cell = np.searchsorted(cells, drawn)
+    assert np.array_equal(cells[cell], drawn)
+    assert _chi_square_pvalue(cell, pmf) > 1e-3
 
 
 def test_cw_aux_counts_substream_alignment():
