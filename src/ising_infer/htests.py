@@ -27,9 +27,9 @@ so asymptotic calibration has gamma = 0. One function, _limit_cutoff,
 computes each level-alpha cutoff on the limit scale (the normal quantile
 above the critical point; at theta0 = 1 the quartic-tilt quantile for ms
 and np and the quadrature quantile theory.mple_limit_quantile for pl),
-and asymptotic calibration, limit_power and the asymptotic_power oracle
-all read it. Each replication draws its tie-break uniform from its own
-stream after its sample, so runs are deterministic.
+and asymptotic calibration and limit_power both read it. Each
+replication draws its tie-break uniform from its own stream after its
+sample, so runs are deterministic.
 
 A DrawSet holds every kind's statistics on one set of draws; its caller
 holds it, so kinds read from one set share its draws whatever else is
@@ -40,8 +40,8 @@ distinct folded atoms), which ms and np never run. Power against
 theta0 + h/sqrt(n) is available empirically over a DrawSet, exactly under
 a count law (the (K, gamma) rule summed against it), and in the limit:
 limit_power is exact for every kind (normal curve, quartic-tilt law, and
-the critical pl ratio law by quadrature), and asymptotic_power keeps the
-critical pl Monte Carlo as its oracle.
+the critical pl ratio law by quadrature); its Monte Carlo oracle lives
+with the tests.
 """
 from __future__ import annotations
 
@@ -56,14 +56,13 @@ from .errors import ParameterError
 from .inference import mple, mple_counts
 from .sampler import CountLaw, SpinConfiguration, count_law, draw_counts, glauber_sample
 from .special import ndtr, ndtri
-from .streams import as_generator, derive_seed, substream
+from .streams import as_generator, substream
 from .theory import (
     critical_law,
     information_rate,
     mple_limit_quantile,
     mple_limit_sf,
     quadratic_limit_mean,
-    sample_mple_limit,
     spontaneous_magnetization,
 )
 
@@ -447,32 +446,3 @@ def limit_power(
     if kind in ("ms", "np"):
         return float(2.0 * (1.0 - critical_law(h).cdf_at(cut)))
     return mple_limit_sf(cut, h, limit_eigs, kappa)
-
-
-def asymptotic_power(
-    kind: str,
-    theta0: float,
-    h: float,
-    alpha: float,
-    *,
-    limit_eigs=None,
-    kappa: float | None = None,
-    reps: int = 1_000_000,
-    seed: int = 1729,
-) -> tuple[float, float]:
-    """Limiting power against theta0 + h/sqrt(n), with its MC standard error.
-
-    The Monte Carlo oracle of limit_power. Critical pl draws ``reps``
-    ratio-law values at h from derive_seed(seed, 0) and reports the
-    fraction above the _limit_cutoff null quantile with its binomial
-    standard error; every other case is (limit_power(...), 0.0).
-    """
-    # limit_power also checks the arguments
-    exact = limit_power(kind, theta0, h, alpha, limit_eigs=limit_eigs, kappa=kappa)
-    if kind != "pl" or theta0 != 1.0:
-        return exact, 0.0
-    cut = _limit_cutoff(kind, theta0, alpha, lambda: (limit_eigs, kappa))
-    draws = sample_mple_limit(h, limit_eigs, kappa, reps, derive_seed(seed, 0))
-    power = float(np.mean(draws > cut))
-    stderr = math.sqrt(max(power * (1.0 - power), 0.0) / reps)
-    return power, stderr

@@ -5,9 +5,7 @@ The moments of the quartic law are trapezoid sums on the interval where
 the integrand exceeds e^-40 of its peak, which converge spectrally for
 these even, rapidly decaying integrands; distribution tables
 are dense symmetric grids with trapezoid CDFs and monotone (piecewise
-linear) inverse interpolation. Quantiles of finite samples use the
-ceil(p*N) order statistic, matching the left-continuous convention
-Psi(p) = inf{t : F(t) >= p}.
+linear) inverse interpolation.
 
 The critical MPLE limit law has two routes. mple_limit_sf and
 mple_limit_quantile compute it by quadrature, and every experiment reads
@@ -187,23 +185,6 @@ def critical_law(h: float) -> CriticalLaw:
     return CriticalLaw(
         h=h, log_normalizer=log_norm, u=u, pdf=pdf, cdf=cdf, moment2=m2, moment4=m4
     )
-
-
-def law_quantile(law_or_samples, p: float) -> float:
-    """Left-continuous quantile of a CriticalLaw table or a sample array.
-
-    Tables interpolate monotonically; samples return the ceil(p*N) order
-    statistic.
-    """
-    if not 0.0 < p < 1.0:
-        raise ParameterError("quantile levels must lie strictly in (0, 1)")
-    if isinstance(law_or_samples, CriticalLaw):
-        return float(law_or_samples.quantile(p))
-    samples = np.sort(np.asarray(law_or_samples, dtype=np.float64))
-    if samples.size == 0:
-        raise ParameterError("cannot take a quantile of an empty sample")
-    rank = math.ceil(p * samples.size)
-    return float(samples[max(rank, 1) - 1])
 
 
 # ---------------------------------------------------------------------------

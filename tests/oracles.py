@@ -1,19 +1,26 @@
-"""Exact oracles that only the tests read: the 2^n state law, its exact
-one-sweep Glauber kernel, the conditional flip probability and the
-enumerated sufficient-statistic pmf.
+"""Oracles that only the tests read: the 2^n state law, its exact
+one-sweep Glauber kernel, the conditional flip probability, the
+enumerated sufficient-statistic pmf, the Monte Carlo limiting power and
+the sample quantile.
 
 They build on the package's enumeration (``enumerate_suff_stats``,
-``suff_stat_table``, ``tilted_table``); no package code calls them.
+``suff_stat_table``, ``tilted_table``) and limit laws (``limit_power``,
+``_limit_cutoff``, ``sample_mple_limit``, ``CriticalLaw``); no package
+code calls them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ising_infer.coupling import CouplingMatrix
 from ising_infer.errors import CapacityError, ParameterError
+from ising_infer.htests import _limit_cutoff, limit_power
 from ising_infer.sampler import enumerate_suff_stats, suff_stat_table, tilted_table
+from ising_infer.streams import derive_seed
+from ising_infer.theory import CriticalLaw, sample_mple_limit
 
 # state-indexed laws and kernels hold 2^n floats, or 2^n x n spins
 STATE_LAW_MAX_N = 20
@@ -84,3 +91,49 @@ def glauber_sweep_kernel(
         own = np.where(x[:, i] > 0, p_plus, 1.0 - p_plus)
         out = (out + out[idx ^ (1 << i)]) * own
     return out
+
+
+def asymptotic_power(
+    kind: str,
+    theta0: float,
+    h: float,
+    alpha: float,
+    *,
+    limit_eigs=None,
+    kappa: float | None = None,
+    reps: int = 1_000_000,
+    seed: int = 1729,
+) -> tuple[float, float]:
+    """Limiting power against theta0 + h/sqrt(n), with its MC standard error.
+
+    The Monte Carlo oracle of limit_power. Critical pl draws ``reps``
+    ratio-law values at h from derive_seed(seed, 0) and reports the
+    fraction above the _limit_cutoff null quantile with its binomial
+    standard error; every other case is (limit_power(...), 0.0).
+    """
+    # limit_power also checks the arguments
+    exact = limit_power(kind, theta0, h, alpha, limit_eigs=limit_eigs, kappa=kappa)
+    if kind != "pl" or theta0 != 1.0:
+        return exact, 0.0
+    cut = _limit_cutoff(kind, theta0, alpha, lambda: (limit_eigs, kappa))
+    draws = sample_mple_limit(h, limit_eigs, kappa, reps, derive_seed(seed, 0))
+    power = float(np.mean(draws > cut))
+    stderr = math.sqrt(max(power * (1.0 - power), 0.0) / reps)
+    return power, stderr
+
+
+def law_quantile(law_or_samples, p: float) -> float:
+    """Left-continuous quantile of a CriticalLaw table or a sample array.
+
+    Tables interpolate monotonically; samples return the ceil(p*N) order
+    statistic.
+    """
+    if not 0.0 < p < 1.0:
+        raise ParameterError("quantile levels must lie strictly in (0, 1)")
+    if isinstance(law_or_samples, CriticalLaw):
+        return float(law_or_samples.quantile(p))
+    samples = np.sort(np.asarray(law_or_samples, dtype=np.float64))
+    if samples.size == 0:
+        raise ParameterError("cannot take a quantile of an empty sample")
+    rank = math.ceil(p * samples.size)
+    return float(samples[max(rank, 1) - 1])

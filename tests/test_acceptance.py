@@ -14,7 +14,6 @@ from ising_infer import (
     DrawSet,
     SpinConfiguration,
     TestSpec,
-    asymptotic_power,
     build_coupling,
     calibrate,
     count_law,
@@ -35,6 +34,7 @@ from ising_infer import (
 )
 from ising_infer.sampler import tilted_table
 from oracles import (
+    asymptotic_power,
     enumerate_state_distribution,
     exact_enumerate,
     glauber_sweep_kernel,

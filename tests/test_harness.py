@@ -602,7 +602,6 @@ def _counting_limit_draws(monkeypatch):
     """Call counters on every route into the limit-law Monte Carlo."""
     return [
         _counting(monkeypatch, theory, "sample_mple_limit"),
-        _counting(monkeypatch, htests, "sample_mple_limit"),
         _counting(monkeypatch, theory, "sample_quadratic_limits"),
     ]
 
@@ -617,7 +616,7 @@ def test_critical_power_curve_draws_no_limit_law(monkeypatch, calibration):
         h=(0.0, 1.0), reps=20, master_seed=3, calibration=calibration,
     )
     result = run_experiment(cfg)
-    assert draws == [[], [], []]
+    assert draws == [[], []]
     assert "asymptotic_stderr" not in result.columns
     for row in result.records:
         want = limit_power(row["kind"], 1.0, row["h"], 0.05, limit_eigs=(1.0, -1.0), kappa=0.0)
@@ -638,7 +637,7 @@ def test_critical_estimator_law_and_density_draw_no_limit_law(monkeypatch, cfg):
     # theory_quartiles and the density cells come from quadrature
     draws = _counting_limit_draws(monkeypatch)
     run_experiment(cfg)
-    assert draws == [[], [], []]
+    assert draws == [[], []]
 
 
 def test_power_curve_exact_power_column():

@@ -10,7 +10,6 @@ from ising_infer import (
     DrawSet,
     ParameterError,
     TestSpec,
-    asymptotic_power,
     build_coupling,
     calibrate,
     empirical_power,
@@ -27,6 +26,7 @@ from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _count_statistics
 from ising_infer.sampler import CountLaw, tilted_table
 from ising_infer import count_law, derive_seed, draw_counts, glauber_sample, substream
+from oracles import asymptotic_power
 
 
 def _dense_bipartite(n):
@@ -548,7 +548,7 @@ def _no_limit_draws(monkeypatch):
         raise AssertionError("limit-law Monte Carlo was called")
 
     monkeypatch.setattr(theory, "sample_quadratic_limits", forbidden)
-    monkeypatch.setattr(htests, "sample_mple_limit", forbidden)
+    monkeypatch.setattr(theory, "sample_mple_limit", forbidden)
 
 
 def test_critical_pl_asymptotic_calibration_draws_nothing(monkeypatch):

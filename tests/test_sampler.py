@@ -499,19 +499,73 @@ def _shift_per_chunk_suff_stats(coupling):
     return out
 
 
+def _summation_bound(coupling):
+    # both routes sum the n(n - 1) terms +-Q(i, j) in some order, each in at
+    # most about 2n rounded adds: 2(n + 1) eps sum |Q(i, j)| covers the two
+    return 2 * (coupling.n + 1) * np.finfo(float).eps * np.abs(coupling.entries).sum()
+
+
+def _dyadic_custom(n):
+    # entries k/64 with k < 8: every partial sum of x'Qx is a multiple of
+    # 1/64 far below 2^47, so every summation order gives the same bits
+    a = np.random.default_rng(5).integers(0, 8, size=(n, n)) / 64.0
+    a = np.triu(a, 1)
+    return CouplingMatrix(n, a + a.T)
+
+
 @pytest.mark.parametrize("n", [1, 13, 14, 15, 20])
 def test_enumeration_matches_the_shift_per_chunk_loop(n):
-    # one spin block with only the high columns rewritten per chunk feeds
-    # the same products, so every x'Qx keeps its bits
-    couplings = [_non_dyadic_custom(n)]
+    exact = [_dyadic_custom(n)]
+    near = [_non_dyadic_custom(n)]
     if n > 10:
-        couplings.append(build_coupling("random_regular", n, d=10, seed=7))
+        near.append(build_coupling("random_regular", n, d=10, seed=7))
     if n == 20:
-        # a block coupling, enumerated through its dense entries
-        couplings.append(build_coupling("qpartite", 18, q=3))
-    for cpl in couplings:
+        # block couplings, enumerated through their dense entries
+        exact += [build_coupling("complete", 16), build_coupling("bipartite", 16)]
+        near.append(build_coupling("qpartite", 18, q=3))
+    for cpl in exact + near:
         got = sampler.enumerate_suff_stats(cpl)
-        assert np.array_equal(got, _shift_per_chunk_suff_stats(cpl)), cpl.family
+        want = _shift_per_chunk_suff_stats(cpl)
+        # a global flip negates every term, and every add rounds symmetrically
+        assert np.array_equal(got, got[::-1]), cpl.family
+        if cpl in exact:
+            assert np.array_equal(got, want), cpl.family
+        else:
+            assert np.max(np.abs(got - want)) <= _summation_bound(cpl), cpl.family
+
+
+def test_enumeration_keeps_the_workload_cells():
+    # the workload's graph: the same cells once floats within 1e-8 merge
+    cpl = build_coupling("random_regular", 20, d=10, seed=7)
+    tables = sampler.enumerate_suff_stats(cpl), _shift_per_chunk_suff_stats(cpl)
+    got, want = (np.unique(np.round(t, 8), return_counts=True) for t in tables)
+    assert all(map(np.array_equal, got, want))
+
+
+def test_enumeration_indexes_codes_past_the_old_chunk_split():
+    # bits 14 and up were the chunk index of the chunked loop
+    cpl = _non_dyadic_custom(22)
+    table = sampler.enumerate_suff_stats(cpl)
+    codes = np.random.default_rng(22).integers(0, 1 << 22, size=4096)
+    x = ((codes[:, None] >> np.arange(22)) & 1) * 2.0 - 1.0
+    direct = np.einsum("ij,jk,ik->i", x, cpl.entries, x)
+    assert np.max(np.abs(table[codes] - direct)) <= _summation_bound(cpl)
+
+
+def test_enumeration_refuses_n_25_before_allocating():
+    dense = CouplingMatrix(25, np.ones((25, 25)) - np.eye(25))
+    block = build_coupling("complete", 25)
+    tracemalloc.start()
+    try:
+        for cpl in (dense, block):
+            with pytest.raises(CapacityError):
+                sampler.enumerate_suff_stats(cpl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table alone would be 2^25 floats (268 MB)
+    assert peak < 1 << 16
+    assert block._entries is None
 
 
 def test_sweep_kernel_stationarity_small():

@@ -13,7 +13,6 @@ from ising_infer import (
     derive_seed,
     delta_log_partition,
     information_rate,
-    law_quantile,
     limiting_spectrum,
     log_partition_shift,
     magnetization_slope,
@@ -27,6 +26,7 @@ from ising_infer import (
     spontaneous_magnetization,
 )
 from ising_infer import theory
+from oracles import law_quantile
 
 M_15 = 0.8585596366401105
 R_15 = 0.3199208645349059
