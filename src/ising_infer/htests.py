@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -164,19 +164,22 @@ def test_statistic(kind: str, x, coupling: CouplingMatrix | None = None) -> floa
     return result.value if result.exists else -math.inf
 
 
-@lru_cache(maxsize=12)
 def _count_statistics(law: CountLaw, kind: str) -> np.ndarray:
     """The ``kind`` statistic of each atom of a count law, as a read-only array.
 
     A statistic depends on the configuration only through its atom, and
-    not on theta, so one column per law and kind serves test_statistic,
-    every draw set, the exact calibration and every exact power. np is the
-    law's values; the other columns are built on their first read, so ms
-    and np never solve pl. pl comes from mple_counts, so it takes equal
-    values on an atom and its flip.
+    not on theta, so one column per law and kind, kept in the law's
+    ``statistics``, serves test_statistic, every draw set, the exact
+    calibration and every exact power. np is the law's values; the other
+    columns are built on their first read, so ms and np never solve pl. pl
+    comes from mple_counts, so it takes equal values on an atom and its
+    flip.
     """
     if kind == "np":
         return law.values
+    column = law.statistics.get(kind)
+    if column is not None:
+        return column
     atoms = np.arange(law.size)
     if kind == "pl":
         rows = mple_counts(law, atoms)
@@ -185,6 +188,7 @@ def _count_statistics(law: CountLaw, kind: str) -> np.ndarray:
         xbar = law.xbar(atoms)
         column = law.n * xbar * xbar
     column.setflags(write=False)
+    law.statistics[kind] = column
     return column
 
 

@@ -4,8 +4,9 @@ Three sampling routes with different validity/scale trade-offs:
 
 * exact enumeration of all 2^n configurations (n <= 24), which is the
   ground-truth oracle for everything else. x'Qx is tabulated by doubling
-  over the spins, about 4 * 2^n in-place additions and no BLAS call
-  (see ``enumerate_suff_stats``);
+  over the spins, about 3.5 * 2^n in-place additions and no BLAS call,
+  for the 2^(n-1) configurations with spin n-1 at -1: each global flip
+  has the same value bit for bit (see ``enumerate_suff_stats``);
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
   from its spins. It draws for dense couplings and for block couplings
@@ -28,7 +29,7 @@ built once per coupling and cached) and, for a block coupling whose
 Π(m_a + 1) class-count vectors fit under COUNT_LAW_MAX_ATOMS, the table
 over those vectors (``count_law``, cached per class sizes and weights).
 ``tilted_table`` turns a table into log Z, its derivative and the tilted
-pmf, which a count law keeps once per theta; the mean-field
+pmf, which a count law keeps for its latest thetas; the mean-field
 ``cw_log_partition`` is a thin caller of it, and the exact MLE solves on
 the same tables. The tables are in matrix convention; the
 mean-field nx̄²/2 convention differs from it by exactly theta/2.
@@ -48,6 +49,8 @@ from .special import gammaln
 from .streams import as_generator, substream_uniforms
 
 ENUMERATION_MAX_N = 24
+#: Codes per scratch chunk of the enumeration
+ENUMERATION_CHUNK = 1 << 14
 FIELD_CONSISTENCY_TOL = 1e-12
 
 
@@ -108,40 +111,84 @@ class SpinConfiguration:
             )
 
 
-def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
-    """Return x'Qx for every configuration, indexed by the state's bit code.
+def _double(g: np.ndarray, q: np.ndarray) -> None:
+    """Fill ``g`` (2^len(q) floats) with sum_i q[i] x_i(s) for every code s.
 
-    State code s encodes spin i as +1 when bit i of s is set. The table is
-    built by doubling over the spins: after step k, ``out[:2^(k+1)]`` holds
-    x'Qx over spins 0..k for each code. Step k first builds
-    g(s) = 2 sum_{i<k} Q(i, k) x_i(s) for the 2^k codes of the lower spins,
-    by the same doubling (g[w:2w] = g[:w] + 2Q(i, k), then g[:w] -= 2Q(i, k)
-    with w = 2^i), and then sets out[m:2m] = out[:m] + g and
-    out[:m] -= g, m = 2^k. Q has a zero diagonal, so no Q(k, k) term
-    enters. That is about 4 * 2^n additions, each one correctly rounded
-    IEEE add with no BLAS call, so the table does not depend on the BLAS
-    kernel or thread count, and out[s] == out[2^n - 1 - s] holds exactly.
-    Memory is ``out`` plus one 2^(n-1) buffer of g, reused at every step.
+    Spin i is doubled in at step i: g[w:2w] = g[:w] + q[i], then
+    g[:w] -= q[i], w = 2^i, from g[0] = 0.
+    """
+    g[0] = 0.0
+    for i, q_i in enumerate(q):
+        w = 1 << i
+        np.add(g[:w], q_i, out=g[w : 2 * w])
+        g[:w] -= q_i
+
+
+def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
+    """x'Qx for the 2^(n-1) configurations with spin n-1 at -1, by bit code.
+
+    State code s encodes spin i as +1 when bit i of s is set, so these are
+    the codes s < 2^(n-1). Code 2^n - 1 - s, the global flip of s, has the
+    same value bit for bit, so the table over all 2^n codes is
+    ``np.concatenate((half, half[::-1]))``.
+
+    The table is built by doubling over the spins: after step k,
+    ``out[:2^(k+1)]`` holds x'Qx over spins 0..k for each code. Step k
+    builds g(s) = 2 sum_{i<k} Q(i, k) x_i(s) for the 2^k codes of the lower
+    spins (``_double``) and sets out[m:2m] = out[:m] + g and out[:m] -= g,
+    m = 2^k. Q has a zero diagonal, so no Q(k, k) term enters. Each step is
+    one correctly rounded IEEE add per code with no BLAS call, so the table
+    does not depend on the BLAS kernel or thread count. g is antisymmetric
+    under the flip and each earlier table symmetric, which makes the flip
+    symmetry exact; so the last step, k = n-1, only computes out[:m] -= g.
+
+    Only the memory layout differs from a full 2^n doubling, not the adds:
+    for k < n-1, g is built in the still-unwritten out[m:2m] and combined
+    through a chunk of scratch. The last g is built depth-first in chunks of
+    ENUMERATION_CHUNK codes: the low spins are doubled into one base chunk,
+    and each higher spin is added into a chunk buffer of its own. That is
+    about 3.5 * 2^n adds, and memory of the 2^(n-1) floats of the table
+    plus max(1, n - 14) chunks (1.3 MB at n = 24).
     """
     n = coupling.n
     if n > ENUMERATION_MAX_N:
         raise CapacityError(
             f"exact enumeration is capped at n={ENUMERATION_MAX_N}, got {n}"
         )
-    out = np.empty(1 << n, dtype=np.float64)
+    if n < 1:
+        raise ParameterError("exact enumeration needs n >= 1")
+    half = 1 << (n - 1)
+    out = np.empty(half, dtype=np.float64)
     out[0] = 0.0
-    field = np.empty(1 << max(n - 1, 0), dtype=np.float64)
     q2 = 2.0 * coupling.entries
-    for k in range(n):
+    chunk = min(half, ENUMERATION_CHUNK)
+    low = chunk.bit_length() - 1  # the spins a chunk's codes range over
+    # levels[0] is the combine scratch, then the base chunk of the last g;
+    # levels[j] adds spin low+j-1 to it
+    levels = np.empty((n - low, chunk), dtype=np.float64)
+    for k in range(n - 1):
         m = 1 << k
-        g = field[:m]
-        g[0] = 0.0
-        for i in range(k):
-            w = 1 << i
-            np.add(g[:w], q2[i, k], out=g[w : 2 * w])
-            g[:w] -= q2[i, k]
-        np.add(out[:m], g, out=out[m : 2 * m])
-        out[:m] -= g
+        g = out[m : 2 * m]
+        _double(g, q2[:k, k])
+        w = min(chunk, m)
+        tmp = levels[0, :w]
+        for c in range(0, m, w):
+            np.copyto(tmp, g[c : c + w])
+            np.add(out[c : c + w], tmp, out=g[c : c + w])
+            out[c : c + w] -= tmp
+    q = q2[: n - 1, n - 1]
+    _double(levels[0], q[:low])
+
+    def descend(j: int, start: int) -> None:
+        if j == n - 1 - low:
+            out[start : start + chunk] -= levels[j]
+            return
+        np.subtract(levels[j], q[low + j], out=levels[j + 1])
+        descend(j + 1, start)
+        np.add(levels[j], q[low + j], out=levels[j + 1])
+        descend(j + 1, start + (chunk << j))
+
+    descend(0, 0)
     return out
 
 
@@ -149,14 +196,25 @@ def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
 def suff_stat_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Distinct enumerated x'Qx floats with multiplicities (n <= 24).
 
-    The values are the distinct floats ``enumerate_suff_stats`` returns, not
-    the distinct exact values of x'Qx: sums rounded in different orders
-    split one true value into several floats. On random_regular with d = 10
-    and n = 20 (graph seed 7) there are 238 floats for 25 true values. The
-    arrays are cached per coupling and read-only, so every exact consumer in
-    a process enumerates a coupling once.
+    The values are the distinct floats of the full 2^n enumeration, not the
+    distinct exact values of x'Qx: sums rounded in different orders split
+    one true value into several floats. On random_regular with d = 10 and
+    n = 20 (graph seed 7) there are 238 floats for 25 true values. The half
+    table of ``enumerate_suff_stats`` is sorted in place and split into runs
+    of equal floats; the flip doubles each run, so the result equals
+    ``np.unique`` of the full table with ``return_counts``. Memory is the
+    half table and one byte per entry of it. The arrays are cached per coupling
+    and read-only, so every exact consumer in a process enumerates a
+    coupling once.
     """
-    values, counts = np.unique(enumerate_suff_stats(coupling), return_counts=True)
+    table = enumerate_suff_stats(coupling)
+    table.sort()
+    first = np.empty(table.size, dtype=bool)
+    first[0] = True
+    np.not_equal(table[1:], table[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    values = table[starts]
+    counts = 2 * np.diff(starts, append=table.size)
     values.flags.writeable = False
     counts.flags.writeable = False
     return values, counts
@@ -360,6 +418,8 @@ class CountLaw:
     and xbar -+ 1/n bit for bit wherever n (1/n) == 1.
     """
 
+    TILTED_CACHE = 4
+
     def __init__(self, n: int, sizes=None, weights=None) -> None:
         if n < 1:
             raise CapacityError("a count law needs n >= 1")
@@ -386,6 +446,10 @@ class CountLaw:
         self.log_mult = self.log_mult.reshape(-1)
         self.values.flags.writeable = False
         self.log_mult.flags.writeable = False
+        # caches that live and die with the law: the tilted tables by theta,
+        # least recently read first, and the statistic columns by kind
+        self._tilted: dict = {}
+        self.statistics: dict = {}
 
     def _values(self, k) -> np.ndarray:
         # x'Qx = sum_a (n y_a)(C y)_a - sum_a C_aa m_a / n over the atom grid
@@ -450,12 +514,20 @@ class CountLaw:
         w = [f for k_a, m_a in zip(k, self.sizes) for f in (k_a, m_a - k_a)]
         return np.stack(t, axis=1), np.stack(w, axis=1).astype(np.float64)
 
-    @lru_cache(maxsize=4)
     def tilted(self, theta: float) -> tuple[float, float, np.ndarray]:
-        """tilted_table of the law at ``theta``, once per theta; pmf read-only."""
-        log_z, dlog_z, pmf = tilted_table(self.values, self.log_mult, theta)
-        pmf.flags.writeable = False
-        return log_z, dlog_z, pmf
+        """tilted_table of the law at ``theta``, once per theta; pmf read-only.
+
+        The law keeps the TILTED_CACHE most recently read thetas.
+        """
+        tilt = self._tilted.pop(theta, None)
+        if tilt is None:
+            log_z, dlog_z, pmf = tilted_table(self.values, self.log_mult, theta)
+            pmf.flags.writeable = False
+            tilt = log_z, dlog_z, pmf
+            if len(self._tilted) == self.TILTED_CACHE:
+                del self._tilted[next(iter(self._tilted))]
+        self._tilted[theta] = tilt
+        return tilt
 
     def atoms(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """The atoms with positive mass at ``theta``, and their masses."""

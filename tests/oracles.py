@@ -1,7 +1,8 @@
-"""Oracles that only the tests read: the 2^n state law, its exact
-one-sweep Glauber kernel, the conditional flip probability, the
-enumerated sufficient-statistic pmf, the Monte Carlo limiting power and
-the sample quantile.
+"""Oracles that only the tests read: the per-code x'Qx table, both the
+package's half mirrored and a full doubling over all 2^n codes, the 2^n
+state law, its exact one-sweep Glauber kernel, the conditional flip
+probability, the enumerated sufficient-statistic pmf, the Monte Carlo
+limiting power and the sample quantile.
 
 They build on the package's enumeration (``enumerate_suff_stats``,
 ``suff_stat_table``, ``tilted_table``) and limit laws (``limit_power``,
@@ -54,11 +55,43 @@ def exact_enumerate(coupling: CouplingMatrix, theta: float) -> EnumerationResult
     )
 
 
+def suff_stats_by_code(coupling: CouplingMatrix) -> np.ndarray:
+    """x'Qx of every state code: the package's half table and its mirror."""
+    half = enumerate_suff_stats(coupling)
+    return np.concatenate((half, half[::-1]))
+
+
+def doubling_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
+    """x'Qx of every state code by a doubling over all 2^n codes.
+
+    The per-code order of adds is the package's, in a full 2^n table with
+    a 2^(n-1) buffer of g: step k builds g(s) = 2 sum_{i<k} Q(i, k) x_i(s)
+    (g[w:2w] = g[:w] + 2Q(i, k), then g[:w] -= 2Q(i, k), w = 2^i), then
+    sets out[m:2m] = out[:m] + g and out[:m] -= g, m = 2^k.
+    """
+    n = coupling.n
+    out = np.empty(1 << n, dtype=np.float64)
+    out[0] = 0.0
+    field = np.empty(1 << max(n - 1, 0), dtype=np.float64)
+    q2 = 2.0 * coupling.entries
+    for k in range(n):
+        m = 1 << k
+        g = field[:m]
+        g[0] = 0.0
+        for i in range(k):
+            w = 1 << i
+            np.add(g[:w], q2[i, k], out=g[w : 2 * w])
+            g[:w] -= q2[i, k]
+        np.add(out[:m], g, out=out[m : 2 * m])
+        out[:m] -= g
+    return out
+
+
 def enumerate_state_distribution(coupling: CouplingMatrix, theta: float) -> np.ndarray:
     """Normalized probability of every state code at ``theta`` (n <= 20)."""
     if coupling.n > STATE_LAW_MAX_N:
         raise CapacityError(f"state distributions are capped at n={STATE_LAW_MAX_N}")
-    stats = enumerate_suff_stats(coupling)
+    stats = suff_stats_by_code(coupling)
     return tilted_table(stats, np.zeros_like(stats), theta)[2]
 
 

@@ -518,7 +518,7 @@ def test_power_curve_draws_once_per_h_on_complete(monkeypatch):
 def test_power_curve_tilts_the_count_law_once_per_theta(monkeypatch):
     # calibration, the draws and the exact power at one theta share one
     # tilted table; h = 0 sits at theta0 itself
-    sampler.CountLaw.tilted.cache_clear()
+    sampler._block_law.cache_clear()
     tilts = _counting(monkeypatch, sampler, "tilted_table")
     cfg = ExperimentConfig(experiment="power_curve", n=(300,), reps=50, master_seed=7)
     run_experiment(cfg)

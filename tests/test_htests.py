@@ -1,5 +1,7 @@
 """Testing machinery: statistics, calibration, level and power."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ising_infer import (
     run_test,
     save_matrix,
 )
-from ising_infer import htests, theory
+from ising_infer import htests, sampler, theory
 from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _count_statistics
 from ising_infer.sampler import CountLaw, tilted_table
@@ -451,6 +453,22 @@ def test_pl_count_statistics_are_mirrored():
             for e in (mple_counts(law, [j]) for j in k)
         ]
         assert np.array_equal(stats, want), n
+
+
+def test_dropped_count_laws_free_their_caches():
+    # a law's tilted pmfs and statistic columns live on the law, so once
+    # the law cache drops it nothing else keeps it alive
+    laws = [count_law(build_coupling("complete", n)) for n in range(1501, 1506)]
+    # the first law is read last, so a cache of the latest reads holds it
+    for law in laws[::-1]:
+        law.tilted(1.0)
+        for kind in ("ms", "pl"):
+            _count_statistics(law, kind)
+    first = weakref.ref(laws[0])
+    del laws, law
+    sampler._block_law.cache_clear()
+    gc.collect()
+    assert first() is None
 
 
 def test_asymptotic_power_values():

@@ -24,11 +24,8 @@ from ising_infer import (
     substream,
 )
 from ising_infer import inference
-from ising_infer.sampler import (
-    CountLaw,
-    enumerate_suff_stats,
-)
-from oracles import enumerate_state_distribution
+from ising_infer.sampler import CountLaw
+from oracles import enumerate_state_distribution, suff_stats_by_code
 
 
 def _spins_from_code(code: int, n: int) -> np.ndarray:
@@ -208,7 +205,7 @@ def test_suff_stat_bounds_closed_forms():
     assert suff_stat_bounds(build_coupling("complete", 9)) == (-8.0 / 9.0, 8.0)
     assert suff_stat_bounds(build_coupling("bipartite", 10)) == (-10.0, 10.0)
     cpl = build_coupling("qpartite", 12, q=3)
-    stats = enumerate_suff_stats(cpl)
+    stats = suff_stats_by_code(cpl)
     assert suff_stat_bounds(cpl) == (float(stats.min()), float(stats.max()))
 
 

@@ -51,10 +51,12 @@ from ising_infer.sampler import (
 )
 from ising_infer.streams import seed_uniforms, substream_uniforms
 from oracles import (
+    doubling_suff_stats,
     enumerate_state_distribution,
     exact_enumerate,
     flip_probability,
     glauber_sweep_kernel,
+    suff_stats_by_code,
 )
 
 
@@ -513,8 +515,8 @@ def _dyadic_custom(n):
     return CouplingMatrix(n, a + a.T)
 
 
-@pytest.mark.parametrize("n", [1, 13, 14, 15, 20])
-def test_enumeration_matches_the_shift_per_chunk_loop(n):
+def _enumeration_couplings(n):
+    # those whose partial sums are all exact, and those whose are not
     exact = [_dyadic_custom(n)]
     near = [_non_dyadic_custom(n)]
     if n > 10:
@@ -523,8 +525,14 @@ def test_enumeration_matches_the_shift_per_chunk_loop(n):
         # block couplings, enumerated through their dense entries
         exact += [build_coupling("complete", 16), build_coupling("bipartite", 16)]
         near.append(build_coupling("qpartite", 18, q=3))
+    return exact, near
+
+
+@pytest.mark.parametrize("n", [1, 13, 14, 15, 20])
+def test_enumeration_matches_the_shift_per_chunk_loop(n):
+    exact, near = _enumeration_couplings(n)
     for cpl in exact + near:
-        got = sampler.enumerate_suff_stats(cpl)
+        got = suff_stats_by_code(cpl)
         want = _shift_per_chunk_suff_stats(cpl)
         # a global flip negates every term, and every add rounds symmetrically
         assert np.array_equal(got, got[::-1]), cpl.family
@@ -534,10 +542,44 @@ def test_enumeration_matches_the_shift_per_chunk_loop(n):
             assert np.max(np.abs(got - want)) <= _summation_bound(cpl), cpl.family
 
 
+@pytest.mark.parametrize("n", [1, 13, 14, 15, 20, 22])
+def test_half_enumeration_is_the_full_doubling_bit_for_bit(n):
+    if n == 22:
+        # the last g spans 2^7 scratch chunks, one level per spin 14..20
+        couplings = [build_coupling("random_regular", 22, d=10, seed=7)]
+    else:
+        couplings = sum(_enumeration_couplings(n), [])
+    for cpl in couplings:
+        full = doubling_suff_stats(cpl)
+        half = sampler.enumerate_suff_stats(cpl)
+        assert half.size == full.size // 2
+        assert np.array_equal(half, full[: half.size]), cpl.family
+        assert np.array_equal(half[::-1], full[half.size :]), cpl.family
+        values, counts = suff_stat_table(cpl)
+        want_values, want_counts = np.unique(full, return_counts=True)
+        assert np.array_equal(values, want_values), cpl.family
+        assert np.array_equal(counts, want_counts), cpl.family
+        assert counts.dtype == want_counts.dtype
+        assert counts.sum() == 2**cpl.n
+
+
+def test_suff_stat_table_holds_little_beyond_the_half_table():
+    # a fresh coupling, so its table is not cached yet
+    cpl = CouplingMatrix(22, build_coupling("random_regular", 22, d=10, seed=7).entries)
+    tracemalloc.start()
+    try:
+        suff_stat_table(cpl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the half table is 2^21 floats (16.8 MB)
+    assert peak < 1.5 * 8 * 2**21
+
+
 def test_enumeration_keeps_the_workload_cells():
     # the workload's graph: the same cells once floats within 1e-8 merge
     cpl = build_coupling("random_regular", 20, d=10, seed=7)
-    tables = sampler.enumerate_suff_stats(cpl), _shift_per_chunk_suff_stats(cpl)
+    tables = suff_stats_by_code(cpl), _shift_per_chunk_suff_stats(cpl)
     got, want = (np.unique(np.round(t, 8), return_counts=True) for t in tables)
     assert all(map(np.array_equal, got, want))
 
@@ -545,7 +587,7 @@ def test_enumeration_keeps_the_workload_cells():
 def test_enumeration_indexes_codes_past_the_old_chunk_split():
     # bits 14 and up were the chunk index of the chunked loop
     cpl = _non_dyadic_custom(22)
-    table = sampler.enumerate_suff_stats(cpl)
+    table = suff_stats_by_code(cpl)
     codes = np.random.default_rng(22).integers(0, 1 << 22, size=4096)
     x = ((codes[:, None] >> np.arange(22)) & 1) * 2.0 - 1.0
     direct = np.einsum("ij,jk,ik->i", x, cpl.entries, x)
@@ -704,6 +746,27 @@ def test_count_law_only_for_block_couplings_under_the_cap():
         assert count_law(cpl) is None, cpl.family
     # the cap admits every complete coupling to n = 10^7
     assert COUNT_LAW_MAX_ATOMS == 10**7 + 1
+
+
+def test_count_law_keeps_its_four_latest_tilts(monkeypatch):
+    tilts = []
+    tilt = sampler.tilted_table
+
+    def counted(values, log_mult, theta):
+        tilts.append(theta)
+        return tilt(values, log_mult, theta)
+
+    monkeypatch.setattr(sampler, "tilted_table", counted)
+    law = CountLaw(30)
+    first = law.tilted(0.1)
+    assert law.tilted(0.1) is first
+    for theta in (0.2, 0.3, 0.4, 0.1, 0.5):
+        law.tilted(theta)
+    # 0.1, read again, outlived 0.2, the least recently read
+    assert law.tilted(0.1) is first
+    law.tilted(0.2)
+    assert tilts == [0.1, 0.2, 0.3, 0.4, 0.5, 0.2]
+    assert not first[2].flags.writeable
 
 
 def test_fold_refuses_non_integral_and_nested_atoms():

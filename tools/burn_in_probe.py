@@ -214,7 +214,9 @@ def _reference(kind: str, coupling, theta: float, master: int, draws: int) -> di
         picked = draw_counts(law, theta, master, draws)[0]
         suff, plus = law.values[picked], sum(law.class_counts(picked))
     else:
-        values = enumerate_suff_stats(coupling)
+        # the half table over spin n-1 at -1, and its mirror over the flips
+        half = enumerate_suff_stats(coupling)
+        values = np.concatenate((half, half[::-1]))
         logw = 0.5 * theta * values
         pmf = np.exp(logw - logw.max())
         pmf /= pmf.sum()
