@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConstructionError, ParameterError
+from .errors import CapacityError, ConstructionError, ParameterError, as_integer
 from .streams import as_generator
 
 FAMILIES = (
@@ -292,7 +292,8 @@ def build_coupling(
     d : int, optional
         Degree for random_regular (1 <= d < n, d*n even).
     seed : int, optional
-        Seed for the random_regular pairing; required for that family.
+        Seed for the random_regular pairing; required for that family, and
+        a nonnegative integer (anything else raises ParameterError).
     """
     if n < 2:
         raise ParameterError("n must be at least 2")
@@ -326,6 +327,10 @@ def build_coupling(
             raise ParameterError("random_regular needs n*d even")
         if seed is None:
             raise ParameterError("random_regular needs an explicit seed")
+        if as_integer(seed, "random_regular seed") < 0:
+            raise ParameterError(
+                f"random_regular seed must be nonnegative, got {seed}"
+            )
         if n > DENSE_MAX_N:
             raise CapacityError(
                 f"random_regular is dense and capped at n={DENSE_MAX_N}, got {n}"

@@ -4,6 +4,7 @@ Every error raised on purpose derives from IsingInferError so callers can
 catch package failures without swallowing programming errors. The CLI maps
 ConfigError to exit code 2 and NumericError to exit code 3.
 """
+import numbers
 
 
 class IsingInferError(Exception):
@@ -28,3 +29,14 @@ class ConfigError(IsingInferError, ValueError):
 
 class NumericError(IsingInferError, RuntimeError):
     """A numeric routine failed to reach its documented tolerance."""
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integer raises ParameterError.
+
+    Python and numpy integers pass. A float, even an integral one, does not:
+    seeds are hashed from their decimal text, so 2.0 and 2 would differ.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)

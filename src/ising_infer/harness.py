@@ -50,7 +50,7 @@ from .htests import (
 from .inference import mle_counts, mle_exact, mple, mple_counts
 from .sampler import ENUMERATION_MAX_N, count_law, cw_log_partition, draw_counts
 from .sampler import default_burn_in, glauber_sample
-from .streams import derive_seed
+from .streams import derive_seed, derive_seeds, seed_uniforms
 from .theory import (
     H_MAX,
     delta_log_partition,
@@ -311,14 +311,18 @@ def _estimator_replication(coupling, theta0, master_seed, r):
 def _count_law_records(config: ExperimentConfig, law) -> list:
     """Every replication under a count law, from one batch of atoms.
 
-    ``elapsed_s`` is the batch's wall time split evenly over its records.
+    One derive_seeds batch gives both the ``derived_seed`` column and the
+    first uniform of each stream, which picks the atom; the estimators read
+    no tie-break. ``elapsed_s`` is the batch's wall time split evenly over
+    its records.
     """
     start, reps = time.perf_counter(), config.reps
-    counts, _ = draw_counts(law, config.theta0, config.master_seed, reps)
+    seeds = derive_seeds(config.master_seed, reps)
+    counts = draw_counts(law, config.theta0, seed_uniforms(seeds, 1)[:, 0])
     pl, ml = mple_counts(law, counts), mle_counts(law, counts)
     columns = (  # in _ESTIMATOR_COLUMNS order, elapsed_s last
         range(reps),
-        [derive_seed(config.master_seed, r) for r in range(reps)],
+        seeds.tolist(),
         [law.n] * reps,
         [config.theta0] * reps,
         law.xbar(counts).tolist(),

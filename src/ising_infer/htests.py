@@ -56,7 +56,7 @@ from .errors import ParameterError
 from .inference import mple, mple_counts
 from .sampler import CountLaw, SpinConfiguration, count_law, draw_counts, glauber_sample
 from .special import ndtr, ndtri
-from .streams import as_generator, substream
+from .streams import as_generator, substream, substream_uniforms
 from .theory import (
     critical_law,
     information_rate,
@@ -217,7 +217,9 @@ class DrawSet:
     def _drawn(self) -> tuple[dict, np.ndarray]:
         law = count_law(self.coupling)
         if law is not None:
-            counts, uniforms = draw_counts(law, self.theta, self.master_seed, self.reps)
+            draws = substream_uniforms(self.master_seed, self.reps, 2)
+            counts = draw_counts(law, self.theta, draws[:, 0])
+            uniforms = draws[:, 1].copy()
             stats = {kind: _count_statistics(law, kind)[counts] for kind in KINDS}
         else:
             stats = {kind: np.empty(self.reps) for kind in KINDS}

@@ -44,9 +44,9 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import CouplingMatrix, as_spins
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, as_integer
 from .special import gammaln
-from .streams import as_generator, substream_uniforms
+from .streams import as_generator
 
 ENUMERATION_MAX_N = 24
 #: Codes per scratch chunk of the enumeration
@@ -281,9 +281,7 @@ def _check_chain(theta, **counts) -> float:
             f"theta must be finite with |theta| < 2^1023, got {theta!r}"
         )
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
+        if as_integer(value, name) < 0:
             raise ParameterError(f"{name} must be nonnegative, got {value}")
     return theta
 
@@ -570,27 +568,21 @@ def cw_log_partition(n: int, theta: float) -> float:
     return law.tilted(theta)[0] + 0.5 * theta
 
 
-def draw_counts(
-    law: CountLaw, theta: float, master_seed: int, reps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and tie-break uniforms of ``reps`` draws from a count law.
+def draw_counts(law: CountLaw, theta: float, uniforms) -> np.ndarray:
+    """The count-law atom of each uniform, by inverse CDF.
 
     The count law is exact: the pmf of the law's table at ``theta``.
-    Replication r draws the first two uniforms of substream(master_seed,
-    r), read for every r at once by substream_uniforms, the first mapped to
-    its atom by inverse CDF and the second kept for the randomized tests'
-    tie-break. Every statistic is a function of the atom, so no spin vector
-    is ever drawn.
+    Replication r of a draw set passes the first uniform of its stream,
+    column 0 of substream_uniforms (or of seed_uniforms on a batch from
+    derive_seeds), so ``reps`` draws cost one vectorized pass and build no
+    Generator. Every statistic is a function of the atom, so no spin vector
+    is ever drawn. A negative theta raises ParameterError.
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
-    if reps < 0:
-        raise ParameterError("reps must be nonnegative")
     cdf = np.cumsum(law.tilted(theta)[2])
-    draws = substream_uniforms(master_seed, reps, 2)
     # a uniform past the rounded total mass lands on the last atom
-    counts = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), law.size - 1)
-    return counts, draws[:, 1].copy()
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), law.size - 1)
 
 
 # ---------------------------------------------------------------------------

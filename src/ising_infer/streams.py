@@ -5,14 +5,24 @@ Replication r of an experiment with master seed s draws from
 big-endian, of ``SHA-256(b"{s}:{r}")``, so any worker can reconstruct any
 stream from (master_seed, index) alone and aggregation order never matters.
 
-``substream`` is the definition of that rule. ``substream_uniforms`` reads
-the first few ``random()`` doubles of many replications at once without
-building a Generator: it runs NumPy's SeedSequence seeding (pool size 4),
-PCG64 seeding and the PCG64 XSL-RR output step in uint32/uint64 array
-arithmetic. The route is exact, not an approximation: NumPy's
-stream-compatibility policy (NEP 19) fixes the output of ``SeedSequence``
-and ``PCG64`` for a given seed, and a test pins it bit for bit against
-``substream``.
+``derive_seed`` and ``substream`` are the definition of that rule.
+``derive_seeds`` is its batch form: the seeds of replications 0..reps-1 as
+one uint64 array, from one pass over the digests. A count-law draw set
+reads one batch through ``substream_uniforms``, and a count-law estimator
+run reads one batch for both its draws and its ``derived_seed`` column, so
+no replication's seed is hashed twice.
+
+``seed_uniforms`` reads the first few ``random()`` doubles of many seeds
+at once without building a Generator: it runs NumPy's SeedSequence seeding
+(pool size 4), PCG64 seeding and the PCG64 XSL-RR output step in
+uint32/uint64 array arithmetic. The route is exact, not an approximation:
+NumPy's stream-compatibility policy (NEP 19) fixes the output of
+``SeedSequence`` and ``PCG64`` for a given seed, and a test pins
+``substream_uniforms`` bit for bit against ``substream``.
+
+A master seed or index that is not an integer (a bool included) raises
+ParameterError: the rule hashes decimal text, so 2.0 would silently name
+another stream than 2. Master seeds may be negative; indices may not.
 """
 from __future__ import annotations
 
@@ -20,13 +30,32 @@ import hashlib
 
 import numpy as np
 
+from .errors import ParameterError, as_integer
+
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Return the child seed for replication ``index`` under ``master_seed``."""
+    master_seed = as_integer(master_seed, "master seed")
+    index = as_integer(index, "replication index")
     if index < 0:
-        raise ValueError("replication index must be nonnegative")
+        raise ParameterError("replication index must be nonnegative")
     digest = hashlib.sha256(f"{master_seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seeds(master_seed: int, reps: int) -> np.ndarray:
+    """``[derive_seed(master_seed, r) for r in range(reps)]`` as uint64.
+
+    The ``"{master_seed}:"`` prefix is formatted once; the first 8 bytes of
+    each digest are joined and read as big-endian words in one buffer.
+    """
+    prefix = f"{as_integer(master_seed, 'master seed')}:".encode("ascii")
+    if as_integer(reps, "replication count") < 0:
+        raise ParameterError("replication count must be nonnegative")
+    heads = b"".join(
+        [hashlib.sha256(prefix + b"%d" % r).digest()[:8] for r in range(reps)]
+    )
+    return np.frombuffer(heads, dtype=">u8").astype(np.uint64)
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -36,10 +65,7 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 def substream_uniforms(master_seed: int, reps: int, k: int) -> np.ndarray:
     """Row r holds ``substream(master_seed, r).random(k)``, for r < ``reps``."""
-    if reps < 0:
-        raise ValueError("replication count must be nonnegative")
-    seeds = [derive_seed(master_seed, r) for r in range(reps)]
-    return seed_uniforms(np.array(seeds, dtype=np.uint64), k)
+    return seed_uniforms(derive_seeds(master_seed, reps), k)
 
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx) and the

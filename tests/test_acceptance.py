@@ -33,6 +33,7 @@ from ising_infer import (
     suff_stat_table,
 )
 from ising_infer.sampler import tilted_table
+from ising_infer.streams import substream_uniforms
 from oracles import (
     asymptotic_power,
     enumerate_state_distribution,
@@ -112,7 +113,8 @@ def test_normalizer_expansion_converges():
 def test_critical_magnetization_matches_quartic_law():
     n, reps = 10_000, 2000
     law = count_law(build_coupling("complete", n))
-    counts, _ = draw_counts(law, 1.0, derive_seed(ACCEPT_SEED, 401), reps)
+    uniforms = substream_uniforms(derive_seed(ACCEPT_SEED, 401), reps, 1)[:, 0]
+    counts = draw_counts(law, 1.0, uniforms)
     stats = np.sort(n**0.25 * (2.0 * counts - n) / n)
     cdf = critical_law(0.0).cdf_at(stats)
     grid = np.arange(1, reps + 1) / reps
@@ -126,7 +128,8 @@ def test_critical_magnetization_matches_quartic_law():
 def test_low_temperature_mple_is_gaussian():
     n, reps, theta0 = 1600, 400, 1.5
     law = count_law(build_coupling("complete", n))
-    counts, _ = draw_counts(law, theta0, derive_seed(ACCEPT_SEED, 501), reps)
+    uniforms = substream_uniforms(derive_seed(ACCEPT_SEED, 501), reps, 1)[:, 0]
+    counts = draw_counts(law, theta0, uniforms)
     estimates = mple_counts(law, counts)
     assert estimates.exists.all()
     scaled = math.sqrt(n) * (estimates.value - theta0)

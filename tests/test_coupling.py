@@ -95,6 +95,18 @@ def test_random_regular_deterministic():
     assert not np.array_equal(a.entries, c.entries)
 
 
+def test_random_regular_refuses_a_seed_that_is_not_a_nonnegative_integer():
+    # the pairing's Generator would refuse a negative seed with numpy's own
+    # ValueError; the builder names the family and the argument first
+    for seed in (-3, -1, 1.5, 2.0, True, "7"):
+        with pytest.raises(ParameterError, match="random_regular seed"):
+            build_coupling("random_regular", 20, d=4, seed=seed)
+    assert np.array_equal(
+        build_coupling("random_regular", 20, d=4, seed=np.int64(3)).entries,
+        build_coupling("random_regular", 20, d=4, seed=3).entries,
+    )
+
+
 def test_random_regular_odd_product_rejected():
     # n*d must be even for a pairing to exist
     with pytest.raises((ParameterError, ConstructionError)):

@@ -1,6 +1,7 @@
 """Config parsing, experiment pipelines, result IO, and the CLI."""
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -289,6 +290,28 @@ def test_estimator_law_complete_records():
     assert math.isclose(block["theory_sd"], 1.0 / math.sqrt(0.3199208645349059))
 
 
+def test_count_law_estimator_hashes_each_seed_once(monkeypatch):
+    # the derived_seed column and the draws read one derive_seeds batch,
+    # so the run hashes reps seeds, not 2 reps
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def recording(data=b"", **kwargs):
+        hashed.append(bytes(data))
+        return sha256(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", recording)
+    cfg = ExperimentConfig(
+        experiment="estimator_law", n=(60,), theta0=1.5, reps=40, master_seed=-31
+    )
+    result = run_experiment(cfg)
+    monkeypatch.undo()
+    assert sorted(hashed) == sorted(b"-31:%d" % r for r in range(40))
+    seeds = [row["derived_seed"] for row in result.records]
+    assert seeds == [derive_seed(-31, r) for r in range(40)]
+    assert all(type(seed) is int for seed in seeds)
+
+
 def test_complete_estimator_law_solves_each_fold_once(monkeypatch):
     # the MLE is a function of min(k, n - k): one solve per distinct fold
     # per n, however many replications share it
@@ -307,7 +330,8 @@ def test_complete_estimator_law_solves_each_fold_once(monkeypatch):
     assert len(result.records) == 80
     for n in cfg.n:
         law = sampler.count_law(build_coupling("complete", n))
-        counts, _ = sampler.draw_counts(law, 1.5, 31, 40)
+        uniforms = streams.substream_uniforms(31, 40, 1)[:, 0]
+        counts = sampler.draw_counts(law, 1.5, uniforms)
         folds = np.unique(np.minimum(counts, n - counts)).size
         assert folds < 40
         assert solves.count(n) == folds, n
@@ -917,6 +941,23 @@ def test_cli_run_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert main(["run", str(cfg)]) == 3
     assert "synthetic instability" in capsys.readouterr().err
+
+
+def test_random_regular_refuses_a_negative_master_seed(tmp_path, capsys):
+    # the graph seed is the master seed; count-law families hash a negative
+    # master seed like any other
+    text = "experiment = spectrum_report\nfamily = random_regular\nd = 4\nn = 20\n"
+    with pytest.raises(ParameterError, match="random_regular seed"):
+        run_experiment(parse_config(text + "master_seed = -3\n"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text + "master_seed = -3\n", encoding="utf-8")
+    assert main(["run", str(cfg)]) == 2
+    assert "random_regular seed" in capsys.readouterr().err
+    args = ["spectra", "--family", "random_regular", "--d", "4", "--n", "20"]
+    assert main([*args, "--seed", "-1"]) == 2
+    assert "random_regular seed" in capsys.readouterr().err
+    complete = "experiment = estimator_law\nn = 20\nreps = 3\nmaster_seed = -3\n"
+    assert len(run_experiment(parse_config(complete)).records) == 3
 
 
 def test_cli_spectra_stdout(capsys):

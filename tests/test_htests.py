@@ -27,6 +27,7 @@ from ising_infer import htests, sampler, theory
 from ising_infer import test_statistic as statistic_value
 from ising_infer.htests import _count_statistics
 from ising_infer.sampler import CountLaw, tilted_table
+from ising_infer.streams import substream_uniforms
 from ising_infer import count_law, derive_seed, draw_counts, glauber_sample, substream
 from oracles import asymptotic_power
 
@@ -175,7 +176,8 @@ def test_statistic_batch_ignores_tie_break_draws():
     # are those of the sample streams alone
     n, reps = 50, 40
     cpl = build_coupling("complete", n)
-    counts, uniforms = draw_counts(count_law(cpl), 1.2, 8, reps)
+    draws = substream_uniforms(8, reps, 2)
+    counts, uniforms = draw_counts(count_law(cpl), 1.2, draws[:, 0]), draws[:, 1]
     assert np.all((0.0 <= uniforms) & (uniforms < 1.0))
     xbar = (2.0 * counts - n) / n
     batch_set = DrawSet(cpl, 1.2, 8, reps)

@@ -123,6 +123,46 @@ def test_no_cached_function_takes_a_seed():
     assert not offenders, offenders
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_seed_hashing_has_one_home():
+    # SHA-256 hashes seeds only in streams, whose derive_seeds is the batch
+    # form of the rule; harness.config_hash digests configs. A comprehension
+    # over derive_seed would be a second, slower batch path
+    homes, offenders = set(), []
+    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        config_hash = set()
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "config_hash":
+                config_hash |= {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                offenders.append(f"{where} from hashlib import")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "sha256"
+                and getattr(node.value, "id", "") == "hashlib"
+            ):
+                if path.name == "streams.py":
+                    homes.add("streams")
+                elif path.name == "harness.py" and id(node) in config_hash:
+                    homes.add("harness.config_hash")
+                else:
+                    offenders.append(f"{where} hashlib.sha256")
+            elif isinstance(node, _COMPREHENSIONS):
+                offenders += [
+                    f"{where} derive_seed in a comprehension"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and _decorator_name(call) == "derive_seed"
+                ]
+    assert homes == {"streams", "harness.config_hash"}, homes
+    assert not offenders, offenders
+
+
 def test_limit_cutoffs_have_one_home():
     # calibration, limit power and the Monte Carlo oracle read each level-alpha
     # limit cutoff from one htests function, so they cannot drift apart

@@ -21,6 +21,7 @@ from ising_infer import (
     count_law,
     cw_log_partition,
     derive_seed,
+    derive_seeds,
     draw_counts,
     glauber_sample,
     glauber_series,
@@ -67,6 +68,36 @@ def test_derive_seed_matches_documented_formula():
         derive_seed(1, -1)
 
 
+def test_derive_seed_refuses_non_integers():
+    # the rule hashes decimal text: 2.0 and True would name other streams
+    bad = ((1, 2.0), (True, 0), (1, True), (1.0, 2), (None, 0), ("1", 2))
+    for master, index in bad:
+        with pytest.raises(ParameterError, match="must be an integer"):
+            derive_seed(master, index)
+    assert derive_seed(np.int64(1), np.uint8(2)) == derive_seed(1, 2)
+    assert derive_seed(-3, 0) != derive_seed(3, 0)
+    for master, reps in ((2.0, 3), (True, 3), (1, 3.0), (1, np.bool_(True))):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            derive_seeds(master, reps)
+    assert np.array_equal(derive_seeds(np.int32(-3), np.int64(4)), derive_seeds(-3, 4))
+
+
+def test_derive_seeds_match_the_scalar_rule():
+    # master seeds of both signs, at and past 2^64; index ranges across
+    # each change in the index's digit count
+    spans = (range(0, 12), range(95, 105), range(9_990, 10_010))
+    for master in (0, 7, -3, 2**64 - 1, 2**70):
+        for span in spans:
+            batch = derive_seeds(master, span.stop)[span.start:]
+            want = np.array([derive_seed(master, r) for r in span], dtype=np.uint64)
+            assert batch.dtype == np.uint64
+            assert np.array_equal(batch, want), (master, span)
+    empty = derive_seeds(7, 0)
+    assert empty.dtype == np.uint64 and empty.shape == (0,)
+    with pytest.raises(ValueError):
+        derive_seeds(7, -1)
+
+
 def test_substreams_differ():
     a = substream(7, 0).random(4)
     b = substream(7, 1).random(4)
@@ -98,16 +129,15 @@ def test_seed_uniforms_at_the_edge_seeds():
 
 def test_draw_counts_builds_no_generator(monkeypatch):
     law = count_law(build_coupling("bipartite", 40))
-    counts, uniforms = draw_counts(law, 1.1, 20260815, 500)
+    counts = draw_counts(law, 1.1, substream_uniforms(20260815, 500, 1)[:, 0])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("draw_counts built a Generator")
+        raise AssertionError("a count-law draw built a Generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(streams, "substream", refuse)
-    again = draw_counts(law, 1.1, 20260815, 500)
-    assert np.array_equal(again[0], counts)
-    assert np.array_equal(again[1], uniforms)
+    again = draw_counts(law, 1.1, substream_uniforms(20260815, 500, 1)[:, 0])
+    assert np.array_equal(again, counts)
 
 
 def test_spin_configuration_consistency():
@@ -814,11 +844,11 @@ def _chi_square_pvalue(counts, pmf) -> float:
 def test_cw_aux_counts_match_the_count_pmf():
     n, reps = 30, 20_000
     law = count_law(build_coupling("complete", n))
-    counts, _ = draw_counts(law, 1.2, 6006, reps)
+    counts = draw_counts(law, 1.2, substream_uniforms(6006, reps, 1)[:, 0])
     pmf = tilted_table(law.values, law.log_mult, 1.2)[2]
     assert _chi_square_pvalue(counts, pmf) > 1e-3
     # theta = 0 is the free model: each count is Binomial(n, 1/2)
-    counts, _ = draw_counts(law, 0.0, 6007, reps)
+    counts = draw_counts(law, 0.0, substream_uniforms(6007, reps, 1)[:, 0])
     assert _chi_square_pvalue(counts, binom.pmf(np.arange(n + 1), n, 0.5)) > 1e-3
 
 
@@ -886,30 +916,28 @@ def test_default_burn_in_chains_match_the_enumeration_by_chi_square(theta, seed)
 
 
 def test_cw_aux_counts_substream_alignment():
-    # replication r draws from substream(seed, r): the count's uniform,
-    # mapped by inverse CDF on the count pmf, then the tie-break uniform
+    # replication r's count is the first uniform of substream(seed, r),
+    # mapped by inverse CDF on the count pmf
     n, theta, seed, reps = 40, 1.4, 123, 6
     law = count_law(build_coupling("complete", n))
-    counts, uniforms = draw_counts(law, theta, seed, reps)
+    counts = draw_counts(law, theta, substream_uniforms(seed, reps, 1)[:, 0])
     cdf = np.cumsum(tilted_table(law.values, law.log_mult, theta)[2])
     for r in range(reps):
         rng = substream(seed, r)
         assert counts[r] == min(np.searchsorted(cdf, rng.random(), side="right"), n)
-        assert uniforms[r] == rng.random()
     assert np.all((0 <= counts) & (counts <= n))
 
 
 def test_cw_aux_counts_input_checks():
     law = count_law(build_coupling("complete", 10))
     with pytest.raises(ParameterError):
-        draw_counts(law, -0.1, 1, 5)
-    with pytest.raises(ParameterError):
-        draw_counts(law, 1.0, 1, -1)
+        draw_counts(law, -0.1, np.full(5, 0.5))
     for n in (0, COUNT_LAW_MAX_ATOMS):
         with pytest.raises(CapacityError):
             CountLaw(n)
-    counts, uniforms = draw_counts(law, 1.0, 1, 0)
-    assert counts.shape == uniforms.shape == (0,)
+    assert draw_counts(law, 1.0, np.empty(0)).shape == (0,)
+    # the ends of [0, 1) land on the first and last atoms
+    assert draw_counts(law, 1.0, np.array([0.0, 1.0 - 2.0**-53])).tolist() == [0, 10]
 
 
 def test_spin_string_round_trip():

@@ -65,6 +65,7 @@ from ising_infer.sampler import (  # noqa: E402
     glauber_series,
 )
 from ising_infer.special import chdtrc, ndtri  # noqa: E402
+from ising_infer.streams import substream_uniforms  # noqa: E402
 
 LEVEL, MIN_EXPECTED = 1e-4, 5.0
 CHECKPOINTS = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70, 100, 150, 200, 300, 500, 700)
@@ -211,7 +212,7 @@ def _reference(kind: str, coupling, theta: float, master: int, draws: int) -> di
         rest = sum(np.ix_(*map(np.arange, law.shape[1:]))).reshape(-1)
         # one slice of the atom grid at a time, so no atom-sized temporaries
         exact = _exact(((values[k], pmf[k], k + rest) for k in range(pmf.shape[0])), n)
-        picked = draw_counts(law, theta, master, draws)[0]
+        picked = draw_counts(law, theta, substream_uniforms(master, draws, 1)[:, 0])
         suff, plus = law.values[picked], sum(law.class_counts(picked))
     else:
         # the half table over spin n-1 at -1, and its mirror over the flips
