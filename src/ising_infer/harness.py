@@ -15,13 +15,11 @@ draws nothing.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import hashlib
 import io
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, fields
 
@@ -59,6 +57,7 @@ from .theory import (
     mple_limit_quantile,
     mple_limit_sf,
 )
+from .workers import parallel_map
 
 EXPERIMENTS = (
     "estimator_law",
@@ -67,7 +66,6 @@ EXPERIMENTS = (
     "normalizer_check",
     "spectrum_report",
 )
-WORKERS_ENV = "ISING_INFER_WORKERS"
 FLOAT_FMT = "%.17g"
 
 # keys accepted in config files, with parsers
@@ -219,42 +217,6 @@ def config_hash(config: ExperimentConfig) -> str:
     return digest[:12]
 
 
-def worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV, "1")
-    try:
-        count = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV}: cannot parse {value!r}") from exc
-    return max(count, 1)
-
-
-_task = None  # in a pool worker: the function _parallel_map maps
-
-
-def _set_task(fn) -> None:
-    global _task
-    _task = fn
-
-
-def _run_task(item):
-    return _task(item)
-
-
-def _parallel_map(fn, items, workers: int):
-    """[fn(item) for item in items], on ``workers`` processes.
-
-    ``fn`` reaches each worker once, through the pool initializer, so
-    arguments bound into it (a coupling, say) are not pickled per task.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_task, initargs=(fn,)
-    ) as pool:
-        chunk = max(len(items) // (4 * workers), 1)
-        return list(pool.map(_run_task, items, chunksize=chunk))
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -346,7 +308,7 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
             replication = functools.partial(
                 _estimator_replication, coupling, config.theta0, config.master_seed
             )
-            rows = _parallel_map(replication, range(config.reps), worker_count())
+            rows = parallel_map(replication, range(config.reps))
             records.extend(sorted(rows, key=lambda row: row["replication"]))
     summary = _estimator_summary(config, records, limits, burn_ins)
     return ExperimentResult(config, _ESTIMATOR_COLUMNS, records, summary)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .theory import (
     quadratic_limit_mean,
     spontaneous_magnetization,
 )
+from .workers import parallel_map
 
 KINDS = ("ms", "np", "pl")
 CALIBRATIONS = ("monte_carlo", "asymptotic")
@@ -200,7 +201,8 @@ class DrawSet:
     Replication r draws from substream(master_seed, r), first its sample
     and then its uniform, so the statistics do not depend on the uniforms.
     Under a count law the draws are atoms (draw_counts) read off the
-    per-law columns; elsewhere each replication is one Glauber chain.
+    per-law columns; elsewhere each replication is one Glauber chain, and
+    the chains are mapped over the worker pool (workers.parallel_map).
     reps < 1 raises at construction.
     """
 
@@ -222,14 +224,9 @@ class DrawSet:
             uniforms = draws[:, 1].copy()
             stats = {kind: _count_statistics(law, kind)[counts] for kind in KINDS}
         else:
-            stats = {kind: np.empty(self.reps) for kind in KINDS}
-            uniforms = np.empty(self.reps)
-            for r in range(self.reps):
-                rng = substream(self.master_seed, r)
-                config = glauber_sample(self.coupling, self.theta, rng)
-                for kind in KINDS:
-                    stats[kind][r] = test_statistic(kind, config, self.coupling)
-                uniforms[r] = rng.random()
+            chain = partial(_glauber_draw, self.coupling, self.theta, self.master_seed)
+            columns = np.array(parallel_map(chain, range(self.reps))).T.copy()
+            stats, uniforms = dict(zip(KINDS, columns)), columns[-1]
         for array in (*stats.values(), uniforms):
             array.setflags(write=False)
         return stats, uniforms
@@ -243,6 +240,14 @@ class DrawSet:
     def uniforms(self) -> np.ndarray:
         """The tie-break uniform of each replication."""
         return self._drawn[1]
+
+
+def _glauber_draw(coupling, theta, master_seed, r) -> tuple:
+    """Replication r of a Glauber draw set: one chain on its substream, each
+    kind's statistic of the draw, then the tie-break uniform."""
+    rng = substream(master_seed, r)
+    config = glauber_sample(coupling, theta, rng)
+    return (*(test_statistic(kind, config, coupling) for kind in KINDS), rng.random())
 
 
 def _randomized_cutoff(

@@ -23,7 +23,6 @@ and exists=False rather than raising.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,8 +55,6 @@ BOUNDARY_GUARD = 1e-9
 # mple_counts solves its folded atoms this many rows at a time, so its
 # working memory stays bounded however many atoms a law has
 PL_BLOCK_ROWS = 1 << 15
-
-logger = logging.getLogger(__name__)
 
 
 def _inside_bounds(s: float, lower: float, upper: float) -> bool:
@@ -231,7 +228,9 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
     )
     if pattern_nonexistent == result.exists:
         result.diagnostics["existence_phrasings_disagree"] = True
-        logger.info(
+        import logging
+
+        logging.getLogger(__name__).info(
             "existence phrasings disagree: boundary=%s pattern=%s spins=%s",
             not result.exists, pattern_nonexistent,
             np.array2string(spins, max_line_width=200),

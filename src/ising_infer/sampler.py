@@ -3,15 +3,19 @@
 Three sampling routes with different validity/scale trade-offs:
 
 * exact enumeration of all 2^n configurations (n <= 24), which is the
-  ground-truth oracle for everything else. x'Qx is tabulated by doubling
-  over the spins, about 3.5 * 2^n in-place additions and no BLAS call,
-  for the 2^(n-1) configurations with spin n-1 at -1: each global flip
-  has the same value bit for bit (see ``enumerate_suff_stats``);
+  ground-truth oracle for everything else. x'Qx is computed by doubling
+  over the spins, about 3.5 * 2^n additions and no BLAS call, for the
+  2^(n-1) configurations with spin n-1 at -1 (each global flip has the
+  same value bit for bit). A depth-first walk makes them in blocks of
+  ENUMERATION_CHUNK codes, which are folded into the distinct values and
+  their counts as they come, so memory is the blocks plus the distinct
+  table, not a per-configuration table (see ``enumerate_suff_stats``);
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
   from its spins. It draws for dense couplings and for block couplings
-  past the atom cap, and is an oracle elsewhere. Each sweep maps its
-  uniforms to thresholds atanh(2u - 1) in one numpy pass; a site update
+  past the atom cap, and is an oracle elsewhere. A block of sweeps draws
+  its uniforms at once and maps them to thresholds atanh(2u - 1) in one
+  numpy pass, the same doubles as one draw per sweep; a site update
   is one Python-float comparison with theta times the field, and a flip
   of site i is one in-place add of row i of the symmetric Q to the
   halved fields. That gives numpy-tanh sweeps' spins except with
@@ -36,7 +40,6 @@ mean-field nx̄²/2 convention differs from it by exactly theta/2.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,9 +52,13 @@ from .special import gammaln
 from .streams import as_generator
 
 ENUMERATION_MAX_N = 24
-#: Codes per scratch chunk of the enumeration
-ENUMERATION_CHUNK = 1 << 14
+#: Codes per block of the enumeration walk
+ENUMERATION_CHUNK = 1 << 12
+#: Codes sorted and folded at once while the enumerated floats fold
+ENUMERATION_FOLD = 1 << 16
 FIELD_CONSISTENCY_TOL = 1e-12
+#: Most Glauber uniforms drawn and mapped to thresholds at once
+SWEEP_BLOCK_UNIFORMS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,40 +122,105 @@ def _double(g: np.ndarray, q: np.ndarray) -> None:
     """Fill ``g`` (2^len(q) floats) with sum_i q[i] x_i(s) for every code s.
 
     Spin i is doubled in at step i: g[w:2w] = g[:w] + q[i], then
-    g[:w] -= q[i], w = 2^i, from g[0] = 0.
+    g[:w] -= q[i], w = 2^i, from g[0] = 0. Rows of a 2-D ``g`` are filled
+    at once, each from its own column of q[i] (shape (rows, 1)).
     """
-    g[0] = 0.0
+    g[..., 0] = 0.0
     for i, q_i in enumerate(q):
         w = 1 << i
-        np.add(g[:w], q_i, out=g[w : 2 * w])
-        g[:w] -= q_i
+        np.add(g[..., :w], q_i, out=g[..., w : 2 * w])
+        g[..., :w] -= q_i
 
 
-def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
-    """x'Qx for the 2^(n-1) configurations with spin n-1 at -1, by bit code.
+def _half_blocks(coupling: CouplingMatrix, size: int):
+    """Yield (v, g) per block of ``size`` codes s < 2^(n-1); x'Qx is v - g.
 
-    State code s encodes spin i as +1 when bit i of s is set, so these are
-    the codes s < 2^(n-1). Code 2^n - 1 - s, the global flip of s, has the
-    same value bit for bit, so the table over all 2^n codes is
-    ``np.concatenate((half, half[::-1]))``.
+    A block fixes the spins from low = log2(size) up and runs over the
+    low ones. v is x'Qx over spins 0..n-2 and g the field 2 sum_{i<n-1}
+    Q(i, n-1) x_i of spin n-1, at -1 here. The walk decides spins low..n-2
+    depth first and carries down each higher spin j's partial field
+    g_j = 2 sum_{i<k} Q(i, j) x_i, so every code gets the adds of the full
+    doubling in its order. The yielded rows are overwritten on resumption.
+    """
+    n = coupling.n
+    low = size.bit_length() - 1
+    q2 = 2.0 * coupling.entries
+    # the state at depth k (spins below k decided): g_{n-1}, ..., g_k, then v
+    top = np.empty((n - low + 1, size))
+    _double(top[:-1], q2[:low, low:, None][:, ::-1])
+    # g_k of each low spin k over its 2^k codes, doubled at once: past step
+    # k, 0.0 is subtracted from g_k's entries, which is exact
+    g = np.empty((low, max(size >> 1, 1)))
+    _double(g, np.triu(q2[:low, :low], 1)[:-1, :, None])
+    v = top[-1]
+    v[0] = 0.0
+    for k, g_k in enumerate(g):
+        m = 1 << k
+        np.add(v[:m], g_k[:m], out=v[m : 2 * m])
+        v[:m] -= g_k[:m]
+    del g
+    states = [top, *(np.empty((n - k + 1, size)) for k in range(low + 1, n))]
 
-    The table is built by doubling over the spins: after step k,
-    ``out[:2^(k+1)]`` holds x'Qx over spins 0..k for each code. Step k
-    builds g(s) = 2 sum_{i<k} Q(i, k) x_i(s) for the 2^k codes of the lower
-    spins (``_double``) and sets out[m:2m] = out[:m] + g and out[:m] -= g,
-    m = 2^k. Q has a zero diagonal, so no Q(k, k) term enters. Each step is
-    one correctly rounded IEEE add per code with no BLAS call, so the table
-    does not depend on the BLAS kernel or thread count. g is antisymmetric
-    under the flip and each earlier table symmetric, which makes the flip
-    symmetry exact; so the last step, k = n-1, only computes out[:m] -= g.
+    def walk(k: int, state: np.ndarray):
+        if k == n - 1:
+            yield state[1], state[0]
+            return
+        q = q2[k, n - 1 : k : -1, None]  # spin k's couplings to g_{n-1}..g_{k+1}
+        child = states[k + 1 - low]
+        np.subtract(state[-1], state[-2], out=child[-1])
+        np.subtract(state[:-2], q, out=child[:-1])
+        yield from walk(k + 1, child)
+        # spin k at +1 in place: v + g_k goes to g_k's row, which it replaces
+        np.add(state[-1], state[-2], out=state[-2])
+        state[:-2] += q
+        yield from walk(k + 1, state[:-1])
 
-    Only the memory layout differs from a full 2^n doubling, not the adds:
-    for k < n-1, g is built in the still-unwritten out[m:2m] and combined
-    through a chunk of scratch. The last g is built depth-first in chunks of
-    ENUMERATION_CHUNK codes: the low spins are doubled into one base chunk,
-    and each higher spin is added into a chunk buffer of its own. That is
-    about 3.5 * 2^n adds, and memory of the 2^(n-1) floats of the table
-    plus max(1, n - 14) chunks (1.3 MB at n = 24).
+    yield from walk(low, states[0])
+
+
+def _run_starts(table: np.ndarray) -> np.ndarray:
+    """Where each run of equal floats starts in a sorted array."""
+    first = np.empty(table.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(table[1:], table[:-1], out=first[1:])
+    return first.nonzero()[0]
+
+
+def _merge_runs(tables) -> tuple[np.ndarray, np.ndarray]:
+    """One sorted table of distinct floats with summed counts, from several."""
+    values = np.concatenate([v for v, _ in tables])
+    counts = np.concatenate([c for _, c in tables])
+    order = values.argsort()
+    values = values[order]
+    starts = _run_starts(values)
+    return values[starts], np.add.reduceat(counts[order], starts)
+
+
+def enumerate_suff_stats(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct x'Qx floats of the 2^n configurations, with multiplicities.
+
+    The result equals ``np.unique(full, return_counts=True)`` of the per-code
+    table ``full`` of a doubling over the spins (code s has spin i at +1
+    when bit i of s is set): after step k, x'Qx over spins 0..k is known for
+    each code. Step k builds g(s) = 2 sum_{i<k} Q(i, k) x_i(s) by adding the
+    +-2Q(i, k) in order of i, and sets the value of each code with spin k at
+    +1 to value + g and at -1 to value - g. Q has a zero diagonal, so no
+    Q(k, k) term enters. Each add is one correctly rounded IEEE add with no
+    BLAS call, so the table does not depend on the BLAS kernel or thread
+    count. g is antisymmetric under the global flip and each earlier table
+    symmetric, so a code and its flip get the same float bit for bit: only
+    the 2^(n-1) codes with spin n-1 at -1 are built, and each count is
+    doubled.
+
+    Those codes are made in blocks of ENUMERATION_CHUNK by a depth-first
+    walk (``_half_blocks``), about 3.5 * 2^n adds in all. ENUMERATION_FOLD
+    codes at a time are sorted and folded into runs of equal floats, which
+    are merged into the distinct table. A fold with more than half its
+    codes distinct does not compress: its floats and every code left go
+    into one region, touched only as written, which is sorted and folded
+    once. So memory is the blocks plus the distinct table (3.9 MB traced
+    at n = 24 on random_regular d = 10), and when the floats do not fold,
+    the codes left and their runs.
     """
     n = coupling.n
     if n > ENUMERATION_MAX_N:
@@ -158,38 +230,49 @@ def enumerate_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
     if n < 1:
         raise ParameterError("exact enumeration needs n >= 1")
     half = 1 << (n - 1)
-    out = np.empty(half, dtype=np.float64)
-    out[0] = 0.0
-    q2 = 2.0 * coupling.entries
-    chunk = min(half, ENUMERATION_CHUNK)
-    low = chunk.bit_length() - 1  # the spins a chunk's codes range over
-    # levels[0] is the combine scratch, then the base chunk of the last g;
-    # levels[j] adds spin low+j-1 to it
-    levels = np.empty((n - low, chunk), dtype=np.float64)
-    for k in range(n - 1):
-        m = 1 << k
-        g = out[m : 2 * m]
-        _double(g, q2[:k, k])
-        w = min(chunk, m)
-        tmp = levels[0, :w]
-        for c in range(0, m, w):
-            np.copyto(tmp, g[c : c + w])
-            np.add(out[c : c + w], tmp, out=g[c : c + w])
-            out[c : c + w] -= tmp
-    q = q2[: n - 1, n - 1]
-    _double(levels[0], q[:low])
+    size = min(half, ENUMERATION_CHUNK)
+    blocks = _half_blocks(coupling, size)
 
-    def descend(j: int, start: int) -> None:
-        if j == n - 1 - low:
-            out[start : start + chunk] -= levels[j]
-            return
-        np.subtract(levels[j], q[low + j], out=levels[j + 1])
-        descend(j + 1, start)
-        np.add(levels[j], q[low + j], out=levels[j + 1])
-        descend(j + 1, start + (chunk << j))
+    def fill(region: np.ndarray) -> None:
+        for start, (v, g) in zip(range(0, region.size, size), blocks):
+            np.subtract(v, g, out=region[start : start + size])
 
-    descend(0, 0)
-    return out
+    buffer = np.empty(min(half, ENUMERATION_FOLD))
+    table = np.empty(0), np.empty(0, dtype=np.intp)
+    # the runs of folds not merged into the table yet, merged once they
+    # outnumber a block's codes and the table's floats
+    folds, held = [], 0
+    done = 0
+    while done < half:
+        fill(buffer)
+        done += buffer.size
+        buffer.sort()
+        starts = _run_starts(buffer)
+        if 2 * starts.size > buffer.size and done < half:
+            break
+        folds.append((buffer[starts], np.diff(starts, append=buffer.size)))
+        held += starts.size
+        if held > max(size, table[0].size):
+            table, folds, held = _merge_runs([table, *folds]), [], 0
+    values, counts = _merge_runs([table, *folds])
+    if done < half:
+        # the floats do not fold: sort this fold's, the codes left's and the
+        # table's at once; each table float is then one entry of its run,
+        # which its count replaces
+        rest = np.empty(buffer.size + half - done + values.size)
+        rest[: buffer.size] = buffer
+        fill(rest[buffer.size : rest.size - values.size])
+        rest[rest.size - values.size :] = values
+        rest.sort()
+        starts = _run_starts(rest)
+        table, total = rest[starts], rest.size
+        del rest
+        lengths = np.diff(starts, append=total)
+        del starts
+        lengths[np.searchsorted(table, values)] += counts - 1
+        values, counts = table, lengths
+    counts *= 2
+    return values, counts
 
 
 @lru_cache(maxsize=4)
@@ -199,22 +282,12 @@ def suff_stat_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     The values are the distinct floats of the full 2^n enumeration, not the
     distinct exact values of x'Qx: sums rounded in different orders split
     one true value into several floats. On random_regular with d = 10 and
-    n = 20 (graph seed 7) there are 238 floats for 25 true values. The half
-    table of ``enumerate_suff_stats`` is sorted in place and split into runs
-    of equal floats; the flip doubles each run, so the result equals
-    ``np.unique`` of the full table with ``return_counts``. Memory is the
-    half table and one byte per entry of it. The arrays are cached per coupling
-    and read-only, so every exact consumer in a process enumerates a
-    coupling once.
+    n = 20 (graph seed 7) there are 238 floats for 25 true values. They come
+    from ``enumerate_suff_stats``, so memory is its blocks plus the distinct
+    table. The arrays are cached per coupling and read-only, so every exact
+    consumer in a process enumerates a coupling once.
     """
-    table = enumerate_suff_stats(coupling)
-    table.sort()
-    first = np.empty(table.size, dtype=bool)
-    first[0] = True
-    np.not_equal(table[1:], table[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    values = table[starts]
-    counts = 2 * np.diff(starts, append=table.size)
+    values, counts = enumerate_suff_stats(coupling)
     values.flags.writeable = False
     counts.flags.writeable = False
     return values, counts
@@ -291,16 +364,20 @@ def _run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
 
     Site i turns +1 when its uniform u falls below its conditional
     probability P(x_i = +1 | rest) = (1 + tanh(theta t_i)) / 2, that is when
-    atanh(2u - 1) < theta t_i. Each sweep maps its ``random(n)`` to the
-    thresholds g = atanh(2u - 1) in one numpy pass; 2u - 1 is exact on the
-    2^-53 grid of u, and u = 0 gives g = -inf, so that site turns +1 as the
-    exact rule says. The loop compares each g with 2 theta times the halved
-    field, read through a memoryview as a Python float. The fields stay halved
-    during the sweeps, so a flip of site i is one in-place
-    ``t += entries[i]`` or ``t -= entries[i]``: Q is symmetric, so row i is
-    column i, and nothing is allocated. Halving changes no bit while every
-    half is normal or zero, which holds whenever the nonzero entries are at
-    least 2^-969 (fl(t + 2q) = 2 fl(t/2 + q), and 2 theta t/2 is theta t).
+    atanh(2u - 1) < theta t_i. The uniforms of up to SWEEP_BLOCK_UNIFORMS / n
+    sweeps are drawn as one ``random(k * n)``, which gives the doubles of k
+    calls of ``random(n)`` and leaves the stream where they would, and are
+    mapped to the thresholds g = atanh(2u - 1) in one numpy pass; 2u - 1 is
+    exact on the 2^-53 grid of u, and u = 0 gives g = -inf, so that site
+    turns +1 as the exact rule says. The loop compares each g with 2 theta
+    times the halved field, both read through memoryviews as Python floats,
+    so a block holds its thresholds as 8-byte doubles.
+    The fields stay halved during the sweeps, so a flip of site i is one
+    in-place ``t += entries[i]`` or ``t -= entries[i]``: Q is symmetric, so
+    row i is column i, and nothing is allocated. Halving changes no bit
+    while every half is normal or zero, which holds whenever the nonzero
+    entries are at least 2^-969 (fl(t + 2q) = 2 fl(t/2 + q), and
+    2 theta t/2 is theta t).
 
     Neither numpy's ``arctanh`` (its SIMD kernels are within about 4 ulp)
     nor ``tanh`` is taken as correctly rounded. With v = 2u - 1 and
@@ -313,22 +390,27 @@ def _run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
     field, theta2 = memoryview(t), 2.0 * theta
     s = spins.tolist()
     n = len(s)
+    per_block = max(SWEEP_BLOCK_UNIFORMS // max(n, 1), 1)
     t *= 0.5
     with np.errstate(divide="ignore"):
-        for _ in range(sweeps):
-            g = rng.random(n)
+        for first in range(0, sweeps, per_block):
+            k = min(per_block, sweeps - first)
+            g = rng.random(k * n)
             g *= 2.0
             g -= 1.0
-            # both iterators read as the scan reaches site i, so f sees the
-            # flips made earlier in the sweep; only site i writes s[i]
-            for i, gi, f, si in zip(range(n), np.arctanh(g, out=g).tolist(), field, s):
-                if gi < theta2 * f:
-                    if si < 0:
-                        s[i] = 1
-                        t += entries[i]
-                elif si > 0:
-                    s[i] = -1
-                    t -= entries[i]
+            thresholds = iter(memoryview(np.arctanh(g, out=g)))
+            for _ in range(k):
+                # range(n) runs out first, so each sweep takes n thresholds;
+                # field is read as the scan reaches site i, so it sees the
+                # flips made earlier in the sweep; only site i writes s[i]
+                for i, gi, f, si in zip(range(n), thresholds, field, s):
+                    if gi < theta2 * f:
+                        if si < 0:
+                            s[i] = 1
+                            t += entries[i]
+                    elif si > 0:
+                        s[i] = -1
+                        t -= entries[i]
     t *= 2.0
     spins[:] = s
 
@@ -607,6 +689,8 @@ def write_sample_dump(path, rows) -> None:
     Each row is a mapping with keys matching DUMP_COLUMNS; floats are
     rendered with 17 significant digits.
     """
+    import csv
+
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(DUMP_COLUMNS)
@@ -630,6 +714,8 @@ def write_sample_dump(path, rows) -> None:
 
 def read_sample_dump(path) -> list:
     """Parse a sample dump back into a list of dicts (spins decoded)."""
+    import csv
+
     out = []
     with open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.DictReader(fh)

@@ -1,13 +1,13 @@
-"""Oracles that only the tests read: the per-code x'Qx table, both the
-package's half mirrored and a full doubling over all 2^n codes, the 2^n
-state law, its exact one-sweep Glauber kernel, the conditional flip
-probability, the enumerated sufficient-statistic pmf, the Monte Carlo
-limiting power and the sample quantile.
+"""Oracles that only the tests read: the per-code x'Qx table, both a half
+table mirrored and a full doubling over all 2^n codes, the 2^n
+state law, its exact one-sweep Glauber kernel, the per-sweep Glauber
+loop, the conditional flip probability, the enumerated sufficient-statistic
+pmf, the Monte Carlo limiting power and the sample quantile.
 
-They build on the package's enumeration (``enumerate_suff_stats``,
-``suff_stat_table``, ``tilted_table``) and limit laws (``limit_power``,
-``_limit_cutoff``, ``sample_mple_limit``, ``CriticalLaw``); no package
-code calls them.
+They build on the package's enumeration (``_double``, ``suff_stat_table``,
+``tilted_table``), Glauber start (``_initial_spins``) and limit laws
+(``limit_power``, ``_limit_cutoff``, ``sample_mple_limit``,
+``CriticalLaw``); no package code calls them.
 """
 from __future__ import annotations
 
@@ -19,12 +19,20 @@ import numpy as np
 from ising_infer.coupling import CouplingMatrix
 from ising_infer.errors import CapacityError, ParameterError
 from ising_infer.htests import _limit_cutoff, limit_power
-from ising_infer.sampler import enumerate_suff_stats, suff_stat_table, tilted_table
+from ising_infer.sampler import (
+    ENUMERATION_MAX_N,
+    _double,
+    _initial_spins,
+    suff_stat_table,
+    tilted_table,
+)
 from ising_infer.streams import derive_seed
 from ising_infer.theory import CriticalLaw, sample_mple_limit
 
 # state-indexed laws and kernels hold 2^n floats, or 2^n x n spins
 STATE_LAW_MAX_N = 20
+#: Codes per scratch chunk of the half table's last step
+HALF_TABLE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -55,9 +63,80 @@ def exact_enumerate(coupling: CouplingMatrix, theta: float) -> EnumerationResult
     )
 
 
+def half_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
+    """x'Qx for the 2^(n-1) configurations with spin n-1 at -1, by bit code.
+
+    The oracle of ``enumerate_suff_stats``, which must fold exactly these
+    floats.
+
+    State code s encodes spin i as +1 when bit i of s is set, so these are
+    the codes s < 2^(n-1). Code 2^n - 1 - s, the global flip of s, has the
+    same value bit for bit, so the table over all 2^n codes is
+    ``np.concatenate((half, half[::-1]))``.
+
+    The table is built by doubling over the spins: after step k,
+    ``out[:2^(k+1)]`` holds x'Qx over spins 0..k for each code. Step k
+    builds g(s) = 2 sum_{i<k} Q(i, k) x_i(s) for the 2^k codes of the lower
+    spins (``_double``) and sets out[m:2m] = out[:m] + g and out[:m] -= g,
+    m = 2^k. Q has a zero diagonal, so no Q(k, k) term enters. Each step is
+    one correctly rounded IEEE add per code with no BLAS call, so the table
+    does not depend on the BLAS kernel or thread count. g is antisymmetric
+    under the flip and each earlier table symmetric, which makes the flip
+    symmetry exact; so the last step, k = n-1, only computes out[:m] -= g.
+
+    Only the memory layout differs from a full 2^n doubling, not the adds:
+    for k < n-1, g is built in the still-unwritten out[m:2m] and combined
+    through a chunk of scratch. The last g is built depth-first in chunks of
+    HALF_TABLE_CHUNK codes: the low spins are doubled into one base chunk,
+    and each higher spin is added into a chunk buffer of its own. That is
+    about 3.5 * 2^n adds, and memory of the 2^(n-1) floats of the table
+    plus max(1, n - 14) chunks (1.3 MB at n = 24).
+    """
+    n = coupling.n
+    if n > ENUMERATION_MAX_N:
+        raise CapacityError(
+            f"exact enumeration is capped at n={ENUMERATION_MAX_N}, got {n}"
+        )
+    if n < 1:
+        raise ParameterError("exact enumeration needs n >= 1")
+    half = 1 << (n - 1)
+    out = np.empty(half, dtype=np.float64)
+    out[0] = 0.0
+    q2 = 2.0 * coupling.entries
+    chunk = min(half, HALF_TABLE_CHUNK)
+    low = chunk.bit_length() - 1  # the spins a chunk's codes range over
+    # levels[0] is the combine scratch, then the base chunk of the last g;
+    # levels[j] adds spin low+j-1 to it
+    levels = np.empty((n - low, chunk), dtype=np.float64)
+    for k in range(n - 1):
+        m = 1 << k
+        g = out[m : 2 * m]
+        _double(g, q2[:k, k])
+        w = min(chunk, m)
+        tmp = levels[0, :w]
+        for c in range(0, m, w):
+            np.copyto(tmp, g[c : c + w])
+            np.add(out[c : c + w], tmp, out=g[c : c + w])
+            out[c : c + w] -= tmp
+    q = q2[: n - 1, n - 1]
+    _double(levels[0], q[:low])
+
+    def descend(j: int, start: int) -> None:
+        if j == n - 1 - low:
+            out[start : start + chunk] -= levels[j]
+            return
+        np.subtract(levels[j], q[low + j], out=levels[j + 1])
+        descend(j + 1, start)
+        np.add(levels[j], q[low + j], out=levels[j + 1])
+        descend(j + 1, start + (chunk << j))
+
+    descend(0, 0)
+    return out
+
+
 def suff_stats_by_code(coupling: CouplingMatrix) -> np.ndarray:
-    """x'Qx of every state code: the package's half table and its mirror."""
-    half = enumerate_suff_stats(coupling)
+    """x'Qx of every state code: the half table and its mirror."""
+    half = half_suff_stats(coupling)
     return np.concatenate((half, half[::-1]))
 
 
@@ -85,6 +164,67 @@ def doubling_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
         np.add(out[:m], g, out=out[m : 2 * m])
         out[:m] -= g
     return out
+
+
+def per_sweep_run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:
+    """``sweeps`` systematic-scan sweeps, updating ``spins`` and ``t`` in place.
+
+    The reference loop of the package's ``_run_sweeps``: one ``random(n)``
+    and one ``arctanh`` pass per sweep, where the package maps a block of
+    sweeps at once.
+
+    Site i turns +1 when its uniform u falls below its conditional
+    probability P(x_i = +1 | rest) = (1 + tanh(theta t_i)) / 2, that is when
+    atanh(2u - 1) < theta t_i. Each sweep maps its ``random(n)`` to the
+    thresholds g = atanh(2u - 1) in one numpy pass; 2u - 1 is exact on the
+    2^-53 grid of u, and u = 0 gives g = -inf, so that site turns +1 as the
+    exact rule says. The loop compares each g with 2 theta times the halved
+    field, read through a memoryview as a Python float. The fields stay halved
+    during the sweeps, so a flip of site i is one in-place
+    ``t += entries[i]`` or ``t -= entries[i]``: Q is symmetric, so row i is
+    column i, and nothing is allocated. Halving changes no bit while every
+    half is normal or zero, which holds whenever the nonzero entries are at
+    least 2^-969 (fl(t + 2q) = 2 fl(t/2 + q), and 2 theta t/2 is theta t).
+
+    Neither numpy's ``arctanh`` (its SIMD kernels are within about 4 ulp)
+    nor ``tanh`` is taken as correctly rounded. With v = 2u - 1 and
+    |atanh(v)| (1 - v^2) < 0.45, a threshold off by 4 ulp moves the
+    decision only for u within 1.8 * 2^-53 of the exact probability, and
+    the rounded probability of the numpy-tanh rule only for u within 2^-53
+    of it. So the two rules can differ on at most four grid points of u:
+    probability at most 2^-51 per site update.
+    """
+    field, theta2 = memoryview(t), 2.0 * theta
+    s = spins.tolist()
+    n = len(s)
+    t *= 0.5
+    with np.errstate(divide="ignore"):
+        for _ in range(sweeps):
+            g = rng.random(n)
+            g *= 2.0
+            g -= 1.0
+            # both iterators read as the scan reaches site i, so f sees the
+            # flips made earlier in the sweep; only site i writes s[i]
+            for i, gi, f, si in zip(range(n), np.arctanh(g, out=g).tolist(), field, s):
+                if gi < theta2 * f:
+                    if si < 0:
+                        s[i] = 1
+                        t += entries[i]
+                elif si > 0:
+                    s[i] = -1
+                    t -= entries[i]
+    t *= 2.0
+    spins[:] = s
+
+
+def per_sweep_glauber_sample(
+    coupling: CouplingMatrix, theta: float, rng: np.random.Generator, sweeps: int, init
+) -> np.ndarray:
+    """The spins of ``glauber_sample`` by the per-sweep loop, drawn from ``rng``."""
+    spins = _initial_spins(coupling.n, init, rng)
+    t = coupling.local_fields(spins)
+    per_sweep_run_sweeps(coupling.entries, float(theta), spins, t, sweeps, rng)
+    return spins
 
 
 def enumerate_state_distribution(coupling: CouplingMatrix, theta: float) -> np.ndarray:

@@ -47,9 +47,9 @@ from ising_infer.harness import (
     load_config,
     render_csv,
     render_json,
-    worker_count,
 )
 from ising_infer.sampler import SpinConfiguration, write_sample_dump
+from ising_infer.workers import worker_count
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +423,36 @@ def test_estimator_law_pool_tasks_carry_only_indices(monkeypatch):
     assert payloads and max(payloads) < 1024, payloads
 
 
+def test_glauber_power_curve_is_the_same_on_two_workers(monkeypatch):
+    # each draw set maps its chains over the pool, the null set included;
+    # every chain reads its own stream, so no record moves
+    submitted = []
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+
+    def recording_submit(self, fn, /, *args, **kwargs):
+        submitted.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(
+        concurrent.futures.ProcessPoolExecutor, "submit", recording_submit
+    )
+    cfg = ExperimentConfig(
+        experiment="power_curve", family="random_regular", d=4, n=(16,),
+        theta0=1.0, h=(0.0, 2.0), reps=40, master_seed=5,
+    )
+
+    def records():
+        rows = run_experiment(cfg).records
+        return repr([{k: v for k, v in row.items() if k != "elapsed_s"} for row in rows])
+
+    monkeypatch.delenv("ISING_INFER_WORKERS", raising=False)
+    serial = records()
+    assert not submitted
+    monkeypatch.setenv("ISING_INFER_WORKERS", "2")
+    assert records() == serial
+    assert submitted
+
+
 def test_estimator_law_enumerates_once_per_n(monkeypatch):
     calls = []
     enumerate_suff_stats = sampler.enumerate_suff_stats
@@ -560,6 +590,8 @@ def test_power_curve_shares_glauber_draws_across_kinds(monkeypatch, calibration)
         harness, "_coupling_for", lambda config, n: _dense_copy(block(config, n))
     )
     draws = _counting(monkeypatch, htests, "glauber_sample")
+    # the chains run in this process, where the counter sees them
+    monkeypatch.delenv("ISING_INFER_WORKERS", raising=False)
     cfg = ExperimentConfig(
         experiment="power_curve", family="bipartite", n=(4,), theta0=1.1,
         h=(0.0, 2.0), reps=100, master_seed=5, calibration=calibration,

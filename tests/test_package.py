@@ -236,3 +236,20 @@ def test_experiments_run_without_loading_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]", done.stdout
+
+
+def test_importing_the_harness_loads_no_module_it_does_not_run():
+    # the worker pool, the existence-disagreement log and the sample dumps
+    # import their modules when they run, not when the package loads
+    src = str(Path(ising_infer.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, ising_infer.harness\n"
+        "print(sorted(m for m in ('concurrent.futures', 'csv', 'logging') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout

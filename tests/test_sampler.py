@@ -57,6 +57,8 @@ from oracles import (
     exact_enumerate,
     flip_probability,
     glauber_sweep_kernel,
+    half_suff_stats,
+    per_sweep_glauber_sample,
     suff_stats_by_code,
 )
 
@@ -473,6 +475,39 @@ def test_series_fields_agree_with_a_fresh_draw(burn_in):
     assert suff[-1] == pytest.approx(config.suff_stat(), abs=FIELD_CONSISTENCY_TOL)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+def test_glauber_blocks_of_sweeps_match_the_per_sweep_loop(monkeypatch, block):
+    # one random(k n) gives the doubles of k random(n) calls, so the spins
+    # and the stream position after the chain are the per-sweep loop's
+    if block is not None:
+        monkeypatch.setattr(sampler, "SWEEP_BLOCK_UNIFORMS", block)
+    couplings = [
+        CouplingMatrix(1, np.zeros((1, 1))),
+        build_coupling("bipartite", 6),
+        build_coupling("random_regular", 20, d=10, seed=7),
+        _non_dyadic_custom(30),
+        build_coupling("random_regular", 100, d=10, seed=3),
+    ]
+    cases = [
+        (-1.0, 3, "random"), (0.0, 1, "plus"), (0.7, 0, "minus"),
+        (1.0, 37, None), (1.5, 12, "vector"),
+    ]
+    for cpl in couplings:
+        for theta, sweeps, init in cases:
+            if init == "vector":
+                init = np.where(np.arange(cpl.n) % 3 == 0, 1, -1)
+            # seeded by int
+            got = glauber_sample(cpl, theta, 5, sweeps=sweeps, init=init)
+            want = per_sweep_glauber_sample(cpl, theta, np.random.default_rng(5), sweeps, init)
+            assert np.array_equal(got.spins, want), (cpl.family, cpl.n, theta, sweeps)
+            # by a Generator, which the chain leaves where the loop does
+            rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+            got = glauber_sample(cpl, theta, rng, sweeps=sweeps, init=init)
+            want = per_sweep_glauber_sample(cpl, theta, ref, sweeps, init)
+            assert np.array_equal(got.spins, want), (cpl.family, cpl.n, theta, sweeps)
+            assert rng.random() == ref.random()
+
+
 def test_glauber_draw_allocates_no_matrix():
     # a flip adds a row in place; a 2Q copy or an n x n temporary would show
     cpl = build_coupling("random_regular", 400, d=10, seed=1)
@@ -581,7 +616,7 @@ def test_half_enumeration_is_the_full_doubling_bit_for_bit(n):
         couplings = sum(_enumeration_couplings(n), [])
     for cpl in couplings:
         full = doubling_suff_stats(cpl)
-        half = sampler.enumerate_suff_stats(cpl)
+        half = half_suff_stats(cpl)
         assert half.size == full.size // 2
         assert np.array_equal(half, full[: half.size]), cpl.family
         assert np.array_equal(half[::-1], full[half.size :]), cpl.family
@@ -604,6 +639,74 @@ def test_suff_stat_table_holds_little_beyond_the_half_table():
         tracemalloc.stop()
     # the half table is 2^21 floats (16.8 MB)
     assert peak < 1.5 * 8 * 2**21
+
+
+def _streamed_table_couplings(n):
+    # all-distinct floats, few distinct floats, and exact sums
+    couplings = [_non_dyadic_custom(n), _dyadic_custom(n)]
+    if n >= 5:
+        d = 10 if n >= 12 else 4
+        couplings.append(build_coupling("random_regular", n, d=d, seed=7))
+    # the block families, enumerated through dense copies of their entries
+    for family, kwargs, step in (("complete", {}, 1), ("bipartite", {}, 2), ("qpartite", {"q": 3}, 3)):
+        if n >= 2 and n % step == 0:
+            block = build_coupling(family, n, **kwargs)
+            couplings.append(CouplingMatrix(n, block.entries))
+    return couplings
+
+
+def _assert_table_is_the_oracle_unique(cpl):
+    values, counts = sampler.enumerate_suff_stats(cpl)
+    want_values, want_counts = np.unique(suff_stats_by_code(cpl), return_counts=True)
+    assert np.array_equal(values.view(np.int64), want_values.view(np.int64))
+    assert np.array_equal(counts, want_counts)
+    assert counts.dtype == want_counts.dtype
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_streamed_table_is_the_half_table_oracle_bit_for_bit(n):
+    for cpl in _streamed_table_couplings(n):
+        _assert_table_is_the_oracle_unique(cpl)
+
+
+@pytest.mark.parametrize("chunk, fold", [(1, 1), (1, 4), (4, 16), (8, 8), (16, 64)])
+def test_streamed_table_holds_for_any_block_and_fold(monkeypatch, chunk, fold):
+    # small blocks and folds walk many levels, and folds that do compress
+    # and folds that do not meet in one table
+    monkeypatch.setattr(sampler, "ENUMERATION_CHUNK", chunk)
+    monkeypatch.setattr(sampler, "ENUMERATION_FOLD", fold)
+    for n in (1, 2, 5, 9, 12):
+        for cpl in _streamed_table_couplings(n):
+            _assert_table_is_the_oracle_unique(cpl)
+
+
+def test_streamed_table_stays_under_4_mb_at_n_22():
+    # a fresh coupling, so its table is not cached yet; the half table alone
+    # would be 2^21 floats (16.8 MB)
+    cpl = CouplingMatrix(22, build_coupling("random_regular", 22, d=10, seed=7).entries)
+    tracemalloc.start()
+    try:
+        values, counts = suff_stat_table(cpl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert counts.sum() == 2**22
+
+
+def test_streamed_table_sorts_floats_that_do_not_fold_at_once():
+    # every float distinct: the codes left go into one region, sorted once,
+    # not fold by fold into a growing table (which peaks near 10 half tables)
+    cpl = _non_dyadic_custom(20)
+    tracemalloc.start()
+    try:
+        values, counts = sampler.enumerate_suff_stats(cpl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == 2**19 and np.all(counts == 2)
+    # the half table is 2^19 floats (4.2 MB); its in-place merge peaked at 5.3
+    assert peak < 5 * 8 * 2**19
 
 
 def test_enumeration_keeps_the_workload_cells():

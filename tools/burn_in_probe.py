@@ -51,6 +51,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+# the per-code x'Qx table is a test oracle; the package keeps only its cells
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from ising_infer import (  # noqa: E402
     build_coupling,
@@ -60,12 +62,12 @@ from ising_infer import (  # noqa: E402
 )
 from ising_infer.sampler import (  # noqa: E402
     default_burn_in,
-    enumerate_suff_stats,
     glauber_sample,
     glauber_series,
 )
 from ising_infer.special import chdtrc, ndtri  # noqa: E402
 from ising_infer.streams import substream_uniforms  # noqa: E402
+from oracles import suff_stats_by_code  # noqa: E402
 
 LEVEL, MIN_EXPECTED = 1e-4, 5.0
 CHECKPOINTS = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70, 100, 150, 200, 300, 500, 700)
@@ -215,9 +217,7 @@ def _reference(kind: str, coupling, theta: float, master: int, draws: int) -> di
         picked = draw_counts(law, theta, substream_uniforms(master, draws, 1)[:, 0])
         suff, plus = law.values[picked], sum(law.class_counts(picked))
     else:
-        # the half table over spin n-1 at -1, and its mirror over the flips
-        half = enumerate_suff_stats(coupling)
-        values = np.concatenate((half, half[::-1]))
+        values = suff_stats_by_code(coupling)
         logw = 0.5 * theta * values
         pmf = np.exp(logw - logw.max())
         pmf /= pmf.sum()
