@@ -199,6 +199,8 @@ def _cmd_power(args) -> int:
 def _cmd_limits(args) -> int:
     if args.family == "random_regular" and args.eta is None:
         raise ConfigError("--eta: required for random_regular limits")
+    if args.reps < 1:
+        raise ConfigError("--reps: must be a positive integer")
     lim = limiting_spectrum(args.family, q=args.q, eta=args.eta)
     pair = sample_quadratic_limits(
         args.theta0, lim.limit_eigs, lim.kappa, args.reps, derive_seed(args.seed, 0)

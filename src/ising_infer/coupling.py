@@ -565,5 +565,8 @@ def load_matrix(path, family: str = "custom") -> CouplingMatrix:
         raise ParameterError(
             f"matrix file holds {len(values)} entries, expected {n}*{n}"
         )
-    entries = np.array(values, dtype=np.float64).reshape(n, n)
+    try:
+        entries = np.array(values, dtype=np.float64).reshape(n, n)
+    except ValueError as exc:
+        raise ParameterError(f"matrix file {path}: {exc}") from exc
     return CouplingMatrix(n, entries, family)

@@ -5,17 +5,20 @@ to one of five experiment pipelines, and emitted with a metadata header
 carrying the package version and a hash of the effective config. Outputs
 are deterministic given the master seed: replication r always uses the
 derived stream hash(master_seed, r), so serial and worker-pool runs agree
-and records can be aggregated in any order. A power curve holds one
-htests.DrawSet per (n, h), shared by ms, np and pl, and one null DrawSet
-per n, which only a Glauber calibration reads and so draws; its
-asymptotic power is limit_power, exact and drawn from no stream.
+and records can be aggregated in any order. Every replication comes from
+an htests.DrawSet, which draws the atoms or maps the Glauber chains. The
+estimator law reads one DrawSet per n, at theta0 with the master seed,
+and solves the exact MLE of its x'Qx column once per distinct value
+(inference.mle_suff_stats). A power curve holds one DrawSet per (n, h),
+shared by ms, np and pl, and one null DrawSet per n, which only a Glauber
+calibration reads and so draws; its asymptotic power is limit_power,
+exact and drawn from no stream.
 Every critical limit-law number (the estimator-law quartiles,
 limit_law_density) comes from the quadrature of theory.mple_limit_sf and
 draws nothing.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import json
@@ -45,10 +48,9 @@ from .htests import (
     exact_power,
     limit_power,
 )
-from .inference import mle_counts, mle_exact, mple, mple_counts
-from .sampler import ENUMERATION_MAX_N, count_law, cw_log_partition, draw_counts
-from .sampler import default_burn_in, glauber_sample
-from .streams import derive_seed, derive_seeds, seed_uniforms
+from .inference import mle_suff_stats
+from .sampler import count_law, cw_log_partition, default_burn_in
+from .streams import derive_seed
 from .theory import (
     H_MAX,
     delta_log_partition,
@@ -57,7 +59,6 @@ from .theory import (
     mple_limit_quantile,
     mple_limit_sf,
 )
-from .workers import parallel_map
 
 EXPERIMENTS = (
     "estimator_law",
@@ -136,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError("h: grid entries must be nonnegative and finite")
         for key in ("n", "h"):
             grid = getattr(self, key)
+            if not grid:
+                raise ConfigError(f"{key}: the grid is empty")
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{key}: grid entries must be distinct")
         # at theta0 = 1 these read critical_law(h), which caps h at H_MAX
@@ -180,8 +183,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = float(text_value)
             elif key in _GRID_KEYS:
                 parts = [p.strip() for p in text_value.split(",") if p.strip()]
-                if not parts:
-                    raise ValueError("empty grid")
                 if key == "n":
                     values[key] = tuple(int(p) for p in parts)
                 else:
@@ -255,61 +256,26 @@ _ESTIMATOR_COLUMNS = (
 )
 
 
-def _estimator_replication(coupling, theta0, master_seed, r):
-    """One replication without a count law: Glauber draw plus both estimates."""
-    start, seed = time.perf_counter(), derive_seed(master_seed, r)
-    config = glauber_sample(coupling, theta0, seed)
-    pl = mple(config)
-    ml = mle_exact(config, coupling) if coupling.n <= ENUMERATION_MAX_N else None
-    row = (  # in _ESTIMATOR_COLUMNS order
-        r, seed, coupling.n, theta0, config.xbar, config.suff_stat(),
-        pl.value, pl.exists,
-        math.nan if ml is None else ml.value, ml is not None and ml.exists,
-        time.perf_counter() - start,
-    )
-    return dict(zip(_ESTIMATOR_COLUMNS, row))
-
-
-def _count_law_records(config: ExperimentConfig, law) -> list:
-    """Every replication under a count law, from one batch of atoms.
-
-    One derive_seeds batch gives both the ``derived_seed`` column and the
-    first uniform of each stream, which picks the atom; the estimators read
-    no tie-break. ``elapsed_s`` is the batch's wall time split evenly over
-    its records.
-    """
-    start, reps = time.perf_counter(), config.reps
-    seeds = derive_seeds(config.master_seed, reps)
-    counts = draw_counts(law, config.theta0, seed_uniforms(seeds, 1)[:, 0])
-    pl, ml = mple_counts(law, counts), mle_counts(law, counts)
-    columns = (  # in _ESTIMATOR_COLUMNS order, elapsed_s last
-        range(reps),
-        seeds.tolist(),
-        [law.n] * reps,
-        [config.theta0] * reps,
-        law.xbar(counts).tolist(),
-        law.values[counts].tolist(),
-        pl.value.tolist(), pl.exists.tolist(), ml.value.tolist(), ml.exists.tolist(),
-    )
-    elapsed = (time.perf_counter() - start) / reps
-    return [dict(zip(_ESTIMATOR_COLUMNS, (*row, elapsed))) for row in zip(*columns)]
-
-
 def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
-    records, limits, burn_ins = [], {}, {}
+    """One DrawSet per n at theta0 with the master seed, and the exact MLE of
+    its x'Qx column; ``elapsed_s`` is the set's wall time split evenly over
+    its records."""
+    records, limits, burn_ins, reps = [], {}, {}, config.reps
     for n in config.n:
         coupling = _coupling_for(config, n)
         limits[n] = family_limit(coupling)
-        law = count_law(coupling)
-        burn_ins[n] = _burn_in(law, n, config.theta0)
-        if law is not None:
-            records.extend(_count_law_records(config, law))
-        else:
-            replication = functools.partial(
-                _estimator_replication, coupling, config.theta0, config.master_seed
-            )
-            rows = parallel_map(replication, range(config.reps))
-            records.extend(sorted(rows, key=lambda row: row["replication"]))
+        burn_ins[n] = _burn_in(count_law(coupling), n, config.theta0)
+        start = time.perf_counter()
+        draws = DrawSet(coupling, config.theta0, config.master_seed, reps)
+        ml = mle_suff_stats(coupling, draws.columns["suff_stat"])
+        arrays = {**draws.columns, "mle": ml.value, "mle_exists": ml.exists}
+        columns = {
+            "replication": range(reps), "derived_seed": draws.seeds.tolist(),
+            "n": [n] * reps, "theta0": [config.theta0] * reps,
+            **{key: array.tolist() for key, array in arrays.items()},
+            "elapsed_s": [(time.perf_counter() - start) / reps] * reps,
+        }
+        records.extend(dict(zip(columns, row)) for row in zip(*columns.values()))
     summary = _estimator_summary(config, records, limits, burn_ins)
     return ExperimentResult(config, _ESTIMATOR_COLUMNS, records, summary)
 

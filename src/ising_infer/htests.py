@@ -31,17 +31,21 @@ and asymptotic calibration and limit_power both read it. Each
 replication draws its tie-break uniform from its own stream after its
 sample, so runs are deterministic.
 
-A DrawSet holds every kind's statistics on one set of draws; its caller
-holds it, so kinds read from one set share its draws whatever else is
-drawn. Under a count law every statistic is read off a per-law column of
-every atom's statistic, built on its first read; np is the law's values,
-and pl comes from mple_counts (one batched pseudolikelihood root over the
-distinct folded atoms), which ms and np never run. Power against
-theta0 + h/sqrt(n) is available empirically over a DrawSet, exactly under
-a count law (the (K, gamma) rule summed against it), and in the limit:
-limit_power is exact for every kind (normal curve, quartic-tilt law, and
-the critical pl ratio law by quadrature); its Monte Carlo oracle lives
-with the tests.
+A DrawSet is the only code that draws replications, for the power curve
+and the estimator law alike: it hashes their seeds once, draws count-law
+atoms or maps one Glauber chain per seed over the worker pool, and holds
+each replication's xbar, x'Qx and MPLE (its columns) and every kind's
+statistic. Its caller holds it, so kinds read from one set share its
+draws whatever else is drawn. Under a count law every statistic is read
+off a per-law column of every atom's statistic, built on its first read;
+np is the law's values, and pl comes from mple_counts (one batched
+pseudolikelihood root over the distinct folded atoms), which ms and np
+never run; the columns solve the MPLE of the drawn atoms only. Power
+against theta0 + h/sqrt(n) is available empirically over a DrawSet,
+exactly under a count law (the (K, gamma) rule summed against it), and
+in the limit: limit_power is exact for every kind (normal curve,
+quartic-tilt law, and the critical pl ratio law by quadrature); its Monte
+Carlo oracle lives with the tests.
 """
 from __future__ import annotations
 
@@ -51,12 +55,12 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import streams
 from .coupling import CouplingMatrix, as_spins, family_limit
 from .errors import ParameterError
 from .inference import mple, mple_counts
 from .sampler import CountLaw, SpinConfiguration, count_law, draw_counts, glauber_sample
 from .special import ndtr, ndtri
-from .streams import as_generator, substream, substream_uniforms
 from .theory import (
     critical_law,
     information_rate,
@@ -68,6 +72,7 @@ from .theory import (
 from .workers import parallel_map
 
 KINDS = ("ms", "np", "pl")
+COLUMNS = ("xbar", "suff_stat", "mple", "mple_exists")
 CALIBRATIONS = ("monte_carlo", "asymptotic")
 MIN_CALIBRATION_REPS = 1000
 
@@ -188,22 +193,25 @@ def _count_statistics(law: CountLaw, kind: str) -> np.ndarray:
     else:
         xbar = law.xbar(atoms)
         column = law.n * xbar * xbar
-    column.setflags(write=False)
-    law.statistics[kind] = column
+    law.statistics[kind] = _frozen(column)
     return column
 
 
 @dataclass(frozen=True, eq=False)
 class DrawSet:
-    """Every kind's statistics on ``reps`` draws at ``theta``, and their
-    tie-break uniforms, drawn on the first read and kept read-only.
+    """``reps`` draws at ``theta``: each replication's seed, its xbar, x'Qx
+    and MPLE (``columns``), every kind's statistic (``stats``) and its
+    tie-break uniform, drawn on the first read and kept read-only.
 
-    Replication r draws from substream(master_seed, r), first its sample
-    and then its uniform, so the statistics do not depend on the uniforms.
-    Under a count law the draws are atoms (draw_counts) read off the
-    per-law columns; elsewhere each replication is one Glauber chain, and
-    the chains are mapped over the worker pool (workers.parallel_map).
-    reps < 1 raises at construction.
+    Replication r draws from the stream of derive_seed(master_seed, r),
+    first its sample and then its uniform, so the statistics do not depend
+    on the uniforms; ``seeds`` holds those seeds, from one derive_seeds
+    batch, and no seed is hashed twice. Under a count law the draws are
+    atoms (draw_counts): ``stats`` index the per-law columns, and
+    ``columns`` come from the drawn atoms alone, so mple_counts solves only
+    those. Elsewhere each replication is one Glauber chain, mapped over the
+    worker pool (workers.parallel_map), and ``stats`` are read off
+    ``columns``. reps < 1 raises at construction.
     """
 
     coupling: CouplingMatrix
@@ -216,38 +224,61 @@ class DrawSet:
             raise ParameterError("a draw set needs reps >= 1")
 
     @cached_property
-    def _drawn(self) -> tuple[dict, np.ndarray]:
+    def seeds(self) -> np.ndarray:
+        """derive_seed(master_seed, r) of each replication r, as uint64."""
+        return _frozen(streams.derive_seeds(self.master_seed, self.reps))
+
+    @cached_property
+    def _drawn(self) -> tuple:
+        """(law, draws, uniforms): the atoms under a count law, else law is
+        None and draws are the chains' columns in COLUMNS order."""
         law = count_law(self.coupling)
         if law is not None:
-            draws = substream_uniforms(self.master_seed, self.reps, 2)
-            counts = draw_counts(law, self.theta, draws[:, 0])
-            uniforms = draws[:, 1].copy()
-            stats = {kind: _count_statistics(law, kind)[counts] for kind in KINDS}
-        else:
-            chain = partial(_glauber_draw, self.coupling, self.theta, self.master_seed)
-            columns = np.array(parallel_map(chain, range(self.reps))).T.copy()
-            stats, uniforms = dict(zip(KINDS, columns)), columns[-1]
-        for array in (*stats.values(), uniforms):
-            array.setflags(write=False)
-        return stats, uniforms
+            u = streams.seed_uniforms(self.seeds, 2)
+            return law, draw_counts(law, self.theta, u[:, 0]), _frozen(u[:, 1].copy())
+        chain = partial(_glauber_draw, self.coupling, self.theta)
+        *columns, uniforms = np.array(parallel_map(chain, self.seeds.tolist())).T
+        columns[-1] = columns[-1] == 1.0  # the exists flags came back as floats
+        return None, columns, _frozen(uniforms)
 
-    @property
+    @cached_property
+    def columns(self) -> dict:
+        """COLUMNS name -> its value at each replication: xbar, x'Qx
+        (suff_stat), the MPLE and whether it exists."""
+        law, draws, _ = self._drawn
+        if law is not None:
+            pl = mple_counts(law, draws)
+            draws = (law.xbar(draws), law.values[draws], pl.value, pl.exists)
+        return {k: _frozen(c) for k, c in zip(COLUMNS, draws)}
+
+    @cached_property
     def stats(self) -> dict:
         """kind -> the statistic of each replication."""
-        return self._drawn[0]
+        law, draws, _ = self._drawn
+        if law is not None:
+            return {k: _frozen(_count_statistics(law, k)[draws]) for k in KINDS}
+        xbar, suff, value, exists = self.columns.values()
+        ms, pl = self.coupling.n * xbar * xbar, np.where(exists, value, -math.inf)
+        return {k: _frozen(c) for k, c in zip(KINDS, (ms, suff, pl))}
 
     @property
     def uniforms(self) -> np.ndarray:
         """The tie-break uniform of each replication."""
-        return self._drawn[1]
+        return self._drawn[2]
 
 
-def _glauber_draw(coupling, theta, master_seed, r) -> tuple:
-    """Replication r of a Glauber draw set: one chain on its substream, each
-    kind's statistic of the draw, then the tie-break uniform."""
-    rng = substream(master_seed, r)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _glauber_draw(coupling, theta, seed) -> tuple:
+    """One Glauber chain on the stream of ``seed``: the draw's COLUMNS, then
+    its tie-break uniform."""
+    rng = np.random.default_rng(seed)
     config = glauber_sample(coupling, theta, rng)
-    return (*(test_statistic(kind, config, coupling) for kind in KINDS), rng.random())
+    pl = mple(config)
+    return config.xbar, config.suff_stat(), pl.value, pl.exists, rng.random()
 
 
 def _randomized_cutoff(
@@ -367,7 +398,7 @@ def run_test(
     if calibration is None:
         calibration = calibrate(spec, coupling)
     stat = test_statistic(spec.kind, x, coupling)
-    u = 1.0 if tie_break is None else as_generator(tie_break).random()
+    u = 1.0 if tie_break is None else streams.as_generator(tie_break).random()
     return TestOutcome(
         statistic=stat,
         critical_value=calibration.critical_value,

@@ -13,7 +13,11 @@ confidence-gated bisection on Glauber chain means. On a coupling with a
 count law both estimates depend on the atom (the plus count of each
 class) alone, symmetrically under the global flip k <-> m - k:
 ``mple_counts`` solves each distinct folded atom of an atom array once,
-and ``mle_counts`` each distinct x'Qx.
+and ``mle_counts`` each distinct x'Qx. ``mle_suff_stats`` takes a column
+of x'Qx drawn on any coupling and solves each distinct value once, on the
+count law's table, else the enumeration (n <= 24), else reports NaN and
+no estimate; ``mle_exact`` stays the one-configuration enumeration
+oracle.
 
 Existence is decided before any iteration: the pseudolikelihood equation
 has a real root iff -sum|t_i| < x'Qx < sum|t_i| strictly, and the
@@ -32,6 +36,7 @@ import numpy as np
 from .coupling import CouplingMatrix
 from .errors import CapacityError, NumericError, ParameterError
 from .sampler import (
+    ENUMERATION_MAX_N,
     CountLaw,
     SpinConfiguration,
     count_law,
@@ -320,15 +325,36 @@ def mle_counts(law: CountLaw, counts) -> MLERows:
     is solved once per distinct x'Qx among the atoms.
     """
     folded, inverse = law.fold(counts)
-    values, log_mult = law.values, law.log_mult
-    targets, merged = np.unique(values[folded], return_inverse=True)
+    return _mle_rows(law.values[folded][inverse], law.values, law.log_mult)
+
+
+def mle_suff_stats(coupling: CouplingMatrix, stats) -> MLERows:
+    """Exact MLE for each x'Qx in a 1-D array ``stats`` drawn on ``coupling``.
+
+    The table is the coupling's count law, else its 2^n enumeration
+    (n <= ENUMERATION_MAX_N), solved once per distinct x'Qx. Past both
+    every row is NaN and does not exist.
+    """
+    stats = np.asarray(stats, dtype=np.float64)
+    law = count_law(coupling)
+    if law is not None:
+        return _mle_rows(stats, law.values, law.log_mult)
+    if coupling.n <= ENUMERATION_MAX_N:
+        values, counts = suff_stat_table(coupling)
+        return _mle_rows(stats, values, np.log(counts))
+    nan = np.full(stats.shape, math.nan)
+    return MLERows(nan, np.zeros(stats.shape, dtype=bool), nan.copy())
+
+
+def _mle_rows(stats: np.ndarray, values: np.ndarray, log_mult: np.ndarray) -> MLERows:
+    """_table_mle of each of ``stats`` on one table, once per distinct value."""
+    targets, index = np.unique(stats, return_inverse=True)
     solved = [_table_mle(float(s), values, log_mult) for s in targets]
     value = np.array([r.value for r in solved], dtype=np.float64)
     exists = np.array([r.exists for r in solved], dtype=bool)
     residual = np.array(
         [r.diagnostics.get("residual", math.nan) for r in solved], dtype=np.float64
     )
-    index = merged[inverse]
     return MLERows(value[index], exists[index], residual[index])
 
 

@@ -654,11 +654,12 @@ def draw_counts(law: CountLaw, theta: float, uniforms) -> np.ndarray:
     """The count-law atom of each uniform, by inverse CDF.
 
     The count law is exact: the pmf of the law's table at ``theta``.
-    Replication r of a draw set passes the first uniform of its stream,
-    column 0 of substream_uniforms (or of seed_uniforms on a batch from
-    derive_seeds), so ``reps`` draws cost one vectorized pass and build no
-    Generator. Every statistic is a function of the atom, so no spin vector
-    is ever drawn. A negative theta raises ParameterError.
+    Replication r of a draw set (htests.DrawSet, its one caller in the
+    package) passes the first uniform of its stream, column 0 of
+    seed_uniforms on the set's derive_seeds batch, so ``reps`` draws cost
+    one vectorized pass and build no Generator. Every statistic is a
+    function of the atom, so no spin vector is ever drawn. A negative
+    theta raises ParameterError.
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
@@ -713,25 +714,27 @@ def write_sample_dump(path, rows) -> None:
 
 
 def read_sample_dump(path) -> list:
-    """Parse a sample dump back into a list of dicts (spins decoded)."""
+    """Parse a sample dump back into a list of dicts (spins decoded).
+
+    A cell that does not parse, or is missing from a short row, raises
+    ParameterError naming the file, the row (from 0) and the column.
+    """
     import csv
 
+    parsers = (int, int, float, float, float, float, float, decode_spins)
     out = []
     with open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != DUMP_COLUMNS:
             raise ParameterError(f"expected columns {DUMP_COLUMNS}")
-        for rec in reader:
-            out.append(
-                {
-                    "seed": int(rec["seed"]),
-                    "n": int(rec["n"]),
-                    "theta": float(rec["theta"]),
-                    "xbar": float(rec["xbar"]),
-                    "xqx": float(rec["xqx"]),
-                    "xbx": float(rec["xbx"]),
-                    "xb2x": float(rec["xb2x"]),
-                    "spins": decode_spins(rec["spins"]),
-                }
-            )
+        for row, rec in enumerate(reader):
+            parsed = {}
+            for key, parse in zip(DUMP_COLUMNS, parsers):
+                try:
+                    parsed[key] = parse(rec[key])
+                except (TypeError, ValueError, ParameterError) as exc:
+                    raise ParameterError(
+                        f"{path}: row {row}, column {key}: cannot read {rec[key]!r}"
+                    ) from exc
+            out.append(parsed)
     return out

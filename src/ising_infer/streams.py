@@ -7,9 +7,9 @@ stream from (master_seed, index) alone and aggregation order never matters.
 
 ``derive_seed`` and ``substream`` are the definition of that rule.
 ``derive_seeds`` is its batch form: the seeds of replications 0..reps-1 as
-one uint64 array, from one pass over the digests. A count-law draw set
-reads one batch through ``substream_uniforms``, and a count-law estimator
-run reads one batch for both its draws and its ``derived_seed`` column, so
+one uint64 array, from one pass over the digests. A draw set hashes its
+replications' seeds in one batch (``htests.DrawSet.seeds``), which its
+atoms or chains and the estimator's ``derived_seed`` column all read, so
 no replication's seed is hashed twice.
 
 ``seed_uniforms`` reads the first few ``random()`` doubles of many seeds

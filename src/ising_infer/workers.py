@@ -3,8 +3,8 @@
 ``ISING_INFER_WORKERS`` sets the number of processes (default 1, which
 maps in process). Each replication draws from its own derived stream
 (streams.derive_seed), so a result does not depend on the worker count.
-The estimator law maps its Glauber replications here, and a draw set its
-Glauber chains.
+It has one caller, htests.DrawSet, which maps its Glauber chains here for
+the estimator law and the power curve alike.
 """
 from __future__ import annotations
 

@@ -143,6 +143,8 @@ def test_parse_config_bad_value_names_key():
         ({"experiment": "estimator_law", "h": (-1.0,)}, "h"),
         ({"experiment": "estimator_law", "format": "yaml"}, "format"),
         ({"experiment": "estimator_law", "calibration": "bootstrap"}, "calibration"),
+        ({"experiment": "power_curve", "theta0": 1.0, "h": ()}, "h"),
+        ({"experiment": "spectrum_report", "n": ()}, "n"),
     ],
 )
 def test_config_validation(kwargs, field):
@@ -451,6 +453,50 @@ def test_glauber_power_curve_is_the_same_on_two_workers(monkeypatch):
     monkeypatch.setenv("ISING_INFER_WORKERS", "2")
     assert records() == serial
     assert submitted
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"family": "random_regular", "d": 4, "n": (16,), "theta0": 1.2, "reps": 40},
+        {"family": "bipartite", "n": (8,), "theta0": 1.2, "reps": 40},
+    ],
+)
+def test_estimator_law_reads_one_draw_set(params):
+    # every replication, Glauber or count-law, comes from the DrawSet at
+    # theta0 with the master seed; a count law solves the MPLE of the drawn
+    # atoms only, never the per-law pl column of every atom
+    sampler._block_law.cache_clear()
+    cfg = ExperimentConfig(experiment="estimator_law", master_seed=5, **params)
+    records = run_experiment(cfg).records
+    coupling = harness._coupling_for(cfg, cfg.n[0])
+    law = sampler.count_law(coupling)
+    assert law is None or "pl" not in law.statistics
+    draws = DrawSet(coupling, cfg.theta0, cfg.master_seed, cfg.reps)
+    assert [row["derived_seed"] for row in records] == draws.seeds.tolist()
+    for key, column in draws.columns.items():
+        assert [row[key] for row in records] == column.tolist(), key
+
+
+def test_glauber_estimator_solves_each_distinct_suff_stat_once(monkeypatch):
+    # the exact MLE is a function of x'Qx: one enumeration-table solve per
+    # distinct value, not one per replication
+    solves = []
+    table_mle = inference._table_mle
+
+    def counting(s, values, log_mult):
+        solves.append(s)
+        return table_mle(s, values, log_mult)
+
+    monkeypatch.setattr(inference, "_table_mle", counting)
+    cfg = ExperimentConfig(
+        experiment="estimator_law", family="random_regular", d=4, n=(16,),
+        theta0=1.2, reps=40, master_seed=5,
+    )
+    result = run_experiment(cfg)
+    distinct = {row["suff_stat"] for row in result.records}
+    assert sorted(solves) == sorted(distinct)
+    assert len(solves) < 40
 
 
 def test_estimator_law_enumerates_once_per_n(monkeypatch):
@@ -1005,6 +1051,15 @@ def test_cli_spectra_bad_grid(capsys):
     assert main(["spectra", "--family", "complete", "--n", "8,oops"]) == 2
 
 
+def test_cli_refuses_an_empty_grid(capsys):
+    # the config refuses it before a pipeline reads max(h) or emits no rows
+    power = ["power", "--family", "complete", "--n", "10", "--theta0", "1", "--h", ","]
+    assert main(power) == 2
+    assert capsys.readouterr().err.startswith("error: h:")
+    assert main(["spectra", "--family", "complete", "--n", ","]) == 2
+    assert capsys.readouterr().err.startswith("error: n:")
+
+
 def test_cli_estimate_both_methods(tmp_path):
     coupling = build_coupling("complete", 12)
     matrix_path = tmp_path / "coupling.csv"
@@ -1083,6 +1138,46 @@ def test_cli_estimate_size_mismatch(tmp_path, capsys):
         == 2
     )
     assert "8 spins" in capsys.readouterr().err
+
+
+def _estimate_exit(capsys, matrix_path, dump_path, *names):
+    # the CLI's exit code; its error names each of ``names``, with no traceback
+    code = main(["estimate", "--matrix", str(matrix_path), "--samples", str(dump_path)])
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert "Traceback" not in err
+    return code
+
+
+def test_cli_estimate_refuses_malformed_files(tmp_path, capsys):
+    coupling = build_coupling("complete", 2)
+    spins = np.array([1, -1])
+    xbx, xb2x = centered_quadratic_forms(coupling, spins)
+    row = {
+        "seed": 0, "n": 2, "theta": 0.0, "xbar": 0.0, "xqx": -1.0,
+        "xbx": xbx, "xb2x": xb2x, "spins": spins,
+    }
+    matrix_path, dump_path = tmp_path / "coupling.txt", tmp_path / "samples.csv"
+    save_matrix(coupling, matrix_path)
+    write_sample_dump(dump_path, [row, row])
+    assert _estimate_exit(capsys, matrix_path, dump_path) == 0
+    good = dump_path.read_text(encoding="ascii").splitlines()
+
+    bad_matrix = tmp_path / "bad.txt"
+    bad_matrix.write_text("2\n0 x\nx 0\n", encoding="ascii")
+    assert _estimate_exit(capsys, bad_matrix, dump_path, str(bad_matrix)) == 2
+    # a non-numeric xqx cell in the second row
+    cells = good[2].split(",")
+    cells[4] = "oops"
+    bad_dump = "\n".join([*good[:2], ",".join(cells)]) + "\n"
+    dump_path.write_text(bad_dump, encoding="ascii")
+    names = (str(dump_path), "row 1", "column xqx")
+    assert _estimate_exit(capsys, matrix_path, dump_path, *names) == 2
+    # a first row cut short after its theta cell
+    short = ",".join(good[1].split(",")[:3])
+    dump_path.write_text("\n".join([good[0], short]) + "\n", encoding="ascii")
+    names = (str(dump_path), "row 0", "column xbar")
+    assert _estimate_exit(capsys, matrix_path, dump_path, *names) == 2
 
 
 def test_cli_power_writes_rows(tmp_path):
@@ -1190,6 +1285,16 @@ def test_cli_limits_off_critical_has_nan_ratio(tmp_path):
     )
     for line in out.read_text(encoding="utf-8").splitlines()[1:]:
         assert line.split(",")[3] == "nan"
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_cli_limits_refuses_reps_below_one(tmp_path, capsys, reps):
+    out = tmp_path / "lims.csv"
+    args = ["limits", "--family", "complete", "--reps", reps, "--output", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "--reps" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_limits_random_regular_needs_eta(tmp_path, capsys):

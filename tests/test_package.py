@@ -163,6 +163,24 @@ def test_seed_hashing_has_one_home():
     assert not offenders, offenders
 
 
+def test_only_htests_draws_replications():
+    # a DrawSet maps every replication's chain or atom, so a replication
+    # block or a batched sampler changes one mapping site, not two
+    homes = {
+        "parallel_map": "workers.py",
+        "glauber_sample": "sampler.py",
+        "draw_counts": "sampler.py",
+        "seed_uniforms": "streams.py",
+    }
+    callers = set()
+    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = _decorator_name(node) if isinstance(node, ast.Call) else None
+            if name in homes and path.name != homes[name]:
+                callers.add((path.name, name))
+    assert callers == {("htests.py", name) for name in homes}, callers
+
+
 def test_limit_cutoffs_have_one_home():
     # calibration, limit power and the Monte Carlo oracle read each level-alpha
     # limit cutoff from one htests function, so they cannot drift apart
