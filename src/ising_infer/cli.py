@@ -28,8 +28,8 @@ from .harness import (
     run_experiment,
 )
 from .htests import CALIBRATIONS
-from .inference import mle_exact, mle_stochastic, mple
-from .sampler import ENUMERATION_MAX_N, SpinConfiguration, read_sample_dump
+from .inference import mle_suff_stats, mple
+from .sampler import SpinConfiguration, read_sample_dump
 from .streams import derive_seed
 from .theory import sample_mple_limit, sample_quadratic_limits
 
@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--method", choices=("mple", "mle", "both"), default="mple"
     )
-    p_est.add_argument("--seed", type=int, default=0, help="MCMC seed for large-n mle")
     p_est.add_argument("--output", default=None)
 
     p_pow = sub.add_parser("power", help="empirical and limiting power curves")
@@ -134,41 +133,32 @@ def _cmd_spectra(args) -> int:
 
 def _cmd_estimate(args) -> int:
     coupling = load_matrix(args.matrix)
-    rows = read_sample_dump(args.samples)
-    methods = ("mple", "mle") if args.method == "both" else (args.method,)
-    lines = ["replication,method,value,exists,iterations,residual,mc_stderr"]
-    for index, row in enumerate(rows):
+    configs = []
+    for index, row in enumerate(read_sample_dump(args.samples)):
         spins = row["spins"]
         if spins.size != coupling.n:
             raise ParameterError(
                 f"sample row {index} has {spins.size} spins, matrix has {coupling.n}"
             )
-        config = SpinConfiguration.from_spins(spins, coupling)
-        for method in methods:
-            if method == "mple":
-                res = mple(config)
-                stderr = math.nan
-            elif coupling.n <= ENUMERATION_MAX_N:
-                res = mle_exact(config, coupling)
-                stderr = math.nan
-            else:
-                res = mle_stochastic(
-                    config, coupling, seed=derive_seed(args.seed, index)
-                )
-                trajectory = res.diagnostics.get("trajectory", [])
-                stderr = trajectory[-1][2] if trajectory else math.nan
-            residual = res.diagnostics.get("residual", math.nan)
+        configs.append(SpinConfiguration.from_spins(spins, coupling))
+    columns = {}
+    if args.method != "mle":
+        columns["mple"] = [
+            (r.value, r.exists, r.iterations, r.diagnostics.get("residual", math.nan))
+            for r in map(mple, configs)
+        ]
+    if args.method != "mple":
+        ml = mle_suff_stats(coupling, [config.suff_stat() for config in configs])
+        method = "mle" if ml.route is None else f"mle_{ml.route}"
+        columns[method] = list(zip(ml.value, ml.exists, ml.iterations, ml.residual))
+    lines = ["replication,method,value,exists,iterations,residual"]
+    for index in range(len(configs)):
+        for method, rows in columns.items():
+            value, exists, iterations, residual = rows[index]
+            flag = "true" if exists else "false"
             lines.append(
-                "%d,%s,%.17g,%s,%d,%.17g,%.17g"
-                % (
-                    index,
-                    res.method,
-                    res.value,
-                    "true" if res.exists else "false",
-                    res.iterations,
-                    residual,
-                    stderr,
-                )
+                "%d,%s,%.17g,%s,%d,%.17g"
+                % (index, method, value, flag, iterations, residual)
             )
     _write_text("\n".join(lines) + "\n", args.output)
     return 0

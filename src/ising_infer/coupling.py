@@ -489,11 +489,22 @@ def spectrum(coupling: CouplingMatrix) -> SpectralSummary:
     )
 
 
+def regularity(coupling: CouplingMatrix) -> tuple[float, bool]:
+    """The largest |row sum - 1| of ``coupling``, and whether it is regular.
+
+    Regular means every row sum lies within 2/n of 1, so the complete
+    family's row sums of (n-1)/n pass without special casing. A block
+    coupling is read from its sizes and weights without building the dense
+    matrix.
+    """
+    row_dev = float(np.max(np.abs(coupling.row_sums() - 1.0)))
+    return row_dev, row_dev <= 2.0 / coupling.n
+
+
 def validate_assumptions(coupling: CouplingMatrix) -> ValidationReport:
     """Check regularity and the spectral gap, and record the entrywise bound.
 
-    Every row sum must lie within 2/n of 1, so the complete family's row
-    sums of (n-1)/n pass without special casing. The gap, the difference
+    Regularity is the rule of ``regularity``. The gap, the difference
     between the largest eigenvalue and the largest remaining one, must be
     positive; it is read from spectrum(coupling), which the report carries.
     The entrywise bound n * max entry is recorded, not checked. A block
@@ -501,12 +512,12 @@ def validate_assumptions(coupling: CouplingMatrix) -> ValidationReport:
     dense matrix.
     """
     n = coupling.n
-    row_dev = float(np.max(np.abs(coupling.row_sums() - 1.0)))
+    row_dev, regular = regularity(coupling)
     entry_bound = n * coupling.max_entry()
     summary = spectrum(coupling)
     eigs = summary.finite_eigs
     gap = float(eigs[0] - np.max(eigs[1:])) if n > 1 else math.inf
-    passes = {"regular": row_dev <= 2.0 / n, "spectral_gap": gap > 0.0}
+    passes = {"regular": regular, "spectral_gap": gap > 0.0}
     return ValidationReport(
         n=n,
         row_dev_max=row_dev,

@@ -8,8 +8,8 @@ derived stream hash(master_seed, r), so serial and worker-pool runs agree
 and records can be aggregated in any order. Every replication comes from
 an htests.DrawSet, which draws the atoms or maps the Glauber chains. The
 estimator law reads one DrawSet per n, at theta0 with the master seed,
-and solves the exact MLE of its x'Qx column once per distinct value
-(inference.mle_suff_stats). A power curve holds one DrawSet per (n, h),
+and solves the MLE of its x'Qx column, exact or plug-in, once per distinct
+value (inference.mle_suff_stats). A power curve holds one DrawSet per (n, h),
 shared by ms, np and pl, and one null DrawSet per n, which only a Glauber
 calibration reads and so draws; its asymptotic power is limit_power,
 exact and drawn from no stream.
@@ -257,10 +257,10 @@ _ESTIMATOR_COLUMNS = (
 
 
 def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
-    """One DrawSet per n at theta0 with the master seed, and the exact MLE of
-    its x'Qx column; ``elapsed_s`` is the set's wall time split evenly over
-    its records."""
-    records, limits, burn_ins, reps = [], {}, {}, config.reps
+    """One DrawSet per n at theta0 with the master seed, and the MLE of its
+    x'Qx column, exact or plug-in; ``elapsed_s`` is the set's wall time split
+    evenly over its records."""
+    records, limits, burn_ins, routes, reps = [], {}, {}, {}, config.reps
     for n in config.n:
         coupling = _coupling_for(config, n)
         limits[n] = family_limit(coupling)
@@ -268,6 +268,7 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
         start = time.perf_counter()
         draws = DrawSet(coupling, config.theta0, config.master_seed, reps)
         ml = mle_suff_stats(coupling, draws.columns["suff_stat"])
+        routes[n] = ml.route
         arrays = {**draws.columns, "mle": ml.value, "mle_exists": ml.exists}
         columns = {
             "replication": range(reps), "derived_seed": draws.seeds.tolist(),
@@ -276,7 +277,7 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
             "elapsed_s": [(time.perf_counter() - start) / reps] * reps,
         }
         records.extend(dict(zip(columns, row)) for row in zip(*columns.values()))
-    summary = _estimator_summary(config, records, limits, burn_ins)
+    summary = _estimator_summary(config, records, limits, burn_ins, routes)
     return ExperimentResult(config, _ESTIMATOR_COLUMNS, records, summary)
 
 
@@ -285,24 +286,35 @@ def _burn_in(law, n: int, theta: float) -> int | None:
     return None if law is not None else default_burn_in(n, theta)
 
 
-def _estimator_summary(config: ExperimentConfig, records, limits, burn_ins) -> dict:
+def _scaled_estimates(rows, key: str, n: int, theta0: float) -> tuple[dict, np.ndarray]:
+    """The ``key`` estimate's exists rate and the mean and SD of
+    sqrt(n)(estimate - theta0) over the estimates that exist, which it
+    also returns."""
+    scaled = np.array(
+        [math.sqrt(n) * (row[key] - theta0) for row in rows if row[f"{key}_exists"]]
+    )
+    figures = {
+        f"{key}_exists_rate": float(np.mean([row[f"{key}_exists"] for row in rows])),
+        f"scaled_{key}_mean": float(scaled.mean()) if scaled.size else math.nan,
+        f"scaled_{key}_sd": float(scaled.std(ddof=1)) if scaled.size > 1 else math.nan,
+    }
+    return figures, scaled
+
+
+def _estimator_summary(
+    config: ExperimentConfig, records, limits, burn_ins, routes
+) -> dict:
     summary = {}
     for n in config.n:
         rows = [row for row in records if row["n"] == n]
-        scaled = np.array(
-            [
-                math.sqrt(n) * (row["mple"] - config.theta0)
-                for row in rows
-                if row["mple_exists"]
-            ]
-        )
+        mple_figures, scaled = _scaled_estimates(rows, "mple", n, config.theta0)
         block = {
             "sampler": "exact" if burn_ins[n] is None else "glauber",
             "burn_in": burn_ins[n],
             "reps": len(rows),
-            "mple_exists_rate": float(np.mean([row["mple_exists"] for row in rows])),
-            "scaled_mple_mean": float(scaled.mean()) if scaled.size else math.nan,
-            "scaled_mple_sd": float(scaled.std(ddof=1)) if scaled.size > 1 else math.nan,
+            **mple_figures,
+            "mle_route": routes[n],
+            **_scaled_estimates(rows, "mle", n, config.theta0)[0],
         }
         if config.theta0 > 1.0:
             block["theory_sd"] = 1.0 / math.sqrt(information_rate(config.theta0))

@@ -1,29 +1,36 @@
 """Point estimation of the inverse temperature.
 
-The pseudlikelihood estimate solves x'Qx = sum_i t_i tanh(theta t_i), a
+The pseudolikelihood estimate solves x'Qx = sum_i t_i tanh(theta t_i), a
 strictly increasing equation in theta whenever any local field is nonzero;
 we bracket by doubling outward from theta = 1 and run safeguarded Newton
 inside the bracket, for any number of equations in one batched solve
-(``_pl_rows``). The likelihood estimate solves dlog Z/dtheta = x'Qx / 2.
-Where the model is exactly summable it has one solver, ``_table_mle``, on
-the sampler's cached exact tables: the 2^n enumeration for n <= 24
-(``mle_exact``), built once per coupling, and the count law's table of a
-block coupling under the atom cap, at any n. Otherwise it runs
-confidence-gated bisection on Glauber chain means. On a coupling with a
-count law both estimates depend on the atom (the plus count of each
-class) alone, symmetrically under the global flip k <-> m - k:
-``mple_counts`` solves each distinct folded atom of an atom array once,
-and ``mle_counts`` each distinct x'Qx. ``mle_suff_stats`` takes a column
-of x'Qx drawn on any coupling and solves each distinct value once, on the
-count law's table, else the enumeration (n <= 24), else reports NaN and
-no estimate; ``mle_exact`` stays the one-configuration enumeration
-oracle.
+(``_pl_rows``). On a coupling with a count law the estimate depends on the
+atom (the plus count of each class) alone, symmetrically under the global
+flip k <-> m - k: ``mple_counts`` solves each distinct folded atom of an
+atom array once.
+
+The likelihood estimate solves dlog Z/dtheta = x'Qx / 2 with one solver,
+``_table_mle``, on an exact (x'Qx, log multiplicity) table the sampler
+caches. ``_mle_table`` picks the table of a coupling and names its route:
+
+* ``exact``: the count law's table of a block coupling under the atom cap,
+  at any n, else the 2^n enumeration for n <= 24;
+* ``plugin``: past both, for a regular coupling (coupling.regularity), the
+  complete coupling's count law of the same n. On a dense regular coupling
+  log Z is the mean-field log Z plus an O(1) smooth term while its second
+  derivative is of order n, so the plug-in root moves by O(1/n);
+* none otherwise.
+
+``mle_suff_stats`` solves each distinct value of a column of x'Qx once on
+that table; ``mle_exact`` stays the one-configuration enumeration oracle.
 
 Existence is decided before any iteration: the pseudolikelihood equation
 has a real root iff -sum|t_i| < x'Qx < sum|t_i| strictly, and the
 likelihood equation iff x'Qx lies strictly between the attainable extremes
 of the sufficient statistic. Nonexistent estimates carry a signed infinity
-and exists=False rather than raising.
+and exists=False rather than raising. A plug-in statistic outside the
+complete table's open range, and every statistic without a table, is NaN
+with exists=False: no estimate, not a claim that the MLE does not exist.
 """
 from __future__ import annotations
 
@@ -33,18 +40,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import CouplingMatrix
-from .errors import CapacityError, NumericError, ParameterError
+from .coupling import CouplingMatrix, regularity
+from .errors import NumericError
 from .sampler import (
     ENUMERATION_MAX_N,
     CountLaw,
     SpinConfiguration,
+    complete_law,
     count_law,
     suff_stat_table,
     tilted_table,
 )
 from .special import brentq
-from .streams import derive_seed
 
 RESIDUAL_SCALE = 1e-12
 # The likelihood residual must be at most 1e-10, or MLE_RESIDUAL_ULPS rounding
@@ -311,181 +318,62 @@ def mle_exact(x, coupling: CouplingMatrix) -> EstimateResult:
 
 
 class MLERows(NamedTuple):
-    """Per-count outcome of mle_counts; ``residual`` is NaN without a root."""
+    """Per-statistic outcome of mle_suff_stats and the route it took.
+
+    ``iterations`` is 0 and ``residual`` NaN without a root; ``route`` is
+    ``exact``, ``plugin`` or None (no table).
+    """
 
     value: np.ndarray
     exists: np.ndarray
+    iterations: np.ndarray
     residual: np.ndarray
+    route: str | None
 
 
-def mle_counts(law: CountLaw, counts) -> MLERows:
-    """Exact MLE for each atom in a 1-D integer array ``counts`` under a count law.
+def _mle_table(coupling: CouplingMatrix) -> tuple | None:
+    """(route, values, log_mult) of the table the MLE of ``coupling`` solves on.
 
-    The MLE depends on the atom only through its x'Qx, so the law's table
-    is solved once per distinct x'Qx among the atoms.
+    The count law, else the enumeration (n <= ENUMERATION_MAX_N), is
+    ``exact``; past both a regular coupling solves on complete_law(n), the
+    ``plugin`` route. Any other coupling has no table: None.
     """
-    folded, inverse = law.fold(counts)
-    return _mle_rows(law.values[folded][inverse], law.values, law.log_mult)
+    law = count_law(coupling)
+    if law is not None:
+        return "exact", law.values, law.log_mult
+    if coupling.n <= ENUMERATION_MAX_N:
+        values, counts = suff_stat_table(coupling)
+        return "exact", values, np.log(counts)
+    if regularity(coupling)[1]:
+        law = complete_law(coupling.n)
+        return "plugin", law.values, law.log_mult
+    return None
 
 
 def mle_suff_stats(coupling: CouplingMatrix, stats) -> MLERows:
-    """Exact MLE for each x'Qx in a 1-D array ``stats`` drawn on ``coupling``.
+    """MLE for each x'Qx in a 1-D array ``stats`` drawn on ``coupling``.
 
-    The table is the coupling's count law, else its 2^n enumeration
-    (n <= ENUMERATION_MAX_N), solved once per distinct x'Qx. Past both
-    every row is NaN and does not exist.
+    Each distinct value is solved once on the table _mle_table picks. A
+    plug-in value without a root, and every value without a table, is NaN
+    and does not exist.
     """
     stats = np.asarray(stats, dtype=np.float64)
-    law = count_law(coupling)
-    if law is not None:
-        return _mle_rows(stats, law.values, law.log_mult)
-    if coupling.n <= ENUMERATION_MAX_N:
-        values, counts = suff_stat_table(coupling)
-        return _mle_rows(stats, values, np.log(counts))
-    nan = np.full(stats.shape, math.nan)
-    return MLERows(nan, np.zeros(stats.shape, dtype=bool), nan.copy())
-
-
-def _mle_rows(stats: np.ndarray, values: np.ndarray, log_mult: np.ndarray) -> MLERows:
-    """_table_mle of each of ``stats`` on one table, once per distinct value."""
+    table = _mle_table(coupling)
+    if table is None:
+        nan = np.full(stats.shape, math.nan)
+        none = np.zeros(stats.shape, dtype=np.int64)
+        return MLERows(nan, none.astype(bool), none, nan.copy(), None)
+    route, values, log_mult = table
     targets, index = np.unique(stats, return_inverse=True)
     solved = [_table_mle(float(s), values, log_mult) for s in targets]
     value = np.array([r.value for r in solved], dtype=np.float64)
     exists = np.array([r.exists for r in solved], dtype=bool)
+    iterations = np.array([r.iterations for r in solved], dtype=np.int64)
     residual = np.array(
         [r.diagnostics.get("residual", math.nan) for r in solved], dtype=np.float64
     )
-    return MLERows(value[index], exists[index], residual[index])
-
-
-def mle_stochastic(
-    x,
-    coupling: CouplingMatrix,
-    *,
-    chains: int = 4,
-    sweeps: int = 200,
-    burn_in: int | None = None,
-    tol: float = 0.01,
-    seed: int = 0,
-    max_iter: int = 60,
-    z_crit: float = 3.0,
-) -> EstimateResult:
-    """Monte Carlo maximum likelihood via confidence-gated bisection.
-
-    At each candidate theta, ``chains`` independent Glauber chains estimate
-    the stationary mean of the sufficient statistic. The bracket is
-    narrowed only when the chain-mean confidence interval excludes the
-    observed value; an interval that straddles it ends the search at the
-    current midpoint, with the interval width recorded in diagnostics and
-    an ``inconclusive`` flag whenever the bracket is still wider than
-    ``tol`` at that point.
-
-    Boundary cases skip MCMC entirely: for matrices with nonnegative
-    entries the attainable maximum of x'Qx is the total entry sum, and the
-    minimum comes from suff_stat_bounds wherever it does not raise
-    CapacityError. When the minimum is unknown (custom matrix, large n)
-    existence is assumed as long as the pseudolikelihood-style strict bound
-    holds and ``existence_assumed`` is flagged.
-
-    Args:
-        x: SpinConfiguration or +-1 vector.
-        coupling: the coupling matrix.
-        chains: independent chains per evaluation, at least 4.
-        sweeps: post burn-in sweeps averaged per chain.
-        burn_in: sweeps to discard (default_burn_in(n, theta) when None).
-        tol: bracket width at which to declare convergence.
-        seed: master seed; chain c of evaluation k uses the derived
-            stream hash(seed, k * chains + c).
-        max_iter: total mean evaluations before giving up.
-        z_crit: half-width multiplier for the exclusion test.
-    """
-    from .sampler import glauber_series
-
-    if chains < 4:
-        raise ParameterError("mle_stochastic needs at least 4 chains")
-    config = SpinConfiguration.of(x, coupling)
-    t, s = config.local_fields, config.suff_stat()
-    upper = float(coupling.entries.sum())
-    guard = BOUNDARY_GUARD * max(1.0, upper)
-    diagnostics = {"target": s, "b_n": upper}
-    if s >= upper - guard:
-        return EstimateResult(
-            value=math.inf, exists=False, method="mle_stochastic",
-            iterations=0, bracket=None, diagnostics=diagnostics,
-        )
-    try:
-        lower = suff_stat_bounds(coupling)[0]
-    except CapacityError:
-        lower = None
-    if lower is not None:
-        diagnostics["a_n"] = lower
-        if s <= lower + guard:
-            return EstimateResult(
-                value=-math.inf, exists=False, method="mle_stochastic",
-                iterations=0, bracket=None, diagnostics=diagnostics,
-            )
-    else:
-        sum_abs = float(np.sum(np.abs(t)))
-        if s <= -sum_abs + guard:
-            diagnostics["existence_heuristic"] = True
-            return EstimateResult(
-                value=-math.inf, exists=False, method="mle_stochastic",
-                iterations=0, bracket=None, diagnostics=diagnostics,
-            )
-        diagnostics["existence_assumed"] = True
-
-    trajectory = []
-
-    def estimate_mean(theta, evaluation):
-        means = np.empty(chains)
-        for c in range(chains):
-            stream = derive_seed(seed, evaluation * chains + c)
-            suff, _ = glauber_series(
-                coupling, theta, stream, samples=sweeps,
-                burn_in=burn_in, init="random",
-            )
-            means[c] = suff.mean()
-        err = float(means.std(ddof=1) / math.sqrt(chains))
-        trajectory.append((float(theta), float(means.mean()), err))
-        return float(means.mean()), err
-
-    lo, hi = 0.0, 2.0
-    iters = 0
-    while iters < max_iter // 3:
-        mean, err = estimate_mean(hi, iters)
-        iters += 1
-        if mean - z_crit * err > s:
-            break
-        hi *= 2.0
-    while s < 0.0 and iters < 2 * max_iter // 3:
-        mean, err = estimate_mean(lo, iters)
-        iters += 1
-        if mean + z_crit * err < s:
-            break
-        lo = 2.0 * lo - 1.0
-
-    theta = 0.5 * (lo + hi)
-    inconclusive = True
-    while iters < max_iter:
-        if hi - lo < tol:
-            inconclusive = False
-            break
-        mean, err = estimate_mean(theta, iters)
-        iters += 1
-        if mean + z_crit * err < s:
-            lo = theta
-        elif mean - z_crit * err > s:
-            hi = theta
-        else:
-            diagnostics["ci_width"] = 2.0 * z_crit * err
-            inconclusive = hi - lo >= tol
-            break
-        theta = 0.5 * (lo + hi)
-    if inconclusive:
-        diagnostics["inconclusive"] = True
-    diagnostics["trajectory"] = trajectory
-    return EstimateResult(
-        value=theta, exists=True, method="mle_stochastic", iterations=iters,
-        bracket=(lo, hi), diagnostics=diagnostics,
+    if route == "plugin":
+        value[~exists] = math.nan
+    return MLERows(
+        value[index], exists[index], iterations[index], residual[index], route
     )
-

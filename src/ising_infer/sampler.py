@@ -34,8 +34,8 @@ built once per coupling and cached) and, for a block coupling whose
 over those vectors (``count_law``, cached per class sizes and weights).
 ``tilted_table`` turns a table into log Z, its derivative and the tilted
 pmf, which a count law keeps for its latest thetas; the mean-field
-``cw_log_partition`` is a thin caller of it, and the exact MLE solves on
-the same tables. The tables are in matrix convention; the
+``cw_log_partition`` is a thin caller of it on ``complete_law(n)``, and the
+MLE solves on the same tables. The tables are in matrix convention; the
 mean-field nx̄²/2 convention differs from it by exactly theta/2.
 """
 from __future__ import annotations
@@ -636,6 +636,13 @@ def _block_law(sizes: tuple, weights: tuple) -> CountLaw:
     return CountLaw(sum(sizes), sizes, np.reshape(weights, (q, q)))
 
 
+def complete_law(n: int) -> CountLaw:
+    """The count law of the complete coupling on n spins, cached as count_law's."""
+    if n < 1:
+        raise CapacityError("a count law needs n >= 1")
+    return _block_law((n,), (1.0 / n,))
+
+
 def cw_log_partition(n: int, theta: float) -> float:
     """log sum_x exp(n*theta*xbar^2/2), from the complete count law of n.
 
@@ -644,10 +651,7 @@ def cw_log_partition(n: int, theta: float) -> float:
     """
     if theta < 0:
         raise ParameterError("theta must be nonnegative")
-    if n < 1:
-        raise CapacityError("a count law needs n >= 1")
-    law = _block_law((n,), (1.0 / n,))
-    return law.tilted(theta)[0] + 0.5 * theta
+    return complete_law(n).tilted(theta)[0] + 0.5 * theta
 
 
 def draw_counts(law: CountLaw, theta: float, uniforms) -> np.ndarray:

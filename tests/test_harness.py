@@ -18,6 +18,7 @@ from ising_infer import (
     config_hash,
     derive_seed,
     emit,
+    mle_suff_stats,
     mple,
     parse_config,
     read_results,
@@ -48,7 +49,7 @@ from ising_infer.harness import (
     render_csv,
     render_json,
 )
-from ising_infer.sampler import SpinConfiguration, write_sample_dump
+from ising_infer.sampler import SpinConfiguration, count_law, write_sample_dump
 from ising_infer.workers import worker_count
 
 
@@ -357,12 +358,19 @@ def test_estimator_law_summary_records_the_sampler_and_burn_in(tmp_path):
     )
     block = run_experiment(exact).summary["n=8"]
     assert block["sampler"] == "exact" and block["burn_in"] is None
+    assert block["mle_route"] == "exact"
     dense = dataclasses.replace(exact, family="random_regular", d=4, n=(16, 34))
     result = run_experiment(dense)
-    for n in dense.n:
+    # the MLE is exact on the enumeration and the plug-in past it
+    for n, route in zip(dense.n, ("exact", "plugin")):
         block = result.summary[f"n={n}"]
         assert block["sampler"] == "glauber"
         assert block["burn_in"] == sampler.default_burn_in(n, 1.2)
+        assert block["mle_route"] == route
+        rows = [row for row in result.records if row["n"] == n]
+        scaled = [math.sqrt(n) * (r["mle"] - 1.2) for r in rows if r["mle_exists"]]
+        assert block["mle_exists_rate"] == len(scaled) / len(rows) > 0.0
+        assert block["scaled_mle_mean"] == float(np.mean(scaled))
     assert [result.summary[f"n={n}"]["burn_in"] for n in dense.n] == [80, 120]
     # a count law's null reaches the JSON summary as null
     as_json = dataclasses.replace(exact, format="json")
@@ -1100,7 +1108,7 @@ def test_cli_estimate_both_methods(tmp_path):
     )
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "replication,method,value,exists,iterations,residual,mc_stderr"
+    assert lines[0] == "replication,method,value,exists,iterations,residual"
     assert len(lines) == 1 + 6
     cells = [line.split(",") for line in lines[1:]]
     assert [c[1] for c in cells] == ["mple", "mle_exact"] * 3
@@ -1108,6 +1116,50 @@ def test_cli_estimate_both_methods(tmp_path):
     expected = mple(first)
     assert math.isclose(float(cells[0][2]), expected.value, rel_tol=0, abs_tol=1e-12)
     assert cells[0][3] == ("true" if expected.exists else "false")
+
+
+def test_cli_estimate_mle_past_the_enumeration(tmp_path):
+    # a complete matrix read from a file is a dense custom coupling: past
+    # n = 24 it takes the plug-in, the complete count law's own MLE; an
+    # irregular matrix has no route and no estimate
+    n, plus = 30, (4, 11, 22, 27, 30)
+    complete = build_coupling("complete", n)
+    entries = complete.entries.copy()
+    entries[:2] *= 2.0
+    entries[:, :2] *= 2.0
+    law = count_law(complete)
+    expected = mle_suff_stats(complete, law.values[list(plus)])
+    irregular = CouplingMatrix(n, entries)
+    for name, coupling in (("complete", complete), ("irregular", irregular)):
+        rows = []
+        for i, k in enumerate(plus):
+            spins = np.repeat([1, -1], [k, n - k])
+            xbx, xb2x = centered_quadratic_forms(coupling, spins)
+            rows.append(
+                {
+                    "seed": i, "n": n, "theta": 0.0, "xbar": float(spins.mean()),
+                    "xqx": float(spins @ (coupling.entries @ spins)),
+                    "xbx": xbx, "xb2x": xb2x, "spins": spins,
+                }
+            )
+        matrix_path, dump_path = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+        save_matrix(coupling, matrix_path)
+        write_sample_dump(dump_path, rows)
+        out = tmp_path / f"{name}_mle.csv"
+        argv = ["estimate", "--matrix", str(matrix_path), "--samples", str(dump_path)]
+        assert main([*argv, "--method", "mle", "--output", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "replication,method,value,exists,iterations,residual"
+        cells = [line.split(",") for line in lines]
+        if name == "irregular":
+            assert {(c[1], c[2], c[3]) for c in cells[1:]} == {("mle", "nan", "false")}
+            continue
+        assert [c[1] for c in cells[1:]] == ["mle_plugin"] * len(plus)
+        # all plus sits on the extreme: the plug-in has no root there
+        assert [c[3] for c in cells[1:]] == ["true"] * 4 + ["false"]
+        assert cells[-1][2] == "nan" and expected.value[-1] == math.inf
+        for c, value in zip(cells[1:-1], expected.value):
+            assert math.isclose(float(c[2]), value, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_cli_estimate_size_mismatch(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Point estimators: pseudolikelihood and likelihood, exact and stochastic."""
+"""Point estimators: pseudolikelihood and likelihood, exact and plug-in."""
 import dataclasses
 import hashlib
 import math
@@ -14,17 +14,19 @@ from ising_infer import (
     build_coupling,
     count_law,
     derive_seed,
+    draw_counts,
     glauber_sample,
-    mle_counts,
+    information_rate,
     mle_exact,
-    mle_stochastic,
+    mle_suff_stats,
     mple,
     mple_counts,
     suff_stat_bounds,
+    suff_stat_table,
     substream,
 )
-from ising_infer import inference
-from ising_infer.sampler import CountLaw
+from ising_infer import inference, sampler
+from ising_infer.sampler import CountLaw, tilted_table
 from oracles import enumerate_state_distribution, suff_stats_by_code
 
 
@@ -118,8 +120,13 @@ def test_mple_from_counts_matches_full_vector():
     _check_counts_against_spins(mple_counts, mple, 1e-11)
 
 
+def _mle_counts(law, counts):
+    # the count-law MLE of each atom, through its x'Qx
+    return mle_suff_stats(build_coupling("complete", law.n), law.values[counts])
+
+
 def test_mle_large_n_route_matches_enumeration():
-    _check_counts_against_spins(mle_counts, mle_exact, 1e-9)
+    _check_counts_against_spins(_mle_counts, mle_exact, 1e-9)
 
 
 def test_count_estimates_balanced_even_n_and_range():
@@ -130,8 +137,6 @@ def test_count_estimates_balanced_even_n_and_range():
     for counts in ([11], [-1], [0, 3, 11]):
         with pytest.raises(ParameterError):
             mple_counts(CountLaw(10), counts)
-        with pytest.raises(ParameterError):
-            mle_counts(CountLaw(10), counts)
 
 
 def _digest(results) -> str:
@@ -251,7 +256,7 @@ def test_mle_exact_boundaries():
 def test_mle_large_n_residual_is_checked():
     n = 1600
     counts = np.arange(0, n + 1, 40)
-    res = mle_counts(CountLaw(n), counts)
+    res = _mle_counts(CountLaw(n), counts)
     for k, exists, residual in zip(counts, res.exists, res.residual):
         # x'Qx sits on an attainable extreme at k = 0, n/2 and n
         assert exists == (k not in (0, n // 2, n)), k
@@ -262,81 +267,106 @@ def test_mle_large_n_residual_is_checked():
 
 
 def test_mle_large_n_negative_root():
-    res = mle_counts(CountLaw(16), [9])
+    res = _mle_counts(CountLaw(16), [9])
     assert res.exists[0]
     assert res.value[0] < 0.0
 
 
-def test_mle_stochastic_agrees_with_exact():
-    n = 16
-    cpl = build_coupling("complete", n)
-    config = glauber_sample(cpl, 1.5, 77, sweeps=400)
-    exact = mle_exact(config, cpl)
-    assert exact.exists
-    noisy = mle_stochastic(config, cpl, seed=5)
-    assert noisy.exists
-    assert noisy.method == "mle_stochastic"
-    assert abs(noisy.value - exact.value) < 0.05 or "ci_width" in noisy.diagnostics
-    trajectory = noisy.diagnostics["trajectory"]
-    assert len(trajectory) == noisy.iterations
-    # stationary means must be monotone in theta up to Monte Carlo noise
-    ordered = sorted(trajectory)
-    for (t1, m1, e1), (t2, m2, e2) in zip(ordered, ordered[1:]):
-        if t1 < t2:
-            assert m2 >= m1 - 2.0 * (e1 + e2)
+def _merged_table(values, log_mult):
+    # the table with equal x'Qx floats merged: the same likelihood, so the
+    # same root up to rounding, at far fewer entries than the atoms
+    order = np.argsort(values)
+    values = values[order]
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return values[starts], np.logaddexp.reduceat(log_mult[order], starts)
 
 
-def test_mle_stochastic_deterministic():
-    cpl = build_coupling("complete", 12)
-    config = glauber_sample(cpl, 1.3, 9, sweeps=200)
-    a = mle_stochastic(config, cpl, seed=31, sweeps=60, tol=0.05, max_iter=24)
-    b = mle_stochastic(config, cpl, seed=31, sweeps=60, tol=0.05, max_iter=24)
-    assert a.value == b.value
-    assert a.diagnostics["trajectory"] == b.diagnostics["trajectory"]
+def _plugin_gaps(n, plugin, value, exists):
+    # sqrt(n) |plug-in - exact| over the statistics where both exist
+    assert np.isnan(plugin.value[~plugin.exists]).all()
+    both = plugin.exists & exists
+    assert both.sum() >= 20
+    return math.sqrt(n) * np.abs(plugin.value[both] - value[both])
 
 
-def test_mle_stochastic_boundary_skips_mcmc():
-    cpl = build_coupling("complete", 30)
-    res = mle_stochastic(np.ones(30, dtype=np.int8), cpl, seed=0)
-    assert not res.exists
-    assert res.value == math.inf
-    assert res.iterations == 0
-    assert "trajectory" not in res.diagnostics
-    anti = np.concatenate([np.ones(15), -np.ones(15)]).astype(np.int8)
-    low = mle_stochastic(anti, build_coupling("bipartite", 30), seed=0)
-    assert not low.exists
-    assert low.value == -math.inf
+# bounds on the median and the 90th percentile of sqrt(n) |plug-in - exact|,
+# as fractions of the limit SD 1/sqrt(I(theta0)) of sqrt(n)(mle - theta0)
+PLUGIN_MEDIAN, PLUGIN_P90 = 0.15, 0.3
+PLUGIN_THETAS = (1.2, 1.5)
 
 
-def test_mle_stochastic_negative_target():
-    # bipartite blocks at (4, -2) block sums give x'Qx = -4: the root is
-    # negative and the lower bracket must expand below zero
-    cpl = build_coupling("bipartite", 8)
-    spins = np.array([1, 1, 1, 1, 1, -1, -1, -1], dtype=np.int8)
-    exact = mle_exact(spins, cpl)
-    assert exact.exists and exact.value < 0.0
-    res = mle_stochastic(
-        spins, cpl, seed=14, sweeps=300, tol=0.1, max_iter=40
-    )
-    assert res.exists
-    assert res.value < 0.2
-    assert abs(res.value - exact.value) < 0.6
+@pytest.mark.parametrize(
+    "family, kwargs, sizes",
+    [("qpartite", {"q": 3}, (150, 600)), ("bipartite", {}, (400, 1600))],
+)
+def test_plugin_mle_tracks_the_exact_mle(family, kwargs, sizes):
+    # the exact MLE solves each draw on the merged count-law table, checked
+    # against mle_suff_stats itself at the smaller n; the plug-in is
+    # mle_suff_stats on the same matrix stored densely, without a count law
+    medians = {theta0: [] for theta0 in PLUGIN_THETAS}
+    for n in sizes:
+        coupling = build_coupling(family, n, **kwargs)
+        dense = CouplingMatrix(n, coupling.entries, "custom")
+        law = count_law(coupling)
+        draws = {
+            theta0: law.values[draw_counts(law, theta0, uniforms)]
+            for theta0, uniforms in zip(
+                PLUGIN_THETAS, np.random.default_rng(derive_seed(11, n)).random((2, 60))
+            )
+        }
+        values, log_mult = _merged_table(law.values, law.log_mult)
+        del law
+        sampler._block_law.cache_clear()
+        for theta0, stats in draws.items():
+            solved = [inference._table_mle(float(s), values, log_mult) for s in stats]
+            value = np.array([r.value for r in solved])
+            exists = np.array([r.exists for r in solved])
+            if n == sizes[0]:
+                direct = mle_suff_stats(coupling, stats)
+                assert direct.route == "exact"
+                assert np.array_equal(direct.exists, exists)
+                assert np.allclose(direct.value, value, rtol=1e-12, atol=0.0)
+            plugin = mle_suff_stats(dense, stats)
+            assert plugin.route == "plugin"
+            gaps = _plugin_gaps(n, plugin, value, exists)
+            sd = 1.0 / math.sqrt(information_rate(theta0))
+            assert np.median(gaps) <= PLUGIN_MEDIAN * sd, (n, theta0, gaps)
+            assert np.quantile(gaps, 0.9) <= PLUGIN_P90 * sd, (n, theta0, gaps)
+            medians[theta0].append(np.median(gaps))
+    for theta0, (small, large) in medians.items():
+        assert large < small, (theta0, small, large)
 
 
-def test_mle_stochastic_existence_assumed_flag():
-    cpl = build_coupling("random_regular", 30, d=3, seed=2)
-    spins = np.resize([1, 1, -1], 30).astype(np.int8)
-    res = mle_stochastic(
-        spins, cpl, seed=8, sweeps=20, burn_in=10, tol=0.5, max_iter=9
-    )
-    assert res.diagnostics.get("existence_assumed") is True
-    assert res.bracket is not None
+# At theta0 = 1.2 these bounds fail at every n: the median gap reaches
+# 0.38 and the 90th percentile 0.68 limit SDs. The plug-in carries no
+# log_partition_shift term, which is O(1) on the sqrt(n) scale and grows
+# toward theta = 1.
+SMALL_N_SHIFT = pytest.mark.xfail(
+    strict=True, reason="plug-in without the O(1) shift term at n <= 24"
+)
 
 
-def test_mle_stochastic_validation():
-    cpl = build_coupling("complete", 8)
-    with pytest.raises(ParameterError):
-        mle_stochastic(np.ones(8, dtype=np.int8), cpl, chains=3)
+@pytest.mark.parametrize(
+    "theta0", [pytest.param(1.2, marks=SMALL_N_SHIFT), 1.5]
+)
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_plugin_mle_tracks_the_enumerated_mle(n, theta0):
+    # x'Qx drawn from the exact enumerated law of a random regular graph of
+    # degree n/2. Up to n = 24 the enumeration is the route, so the plug-in
+    # is the complete coupling's MLE, on the same table. Far from n =
+    # infinity the bounds are twice the block ones
+    coupling = build_coupling("random_regular", n, d=n // 2, seed=11)
+    values, counts = suff_stat_table(coupling)
+    cdf = np.cumsum(tilted_table(values, np.log(counts), theta0)[2])
+    uniforms = np.random.default_rng(derive_seed(11, n)).random(200)
+    stats = values[np.minimum(np.searchsorted(cdf, uniforms), values.size - 1)]
+    exact = mle_suff_stats(coupling, stats)
+    plugin = mle_suff_stats(build_coupling("complete", n), stats)
+    plugin.value[~plugin.exists] = math.nan
+    gaps = _plugin_gaps(n, plugin, exact.value, exact.exists)
+    sd = 1.0 / math.sqrt(information_rate(theta0))
+    assert np.median(gaps) <= 2 * PLUGIN_MEDIAN * sd, gaps
+    assert np.quantile(gaps, 0.9) <= 2 * PLUGIN_P90 * sd, gaps
 
 
 def test_float_noise_near_boundary_is_nonexistence():

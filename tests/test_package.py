@@ -198,6 +198,35 @@ def test_limit_cutoffs_have_one_home():
     assert len(callers) == 1, callers
 
 
+def _chain_imports(path: Path) -> list:
+    # imports of the streams module, and names of a Glauber chain or its
+    # burn-in, whether imported or read as an attribute
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if (node.module or "").rpartition(".")[2] == "streams":
+                names.append("streams")
+        elif isinstance(node, ast.Import):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {name}"
+            for name in names
+            if name == "streams" or "glauber" in name or "burn_in" in name
+        ]
+    return found
+
+
+def test_no_estimator_draws_a_chain():
+    # every estimate solves an exact or plug-in table; an estimator that
+    # imports a Glauber chain or a seed stream would draw again
+    assert _chain_imports(Path(ising_infer.__file__).parent / "inference.py") == []
+
+
 def _imported_modules(path: Path) -> set:
     modules = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -25,9 +25,7 @@ from ising_infer import (
     draw_counts,
     glauber_sample,
     glauber_series,
-    mle_counts,
     mle_exact,
-    mle_stochastic,
     mple,
     mple_counts,
     quadratic_form,
@@ -179,7 +177,6 @@ SPIN_ENTRY_POINTS = {
     "run_test": (_run_np_test, "bipartite"),
     "mple": (mple, "bipartite"),
     "mle_exact": (mle_exact, "bipartite"),
-    "mle_stochastic": (mle_stochastic, "bipartite"),
     "quadratic_form": (lambda x, cpl: quadratic_form(cpl, x), "bipartite"),
     "centered_quadratic_forms": (
         lambda x, cpl: centered_quadratic_forms(cpl, x), "bipartite"
@@ -542,7 +539,7 @@ def test_glauber_refuses_bad_counts_and_theta(call):
 
 
 def test_glauber_takes_negative_theta_and_integer_types():
-    # mle_stochastic brackets below 0; numpy integers are counts too
+    # a chain runs at any finite theta; numpy integers are counts too
     cpl = build_coupling("bipartite", 8)
     a = glauber_sample(cpl, -2.5, 4, sweeps=np.int64(12))
     b = glauber_sample(cpl, np.float64(-2.5), 4, sweeps=12)
@@ -909,8 +906,6 @@ def test_fold_refuses_non_integral_and_nested_atoms():
             law.fold(atoms)
         with pytest.raises(ParameterError):
             mple_counts(law, atoms)
-        with pytest.raises(ParameterError):
-            mle_counts(law, atoms)
     folded, inverse = law.fold([2, 8, 10, 5])
     assert folded.tolist() == [0, 2, 5] and inverse.tolist() == [1, 1, 0, 2]
     assert law.fold([])[0].size == 0
