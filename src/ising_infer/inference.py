@@ -15,11 +15,12 @@ caches. ``_mle_table`` picks the table of a coupling and names its route:
 
 * ``exact``: the count law's table of a block coupling under the atom cap,
   at any n, else the 2^n enumeration for n <= 24;
-* ``plugin``: past both, for a regular coupling (coupling.regularity), the
-  complete coupling's count law of the same n. On a dense regular coupling
-  log Z is the mean-field log Z plus an O(1) smooth term while its second
-  derivative is of order n, so the plug-in root moves by O(1/n);
-* none otherwise.
+* ``plugin``: past both, for a regular coupling (coupling.regularity) that
+  is dense (n * max entry at most PLUGIN_ENTRY_BOUND), the complete
+  coupling's count law of the same n. There log Z is the mean-field log Z
+  plus an O(1) smooth term, while above theta = 1 its second derivative is
+  of order n, so a plug-in root above PLUGIN_MIN_ROOT moves by O(1/n);
+* none otherwise: a sparse regular graph's dropped term grows with n/d.
 
 ``mle_suff_stats`` solves each distinct value of a column of x'Qx once on
 that table; ``mle_exact`` stays the one-configuration enumeration oracle.
@@ -28,9 +29,10 @@ Existence is decided before any iteration: the pseudolikelihood equation
 has a real root iff -sum|t_i| < x'Qx < sum|t_i| strictly, and the
 likelihood equation iff x'Qx lies strictly between the attainable extremes
 of the sufficient statistic. Nonexistent estimates carry a signed infinity
-and exists=False rather than raising. A plug-in statistic outside the
-complete table's open range, and every statistic without a table, is NaN
-with exists=False: no estimate, not a claim that the MLE does not exist.
+and exists=False rather than raising. A plug-in statistic whose
+complete-table root is missing or at most PLUGIN_MIN_ROOT (every s <= 0
+among them), and every statistic without a table, is NaN with
+exists=False: no estimate, not a claim that the MLE does not exist.
 """
 from __future__ import annotations
 
@@ -64,6 +66,15 @@ MLE_RESIDUAL_ULPS = 256
 # extreme is treated as sitting on it (the coupling entries themselves are
 # rounded, so finer distinctions are noise).
 BOUNDARY_GUARD = 1e-9
+# The plug-in drops a log Z term that grows with kappa = n * max entry - 1
+# (n/d - 1 on a d-regular graph) and whose derivative is O(1), so its root
+# moves by O(1) / A''. It serves couplings with n * max entry at most
+# PLUGIN_ENTRY_BOUND, the range its gap is measured on (bipartite and a
+# random regular graph of degree n/2 sit at 2, qpartite q = 3 at 1.5), and
+# only roots above PLUGIN_MIN_ROOT, the mean-field critical point: past it
+# A'' grows with n, below it A'' is O(1) and the root would move by O(1).
+PLUGIN_ENTRY_BOUND = 2.0
+PLUGIN_MIN_ROOT = 1.0
 # mple_counts solves its folded atoms this many rows at a time, so its
 # working memory stays bounded however many atoms a law has
 PL_BLOCK_ROWS = 1 << 15
@@ -335,8 +346,9 @@ def _mle_table(coupling: CouplingMatrix) -> tuple | None:
     """(route, values, log_mult) of the table the MLE of ``coupling`` solves on.
 
     The count law, else the enumeration (n <= ENUMERATION_MAX_N), is
-    ``exact``; past both a regular coupling solves on complete_law(n), the
-    ``plugin`` route. Any other coupling has no table: None.
+    ``exact``; past both a regular coupling with n * max entry at most
+    PLUGIN_ENTRY_BOUND solves on complete_law(n), the ``plugin`` route. Any
+    other coupling has no table: None.
     """
     law = count_law(coupling)
     if law is not None:
@@ -344,7 +356,9 @@ def _mle_table(coupling: CouplingMatrix) -> tuple | None:
     if coupling.n <= ENUMERATION_MAX_N:
         values, counts = suff_stat_table(coupling)
         return "exact", values, np.log(counts)
-    if regularity(coupling)[1]:
+    entry_bound = coupling.n * coupling.max_entry()
+    dense = entry_bound <= PLUGIN_ENTRY_BOUND * (1.0 + BOUNDARY_GUARD)
+    if dense and regularity(coupling)[1]:
         law = complete_law(coupling.n)
         return "plugin", law.values, law.log_mult
     return None
@@ -354,8 +368,8 @@ def mle_suff_stats(coupling: CouplingMatrix, stats) -> MLERows:
     """MLE for each x'Qx in a 1-D array ``stats`` drawn on ``coupling``.
 
     Each distinct value is solved once on the table _mle_table picks. A
-    plug-in value without a root, and every value without a table, is NaN
-    and does not exist.
+    plug-in value without a root above PLUGIN_MIN_ROOT, and every value
+    without a table, is NaN and does not exist.
     """
     stats = np.asarray(stats, dtype=np.float64)
     table = _mle_table(coupling)
@@ -373,7 +387,9 @@ def mle_suff_stats(coupling: CouplingMatrix, stats) -> MLERows:
         [r.diagnostics.get("residual", math.nan) for r in solved], dtype=np.float64
     )
     if route == "plugin":
-        value[~exists] = math.nan
+        withheld = ~(exists & (value > PLUGIN_MIN_ROOT))
+        value[withheld], exists[withheld] = math.nan, False
+        iterations[withheld], residual[withheld] = 0, math.nan
     return MLERows(
         value[index], exists[index], iterations[index], residual[index], route
     )

@@ -361,16 +361,23 @@ def test_estimator_law_summary_records_the_sampler_and_burn_in(tmp_path):
     assert block["mle_route"] == "exact"
     dense = dataclasses.replace(exact, family="random_regular", d=4, n=(16, 34))
     result = run_experiment(dense)
-    # the MLE is exact on the enumeration and the plug-in past it
-    for n, route in zip(dense.n, ("exact", "plugin")):
-        block = result.summary[f"n={n}"]
+    # the MLE is exact on the enumeration; past it a degree-4 graph is too
+    # sparse for the plug-in and has no estimate, while degree n/2 takes it
+    half = run_experiment(dataclasses.replace(dense, d=17, n=(34,), reps=8))
+    cases = [(result, 16, "exact"), (result, 34, None), (half, 34, "plugin")]
+    for run, n, route in cases:
+        block = run.summary[f"n={n}"]
         assert block["sampler"] == "glauber"
         assert block["burn_in"] == sampler.default_burn_in(n, 1.2)
         assert block["mle_route"] == route
-        rows = [row for row in result.records if row["n"] == n]
+        rows = [row for row in run.records if row["n"] == n]
         scaled = [math.sqrt(n) * (r["mle"] - 1.2) for r in rows if r["mle_exists"]]
-        assert block["mle_exists_rate"] == len(scaled) / len(rows) > 0.0
-        assert block["scaled_mle_mean"] == float(np.mean(scaled))
+        assert block["mle_exists_rate"] == len(scaled) / len(rows)
+        if route is None:
+            assert not scaled and all(math.isnan(r["mle"]) for r in rows)
+            assert math.isnan(block["scaled_mle_mean"])
+        else:
+            assert scaled and block["scaled_mle_mean"] == float(np.mean(scaled))
     assert [result.summary[f"n={n}"]["burn_in"] for n in dense.n] == [80, 120]
     # a count law's null reaches the JSON summary as null
     as_json = dataclasses.replace(exact, format="json")
@@ -1121,7 +1128,7 @@ def test_cli_estimate_both_methods(tmp_path):
 def test_cli_estimate_mle_past_the_enumeration(tmp_path):
     # a complete matrix read from a file is a dense custom coupling: past
     # n = 24 it takes the plug-in, the complete count law's own MLE; an
-    # irregular matrix has no route and no estimate
+    # irregular matrix and a sparse regular one have no route and no estimate
     n, plus = 30, (4, 11, 22, 27, 30)
     complete = build_coupling("complete", n)
     entries = complete.entries.copy()
@@ -1130,7 +1137,9 @@ def test_cli_estimate_mle_past_the_enumeration(tmp_path):
     law = count_law(complete)
     expected = mle_suff_stats(complete, law.values[list(plus)])
     irregular = CouplingMatrix(n, entries)
-    for name, coupling in (("complete", complete), ("irregular", irregular)):
+    sparse = build_coupling("random_regular", n, d=4, seed=3)
+    cases = (("complete", complete), ("irregular", irregular), ("sparse", sparse))
+    for name, coupling in cases:
         rows = []
         for i, k in enumerate(plus):
             spins = np.repeat([1, -1], [k, n - k])
@@ -1151,15 +1160,19 @@ def test_cli_estimate_mle_past_the_enumeration(tmp_path):
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "replication,method,value,exists,iterations,residual"
         cells = [line.split(",") for line in lines]
-        if name == "irregular":
+        if name != "complete":
             assert {(c[1], c[2], c[3]) for c in cells[1:]} == {("mle", "nan", "false")}
             continue
         assert [c[1] for c in cells[1:]] == ["mle_plugin"] * len(plus)
-        # all plus sits on the extreme: the plug-in has no root there
-        assert [c[3] for c in cells[1:]] == ["true"] * 4 + ["false"]
-        assert cells[-1][2] == "nan" and expected.value[-1] == math.inf
-        for c, value in zip(cells[1:-1], expected.value):
-            assert math.isclose(float(c[2]), value, rel_tol=1e-12, abs_tol=0.0)
+        # all plus sits on the extreme, and 11 plus spins give a root below
+        # 1: the plug-in gives no estimate at either
+        assert [c[3] for c in cells[1:]] == ["true", "false", "true", "true", "false"]
+        assert expected.value[-1] == math.inf and 0.0 < expected.value[1] < 1.0
+        for c, value in zip(cells[1:], expected.value):
+            if c[3] == "false":
+                assert (c[2], c[4], c[5]) == ("nan", "0", "nan")
+            else:
+                assert math.isclose(float(c[2]), value, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_cli_estimate_size_mismatch(tmp_path, capsys):

@@ -289,6 +289,33 @@ def _plugin_gaps(n, plugin, value, exists):
     return math.sqrt(n) * np.abs(plugin.value[both] - value[both])
 
 
+def test_mle_route_needs_a_table_or_a_dense_regular_coupling():
+    # bipartite stored densely has no count law, so past n = 24 it takes
+    # the plug-in. That gives no estimate at a root of at most 1: its s <= 0
+    # among them, where the complete table cannot follow the eigenvalue -1
+    # (at s = -0.5 its root is -1.001, the exact one -0.236)
+    n = 400
+    coupling = build_coupling("bipartite", n)
+    law = count_law(coupling)
+    means = [tilted_table(law.values, law.log_mult, t)[1] for t in (0.5, 1.5)]
+    stats = np.array([-2.0, -1.0, -0.5, 0.0, *(2.0 * np.array(means))])
+    exact = mle_suff_stats(coupling, stats)
+    plugin = mle_suff_stats(CouplingMatrix(n, coupling.entries, "custom"), stats)
+    assert exact.route == "exact" and plugin.route == "plugin"
+    assert exact.exists.all() and abs(exact.value[-1] - 1.5) < 1e-9
+    assert plugin.exists.tolist() == [False] * 5 + [True]
+    assert np.isnan(plugin.value[:5]).all() and np.isnan(plugin.residual[:5]).all()
+    assert (plugin.iterations[:5] == 0).all()
+    assert abs(plugin.value[-1] - 1.5) < 0.01
+    # past the enumeration a degree-4 graph is too sparse for the plug-in
+    # (n * max entry is 8.5) and has no estimate; degree n/2 takes it
+    for d, route in ((4, None), (17, "plugin")):
+        rows = mle_suff_stats(build_coupling("random_regular", 34, d=d, seed=3), [20.0])
+        assert rows.route == route
+        assert rows.exists[0] == (route is not None)
+        assert np.isnan(rows.value[0]) == (route is None)
+
+
 # bounds on the median and the 90th percentile of sqrt(n) |plug-in - exact|,
 # as fractions of the limit SD 1/sqrt(I(theta0)) of sqrt(n)(mle - theta0)
 PLUGIN_MEDIAN, PLUGIN_P90 = 0.15, 0.3
@@ -362,7 +389,9 @@ def test_plugin_mle_tracks_the_enumerated_mle(n, theta0):
     stats = values[np.minimum(np.searchsorted(cdf, uniforms), values.size - 1)]
     exact = mle_suff_stats(coupling, stats)
     plugin = mle_suff_stats(build_coupling("complete", n), stats)
-    plugin.value[~plugin.exists] = math.nan
+    # the plug-in route withholds every root of at most PLUGIN_MIN_ROOT
+    withheld = ~plugin.exists | (plugin.value <= inference.PLUGIN_MIN_ROOT)
+    plugin.value[withheld], plugin.exists[withheld] = math.nan, False
     gaps = _plugin_gaps(n, plugin, exact.value, exact.exists)
     sd = 1.0 / math.sqrt(information_rate(theta0))
     assert np.median(gaps) <= 2 * PLUGIN_MEDIAN * sd, gaps
