@@ -53,10 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="key=value config file")
     p_run.add_argument("--output", default=None, help="override output_path")
 
-    p_spec = sub.add_parser("spectra", help="spectrum report for a family")
+    # spectra and power pass on only the experiment flags given; the
+    # experiment fills the rest from its own defaults
+    given = {"argument_default": argparse.SUPPRESS}
+    p_spec = sub.add_parser("spectra", help="spectrum report for a family", **given)
     _add_family_args(p_spec)
     p_spec.add_argument("--n", required=True, help="size or comma list")
-    p_spec.add_argument("--seed", type=int, default=20260815)
+    p_spec.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
     p_spec.add_argument("--output", default=None)
 
     p_est = sub.add_parser("estimate", help="estimate theta from a sample dump")
@@ -67,15 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_est.add_argument("--output", default=None)
 
-    p_pow = sub.add_parser("power", help="empirical and limiting power curves")
+    p_pow = sub.add_parser("power", help="empirical and limiting power curves", **given)
     _add_family_args(p_pow)
     p_pow.add_argument("--n", type=int, required=True)
     p_pow.add_argument("--theta0", type=float, required=True)
-    p_pow.add_argument("--h", default="0,0.5,1,2,4", help="comma grid")
-    p_pow.add_argument("--alpha", type=float, default=0.05)
-    p_pow.add_argument("--reps", type=int, default=2000)
-    p_pow.add_argument("--seed", type=int, default=20260815)
-    p_pow.add_argument("--calibration", choices=CALIBRATIONS, default="monte_carlo")
+    p_pow.add_argument("--h", help="comma grid")
+    p_pow.add_argument("--alpha", type=float)
+    p_pow.add_argument("--reps", type=int)
+    p_pow.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
+    p_pow.add_argument("--calibration", choices=CALIBRATIONS)
     p_pow.add_argument("--output", default=None)
 
     p_lim = sub.add_parser("limits", help="draws from the limiting laws")
@@ -111,11 +114,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_int_grid(text: str) -> tuple:
+def _parse_grid(text: str, flag: str, kind=int) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise ConfigError(f"--n: cannot parse {text!r}") from exc
+        raise ConfigError(f"{flag}: cannot parse {text!r}") from exc
+
+
+def _given(args, keys) -> dict:
+    """The experiment flags among ``keys`` that the command line gave."""
+    return {key: getattr(args, key) for key in keys if key in args}
 
 
 def _cmd_spectra(args) -> int:
@@ -124,8 +132,8 @@ def _cmd_spectra(args) -> int:
         family=args.family,
         q=args.q,
         d=args.d,
-        n=_parse_int_grid(args.n),
-        master_seed=args.seed,
+        n=_parse_grid(args.n, "--n"),
+        **_given(args, ("master_seed",)),
     )
     _write_text(render_csv(run_experiment(config)), args.output)
     return 0
@@ -165,10 +173,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    try:
-        h_grid = tuple(float(p) for p in args.h.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"--h: cannot parse {args.h!r}") from exc
+    options = _given(args, ("alpha", "reps", "master_seed", "calibration"))
+    if "h" in args:
+        options["h"] = _parse_grid(args.h, "--h", float)
     config = ExperimentConfig(
         experiment="power_curve",
         family=args.family,
@@ -176,11 +183,7 @@ def _cmd_power(args) -> int:
         d=args.d,
         n=(args.n,),
         theta0=args.theta0,
-        h=h_grid,
-        alpha=args.alpha,
-        reps=args.reps,
-        master_seed=args.seed,
-        calibration=args.calibration,
+        **options,
     )
     _write_text(render_csv(run_experiment(config)), args.output)
     return 0

@@ -1,25 +1,31 @@
 """Point estimation of the inverse temperature.
 
-The pseudolikelihood estimate solves x'Qx = sum_i t_i tanh(theta t_i), a
-strictly increasing equation in theta whenever any local field is nonzero;
-we bracket by doubling outward from theta = 1 and run safeguarded Newton
-inside the bracket, for any number of equations in one batched solve
-(``_pl_rows``). On a coupling with a count law the estimate depends on the
-atom (the plus count of each class) alone, symmetrically under the global
-flip k <-> m - k: ``mple_counts`` solves each distinct folded atom of an
-atom array once.
+Both estimates are roots of an equation increasing in theta, and one
+solver finds them, ``_solve_rows``: for any number of rows at once it
+brackets by doubling outward from theta = 1 and runs safeguarded Newton
+inside the bracket. Its ``iterations`` count the bracket steps and Newton
+evaluations.
 
-The likelihood estimate solves dlog Z/dtheta = x'Qx / 2 with one solver,
-``_table_mle``, on an exact (x'Qx, log multiplicity) table the sampler
-caches. ``_mle_table`` picks the table of a coupling and names its route:
+The pseudolikelihood estimate solves x'Qx = sum_i t_i tanh(theta t_i),
+strictly increasing whenever any local field is nonzero (``_pl_rows``).
+On a coupling with a count law the estimate depends on the atom (the
+plus count of each class) alone, symmetrically under the global flip
+k <-> m - k: ``mple_counts`` solves each distinct folded atom of an atom
+array once.
 
-* ``exact``: the count law's table of a block coupling under the atom cap,
-  at any n, else the 2^n enumeration for n <= 24;
+The likelihood estimate solves dlog Z/dtheta = x'Qx / 2 (``_table_mle``)
+on an exact table of sorted distinct x'Qx floats with log multiplicities
+that the sampler caches; g' is Var(x'Qx)/4 under the same tilted
+weights. ``_mle_table`` picks the table of a coupling and names its route:
+
+* ``exact``: the count law's merged table of a block coupling under the
+  atom cap, at any n, else the 2^n enumeration for n <= 24;
 * ``plugin``: past both, for a regular coupling (coupling.regularity) that
-  is dense (n * max entry at most PLUGIN_ENTRY_BOUND), the complete
-  coupling's count law of the same n. There log Z is the mean-field log Z
-  plus an O(1) smooth term, while above theta = 1 its second derivative is
-  of order n, so a plug-in root above PLUGIN_MIN_ROOT moves by O(1/n);
+  is dense (n * max entry at most PLUGIN_ENTRY_BOUND), the merged table of
+  the complete coupling's count law of the same n. There log Z is the
+  mean-field log Z plus an O(1) smooth term, while above theta = 1 its
+  second derivative is of order n, so a plug-in root above
+  PLUGIN_MIN_ROOT moves by O(1/n);
 * none otherwise: a sparse regular graph's dropped term grows with n/d.
 
 ``mle_suff_stats`` solves each distinct value of a column of x'Qx once on
@@ -53,7 +59,6 @@ from .sampler import (
     suff_stat_table,
     tilted_table,
 )
-from .special import brentq
 
 RESIDUAL_SCALE = 1e-12
 # The likelihood residual must be at most 1e-10, or MLE_RESIDUAL_ULPS rounding
@@ -61,6 +66,11 @@ RESIDUAL_SCALE = 1e-12
 # past n = 1760): there the O(n) log weights themselves round above 1e-10.
 MLE_RESIDUAL = 1e-10
 MLE_RESIDUAL_ULPS = 256
+# _solve_rows stops at a residual of RESIDUAL_SCALE times a row's scale:
+# sum|t_i| for the pseudolikelihood, MLE_SCALE |s| for the likelihood. That
+# is 1e-15 |s|, a few rounding units of s/2; where the tilted mean rounds
+# coarser, the loop runs on until its bracket closes
+MLE_SCALE = 1e-3
 # Existence is an open-interval condition on quantities that arrive through
 # floating point; a statistic within this relative distance of an attainable
 # extreme is treated as sitting on it (the coupling entries themselves are
@@ -115,68 +125,44 @@ class PLRows(NamedTuple):
     residual: np.ndarray
 
 
-def _pl_rows(t, w, s) -> PLRows:
-    """Pseudolikelihood estimates for rows of field values, weights, targets.
+def _solve_rows(g, gprime, targets, scale):
+    """Roots of g(theta, rows) = targets[rows], each increasing in theta.
 
-    Row i solves sum_j w_ij t_ij tanh(theta t_ij) = s_i. It has a root iff
-    s_i lies strictly inside (-sum_j w_ij|t_ij|, sum_j w_ij|t_ij|); all-zero
-    fields are the degenerate case (NaN), and other rows without a root get
-    the signed infinity of s_i. Each row with a root runs its own iteration,
-    independent of the other rows: the bracket doubles outward from 1, then
-    Newton runs inside it with a bisection fallback until the residual is at
-    most RESIDUAL_SCALE sum w|t| or the bracket is narrower than 1e-15
-    relative, within 200 evaluations. ``iterations`` counts the bracket
-    steps and Newton evaluations.
+    g and gprime take the thetas and indices of some rows; gprime is only
+    called right after g at the same thetas, so it may read g's pass. Each
+    row runs its own iteration, independent of the other rows: the bracket
+    doubles outward from 1, then Newton runs inside it with a bisection
+    fallback until the residual is at most RESIDUAL_SCALE * scale or the
+    bracket is narrower than 1e-15 relative, within 200 evaluations.
+    Returns (theta, iterations, lo, hi, residual) per row, ``iterations``
+    counting the bracket steps and Newton evaluations.
     """
-    t = np.asarray(t, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    sum_abs = np.add.reduce(w * np.abs(t), axis=1)
-    tol = BOUNDARY_GUARD * np.maximum(1.0, sum_abs)
-    exists = (sum_abs != 0.0) & (-sum_abs + tol < s) & (s < sum_abs - tol)
-    value = np.where(s > 0.0, math.inf, -math.inf)
-    value[sum_abs == 0.0] = math.nan
-    iterations = np.zeros(s.size, dtype=np.int64)
-    lo, hi, residual = (np.full(s.size, math.nan) for _ in range(3))
+    def f(theta, rows):
+        return g(theta, rows) - targets[rows]
 
-    # solve the rows with a root; g and g' form w*t and w*t*t before any
-    # other product, so forming them once changes no bit
-    idx = np.flatnonzero(exists)
-    t, s, scale = t[idx], s[idx], sum_abs[idx]
-    wt = w[idx] * t
-    wtt = wt * t
-
-    def g(theta, rows):
-        terms = wt[rows] * np.tanh(theta[:, None] * t[rows])
-        return np.add.reduce(terms, axis=1) - s[rows]
-
-    def gprime(theta, rows):
-        sech_sq = 1.0 / np.cosh(theta[:, None] * t[rows]) ** 2
-        return np.add.reduce(wtt[rows] * sech_sq, axis=1)
-
-    every = np.arange(idx.size)
-    theta = np.ones(idx.size)
-    b_lo, b_hi, step = theta.copy(), theta.copy(), np.ones(idx.size)
-    iters = np.zeros(idx.size, dtype=np.int64)
-    g0 = g(theta, every)
-    # rows with g(1) > 0 move the lower end down, rows below 0
+    every = np.arange(targets.size)
+    theta = np.ones(targets.size)
+    b_lo, b_hi, step = theta.copy(), theta.copy(), np.ones(targets.size)
+    iters = np.zeros(targets.size, dtype=np.int64)
+    f0 = f(theta, every)
+    # rows with f(1) > 0 move the lower end down, rows below 0
     # the upper end up, doubling the step each time
-    for edge, sign, moving in ((b_lo, -1.0, g0 > 0.0), (b_hi, 1.0, g0 < 0.0)):
+    for edge, sign, moving in ((b_lo, -1.0, f0 > 0.0), (b_hi, 1.0, f0 < 0.0)):
         moving = np.flatnonzero(moving)
         while moving.size:
             edge[moving] += sign * step[moving]
             step[moving] *= 2.0
             iters[moving] += 1
             if (iters[moving] > 80).any():
-                raise NumericError("pseudolikelihood bracketing ran away")
-            moving = moving[sign * g(edge[moving], moving) < 0.0]
+                raise NumericError("bracketing ran away")
+            moving = moving[sign * f(edge[moving], moving) < 0.0]
 
-    active = np.flatnonzero(g0 != 0.0)
+    active = np.flatnonzero(f0 != 0.0)
     theta[active] = 0.5 * (b_lo[active] + b_hi[active])
     for _ in range(200):
         if not active.size:
             break
-        val = g(theta[active], active)
+        val = f(theta[active], active)
         iters[active] += 1
         going = np.abs(val) > RESIDUAL_SCALE * scale[active]
         rows, val, th = active[going], val[going], theta[active[going]]
@@ -192,10 +178,47 @@ def _pl_rows(t, w, s) -> PLRows:
         theta[rows] = th
         active = rows[r_hi - r_lo >= 1e-15 * np.maximum(1.0, np.abs(th))]
     if active.size:
-        raise NumericError("pseudolikelihood Newton did not converge")
+        raise NumericError("Newton did not converge")
+    return theta, iters, b_lo, b_hi, f(theta, every)
 
-    value[idx], iterations[idx], lo[idx], hi[idx] = theta, iters, b_lo, b_hi
-    residual[idx] = g(theta, every)
+
+def _pl_rows(t, w, s) -> PLRows:
+    """Pseudolikelihood estimates for rows of field values, weights, targets.
+
+    Row i solves sum_j w_ij t_ij tanh(theta t_ij) = s_i. It has a root iff
+    s_i lies strictly inside (-sum_j w_ij|t_ij|, sum_j w_ij|t_ij|); all-zero
+    fields are the degenerate case (NaN), and other rows without a root get
+    the signed infinity of s_i. The rows with a root go to _solve_rows at
+    scale sum_j w_ij|t_ij|.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    sum_abs = np.add.reduce(w * np.abs(t), axis=1)
+    tol = BOUNDARY_GUARD * np.maximum(1.0, sum_abs)
+    exists = (sum_abs != 0.0) & (-sum_abs + tol < s) & (s < sum_abs - tol)
+    value = np.where(s > 0.0, math.inf, -math.inf)
+    value[sum_abs == 0.0] = math.nan
+    iterations = np.zeros(s.size, dtype=np.int64)
+    lo, hi, residual = (np.full(s.size, math.nan) for _ in range(3))
+
+    # solve the rows with a root; g and g' form w*t and w*t*t before any
+    # other product, so forming them once changes no bit
+    idx = np.flatnonzero(exists)
+    t = t[idx]
+    wt = w[idx] * t
+    wtt = wt * t
+
+    def g(theta, rows):
+        return np.add.reduce(wt[rows] * np.tanh(theta[:, None] * t[rows]), axis=1)
+
+    def gprime(theta, rows):
+        sech_sq = 1.0 / np.cosh(theta[:, None] * t[rows]) ** 2
+        return np.add.reduce(wtt[rows] * sech_sq, axis=1)
+
+    value[idx], iterations[idx], lo[idx], hi[idx], residual[idx] = _solve_rows(
+        g, gprime, s[idx], sum_abs[idx]
+    )
     return PLRows(value, exists, iterations, lo, hi, sum_abs, residual)
 
 
@@ -261,60 +284,61 @@ def mple(x, coupling: CouplingMatrix | None = None) -> EstimateResult:
     return result
 
 
+def _exact_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (x'Qx, log multiplicity) table of a count law or the enumeration."""
+    law = count_law(coupling)
+    if law is not None:
+        return law.merged()
+    values, counts = suff_stat_table(coupling)
+    return values, np.log(counts)
+
+
 def suff_stat_bounds(coupling: CouplingMatrix) -> tuple[float, float]:
     """Attainable (min, max) of x'Qx over all configurations.
 
-    A count law's table extremes, and exhaustive enumeration otherwise
-    (n <= 24).
+    The ends of the count law's merged table, and of the exhaustive
+    enumeration otherwise (n <= 24).
     """
-    law = count_law(coupling)
-    if law is not None:
-        return float(law.values.min()), float(law.values.max())
-    values = suff_stat_table(coupling)[0]
+    values = _exact_table(coupling)[0]
     return float(values[0]), float(values[-1])
 
 
 def _table_mle(s: float, values: np.ndarray, log_mult: np.ndarray) -> EstimateResult:
-    """Solve dlog Z/dtheta = s / 2 on an exact (x'Qx, log multiplicity) table.
+    """Solve dlog Z/dtheta = s / 2 on a sorted exact (x'Qx, log multiplicity) table.
 
-    The root exists iff s lies strictly between the table's extremes. Brent
-    runs on a bracket doubled outward from (-1, 1), and the residual at the
-    root must be at most 1e-10 (or MLE_RESIDUAL_ULPS rounding units of the
-    table's range).
+    The root exists iff s lies strictly between the table's ends. It is the
+    one row of _solve_rows, whose g' is Var(x'Qx)/4 under the weights of
+    the same tilted pass as g, and the residual at the root must be at most
+    1e-10 (or MLE_RESIDUAL_ULPS rounding units of the table's range).
     """
-    a_n, b_n = float(values.min()), float(values.max())
+    a_n, b_n = float(values[0]), float(values[-1])
     diagnostics = {"a_n": a_n, "b_n": b_n}
     if not _inside_bounds(s, a_n, b_n):
         value = math.inf if s >= 0.5 * (a_n + b_n) else -math.inf
-        return EstimateResult(
-            value=value, exists=False, method="mle_exact", iterations=0,
-            bracket=None, diagnostics=diagnostics,
-        )
-    half = 0.5 * s
+        return EstimateResult(value, False, "mle_exact", 0, None, diagnostics)
+    tilt = [None]
 
-    def g(theta):
-        return tilted_table(values, log_mult, theta)[1] - half
+    def mean(theta, rows):
+        # the one row's tilted pass, kept for the slope at the same theta
+        tilt[0] = tilted_table(values, log_mult, float(theta[0]))
+        return np.array([tilt[0][1]])
 
-    lo, hi, iters = -1.0, 1.0, 0
-    while g(lo) > 0.0:
-        lo *= 2.0
-        iters += 1
-        if iters > 80:
-            raise NumericError("likelihood bracketing ran away low")
-    while g(hi) < 0.0:
-        hi *= 2.0
-        iters += 1
-        if iters > 80:
-            raise NumericError("likelihood bracketing ran away high")
-    value = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    residual = abs(g(value))
+    def variance(theta, rows):
+        _, m, pmf = tilt[0]
+        return np.array([pmf @ (0.5 * values - m) ** 2 for _ in rows])
+
     tol = max(MLE_RESIDUAL, MLE_RESIDUAL_ULPS * np.finfo(float).eps * (b_n - a_n))
+    theta, iters, lo, hi, residual = _solve_rows(
+        mean, variance, np.array([0.5 * s]), np.array([MLE_SCALE * abs(s)])
+    )
+    residual = abs(float(residual[0]))
     if residual > tol:
         raise NumericError(f"likelihood residual {residual:.2e} above {tol:.2e}")
     diagnostics["residual"] = residual
     return EstimateResult(
-        value=float(value), exists=True, method="mle_exact",
-        iterations=iters, bracket=(lo, hi), diagnostics=diagnostics,
+        value=float(theta[0]), exists=True, method="mle_exact",
+        iterations=int(iters[0]), bracket=(float(lo[0]), float(hi[0])),
+        diagnostics=diagnostics,
     )
 
 
@@ -350,17 +374,12 @@ def _mle_table(coupling: CouplingMatrix) -> tuple | None:
     PLUGIN_ENTRY_BOUND solves on complete_law(n), the ``plugin`` route. Any
     other coupling has no table: None.
     """
-    law = count_law(coupling)
-    if law is not None:
-        return "exact", law.values, law.log_mult
-    if coupling.n <= ENUMERATION_MAX_N:
-        values, counts = suff_stat_table(coupling)
-        return "exact", values, np.log(counts)
+    if count_law(coupling) is not None or coupling.n <= ENUMERATION_MAX_N:
+        return ("exact", *_exact_table(coupling))
     entry_bound = coupling.n * coupling.max_entry()
     dense = entry_bound <= PLUGIN_ENTRY_BOUND * (1.0 + BOUNDARY_GUARD)
     if dense and regularity(coupling)[1]:
-        law = complete_law(coupling.n)
-        return "plugin", law.values, law.log_mult
+        return ("plugin", *complete_law(coupling.n).merged())
     return None
 
 

@@ -33,10 +33,13 @@ built once per coupling and cached) and, for a block coupling whose
 Π(m_a + 1) class-count vectors fit under COUNT_LAW_MAX_ATOMS, the table
 over those vectors (``count_law``, cached per class sizes and weights).
 ``tilted_table`` turns a table into log Z, its derivative and the tilted
-pmf, which a count law keeps for its latest thetas; the mean-field
-``cw_log_partition`` is a thin caller of it on ``complete_law(n)``, and the
-MLE solves on the same tables. The tables are in matrix convention; the
-mean-field nx̄²/2 convention differs from it by exactly theta/2.
+pmf, which a count law keeps for its latest theta; the mean-field
+``cw_log_partition`` is a thin caller of it on ``complete_law(n)``. The
+MLE solves on one kind of table, sorted distinct floats: the enumeration
+is one already, and a count law merges its atoms' equal values once, on
+the first read (``CountLaw.merged``). The tables are in matrix
+convention; the mean-field nx̄²/2 convention differs from it by exactly
+theta/2.
 """
 from __future__ import annotations
 
@@ -498,8 +501,6 @@ class CountLaw:
     and xbar -+ 1/n bit for bit wherever n (1/n) == 1.
     """
 
-    TILTED_CACHE = 4
-
     def __init__(self, n: int, sizes=None, weights=None) -> None:
         if n < 1:
             raise CapacityError("a count law needs n >= 1")
@@ -526,9 +527,9 @@ class CountLaw:
         self.log_mult = self.log_mult.reshape(-1)
         self.values.flags.writeable = False
         self.log_mult.flags.writeable = False
-        # caches that live and die with the law: the tilted tables by theta,
-        # least recently read first, and the statistic columns by kind
-        self._tilted: dict = {}
+        # caches that live and die with the law: the latest (theta, tilted
+        # table), the merged table and the statistic columns by kind
+        self._tilted = self._merged = None
         self.statistics: dict = {}
 
     def _values(self, k) -> np.ndarray:
@@ -595,19 +596,36 @@ class CountLaw:
         return np.stack(t, axis=1), np.stack(w, axis=1).astype(np.float64)
 
     def tilted(self, theta: float) -> tuple[float, float, np.ndarray]:
-        """tilted_table of the law at ``theta``, once per theta; pmf read-only.
+        """tilted_table of the law at ``theta``, pmf read-only.
 
-        The law keeps the TILTED_CACHE most recently read thetas.
+        The law keeps the latest theta's: every caller reads one theta
+        several times in a row.
         """
-        tilt = self._tilted.pop(theta, None)
-        if tilt is None:
+        if self._tilted is None or self._tilted[0] != theta:
             log_z, dlog_z, pmf = tilted_table(self.values, self.log_mult, theta)
             pmf.flags.writeable = False
-            tilt = log_z, dlog_z, pmf
-            if len(self._tilted) == self.TILTED_CACHE:
-                del self._tilted[next(iter(self._tilted))]
-        self._tilted[theta] = tilt
-        return tilt
+            self._tilted = theta, (log_z, dlog_z, pmf)
+        return self._tilted[1]
+
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """The law's x'Qx as sorted distinct floats, with log multiplicities.
+
+        Equal values are merged by a stable sort and a log-sum-exp of their
+        log multiplicities in atom order. Built on the first read and kept
+        with the law, read-only.
+        """
+        if self._merged is None:
+            order = self.values.argsort(kind="stable")
+            values = self.values[order]
+            starts = _run_starts(values)
+            # cut the sorted floats to their runs first: with the sorted log
+            # multiplicities they would be two more floats per atom at once
+            values = values[starts]
+            log_mult = np.logaddexp.reduceat(self.log_mult[order], starts)
+            self._merged = values, log_mult
+            for table in self._merged:
+                table.flags.writeable = False
+        return self._merged
 
     def atoms(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """The atoms with positive mass at ``theta``, and their masses."""

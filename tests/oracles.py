@@ -2,11 +2,12 @@
 table mirrored and a full doubling over all 2^n codes, the 2^n
 state law, its exact one-sweep Glauber kernel, the per-sweep Glauber
 loop, the conditional flip probability, the enumerated sufficient-statistic
-pmf, the Monte Carlo limiting power and the sample quantile.
+pmf, the Brent MLE on an unsorted table, the Monte Carlo limiting power and
+the sample quantile.
 
 They build on the package's enumeration (``_double``, ``suff_stat_table``,
-``tilted_table``), Glauber start (``_initial_spins``) and limit laws
-(``limit_power``, ``_limit_cutoff``, ``sample_mple_limit``,
+``tilted_table``), Glauber start (``_initial_spins``), ``brentq`` and limit
+laws (``limit_power``, ``_limit_cutoff``, ``sample_mple_limit``,
 ``CriticalLaw``); no package code calls them.
 """
 from __future__ import annotations
@@ -17,8 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ising_infer.coupling import CouplingMatrix
-from ising_infer.errors import CapacityError, ParameterError
+from ising_infer.errors import CapacityError, NumericError, ParameterError
 from ising_infer.htests import _limit_cutoff, limit_power
+from ising_infer.inference import (
+    MLE_RESIDUAL,
+    MLE_RESIDUAL_ULPS,
+    EstimateResult,
+    _inside_bounds,
+)
 from ising_infer.sampler import (
     ENUMERATION_MAX_N,
     _double,
@@ -26,6 +33,7 @@ from ising_infer.sampler import (
     suff_stat_table,
     tilted_table,
 )
+from ising_infer.special import brentq
 from ising_infer.streams import derive_seed
 from ising_infer.theory import CriticalLaw, sample_mple_limit
 
@@ -164,6 +172,44 @@ def doubling_suff_stats(coupling: CouplingMatrix) -> np.ndarray:
         np.add(out[:m], g, out=out[m : 2 * m])
         out[:m] -= g
     return out
+
+
+def brent_table_mle(s: float, values, log_mult) -> EstimateResult:
+    """Solve dlog Z/dtheta = s / 2 on an (x'Qx, log multiplicity) table in any order.
+
+    The oracle of ``inference._table_mle``. The root exists iff s lies
+    strictly between the table's min and max. Brent runs on a bracket
+    doubled outward from (-1, 1), to xtol 1e-14 and rtol 8.9e-16, and the
+    residual at the root must be at most the package's likelihood bound.
+    """
+    a_n, b_n = float(values.min()), float(values.max())
+    diagnostics = {"a_n": a_n, "b_n": b_n}
+    if not _inside_bounds(s, a_n, b_n):
+        value = math.inf if s >= 0.5 * (a_n + b_n) else -math.inf
+        return EstimateResult(value, False, "mle_exact", 0, None, diagnostics)
+    half = 0.5 * s
+
+    def g(theta):
+        return tilted_table(values, log_mult, theta)[1] - half
+
+    lo, hi, iters = -1.0, 1.0, 0
+    while g(lo) > 0.0:
+        lo *= 2.0
+        iters += 1
+        if iters > 80:
+            raise NumericError("likelihood bracketing ran away low")
+    while g(hi) < 0.0:
+        hi *= 2.0
+        iters += 1
+        if iters > 80:
+            raise NumericError("likelihood bracketing ran away high")
+    value = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    residual = abs(g(value))
+    tol = max(MLE_RESIDUAL, MLE_RESIDUAL_ULPS * np.finfo(float).eps * (b_n - a_n))
+    if residual > tol:
+        raise NumericError(f"likelihood residual {residual:.2e} above {tol:.2e}")
+    diagnostics["residual"] = residual
+    return EstimateResult(value, True, "mle_exact", iters, (lo, hi), diagnostics)
 
 
 def per_sweep_run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:

@@ -317,12 +317,14 @@ def test_count_law_estimator_hashes_each_seed_once(monkeypatch):
 
 def test_complete_estimator_law_solves_each_fold_once(monkeypatch):
     # the MLE is a function of min(k, n - k): one solve per distinct fold
-    # per n, however many replications share it
+    # per n, however many replications share it. The merged tables of n =
+    # 60 and 61 both hold 31 values, so each solve is told apart by its
+    # table's top value, n - 1
     solves = []
     table_mle = inference._table_mle
 
     def counting(s, values, log_mult):
-        solves.append(values.size - 1)
+        solves.append(round(values[-1]) + 1)
         return table_mle(s, values, log_mult)
 
     monkeypatch.setattr(inference, "_table_mle", counting)
@@ -1060,6 +1062,34 @@ def test_cli_spectra_stdout(capsys):
     assert lines[1].split(",")[0] == "n"
     assert len(lines) == 4
     assert lines[2].split(",")[0] == "9" and lines[3].split(",")[0] == "12"
+
+
+def test_cli_passes_only_the_flags_given(monkeypatch):
+    # power and spectra leave every flag not given to the experiment's own
+    # defaults, so a bare command runs the same config as the config file
+    from ising_infer import cli
+
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", configs.append)
+    monkeypatch.setattr(cli, "render_csv", lambda result: "")
+    assert main(["power", "--family", "complete", "--n", "400", "--theta0", "1.5"]) == 0
+    assert main(["spectra", "--family", "qpartite", "--q", "3", "--n", "90,180"]) == 0
+    power = ["power", "--family", "complete", "--n", "40", "--theta0", "1"]
+    flags = ["--h", "0,1", "--alpha", "0.1", "--reps", "30", "--seed", "5"]
+    assert main([*power, *flags, "--calibration", "asymptotic"]) == 0
+    assert configs == [
+        ExperimentConfig(
+            experiment="power_curve", family="complete", n=(400,), theta0=1.5
+        ),
+        ExperimentConfig(
+            experiment="spectrum_report", family="qpartite", q=3, n=(90, 180)
+        ),
+        ExperimentConfig(
+            experiment="power_curve", family="complete", n=(40,), theta0=1.0,
+            h=(0.0, 1.0), alpha=0.1, reps=30, master_seed=5,
+            calibration="asymptotic",
+        ),
+    ]
 
 
 def test_cli_spectra_bad_grid(capsys):

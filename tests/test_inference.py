@@ -27,7 +27,7 @@ from ising_infer import (
 )
 from ising_infer import inference, sampler
 from ising_infer.sampler import CountLaw, tilted_table
-from oracles import enumerate_state_distribution, suff_stats_by_code
+from oracles import brent_table_mle, enumerate_state_distribution, suff_stats_by_code
 
 
 def _spins_from_code(code: int, n: int) -> np.ndarray:
@@ -279,6 +279,64 @@ def _merged_table(values, log_mult):
     values = values[order]
     starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
     return values[starts], np.logaddexp.reduceat(log_mult[order], starts)
+
+
+def test_merged_tables_are_the_sorted_distinct_values():
+    for coupling in (
+        build_coupling("complete", 60),
+        build_coupling("complete", 61),
+        build_coupling("bipartite", 400),
+        build_coupling("qpartite", 45, q=3),
+    ):
+        law = count_law(coupling)
+        values, log_mult = law.merged()
+        want_values, want_log_mult = _merged_table(law.values, law.log_mult)
+        assert np.array_equal(values, want_values)
+        assert np.allclose(log_mult, want_log_mult, rtol=1e-14, atol=0.0)
+        assert (values[0], values[-1]) == (law.values.min(), law.values.max())
+        assert law.merged()[0] is values
+        assert not values.flags.writeable and not log_mult.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "family, n, kwargs",
+    [
+        ("complete", 60, {}),
+        ("complete", 61, {}),
+        ("complete", 1600, {}),
+        ("bipartite", 400, {}),
+        ("random_regular", 20, {"d": 10, "seed": 7}),
+    ],
+)
+def test_mle_matches_the_brent_oracle_on_the_unmerged_table(family, n, kwargs):
+    # the one root-finder on the merged table against Brent on the count
+    # law in atom order (or the enumeration), at every value of a table of
+    # at most 2000 entries, else at 50 draws from each of four thetas. The
+    # error is relative to max(1, |theta|): near theta = 0 both solvers
+    # stop on an absolute bracket width
+    coupling = build_coupling(family, n, **kwargs)
+    law = count_law(coupling)
+    if law is None:
+        values, counts = suff_stat_table(coupling)
+        log_mult = np.log(counts)
+    else:
+        values, log_mult = law.values, law.log_mult
+    stats = values
+    if values.size > 2000:
+        thetas = (0.5, 1.0, 1.5, 3.0)
+        uniforms = np.random.default_rng(derive_seed(13, n)).random((len(thetas), 50))
+        stats = np.concatenate(
+            [values[draw_counts(law, t, u)] for t, u in zip(thetas, uniforms)]
+        )
+    rows = mle_suff_stats(coupling, stats)
+    assert rows.route == "exact"
+    for s, value, exists in zip(stats, rows.value, rows.exists):
+        want = brent_table_mle(float(s), values, log_mult)
+        assert exists == want.exists, s
+        if exists:
+            assert abs(value - want.value) <= 1e-13 * max(1.0, abs(want.value)), s
+        else:
+            assert value == want.value, s
 
 
 def _plugin_gaps(n, plugin, value, exists):

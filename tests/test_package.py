@@ -227,6 +227,35 @@ def test_no_estimator_draws_a_chain():
     assert _chain_imports(Path(ising_infer.__file__).parent / "inference.py") == []
 
 
+def test_both_likelihood_equations_share_one_root_finder():
+    # the pseudolikelihood and likelihood equations are both increasing in
+    # theta and solved by the one bracket-and-Newton loop, _solve_rows;
+    # Brent's method stays with the limit-law quantiles in theory.py
+    tree = ast.parse((Path(ising_infer.__file__).parent / "inference.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "brentq" not in names
+    calls = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            calls[fn.name] = {
+                node.func.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+    assert "_solve_rows" in calls["_pl_rows"]
+    assert "_solve_rows" in calls["_table_mle"]
+    assert [name for name, called in calls.items() if "_solve_rows" in called] == [
+        "_pl_rows", "_table_mle"
+    ]
+
+
 def _imported_modules(path: Path) -> set:
     modules = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
