@@ -1,6 +1,13 @@
 """Estimation and hypothesis testing for one-parameter spin models on
 dense regular coupling matrices: samplers, limit-law theory, point
-estimators, calibrated tests, and a config-driven experiment harness."""
+estimators, calibrated tests, and a config-driven experiment harness.
+
+``__version__`` and the error classes load with the package. Every other
+public name is loaded on its first access (PEP 562 module ``__getattr__``)
+from its home module in ``_HOMES``, so ``import ising_infer`` loads no
+numpy and each experiment loads only the modules it runs.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
@@ -12,78 +19,83 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .streams import derive_seed, derive_seeds, substream
-from .coupling import (
-    FAMILIES,
-    CouplingMatrix,
-    LimitingSpectrum,
-    SpectralSummary,
-    ValidationReport,
-    build_coupling,
-    centered_quadratic_forms,
-    limiting_spectrum,
-    load_matrix,
-    quadratic_form,
-    save_matrix,
-    spectrum,
-    validate_assumptions,
-)
-from .sampler import (
-    SpinConfiguration,
-    count_law,
-    cw_log_partition,
-    draw_counts,
-    glauber_sample,
-    glauber_series,
-    read_sample_dump,
-    suff_stat_table,
-    write_sample_dump,
-)
-from .theory import (
-    CriticalLaw,
-    critical_law,
-    delta_log_partition,
-    information_rate,
-    log_partition_shift,
-    magnetization_slope,
-    magnetization_variance,
-    mle_critical_cdf,
-    mple_limit_quantile,
-    mple_limit_sf,
-    quadratic_limit_mean,
-    sample_mple_limit,
-    sample_quadratic_limits,
-    spontaneous_magnetization,
-)
-from .inference import (
-    EstimateResult,
-    mle_exact,
-    mle_suff_stats,
-    mple,
-    mple_counts,
-    suff_stat_bounds,
-)
-from .htests import (
-    Calibration,
-    DrawSet,
-    TestOutcome,
-    TestSpec,
-    calibrate,
-    empirical_power,
-    exact_power,
-    limit_power,
-    run_test,
-    test_statistic,
-)
-from .harness import (
-    ExperimentConfig,
-    config_hash,
-    emit,
-    load_config,
-    parse_config,
-    read_results,
-    run_experiment,
-)
+
+# home module -> the public names it exports through the package
+_EXPORTS = {
+    "streams": ("derive_seed", "derive_seeds", "substream"),
+    "coupling": (
+        "FAMILIES",
+        "CouplingMatrix",
+        "LimitingSpectrum",
+        "SpectralSummary",
+        "ValidationReport",
+        "build_coupling",
+        "limiting_spectrum",
+        "spectrum",
+        "validate_assumptions",
+        "quadratic_form",
+        "centered_quadratic_forms",
+        "save_matrix",
+        "load_matrix",
+    ),
+    "sampler": (
+        "SpinConfiguration",
+        "suff_stat_table",
+        "glauber_sample",
+        "glauber_series",
+        "count_law",
+        "cw_log_partition",
+        "draw_counts",
+        "write_sample_dump",
+        "read_sample_dump",
+    ),
+    "theory": (
+        "CriticalLaw",
+        "critical_law",
+        "spontaneous_magnetization",
+        "magnetization_variance",
+        "magnetization_slope",
+        "information_rate",
+        "sample_quadratic_limits",
+        "quadratic_limit_mean",
+        "sample_mple_limit",
+        "mple_limit_sf",
+        "mple_limit_quantile",
+        "log_partition_shift",
+        "delta_log_partition",
+        "mle_critical_cdf",
+    ),
+    "inference": (
+        "EstimateResult",
+        "mple",
+        "mple_counts",
+        "suff_stat_bounds",
+        "mle_exact",
+        "mle_suff_stats",
+    ),
+    "htests": (
+        "TestSpec",
+        "Calibration",
+        "TestOutcome",
+        "DrawSet",
+        "test_statistic",
+        "calibrate",
+        "run_test",
+        "empirical_power",
+        "exact_power",
+        "limit_power",
+    ),
+    "harness": (
+        "ExperimentConfig",
+        "parse_config",
+        "load_config",
+        "run_experiment",
+        "emit",
+        "read_results",
+        "config_hash",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -93,66 +105,17 @@ __all__ = [
     "ConstructionError",
     "ConfigError",
     "NumericError",
-    "derive_seed",
-    "derive_seeds",
-    "substream",
-    "FAMILIES",
-    "CouplingMatrix",
-    "LimitingSpectrum",
-    "SpectralSummary",
-    "ValidationReport",
-    "build_coupling",
-    "limiting_spectrum",
-    "spectrum",
-    "validate_assumptions",
-    "quadratic_form",
-    "centered_quadratic_forms",
-    "save_matrix",
-    "load_matrix",
-    "SpinConfiguration",
-    "suff_stat_table",
-    "glauber_sample",
-    "glauber_series",
-    "count_law",
-    "cw_log_partition",
-    "draw_counts",
-    "write_sample_dump",
-    "read_sample_dump",
-    "CriticalLaw",
-    "critical_law",
-    "spontaneous_magnetization",
-    "magnetization_variance",
-    "magnetization_slope",
-    "information_rate",
-    "sample_quadratic_limits",
-    "quadratic_limit_mean",
-    "sample_mple_limit",
-    "mple_limit_sf",
-    "mple_limit_quantile",
-    "log_partition_shift",
-    "delta_log_partition",
-    "mle_critical_cdf",
-    "EstimateResult",
-    "mple",
-    "mple_counts",
-    "suff_stat_bounds",
-    "mle_exact",
-    "mle_suff_stats",
-    "TestSpec",
-    "Calibration",
-    "TestOutcome",
-    "DrawSet",
-    "test_statistic",
-    "calibrate",
-    "run_test",
-    "empirical_power",
-    "exact_power",
-    "limit_power",
-    "ExperimentConfig",
-    "parse_config",
-    "load_config",
-    "run_experiment",
-    "emit",
-    "read_results",
-    "config_hash",
+    *_HOMES,
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -7,6 +7,10 @@ CSV to stdout unless --output is given: spectra and power start with the
 harness's metadata header line, estimate and limits with their bare
 column line. Exit codes: 0 success, 2 configuration/parameter errors,
 3 numeric failures.
+
+Each verb imports the modules it runs: run, spectra and power load what
+their experiment's config loads (harness.ExperimentConfig), estimate the
+sampler and the estimators, limits the limit-law module.
 """
 from __future__ import annotations
 
@@ -15,23 +19,15 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .coupling import FAMILIES, limiting_spectrum, load_matrix
-from .errors import ConfigError, ConstructionError, NumericError, ParameterError
-from .harness import (
-    ExperimentConfig,
-    emit,
-    load_config,
-    render_csv,
-    run_experiment,
+from .coupling import FAMILIES
+from .errors import (
+    CALIBRATIONS,
+    ConfigError,
+    ConstructionError,
+    NumericError,
+    ParameterError,
 )
-from .htests import CALIBRATIONS
-from .inference import mle_suff_stats, mple
-from .sampler import SpinConfiguration, read_sample_dump
-from .streams import derive_seed
-from .theory import sample_mple_limit, sample_quadratic_limits
 
 
 def _add_family_args(parser: argparse.ArgumentParser) -> None:
@@ -104,6 +100,8 @@ def _write_text(text: str, output) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .harness import emit, load_config, run_experiment
+
     config = load_config(args.config)
     result = run_experiment(config)
     path = emit(result, args.output)
@@ -127,6 +125,8 @@ def _given(args, keys) -> dict:
 
 
 def _cmd_spectra(args) -> int:
+    from .harness import ExperimentConfig, render_csv, run_experiment
+
     config = ExperimentConfig(
         experiment="spectrum_report",
         family=args.family,
@@ -140,6 +140,10 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .coupling import load_matrix
+    from .inference import mle_suff_stats, mple
+    from .sampler import SpinConfiguration, read_sample_dump
+
     coupling = load_matrix(args.matrix)
     configs = []
     for index, row in enumerate(read_sample_dump(args.samples)):
@@ -173,6 +177,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .harness import ExperimentConfig, render_csv, run_experiment
+
     options = _given(args, ("alpha", "reps", "master_seed", "calibration"))
     if "h" in args:
         options["h"] = _parse_grid(args.h, "--h", float)
@@ -190,6 +196,12 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    import numpy as np
+
+    from .coupling import limiting_spectrum
+    from .streams import derive_seed
+    from .theory import sample_mple_limit, sample_quadratic_limits
+
     if args.family == "random_regular" and args.eta is None:
         raise ConfigError("--eta: required for random_regular limits")
     if args.reps < 1:

@@ -1,10 +1,18 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and argument limits shared across the package.
 
 Every error raised on purpose derives from IsingInferError so callers can
 catch package failures without swallowing programming errors. The CLI maps
 ConfigError to exit code 2 and NumericError to exit code 3.
+
+The limits that an experiment config is checked against live here too, so
+checking a config loads no module its experiment does not run: the
+calibration modes (htests) and the cap on the local alternative h of the
+critical limit law (theory).
 """
 import numbers
+
+CALIBRATIONS = ("monte_carlo", "asymptotic")
+H_MAX = 50.0
 
 
 class IsingInferError(Exception):

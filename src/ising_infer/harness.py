@@ -16,17 +16,27 @@ exact and drawn from no stream.
 Every critical limit-law number (the estimator-law quartiles,
 limit_law_density) comes from the quadrature of theory.mple_limit_sf and
 draws nothing.
+
+This module imports only errors, streams and coupling when it loads. Each
+pipeline names the further modules it runs next to its entry in
+_PIPELINES, and ExperimentConfig imports them when a config is made: a
+spectrum report loads no sampler, estimator, test or limit-law module, and
+no import falls inside run_experiment.
 """
 from __future__ import annotations
 
+# numpy before the standard library: importing it starts OpenBLAS's worker
+# threads, which spin for about 0.13 s before they sleep, so the sooner it
+# loads, the less of that spin falls into a run made right after its config
+import numpy as np
+
 import hashlib
+import importlib
 import io
 import json
 import math
 import time
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import __version__
 from .coupling import (
@@ -36,29 +46,8 @@ from .coupling import (
     limiting_spectrum,
     validate_assumptions,
 )
-from .errors import ConfigError, ParameterError
-from .htests import (
-    CALIBRATIONS,
-    KINDS,
-    MIN_CALIBRATION_REPS,
-    DrawSet,
-    TestSpec,
-    calibrate,
-    empirical_power,
-    exact_power,
-    limit_power,
-)
-from .inference import mle_suff_stats
-from .sampler import count_law, cw_log_partition, default_burn_in
+from .errors import CALIBRATIONS, H_MAX, ConfigError, ParameterError
 from .streams import derive_seed
-from .theory import (
-    H_MAX,
-    delta_log_partition,
-    information_rate,
-    mle_critical_cdf,
-    mple_limit_quantile,
-    mple_limit_sf,
-)
 
 EXPERIMENTS = (
     "estimator_law",
@@ -149,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError("format: must be csv or json")
         if self.calibration not in CALIBRATIONS:
             raise ConfigError(f"calibration: must be {' or '.join(CALIBRATIONS)}")
+        for module in _PIPELINES[self.experiment][1]:
+            importlib.import_module(f".{module}", __package__)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -260,6 +251,10 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
     """One DrawSet per n at theta0 with the master seed, and the MLE of its
     x'Qx column, exact or plug-in; ``elapsed_s`` is the set's wall time split
     evenly over its records."""
+    from .htests import DrawSet
+    from .inference import mle_suff_stats
+    from .sampler import count_law
+
     records, limits, burn_ins, routes, reps = [], {}, {}, {}, config.reps
     for n in config.n:
         coupling = _coupling_for(config, n)
@@ -283,6 +278,8 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
 
 def _burn_in(law, n: int, theta: float) -> int | None:
     """Sweeps of each Glauber chain at n, or None under a count law."""
+    from .sampler import default_burn_in
+
     return None if law is not None else default_burn_in(n, theta)
 
 
@@ -304,6 +301,8 @@ def _scaled_estimates(rows, key: str, n: int, theta0: float) -> tuple[dict, np.n
 def _estimator_summary(
     config: ExperimentConfig, records, limits, burn_ins, routes
 ) -> dict:
+    from .theory import information_rate, mple_limit_quantile
+
     summary = {}
     for n in config.n:
         rows = [row for row in records if row["n"] == n]
@@ -351,6 +350,18 @@ _POWER_COLUMNS = (
 
 
 def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
+    from .htests import (
+        KINDS,
+        MIN_CALIBRATION_REPS,
+        DrawSet,
+        TestSpec,
+        calibrate,
+        empirical_power,
+        exact_power,
+        limit_power,
+    )
+    from .sampler import count_law
+
     records = []
     summary = {}
     for n in config.n:
@@ -438,6 +449,8 @@ _DENSITY_COLUMNS = ("index", "value", "mple_limit_density", "mle_limit_cdf")
 
 
 def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
+    from .theory import mle_critical_cdf, mple_limit_quantile, mple_limit_sf
+
     if config.theta0 != 1.0:
         raise ConfigError("theta0: limit_law_density is a critical-point experiment")
     if config.family == "random_regular" and config.d is None:
@@ -486,6 +499,9 @@ _NORMALIZER_COLUMNS = (
 
 
 def _run_normalizer_check(config: ExperimentConfig) -> ExperimentResult:
+    from .sampler import cw_log_partition
+    from .theory import delta_log_partition
+
     if config.family != "complete":
         raise ConfigError("family: normalizer_check uses the mean-field closed form")
     records = []
@@ -567,12 +583,17 @@ def _run_spectrum_report(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, _SPECTRUM_COLUMNS, records, summary)
 
 
+# experiment -> (pipeline, the modules it imports beyond errors, streams and
+# coupling); ExperimentConfig imports them, and their own imports, when a
+# config is made
 _PIPELINES = {
-    "estimator_law": _run_estimator_law,
-    "power_curve": _run_power_curve,
-    "limit_law_density": _run_limit_law_density,
-    "normalizer_check": _run_normalizer_check,
-    "spectrum_report": _run_spectrum_report,
+    "estimator_law": (
+        _run_estimator_law, ("htests", "inference", "sampler", "theory")
+    ),
+    "power_curve": (_run_power_curve, ("htests", "sampler")),
+    "limit_law_density": (_run_limit_law_density, ("theory",)),
+    "normalizer_check": (_run_normalizer_check, ("sampler", "theory")),
+    "spectrum_report": (_run_spectrum_report, ()),
 }
 
 
@@ -583,7 +604,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     carries the matching theory-side quantities next to each empirical
     figure.
     """
-    return _PIPELINES[config.experiment](config)
+    return _PIPELINES[config.experiment][0](config)
 
 
 # ---------------------------------------------------------------------------

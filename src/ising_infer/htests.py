@@ -57,7 +57,7 @@ import numpy as np
 
 from . import streams
 from .coupling import CouplingMatrix, as_spins, family_limit
-from .errors import ParameterError
+from .errors import CALIBRATIONS, ParameterError
 from .inference import mple, mple_counts
 from .sampler import CountLaw, SpinConfiguration, count_law, draw_counts, glauber_sample
 from .special import ndtr, ndtri
@@ -73,7 +73,6 @@ from .workers import parallel_map
 
 KINDS = ("ms", "np", "pl")
 COLUMNS = ("xbar", "suff_stat", "mple", "mple_exists")
-CALIBRATIONS = ("monte_carlo", "asymptotic")
 MIN_CALIBRATION_REPS = 1000
 
 

@@ -131,9 +131,10 @@ def _solve_rows(g, gprime, targets, scale):
     g and gprime take the thetas and indices of some rows; gprime is only
     called right after g at the same thetas, so it may read g's pass. Each
     row runs its own iteration, independent of the other rows: the bracket
-    doubles outward from 1, then Newton runs inside it with a bisection
-    fallback until the residual is at most RESIDUAL_SCALE * scale or the
-    bracket is narrower than 1e-15 relative, within 200 evaluations.
+    doubles outward from 1, and an end where g meets its target exactly is
+    the root; else Newton runs inside it with a bisection fallback until the
+    residual is at most RESIDUAL_SCALE * scale, the bracket is narrower than
+    1e-15 relative, or a Newton step is, within 200 evaluations.
     Returns (theta, iterations, lo, hi, residual) per row, ``iterations``
     counting the bracket steps and Newton evaluations.
     """
@@ -145,8 +146,11 @@ def _solve_rows(g, gprime, targets, scale):
     b_lo, b_hi, step = theta.copy(), theta.copy(), np.ones(targets.size)
     iters = np.zeros(targets.size, dtype=np.int64)
     f0 = f(theta, every)
+    solved = f0 == 0.0
     # rows with f(1) > 0 move the lower end down, rows below 0
-    # the upper end up, doubling the step each time
+    # the upper end up, doubling the step each time; an end where f is
+    # exactly 0 is the root (theta = 0 at x'Qx = 0, say), which Newton
+    # could only approach by bisecting toward it
     for edge, sign, moving in ((b_lo, -1.0, f0 > 0.0), (b_hi, 1.0, f0 < 0.0)):
         moving = np.flatnonzero(moving)
         while moving.size:
@@ -155,16 +159,24 @@ def _solve_rows(g, gprime, targets, scale):
             iters[moving] += 1
             if (iters[moving] > 80).any():
                 raise NumericError("bracketing ran away")
-            moving = moving[sign * f(edge[moving], moving) < 0.0]
+            val = f(edge[moving], moving)
+            root = moving[val == 0.0]
+            theta[root], solved[root] = edge[root], True
+            moving = moving[sign * val < 0.0]
 
-    active = np.flatnonzero(f0 != 0.0)
+    active = np.flatnonzero(~solved)
     theta[active] = 0.5 * (b_lo[active] + b_hi[active])
+    # rows whose latest Newton step moved theta by less than the closing
+    # width: once evaluated there they stop, for the residual is down to the
+    # rounding of g, and bisecting toward the far end would only close a
+    # bracket around the same root
+    settled = np.zeros(targets.size, dtype=bool)
     for _ in range(200):
         if not active.size:
             break
         val = f(theta[active], active)
         iters[active] += 1
-        going = np.abs(val) > RESIDUAL_SCALE * scale[active]
+        going = (np.abs(val) > RESIDUAL_SCALE * scale[active]) & ~settled[active]
         rows, val, th = active[going], val[going], theta[active[going]]
         high = val > 0.0
         b_hi[rows[high]] = th[high]
@@ -174,8 +186,10 @@ def _solve_rows(g, gprime, targets, scale):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             candidate = np.where(deriv > 0.0, th - val / deriv, math.inf)
         inside = (r_lo < candidate) & (candidate < r_hi)
-        th = np.where(inside, candidate, 0.5 * (r_lo + r_hi))
-        theta[rows] = th
+        # a step that rounds to nothing lands on the end just set, not inside
+        small = np.abs(candidate - th) < 1e-15 * np.maximum(1.0, np.abs(th))
+        th = np.where(inside | small, candidate, 0.5 * (r_lo + r_hi))
+        theta[rows], settled[rows] = th, small
         active = rows[r_hi - r_lo >= 1e-15 * np.maximum(1.0, np.abs(th))]
     if active.size:
         raise NumericError("Newton did not converge")

@@ -22,11 +22,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import H_MAX, ParameterError
 from .special import brentq, chdtr, chdtrc, ndtr
 from .streams import as_generator
 
-H_MAX = 50.0
 TAIL_LOG_CUT = 40.0
 CRITICAL_GRID_POINTS = 4096
 # trapezoid nodes on [0, support edge] for F(h) and the moments of U_h

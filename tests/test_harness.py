@@ -1024,7 +1024,6 @@ def test_cli_run_config_errors(tmp_path, capsys):
 
 
 def test_cli_run_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
-    from ising_infer import cli
     from ising_infer.errors import NumericError
 
     cfg = tmp_path / "exp.cfg"
@@ -1033,7 +1032,7 @@ def test_cli_run_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise NumericError("synthetic instability")
 
-    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.setattr(harness, "run_experiment", boom)
     assert main(["run", str(cfg)]) == 3
     assert "synthetic instability" in capsys.readouterr().err
 
@@ -1066,12 +1065,11 @@ def test_cli_spectra_stdout(capsys):
 
 def test_cli_passes_only_the_flags_given(monkeypatch):
     # power and spectra leave every flag not given to the experiment's own
-    # defaults, so a bare command runs the same config as the config file
-    from ising_infer import cli
-
+    # defaults, so a bare command runs the same config as the config file;
+    # each verb reads the harness's functions when it runs
     configs = []
-    monkeypatch.setattr(cli, "run_experiment", configs.append)
-    monkeypatch.setattr(cli, "render_csv", lambda result: "")
+    monkeypatch.setattr(harness, "run_experiment", configs.append)
+    monkeypatch.setattr(harness, "render_csv", lambda result: "")
     assert main(["power", "--family", "complete", "--n", "400", "--theta0", "1.5"]) == 0
     assert main(["spectra", "--family", "qpartite", "--q", "3", "--n", "90,180"]) == 0
     power = ["power", "--family", "complete", "--n", "40", "--theta0", "1"]

@@ -154,13 +154,17 @@ def test_pl_core_reproduces_the_scalar_root_finder():
     # digests of every result field: the count half recorded with one
     # unfolded row per count, so folding and mirroring must change no bit;
     # the configuration half recorded with the scalar root-finder the
-    # batched core replaced, so a one-row call must iterate exactly as it did
+    # batched core replaced, so a one-row call must iterate exactly as it did.
+    # Both were re-recorded when a doubling end where the equation is exactly
+    # 0 became the root: the three rows at x'Qx = 0 (n = 1600 at k = 780 and
+    # 820, one bipartite configuration) now read theta = 0 after one step,
+    # and no other field of any row moved
     h = hashlib.sha256()
     for n in (1, 2, 3, 50, 51, 1600):
         for column in mple_counts(CountLaw(n), np.arange(n + 1)):
             h.update(np.ascontiguousarray(column).tobytes())
     assert h.hexdigest() == (
-        "cd5edc9d0012e0121dd321989df8ff93e3b405e12dc6d0beb7ac73841b802ed4"
+        "2bafd2681454d72a0a89d402fd540b1ecbf4e5f57342ef1099a4fbd55b32904c"
     )
     configs = []
     for family, n, kwargs, theta in (
@@ -176,8 +180,36 @@ def test_pl_core_reproduces_the_scalar_root_finder():
     results = [mple(x) for x in configs]
     assert sum(r.exists for r in results) == 29
     assert _digest(results) == (
-        "2072c54f193372d6c8282b107bea40ca6b42de8120fa3fb0ef9226c01b81b6d0"
+        "6e1737ef95cbe2ff87eeb47d100cbaa51bc9e49881a10242aed7fac41d50fe69"
     )
+
+
+# evaluations _solve_rows may spend on one root, fixed before the
+# one-sided Newton stall was mended (it spent up to 55)
+SOLVE_EVALUATIONS = 25
+
+
+def test_root_finder_evaluations_are_bounded():
+    # the likelihood at every value of the complete n = 2500 table and at
+    # s = 0 on bipartite n = 400, and the pseudolikelihood at every atom of
+    # both laws: a Newton step below the closing width ends the row, and a
+    # doubling end where the equation is exactly 0 is the root
+    complete = CountLaw(2500)
+    bipartite = count_law(build_coupling("bipartite", 400))
+    values, log_mult = complete.merged()
+    mle_iterations = [
+        inference._table_mle(float(s), values, log_mult).iterations for s in values
+    ]
+    mle_iterations.append(inference._table_mle(0.0, *bipartite.merged()).iterations)
+    assert max(mle_iterations) <= SOLVE_EVALUATIONS
+    for law in (complete, bipartite):
+        rows = mple_counts(law, np.arange(law.size))
+        assert rows.iterations.max() <= SOLVE_EVALUATIONS
+        zero = np.flatnonzero(law.values == 0.0)
+        assert zero.size
+        solved = zero[rows.exists[zero]]
+        assert solved.size and (rows.value[solved] == 0.0).all()
+        assert (rows.iterations[solved] == 1).all()
 
 
 def test_pl_core_rows_iterate_independently():

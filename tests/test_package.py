@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ising_infer
 
 
@@ -301,31 +303,184 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_experiments_run_without_loading_scipy():
-    # one small run of each experiment path in a fresh interpreter
+def _fresh(code: str, timeout: float = 120) -> str:
+    """The last stdout line of ``code`` run in a fresh interpreter."""
     src = str(Path(ising_infer.__file__).parent.parent)
     env = dict(os.environ, ISING_INFER_WORKERS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", _RUN_WITHOUT_SCIPY],
-        env=env, capture_output=True, text=True, timeout=600,
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "[]", done.stdout
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_experiments_run_without_loading_scipy():
+    # one small run of each experiment path in a fresh interpreter
+    assert _fresh(_RUN_WITHOUT_SCIPY, timeout=600) == "[]"
+
+
+_LOADED = (
+    "sorted(m.split('.')[1] for m in sys.modules if m.startswith('ising_infer.'))"
+)
 
 
 def test_importing_the_harness_loads_no_module_it_does_not_run():
     # the worker pool, the existence-disagreement log and the sample dumps
-    # import their modules when they run, not when the package loads
-    src = str(Path(ising_infer.__file__).parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    # import their modules when they run, not when the package loads; the
+    # harness itself imports the modules a pipeline runs when its config
+    # is made
     code = (
         "import sys, ising_infer.harness\n"
-        "print(sorted(m for m in ('concurrent.futures', 'csv', 'logging') if m in sys.modules))"
+        "lazy = ('concurrent.futures', 'csv', 'logging')\n"
+        f"print((sorted(m for m in lazy if m in sys.modules), {_LOADED}))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    assert _fresh(code) == str(([], ["coupling", "errors", "harness", "streams"]))
+
+
+_EVERY_LAYER = [
+    "coupling", "errors", "harness", "htests", "inference", "sampler", "special",
+    "streams", "theory", "workers",
+]
+_CONFIG_MODULES = {
+    "spectrum_report": ["coupling", "errors", "harness", "streams"],
+    "limit_law_density": ["coupling", "errors", "harness", "special", "streams", "theory"],
+    "normalizer_check": [
+        "coupling", "errors", "harness", "sampler", "special", "streams", "theory"
+    ],
+    "estimator_law": _EVERY_LAYER,
+    "power_curve": _EVERY_LAYER,
+}
+# one small run of each experiment, so a test can check it loads nothing more
+_SMALL_RUN = {
+    "spectrum_report": "family='qpartite', q=3, n=(12,)",
+    "limit_law_density": "family='bipartite', n=(100,)",
+    "normalizer_check": "n=(100, 1000)",
+    "estimator_law": "family='random_regular', d=4, n=(12,), theta0=1.5, reps=2",
+    "power_curve": "n=(60,), h=(0.0, 1.0), reps=50",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_CONFIG_MODULES))
+def test_a_config_loads_the_modules_its_experiment_runs(experiment):
+    # making the config imports every module its pipeline runs, so the run
+    # that follows imports no module of the package (none in a timed run)
+    code = (
+        "import sys\n"
+        "from ising_infer import harness\n"
+        f"config = harness.ExperimentConfig(experiment={experiment!r},"
+        f" master_seed=7, {_SMALL_RUN[experiment]})\n"
+        f"made = {_LOADED}\n"
+        "harness.render_csv(harness.run_experiment(config))\n"
+        f"print((made, {_LOADED}))"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]", done.stdout
+    modules = _CONFIG_MODULES[experiment]
+    assert _fresh(code) == str((modules, modules))
+
+
+def test_importing_the_package_loads_only_its_errors():
+    code = (
+        "import sys, ising_infer\n"
+        "print(('numpy' in sys.modules,"
+        " sorted(m for m in sys.modules if m.startswith('ising_infer'))))"
+    )
+    assert _fresh(code) == str((False, ["ising_infer", "ising_infer.errors"]))
+
+
+_RESOLVE = """
+import importlib, sys
+import ising_infer
+
+wrong = []
+for name in ising_infer.__all__:
+    value = getattr(ising_infer, name)
+    home = "errors" if name in dir(sys.modules["ising_infer.errors"]) else None
+    home = home or ising_infer._HOMES.get(name)
+    module = importlib.import_module(f"ising_infer.{home}") if home else ising_infer
+    defined = getattr(value, "__module__", module.__name__)
+    if getattr(module, name) is not value or defined != module.__name__:
+        wrong.append(name)
+missing = sorted(set(ising_infer.__all__) - set(dir(ising_infer)))
+try:
+    ising_infer.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print((wrong, missing, unknown))
+"""
+
+
+def test_every_lazy_export_is_its_home_modules_object():
+    # in a fresh interpreter each name goes through the module __getattr__;
+    # it must hand out the object its defining module holds
+    assert _fresh(_RESOLVE) == str(([], [], "AttributeError"))
+
+
+_CLI_LOADED = """
+import contextlib, io, sys
+from ising_infer.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print((code, %s))
+""" % _LOADED
+
+
+def test_each_cli_verb_loads_only_what_it_runs(tmp_path):
+    from ising_infer.coupling import (
+        build_coupling,
+        centered_quadratic_forms,
+        save_matrix,
+    )
+    from ising_infer.sampler import glauber_sample, write_sample_dump
+
+    coupling = build_coupling("random_regular", 12, d=4, seed=3)
+    save_matrix(coupling, tmp_path / "q.txt")
+    spins = glauber_sample(coupling, 1.2, 5).spins
+    xbx, xb2x = centered_quadratic_forms(coupling, spins)
+    row = {
+        "seed": 5, "n": 12, "theta": 1.2, "xbar": float(spins.mean()),
+        "xqx": float(spins @ (coupling.entries @ spins)), "xbx": xbx, "xb2x": xb2x,
+        "spins": spins,
+    }
+    write_sample_dump(tmp_path / "x.csv", [row])
+
+    def loaded(*argv):
+        return _fresh(_CLI_LOADED.replace("sys.argv[1:]", repr(list(argv))))
+
+    spectra = loaded("spectra", "--family", "qpartite", "--q", "3", "--n", "12")
+    assert spectra == str((0, ["cli", *_CONFIG_MODULES["spectrum_report"]]))
+    limits = loaded("limits", "--family", "complete", "--reps", "3")
+    assert limits == str((0, ["cli", "coupling", "errors", "special", "streams", "theory"]))
+    estimate = loaded(
+        "estimate", "--matrix", str(tmp_path / "q.txt"),
+        "--samples", str(tmp_path / "x.csv"), "--method", "both",
+    )
+    assert estimate == str(
+        (0, ["cli", "coupling", "errors", "inference", "sampler", "special", "streams"])
+    )
+
+
+def _module_level_imports(path: Path) -> set:
+    """The package modules a file imports at module level (``.`` for the package)."""
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.add(node.module or ".")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "ising_infer"
+        ):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("ising_infer")}
+    return found
+
+
+def test_harness_and_cli_import_only_the_spectrum_path_at_load():
+    # every other module comes in through a config (harness) or a verb (cli)
+    package = Path(ising_infer.__file__).parent
+    assert _module_level_imports(package / "harness.py") == {
+        ".", "errors", "streams", "coupling"
+    }
+    assert _module_level_imports(package / "cli.py") == {".", "errors", "coupling"}
