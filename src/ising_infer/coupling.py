@@ -356,7 +356,7 @@ def _pair_regular_graph(n: int, d: int, seed: int, restarts: int = 100) -> set:
     for _ in range(restarts):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        pairs = [tuple(sorted(p)) for p in stubs.reshape(-1, 2)]
+        pairs = list(map(tuple, np.sort(stubs.reshape(-1, 2), axis=1).tolist()))
         good: set = set()
         bad: list = []
         for p in pairs:

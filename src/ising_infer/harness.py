@@ -21,7 +21,11 @@ This module imports only errors, streams and coupling when it loads. Each
 pipeline names the further modules it runs next to its entry in
 _PIPELINES, and ExperimentConfig imports them when a config is made: a
 spectrum report loads no sampler, estimator, test or limit-law module, and
-no import falls inside run_experiment.
+no module of the package loads inside run_experiment. One import still
+does: numpy.random, with the OpenSSL that its ``secrets`` import loads,
+comes in on a run's first Generator, which only a Glauber chain or a
+random_regular graph builds. Count-law runs, spectrum reports,
+limit_law_density and normalizer_check build none and never load it.
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ from __future__ import annotations
 # loads, the less of that spin falls into a run made right after its config
 import numpy as np
 
-import hashlib
 import importlib
 import io
 import json
@@ -47,7 +50,7 @@ from .coupling import (
     validate_assumptions,
 )
 from .errors import CALIBRATIONS, H_MAX, ConfigError, ParameterError
-from .streams import derive_seed
+from .streams import derive_seed, sha256
 
 EXPERIMENTS = (
     "estimator_law",
@@ -205,7 +208,7 @@ def config_hash(config: ExperimentConfig) -> str:
                 FLOAT_FMT % v if isinstance(v, float) else str(v) for v in value
             )
         lines.append(f"{f.name}={value}")
-    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    digest = sha256("\n".join(lines).encode("ascii")).hexdigest()
     return digest[:12]
 
 

@@ -1,4 +1,5 @@
 """Coupling construction, spectra, validation, and matrix IO."""
+import hashlib
 import pickle
 import time
 import tracemalloc
@@ -93,6 +94,25 @@ def test_random_regular_deterministic():
     c = build_coupling("random_regular", 20, d=5, seed=12)
     assert np.array_equal(a.entries, b.entries)
     assert not np.array_equal(a.entries, c.entries)
+
+
+# SHA-256 of random_regular entries at (n, d, seed): the graph a seed names
+# is part of every random_regular output, so a faster pairing must make the
+# same draws and keep these digests
+_REGULAR_DIGESTS = {
+    (20, 10, 7): "f9a22e529c9999cf44731e735302ba5dcd98d98782fd2053e246861bf11e5da9",
+    (100, 10, 1): "7850b300520e15683cda1b994c854e0ad7aaec258c7a944457f277e7c180b439",
+    (16, 4, 11): "cb979e42bee46d161387457f20aaf72123da45e33f83d86647162d4fabfbd20e",
+    (34, 17, 5): "b2528fd39fbe951eb60b313009c005f0f51b75162cf502ff1d202a36b79ecec8",
+    (400, 40, 3): "88dea84f6e5cf44d00e2f42c2747fe4c69bd267f9ca2596232d4b7d7a20e203c",
+    (1000, 100, 2): "cfe4fe960d12505b9b78fe47b136c0f06858f14dfb7f61eb63f892dc7453f92f",
+}
+
+
+@pytest.mark.parametrize("n, d, seed", sorted(_REGULAR_DIGESTS))
+def test_random_regular_graph_of_a_seed_is_pinned(n, d, seed):
+    entries = build_coupling("random_regular", n, d=d, seed=seed).entries
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == _REGULAR_DIGESTS[n, d, seed]
 
 
 def test_random_regular_refuses_a_seed_that_is_not_a_nonnegative_integer():

@@ -1,7 +1,6 @@
 """Config parsing, experiment pipelines, result IO, and the CLI."""
 import concurrent.futures
 import dataclasses
-import hashlib
 import json
 import math
 import pickle
@@ -297,13 +296,13 @@ def test_count_law_estimator_hashes_each_seed_once(monkeypatch):
     # the derived_seed column and the draws read one derive_seeds batch,
     # so the run hashes reps seeds, not 2 reps
     hashed = []
-    sha256 = hashlib.sha256
+    sha256 = streams.sha256
 
     def recording(data=b"", **kwargs):
         hashed.append(bytes(data))
         return sha256(data, **kwargs)
 
-    monkeypatch.setattr(hashlib, "sha256", recording)
+    monkeypatch.setattr(streams, "sha256", recording)
     cfg = ExperimentConfig(
         experiment="estimator_law", n=(60,), theta0=1.5, reps=40, master_seed=-31
     )

@@ -128,32 +128,54 @@ def test_no_cached_function_takes_a_seed():
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+def _sha256_route(node) -> list:
+    """Modules a try/except ImportError chain imports sha256 from, in order."""
+    if isinstance(node, ast.Try):
+        (handler,) = node.handlers
+        assert getattr(handler.type, "id", "") == "ImportError"
+        return _sha256_route(*node.body) + _sha256_route(*handler.body)
+    if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["sha256"]:
+        return [node.module]
+    return [None]
+
+
 def test_seed_hashing_has_one_home():
-    # SHA-256 hashes seeds only in streams, whose derive_seeds is the batch
-    # form of the rule; harness.config_hash digests configs. A comprehension
-    # over derive_seed would be a second, slower batch path
-    homes, offenders = set(), []
-    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        config_hash = set()
+    # every SHA-256 reads one binding in streams, the interpreter's built-in
+    # hash with hashlib only as its last fallback, so no run loads OpenSSL
+    # for a digest; derive_seed and its batch form derive_seeds hash seeds,
+    # harness.config_hash digests configs. A comprehension over derive_seed
+    # would be a second, slower batch path
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(ising_infer.__file__).parent.glob("*.py"))
+    }
+    (binding,) = [
+        node for node in trees["streams"].body
+        if isinstance(node, ast.Try) and "sha256" in ast.dump(node)
+    ]
+    assert _sha256_route(binding) == ["_sha2", "_sha256", "hashlib"]
+    binding = {id(node) for node in ast.walk(binding)}
+    readers, offenders = set(), []
+    for module, tree in trees.items():
+        home = {}
         for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name == "config_hash":
-                config_hash |= {id(node) for node in ast.walk(fn)}
+            if isinstance(fn, ast.FunctionDef):
+                home.update((id(node), fn.name) for node in ast.walk(fn))
         for node in ast.walk(tree):
-            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-            if isinstance(node, ast.ImportFrom) and node.module == "hashlib":
-                offenders.append(f"{where} from hashlib import")
+            where = f"{module}.py:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import):
+                offenders += [
+                    f"{where} import hashlib"
+                    for alias in node.names if alias.name == "hashlib"
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                if id(node) not in binding:
+                    offenders.append(f"{where} from hashlib import")
             elif (
-                isinstance(node, ast.Attribute)
-                and node.attr == "sha256"
-                and getattr(node.value, "id", "") == "hashlib"
+                isinstance(node, ast.Name) and node.id == "sha256"
+                or isinstance(node, ast.Attribute) and node.attr == "sha256"
             ):
-                if path.name == "streams.py":
-                    homes.add("streams")
-                elif path.name == "harness.py" and id(node) in config_hash:
-                    homes.add("harness.config_hash")
-                else:
-                    offenders.append(f"{where} hashlib.sha256")
+                readers.add(f"{module}.{home.get(id(node), '<module>')}")
             elif isinstance(node, _COMPREHENSIONS):
                 offenders += [
                     f"{where} derive_seed in a comprehension"
@@ -161,7 +183,9 @@ def test_seed_hashing_has_one_home():
                     if isinstance(call, ast.Call)
                     and _decorator_name(call) == "derive_seed"
                 ]
-    assert homes == {"streams", "harness.config_hash"}, homes
+    assert readers == {
+        "streams.derive_seed", "streams.derive_seeds", "harness.config_hash"
+    }, readers
     assert not offenders, offenders
 
 
@@ -377,6 +401,70 @@ def test_a_config_loads_the_modules_its_experiment_runs(experiment):
     )
     modules = _CONFIG_MODULES[experiment]
     assert _fresh(code) == str((modules, modules))
+
+
+_OPENSSL_ROUTE = """
+import sys
+before = set(sys.modules)
+from ising_infer import harness
+config = harness.ExperimentConfig(master_seed=7, {params})
+harness.render_csv(harness.run_experiment(config))
+added = set(sys.modules) - before
+print(sorted(m for m in ("_hashlib", "hashlib", "numpy.random") if m in added))
+"""
+# runs that build no numpy Generator, and so never load OpenSSL
+_NO_GENERATOR = {
+    "complete power_curve": "experiment='power_curve', n=(60,), h=(0.0, 1.0), reps=50",
+    "complete estimator_law": "experiment='estimator_law', n=(60,), theta0=1.5, reps=20",
+    "spectrum_report": "experiment='spectrum_report', family='qpartite', q=3, n=(12,)",
+    "limit_law_density": "experiment='limit_law_density', family='bipartite', n=(100,)",
+    "normalizer_check": "experiment='normalizer_check', n=(100, 1000)",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_NO_GENERATOR))
+def test_a_run_without_a_generator_loads_no_openssl(run):
+    # seeds and config digests use the interpreter's built-in SHA-256, so
+    # neither hashlib nor its libcrypto binding loads; the modules present
+    # before the package (a site that imports hashlib, say) do not count
+    assert _fresh(_OPENSSL_ROUTE.format(params=_NO_GENERATOR[run])) == "[]"
+
+
+def test_only_a_generator_loads_numpy_random():
+    # numpy.random (through secrets and hmac, OpenSSL) is the one route to
+    # libcrypto: a random_regular graph and its Glauber chains take it
+    params = "experiment='estimator_law', " + _SMALL_RUN["estimator_law"]
+    assert "numpy.random" in _fresh(_OPENSSL_ROUTE.format(params=params))
+
+
+_HASHLIB_FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from ising_infer import harness, streams
+
+def head(master, index):
+    return int.from_bytes(hashlib.sha256(b"%d:%d" % (master, index)).digest()[:8], "big")
+
+wrong = []
+for master in (-2**63, -1, 0, 2**64 - 1):
+    for reps in (0, 1, 4097):
+        if streams.derive_seed(master, reps) != head(master, reps):
+            wrong.append(("derive_seed", master, reps))
+        if streams.derive_seeds(master, reps).tolist() != [
+            head(master, r) for r in range(reps)
+        ]:
+            wrong.append(("derive_seeds", master, reps))
+config = harness.ExperimentConfig(experiment="power_curve", master_seed=7)
+print((streams.sha256 is hashlib.sha256, harness.config_hash(config), wrong))
+"""
+
+
+def test_the_hashlib_fallback_gives_the_same_digests():
+    # an interpreter built without the built-in hashes reads hashlib's
+    # sha256 through the same binding; the config digest is the one
+    # hashlib gave before the built-in hash was used
+    assert _fresh(_HASHLIB_FALLBACK) == str((True, "64fdd2480901", []))
 
 
 def test_importing_the_package_loads_only_its_errors():
