@@ -1,8 +1,10 @@
 """Exception hierarchy and argument limits shared across the package.
 
 Every error raised on purpose derives from IsingInferError so callers can
-catch package failures without swallowing programming errors. The CLI maps
-ConfigError to exit code 2 and NumericError to exit code 3.
+catch package failures without swallowing programming errors. The CLI
+(``cli.main``) exits with code 2 on bad input: ConfigError, ParameterError
+(CapacityError among them) and OSError; and with code 3 on a run that
+could not finish: NumericError and ConstructionError.
 
 The limits that an experiment config is checked against live here too, so
 checking a config loads no module its experiment does not run: the

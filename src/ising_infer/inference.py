@@ -1,10 +1,10 @@
 """Point estimation of the inverse temperature.
 
-Both estimates are roots of an equation increasing in theta, and one
-solver finds them, ``_solve_rows``: for any number of rows at once it
-brackets by doubling outward from theta = 1 and runs safeguarded Newton
-inside the bracket. Its ``iterations`` count the bracket steps and Newton
-evaluations.
+Both estimates are roots of an equation increasing in theta, and the
+package's one root finder solves them, ``special.solve_rows``: for any
+number of rows at once it brackets by doubling outward from theta = 1 and
+runs safeguarded Newton inside the bracket. Its ``iterations`` count the
+bracket steps and Newton evaluations.
 
 The pseudolikelihood estimate solves x'Qx = sum_i t_i tanh(theta t_i),
 strictly increasing whenever any local field is nonzero (``_pl_rows``).
@@ -59,17 +59,17 @@ from .sampler import (
     suff_stat_table,
     tilted_table,
 )
+from .special import solve_rows
 
-RESIDUAL_SCALE = 1e-12
 # The likelihood residual must be at most 1e-10, or MLE_RESIDUAL_ULPS rounding
 # units of the table's range of x'Qx where that is coarser (complete family
 # past n = 1760): there the O(n) log weights themselves round above 1e-10.
 MLE_RESIDUAL = 1e-10
 MLE_RESIDUAL_ULPS = 256
-# _solve_rows stops at a residual of RESIDUAL_SCALE times a row's scale:
-# sum|t_i| for the pseudolikelihood, MLE_SCALE |s| for the likelihood. That
-# is 1e-15 |s|, a few rounding units of s/2; where the tilted mean rounds
-# coarser, the loop runs on until its bracket closes
+# solve_rows stops at a residual of special.RESIDUAL_SCALE times a row's
+# scale: sum|t_i| for the pseudolikelihood, MLE_SCALE |s| for the
+# likelihood. That is 1e-15 |s|, a few rounding units of s/2; where the
+# tilted mean rounds coarser, the loop runs on until its bracket closes
 MLE_SCALE = 1e-3
 # Existence is an open-interval condition on quantities that arrive through
 # floating point; a statistic within this relative distance of an attainable
@@ -125,84 +125,13 @@ class PLRows(NamedTuple):
     residual: np.ndarray
 
 
-def _solve_rows(g, gprime, targets, scale):
-    """Roots of g(theta, rows) = targets[rows], each increasing in theta.
-
-    g and gprime take the thetas and indices of some rows; gprime is only
-    called right after g at the same thetas, so it may read g's pass. Each
-    row runs its own iteration, independent of the other rows: the bracket
-    doubles outward from 1, and an end where g meets its target exactly is
-    the root; else Newton runs inside it with a bisection fallback until the
-    residual is at most RESIDUAL_SCALE * scale, the bracket is narrower than
-    1e-15 relative, or a Newton step is, within 200 evaluations.
-    Returns (theta, iterations, lo, hi, residual) per row, ``iterations``
-    counting the bracket steps and Newton evaluations.
-    """
-    def f(theta, rows):
-        return g(theta, rows) - targets[rows]
-
-    every = np.arange(targets.size)
-    theta = np.ones(targets.size)
-    b_lo, b_hi, step = theta.copy(), theta.copy(), np.ones(targets.size)
-    iters = np.zeros(targets.size, dtype=np.int64)
-    f0 = f(theta, every)
-    solved = f0 == 0.0
-    # rows with f(1) > 0 move the lower end down, rows below 0
-    # the upper end up, doubling the step each time; an end where f is
-    # exactly 0 is the root (theta = 0 at x'Qx = 0, say), which Newton
-    # could only approach by bisecting toward it
-    for edge, sign, moving in ((b_lo, -1.0, f0 > 0.0), (b_hi, 1.0, f0 < 0.0)):
-        moving = np.flatnonzero(moving)
-        while moving.size:
-            edge[moving] += sign * step[moving]
-            step[moving] *= 2.0
-            iters[moving] += 1
-            if (iters[moving] > 80).any():
-                raise NumericError("bracketing ran away")
-            val = f(edge[moving], moving)
-            root = moving[val == 0.0]
-            theta[root], solved[root] = edge[root], True
-            moving = moving[sign * val < 0.0]
-
-    active = np.flatnonzero(~solved)
-    theta[active] = 0.5 * (b_lo[active] + b_hi[active])
-    # rows whose latest Newton step moved theta by less than the closing
-    # width: once evaluated there they stop, for the residual is down to the
-    # rounding of g, and bisecting toward the far end would only close a
-    # bracket around the same root
-    settled = np.zeros(targets.size, dtype=bool)
-    for _ in range(200):
-        if not active.size:
-            break
-        val = f(theta[active], active)
-        iters[active] += 1
-        going = (np.abs(val) > RESIDUAL_SCALE * scale[active]) & ~settled[active]
-        rows, val, th = active[going], val[going], theta[active[going]]
-        high = val > 0.0
-        b_hi[rows[high]] = th[high]
-        b_lo[rows[~high]] = th[~high]
-        r_lo, r_hi, deriv = b_lo[rows], b_hi[rows], gprime(th, rows)
-        # a nonpositive slope bisects; the quotient overflows to inf quietly
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            candidate = np.where(deriv > 0.0, th - val / deriv, math.inf)
-        inside = (r_lo < candidate) & (candidate < r_hi)
-        # a step that rounds to nothing lands on the end just set, not inside
-        small = np.abs(candidate - th) < 1e-15 * np.maximum(1.0, np.abs(th))
-        th = np.where(inside | small, candidate, 0.5 * (r_lo + r_hi))
-        theta[rows], settled[rows] = th, small
-        active = rows[r_hi - r_lo >= 1e-15 * np.maximum(1.0, np.abs(th))]
-    if active.size:
-        raise NumericError("Newton did not converge")
-    return theta, iters, b_lo, b_hi, f(theta, every)
-
-
 def _pl_rows(t, w, s) -> PLRows:
     """Pseudolikelihood estimates for rows of field values, weights, targets.
 
     Row i solves sum_j w_ij t_ij tanh(theta t_ij) = s_i. It has a root iff
     s_i lies strictly inside (-sum_j w_ij|t_ij|, sum_j w_ij|t_ij|); all-zero
     fields are the degenerate case (NaN), and other rows without a root get
-    the signed infinity of s_i. The rows with a root go to _solve_rows at
+    the signed infinity of s_i. The rows with a root go to solve_rows at
     scale sum_j w_ij|t_ij|.
     """
     t = np.asarray(t, dtype=np.float64)
@@ -230,7 +159,7 @@ def _pl_rows(t, w, s) -> PLRows:
         sech_sq = 1.0 / np.cosh(theta[:, None] * t[rows]) ** 2
         return np.add.reduce(wtt[rows] * sech_sq, axis=1)
 
-    value[idx], iterations[idx], lo[idx], hi[idx], residual[idx] = _solve_rows(
+    value[idx], iterations[idx], lo[idx], hi[idx], residual[idx] = solve_rows(
         g, gprime, s[idx], sum_abs[idx]
     )
     return PLRows(value, exists, iterations, lo, hi, sum_abs, residual)
@@ -321,7 +250,7 @@ def _table_mle(s: float, values: np.ndarray, log_mult: np.ndarray) -> EstimateRe
     """Solve dlog Z/dtheta = s / 2 on a sorted exact (x'Qx, log multiplicity) table.
 
     The root exists iff s lies strictly between the table's ends. It is the
-    one row of _solve_rows, whose g' is Var(x'Qx)/4 under the weights of
+    one row of solve_rows, whose g' is Var(x'Qx)/4 under the weights of
     the same tilted pass as g, and the residual at the root must be at most
     1e-10 (or MLE_RESIDUAL_ULPS rounding units of the table's range).
     """
@@ -342,7 +271,7 @@ def _table_mle(s: float, values: np.ndarray, log_mult: np.ndarray) -> EstimateRe
         return np.array([pmf @ (0.5 * values - m) ** 2 for _ in rows])
 
     tol = max(MLE_RESIDUAL, MLE_RESIDUAL_ULPS * np.finfo(float).eps * (b_n - a_n))
-    theta, iters, lo, hi, residual = _solve_rows(
+    theta, iters, lo, hi, residual = solve_rows(
         mean, variance, np.array([0.5 * s]), np.array([MLE_SCALE * abs(s)])
     )
     residual = abs(float(residual[0]))

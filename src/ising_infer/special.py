@@ -1,9 +1,11 @@
-"""The special functions of the limit laws and estimators, in numpy and math.
+"""The special functions of the limit laws and estimators, and the one root
+finder, in numpy and math.
 
-* ``brentq``: Brent's bracketing root finder (Brent 1973, *Algorithms for
-  Minimization without Derivatives*, ch. 4), step for step as the widely
-  used C routine brentq.c, so a solve takes the same steps and returns the
-  same root.
+* ``solve_rows``: the package's root finder, for any number of equations
+  increasing in their unknown at once: a bracket doubled outward from 1,
+  then safeguarded Newton inside it. It solves both likelihood equations
+  (``inference``), the spontaneous magnetization and the critical MPLE
+  limit quantiles (``theory``).
 * ``erfc``, ``ndtr``: W. J. Cody's rational Chebyshev approximations
   (Cody 1969, Math. Comp. 23:631-637, as in his CALERF), vectorised;
   ``ndtr`` takes exp(-a^2/2) from a itself, so its far tail keeps a few
@@ -17,9 +19,10 @@
 * ``gammaln``: log Gamma at positive integers (the log-factorials), for
   whole arrays at once.
 
-Each keeps the name and argument order of the usual special-function
-library routine, and takes arrays or floats; the tests check every one
-against an independent implementation.
+Each special function keeps the name and argument order of the usual
+special-function library routine, and takes arrays or floats; the tests
+check every one, and the roots the package solves, against an independent
+implementation.
 """
 from __future__ import annotations
 
@@ -33,74 +36,81 @@ _EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
-# Brent's method
+# The root finder
+
+RESIDUAL_SCALE = 1e-12
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * _EPS,
-           maxiter: int = 100) -> float:
-    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+def solve_rows(g, gprime, targets, scale):
+    """Roots of g(theta, rows) = targets[rows], each increasing in theta.
 
-    Stops once half the bracket is below (xtol + rtol |x|) / 2 and returns
-    the best end. Raises ParameterError for xtol <= 0 or rtol < 4 eps, and
-    NumericError when f(a) and f(b) have one sign, when f returns NaN, or
-    after ``maxiter`` steps without convergence.
+    g and gprime take the thetas and indices of some rows; gprime is only
+    called right after g at the same thetas (perhaps with no rows), so it
+    may read g's pass. Each row runs its own iteration, independent of the
+    other rows: the bracket doubles outward from 1, and an end where g meets
+    its target exactly is the root; else Newton runs inside it with a
+    bisection fallback until the residual is at most RESIDUAL_SCALE * scale,
+    the bracket is narrower than 1e-15 relative, or a Newton step is, within
+    200 evaluations.
+    Returns (theta, iterations, lo, hi, residual) per row, ``iterations``
+    counting the bracket steps and Newton evaluations.
     """
-    if not xtol > 0.0:
-        raise ParameterError(f"xtol must be positive, got {xtol}")
-    if not rtol >= 4 * _EPS:
-        raise ParameterError(f"rtol must be at least {4 * _EPS:g}, got {rtol}")
+    def f(theta, rows):
+        return g(theta, rows) - targets[rows]
 
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericError(f"the function value at x={x} is NaN")
-        return fx
+    every = np.arange(targets.size)
+    theta = np.ones(targets.size)
+    b_lo, b_hi, step = theta.copy(), theta.copy(), np.ones(targets.size)
+    iters = np.zeros(targets.size, dtype=np.int64)
+    f0 = f(theta, every)
+    solved = f0 == 0.0
+    # rows with f(1) > 0 move the lower end down, rows below 0
+    # the upper end up, doubling the step each time; an end where f is
+    # exactly 0 is the root (theta = 0 at x'Qx = 0, say), which Newton
+    # could only approach by bisecting toward it
+    for edge, sign, moving in ((b_lo, -1.0, f0 > 0.0), (b_hi, 1.0, f0 < 0.0)):
+        moving = np.flatnonzero(moving)
+        while moving.size:
+            edge[moving] += sign * step[moving]
+            step[moving] *= 2.0
+            iters[moving] += 1
+            if (iters[moving] > 80).any():
+                raise NumericError("bracketing ran away")
+            val = f(edge[moving], moving)
+            root = moving[val == 0.0]
+            theta[root], solved[root] = edge[root], True
+            moving = moving[sign * val < 0.0]
 
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericError(f"f({a}) and f({b}) do not differ in sign")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise NumericError(f"brentq did not converge in {maxiter} steps")
+    active = np.flatnonzero(~solved)
+    theta[active] = 0.5 * (b_lo[active] + b_hi[active])
+    # rows whose latest Newton step moved theta by less than the closing
+    # width: once evaluated there they stop, for the residual is down to the
+    # rounding of g, and bisecting toward the far end would only close a
+    # bracket around the same root
+    settled = np.zeros(targets.size, dtype=bool)
+    for _ in range(200):
+        if not active.size:
+            break
+        val = f(theta[active], active)
+        iters[active] += 1
+        going = (np.abs(val) > RESIDUAL_SCALE * scale[active]) & ~settled[active]
+        rows, val, th = active[going], val[going], theta[active[going]]
+        high = val > 0.0
+        b_hi[rows[high]] = th[high]
+        b_lo[rows[~high]] = th[~high]
+        r_lo, r_hi, deriv = b_lo[rows], b_hi[rows], gprime(th, rows)
+        # a nonpositive slope bisects; the quotient overflows to inf quietly
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            candidate = np.where(deriv > 0.0, th - val / deriv, math.inf)
+        inside = (r_lo < candidate) & (candidate < r_hi)
+        # a step that rounds to nothing lands on the end just set, not inside
+        small = np.abs(candidate - th) < 1e-15 * np.maximum(1.0, np.abs(th))
+        th = np.where(inside | small, candidate, 0.5 * (r_lo + r_hi))
+        theta[rows], settled[rows] = th, small
+        active = rows[r_hi - r_lo >= 1e-15 * np.maximum(1.0, np.abs(th))]
+    if active.size:
+        raise NumericError("Newton did not converge")
+    return theta, iters, b_lo, b_hi, f(theta, every)
 
 
 # ---------------------------------------------------------------------------

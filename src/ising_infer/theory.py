@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import H_MAX, ParameterError
-from .special import brentq, chdtr, chdtrc, ndtr
+from .special import chdtr, chdtrc, ndtr, solve_rows
 from .streams import as_generator
 
 TAIL_LOG_CUT = 40.0
@@ -39,22 +39,40 @@ LIMIT_TAIL_LOG = 40.0
 # Gauss-Legendre nodes per side of the cusp when one chi-square group is
 # smoothed by N(0, 2 kappa)
 LIMIT_SMOOTHING_NODES = 64
+# solve_rows stops a quantile at a residual of special.RESIDUAL_SCALE times
+# this, 1e-15 in probability: a few rounding units of the level
+QUANTILE_SCALE = 1e-3
 
 
+@lru_cache(maxsize=1024)
 def spontaneous_magnetization(theta: float) -> float:
     """The nonnegative root m of m = tanh(theta*m); zero for theta <= 1.
 
-    Solved by Brent bracketing on [1e-12, 1] and polished by one Newton
-    step; the returned value has fixed-point residual below 1e-14. A
-    negative or non-finite theta raises ParameterError.
+    Solved by special.solve_rows as x / tanh(x) = theta in x = atanh(m),
+    whose left side rises from 1 at x = 0 (posed as m - tanh(theta m), the
+    bracket would stop at the trivial root m = 0), to a residual of
+    special.RESIDUAL_SCALE (theta - 1); then polished by one Newton step on
+    m. The returned value has fixed-point residual below 1e-14. Cached per
+    theta, so a process solves each theta once. A negative or non-finite
+    theta raises ParameterError.
     """
     if not 0.0 <= theta < math.inf:
         raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
     if theta <= 1.0:
         return 0.0
-    m = brentq(
-        lambda x: x - math.tanh(theta * x), 1e-12, 1.0, xtol=1e-16, rtol=8.9e-16
-    )
+
+    def ratio(x, rows):
+        # x / tanh(x), and 1 at x = 0, the lower end the bracket steps to
+        return np.divide(x, np.tanh(x), out=np.ones_like(x), where=x != 0.0)
+
+    def ratio_slope(x, rows):
+        # 1 / tanh(x) - x / sinh(x)^2 through t = tanh(x), which stays finite
+        # at any x; Newton runs at x > 0 only
+        t = np.tanh(x)
+        return 1.0 / t - x * (1.0 - t * t) / (t * t)
+
+    x = solve_rows(ratio, ratio_slope, np.array([theta]), np.array([theta - 1.0]))[0]
+    m = math.tanh(float(x[0]))
     w = m - math.tanh(theta * m)
     slope = 1.0 - theta / math.cosh(theta * m) ** 2
     if slope != 0.0:
@@ -447,8 +465,10 @@ def mple_limit_sf(v: float, h: float, limit_eigs, kappa: float) -> float:
 def mple_limit_quantile(p: float, h: float, limit_eigs, kappa: float) -> float:
     """The level-p quantile of the critical MPLE limit V_h.
 
-    A brentq root of 1 - p - mple_limit_sf(., h), cached per
-    (p, h, limit_eigs, kappa).
+    The root of mple_limit_sf(., h) = 1 - p by special.solve_rows, which
+    brackets it by doubling from v = 1, with the secant through its latest
+    two evaluations as the slope, to a residual of 1e-15 in probability
+    (QUANTILE_SCALE); cached per (p, h, limit_eigs, kappa).
     """
     if not 0.0 < p < 1.0:
         raise ParameterError("quantile levels must lie strictly in (0, 1)")
@@ -457,19 +477,20 @@ def mple_limit_quantile(p: float, h: float, limit_eigs, kappa: float) -> float:
 
 @lru_cache(maxsize=64)
 def _limit_quantile(p: float, h: float, limit_eigs: tuple, kappa: float) -> float:
-    def excess(v):
-        return mple_limit_sf(v, h, limit_eigs, kappa) - (1.0 - p)
+    # the root of -P(V_h > v) = p - 1, whose slope is taken as the secant
+    # through the latest two evaluations, so a step costs one evaluation
+    seen = []  # (v, -P(V_h > v)), the latest last
 
-    lo, hi = -1.0, 1.0
-    for _ in range(64):
-        if excess(lo) > 0.0:
-            break
-        lo *= 2.0
-    for _ in range(64):
-        if excess(hi) < 0.0:
-            break
-        hi *= 2.0
-    return brentq(excess, lo, hi, xtol=1e-13)
+    def minus_sf(v, rows):
+        seen.append((float(v[0]), -mple_limit_sf(float(v[0]), h, limit_eigs, kappa)))
+        return np.array([seen[-1][1]])
+
+    def secant(v, rows):
+        (v0, g0), (v1, g1) = seen[-2:]
+        return np.array([(g1 - g0) / (v1 - v0) for _ in rows])
+
+    target, scale = np.array([p - 1.0]), np.array([QUANTILE_SCALE])
+    return float(solve_rows(minus_sf, secant, target, scale)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 table mirrored and a full doubling over all 2^n codes, the 2^n
 state law, its exact one-sweep Glauber kernel, the per-sweep Glauber
 loop, the conditional flip probability, the enumerated sufficient-statistic
-pmf, the Brent MLE on an unsorted table, the Monte Carlo limiting power and
-the sample quantile.
+pmf, the Brent MLE on an unsorted table, the Brent critical MPLE limit
+quantile, the Monte Carlo limiting power and the sample quantile.
 
 They build on the package's enumeration (``_double``, ``suff_stat_table``,
-``tilted_table``), Glauber start (``_initial_spins``), ``brentq`` and limit
-laws (``limit_power``, ``_limit_cutoff``, ``sample_mple_limit``,
-``CriticalLaw``); no package code calls them.
+``tilted_table``), Glauber start (``_initial_spins``) and limit laws
+(``limit_power``, ``_limit_cutoff``, ``sample_mple_limit``, ``CriticalLaw``),
+and on scipy's ``brentq``; no package code calls them.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ising_infer.coupling import CouplingMatrix
 from ising_infer.errors import CapacityError, NumericError, ParameterError
@@ -33,9 +34,8 @@ from ising_infer.sampler import (
     suff_stat_table,
     tilted_table,
 )
-from ising_infer.special import brentq
 from ising_infer.streams import derive_seed
-from ising_infer.theory import CriticalLaw, sample_mple_limit
+from ising_infer.theory import CriticalLaw, mple_limit_sf, sample_mple_limit
 
 # state-indexed laws and kernels hold 2^n floats, or 2^n x n spins
 STATE_LAW_MAX_N = 20
@@ -210,6 +210,24 @@ def brent_table_mle(s: float, values, log_mult) -> EstimateResult:
         raise NumericError(f"likelihood residual {residual:.2e} above {tol:.2e}")
     diagnostics["residual"] = residual
     return EstimateResult(value, True, "mle_exact", iters, (lo, hi), diagnostics)
+
+
+def brent_limit_quantile(p: float, h: float, limit_eigs, kappa: float) -> float:
+    """The level-p quantile of the critical MPLE limit, by Brent's method.
+
+    The oracle of ``theory.mple_limit_quantile``: the root of
+    mple_limit_sf(., h) = 1 - p, on a bracket doubled outward from (-1, 1),
+    to xtol 1e-15.
+    """
+    def excess(v):
+        return mple_limit_sf(v, h, limit_eigs, kappa) - (1.0 - p)
+
+    lo, hi = -1.0, 1.0
+    while excess(lo) <= 0.0:
+        lo *= 2.0
+    while excess(hi) >= 0.0:
+        hi *= 2.0
+    return brentq(excess, lo, hi, xtol=1e-15)
 
 
 def per_sweep_run_sweeps(entries, theta, spins, t, sweeps, rng) -> None:

@@ -25,7 +25,8 @@ from ising_infer import (
     suff_stat_table,
     substream,
 )
-from ising_infer import inference, sampler
+from ising_infer import inference, sampler, special, theory
+from ising_infer.coupling import limiting_spectrum
 from ising_infer.sampler import CountLaw, tilted_table
 from oracles import brent_table_mle, enumerate_state_distribution, suff_stats_by_code
 
@@ -184,12 +185,12 @@ def test_pl_core_reproduces_the_scalar_root_finder():
     )
 
 
-# evaluations _solve_rows may spend on one root, fixed before the
+# evaluations solve_rows may spend on one root, fixed before the
 # one-sided Newton stall was mended (it spent up to 55)
 SOLVE_EVALUATIONS = 25
 
 
-def test_root_finder_evaluations_are_bounded():
+def test_root_finder_evaluations_are_bounded(monkeypatch):
     # the likelihood at every value of the complete n = 2500 table and at
     # s = 0 on bipartite n = 400, and the pseudolikelihood at every atom of
     # both laws: a Newton step below the closing width ends the row, and a
@@ -210,6 +211,30 @@ def test_root_finder_evaluations_are_bounded():
         solved = zero[rows.exists[zero]]
         assert solved.size and (rows.value[solved] == 0.0).all()
         assert (rows.iterations[solved] == 1).all()
+    # theory's roots: the magnetization next to theta = 1, across [1.0001, 8]
+    # and far above, and the 16 critical MPLE limit quantiles
+    theory_iterations = []
+
+    def counted(*args):
+        out = special.solve_rows(*args)
+        theory_iterations.append(int(out[1].max()))
+        return out
+
+    monkeypatch.setattr(theory, "solve_rows", counted)
+    theory.spontaneous_magnetization.cache_clear()
+    theory._limit_quantile.cache_clear()
+    thetas = [1.0 + 1e-12, 1.0 + 1e-8, 1.0 + 1e-4, *np.linspace(1.0001, 8.0, 600), 20.0, 50.0]
+    for theta in thetas:
+        theory.spontaneous_magnetization(theta)
+    for family, kwargs in (
+        ("complete", {}), ("bipartite", {}), ("qpartite", {"q": 3}),
+        ("cyclic_qpartite", {"q": 5}),
+    ):
+        lim = limiting_spectrum(family, **kwargs)
+        for p in (0.25, 0.5, 0.75, 0.95):
+            theory.mple_limit_quantile(p, 0.0, lim.limit_eigs, lim.kappa)
+    assert len(theory_iterations) == len(set(thetas)) + 16
+    assert max(theory_iterations) <= SOLVE_EVALUATIONS
 
 
 def test_pl_core_rows_iterate_independently():

@@ -254,32 +254,35 @@ def test_no_estimator_draws_a_chain():
 
 
 def test_both_likelihood_equations_share_one_root_finder():
-    # the pseudolikelihood and likelihood equations are both increasing in
-    # theta and solved by the one bracket-and-Newton loop, _solve_rows;
-    # Brent's method stays with the limit-law quantiles in theory.py
-    tree = ast.parse((Path(ising_infer.__file__).parent / "inference.py").read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {alias.name.rpartition(".")[2] for alias in node.names}
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-    assert "brentq" not in names
-    calls = {}
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef):
-            calls[fn.name] = {
-                node.func.id
+    # every root the package solves goes through special.solve_rows, the
+    # one bracket-and-Newton loop: both likelihood equations, the
+    # spontaneous magnetization and the critical MPLE limit quantiles. No
+    # module defines, imports or names a Brent solver.
+    callers = []
+    for path in sorted(Path(ising_infer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name.rpartition(".")[2] for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert "brentq" not in names, path.name
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call)
+                and "solve_rows"
+                in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
                 for node in ast.walk(fn)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            }
-    assert "_solve_rows" in calls["_pl_rows"]
-    assert "_solve_rows" in calls["_table_mle"]
-    assert [name for name, called in calls.items() if "_solve_rows" in called] == [
-        "_pl_rows", "_table_mle"
-    ]
+            ):
+                callers.append(fn.name)
+    assert sorted(callers) == sorted(
+        ["_pl_rows", "_table_mle", "spontaneous_magnetization", "_limit_quantile"]
+    )
 
 
 def _imported_modules(path: Path) -> set:

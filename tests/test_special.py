@@ -1,4 +1,5 @@
-"""The numpy and math special functions against scipy, their oracle.
+"""The numpy and math special functions, and the roots theory solves with
+the package's root finder, against scipy, their oracle.
 
 scipy is a test dependency only. Where its own result is the less accurate
 side (erfc and the chi-square tails past x ~ 500 round their exponent), a
@@ -14,8 +15,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq as sc_brentq
 
 from ising_infer import special, theory
-from ising_infer.errors import NumericError, ParameterError
-from ising_infer.sampler import CountLaw, tilted_table
+from ising_infer.coupling import limiting_spectrum
+from ising_infer.errors import ParameterError
+from ising_infer.theory import mple_limit_sf
+from oracles import brent_limit_quantile
 
 EPS = np.finfo(np.float64).eps
 # below this, results are compared in absolute terms: near the subnormal
@@ -33,80 +36,66 @@ def _assert_close(got, want, rtol, floor=FLOOR):
     assert err.max() <= rtol, (err.max(), want.flat[err.argmax()])
 
 
-def _counted(fn):
+# ---------------------------------------------------------------------------
+# The roots theory solves on solve_rows, against scipy's brentq
+
+# the critical MPLE limit quantiles an experiment reads at h = 0: the
+# estimator-law quartiles and the pl cutoff at level 0.05
+QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.95)
+QUANTILE_SPECTRA = (
+    ("complete", {}), ("bipartite", {}), ("qpartite", {"q": 3}),
+    ("cyclic_qpartite", {"q": 5}),
+)
+# mple_limit_sf evaluations the 16 quantiles took under Brent's method
+QUANTILE_EVALUATIONS = 205
+
+
+def test_magnetization_matches_brent():
+    thetas = np.concatenate([np.linspace(1.0 + 1e-4, 8.0, 600), [20.0, 50.0]])
+    for theta in thetas:
+        want = sc_brentq(lambda x, th=theta: x - math.tanh(th * x), 1e-12, 1.0, xtol=1e-16)
+        assert abs(theory.spontaneous_magnetization(theta) - want) <= 1e-13, theta
+
+
+def test_magnetization_near_the_critical_point():
+    # the fixed point rounds coarsely this close to theta = 1, so only its
+    # residual is checked
+    for theta in (1.0 + 1e-12, 1.0 + 1e-8):
+        m = theory.spontaneous_magnetization(theta)
+        assert m > 0.0 and abs(m - math.tanh(theta * m)) <= 1e-14, theta
+
+
+def test_magnetization_is_solved_once_per_theta(monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return special.solve_rows(*args)
+
+    monkeypatch.setattr(theory, "solve_rows", counted)
+    theory.spontaneous_magnetization.cache_clear()
+    values = {theory.spontaneous_magnetization(1.5) for _ in range(3)}
+    theory.information_rate(1.5)
+    theory.magnetization_slope(1.5)
+    assert len(values) == 1 and len(solves) == 1
+
+
+def test_limit_quantiles_match_brent(monkeypatch):
     calls = [0]
 
-    def wrapped(x):
+    def counted(*args):
         calls[0] += 1
-        return fn(x)
+        return mple_limit_sf(*args)
 
-    return wrapped, calls
-
-
-# ---------------------------------------------------------------------------
-# brentq
-
-
-def _same_solve(f, a, b, **kw):
-    want, info = sc_brentq(f, a, b, full_output=True, **kw)
-    g, calls = _counted(f)
-    got = special.brentq(g, a, b, **kw)
-    return got == want and calls[0] == info.function_calls
-
-
-def test_brentq_matches_the_magnetization_solves():
-    thetas = np.linspace(1.0 + 1e-4, 8.0, 600)
-    mismatched = [
-        th for th in thetas
-        if not _same_solve(
-            lambda x, th=th: x - math.tanh(th * x), 1e-12, 1.0, xtol=1e-16, rtol=8.9e-16
-        )
-    ]
-    assert not mismatched
-
-
-def test_brentq_matches_the_table_mle_solves():
-    law = CountLaw(2500)
-    stats = np.linspace(law.values.min(), law.values.max(), 302)[1:-1]
-    mismatched = []
-    for s in stats:
-        def g(theta, half=0.5 * s):
-            return tilted_table(law.values, law.log_mult, theta)[1] - half
-
-        lo, hi = -1.0, 1.0
-        while g(lo) > 0.0:
-            lo *= 2.0
-        while g(hi) < 0.0:
-            hi *= 2.0
-        if not _same_solve(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200):
-            mismatched.append(s)
-    assert not mismatched
-
-
-def test_brentq_matches_the_quantile_solves():
-    # default rtol, as mple_limit_quantile calls it
-    for p in (0.05, 0.5, 0.95):
-        assert _same_solve(lambda v: math.atan(v) - p, -1.0, 2.0, xtol=1e-13)
-
-
-def test_brentq_returns_an_exact_root_at_an_end():
-    assert special.brentq(lambda x: x, 0.0, 1.0) == 0.0
-    assert special.brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-
-def test_brentq_refuses_what_it_cannot_solve():
-    with pytest.raises(NumericError, match="sign"):
-        special.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(NumericError, match="NaN"):
-        special.brentq(lambda x: math.nan, -1.0, 1.0)
-    with pytest.raises(NumericError, match="NaN"):
-        special.brentq(lambda x: x if x in (-1.0, 2.0) else math.nan, -1.0, 2.0)
-    with pytest.raises(NumericError, match="converge"):
-        special.brentq(lambda x: x**3 - 0.3, 0.0, 1.0, maxiter=3)
-    with pytest.raises(ParameterError):
-        special.brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
-    with pytest.raises(ParameterError):
-        special.brentq(lambda x: x, -1.0, 1.0, rtol=EPS)
+    monkeypatch.setattr(theory, "mple_limit_sf", counted)
+    theory._limit_quantile.cache_clear()
+    for family, kwargs in QUANTILE_SPECTRA:
+        lim = limiting_spectrum(family, **kwargs)
+        for p in QUANTILE_LEVELS:
+            got = theory.mple_limit_quantile(p, 0.0, lim.limit_eigs, lim.kappa)
+            want = brent_limit_quantile(p, 0.0, lim.limit_eigs, lim.kappa)
+            assert abs(got - want) <= 1e-13, (family, p, got, want)
+    assert calls[0] <= QUANTILE_EVALUATIONS
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,30 @@ def test_burn_in_probe_enum_reference_reads_every_code():
     picked = np.minimum(np.searchsorted(np.cumsum(pmf), u, side="right"), pmf.size - 1)
     assert np.array_equal(ref["suff"], np.round(values[picked], 6))
     assert np.array_equal(ref["fold"], np.abs(2 * plus[picked] - n))
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    code_lines = _load("code_lines")
+    source = '''"""Module docstring,
+over two lines."""
+import math  # a comment
+
+
+# a comment line
+def f(x):
+    """Docstring."""
+    text = ("a string in an expression "
+            "counts")
+    return math.sqrt(x) + len(text)
+
+
+class C:
+    "one-line docstring"
+    value = 1
+'''
+    # import, def, the two lines of text, return, class, value
+    assert code_lines.count_source(source) == 7
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(source)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n\ny = [\n    2,\n]\n")
+    assert code_lines.count_path(tmp_path / "pkg") == 7 + 4
