@@ -119,24 +119,23 @@ def _parse_grid(text: str, flag: str, kind=int) -> tuple:
         raise ConfigError(f"{flag}: cannot parse {text!r}") from exc
 
 
-def _given(args, keys) -> dict:
-    """The experiment flags among ``keys`` that the command line gave."""
-    return {key: getattr(args, key) for key in keys if key in args}
-
-
-def _cmd_spectra(args) -> int:
+def _run_flag_verb(args, experiment: str, flags: tuple, **fields) -> int:
+    """Run ``experiment`` on the family flags, ``fields`` and those of
+    ``flags`` that the command line gave, and write its CSV."""
     from .harness import ExperimentConfig, render_csv, run_experiment
 
+    given = {key: getattr(args, key) for key in flags if key in args}
     config = ExperimentConfig(
-        experiment="spectrum_report",
-        family=args.family,
-        q=args.q,
-        d=args.d,
-        n=_parse_grid(args.n, "--n"),
-        **_given(args, ("master_seed",)),
+        experiment=experiment, family=args.family, q=args.q, d=args.d,
+        **fields, **given,
     )
     _write_text(render_csv(run_experiment(config)), args.output)
     return 0
+
+
+def _cmd_spectra(args) -> int:
+    grid = _parse_grid(args.n, "--n")
+    return _run_flag_verb(args, "spectrum_report", ("master_seed",), n=grid)
 
 
 def _cmd_estimate(args) -> int:
@@ -177,22 +176,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    from .harness import ExperimentConfig, render_csv, run_experiment
-
-    options = _given(args, ("alpha", "reps", "master_seed", "calibration"))
-    if "h" in args:
-        options["h"] = _parse_grid(args.h, "--h", float)
-    config = ExperimentConfig(
-        experiment="power_curve",
-        family=args.family,
-        q=args.q,
-        d=args.d,
-        n=(args.n,),
-        theta0=args.theta0,
-        **options,
+    grid = {"h": _parse_grid(args.h, "--h", float)} if "h" in args else {}
+    flags = ("alpha", "reps", "master_seed", "calibration")
+    return _run_flag_verb(
+        args, "power_curve", flags, n=(args.n,), theta0=args.theta0, **grid
     )
-    _write_text(render_csv(run_experiment(config)), args.output)
-    return 0
 
 
 def _cmd_limits(args) -> int:

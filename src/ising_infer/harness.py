@@ -2,17 +2,22 @@
 
 A run is described by a flat key=value config (file or string), dispatched
 to one of five experiment pipelines, and emitted with a metadata header
-carrying the package version and a hash of the effective config. Outputs
+carrying the package version and a hash of the effective config. A
+pipeline returns its records and summary; the columns are the first
+record's keys, in order, so each output is declared once. Outputs
 are deterministic given the master seed: replication r always uses the
 derived stream hash(master_seed, r), so serial and worker-pool runs agree
 and records can be aggregated in any order. Every replication comes from
 an htests.DrawSet, which draws the atoms or maps the Glauber chains. The
 estimator law reads one DrawSet per n, at theta0 with the master seed,
 and solves the MLE of its x'Qx column, exact or plug-in, once per distinct
-value (inference.mle_suff_stats). A power curve holds one DrawSet per (n, h),
-shared by ms, np and pl, and one null DrawSet per n, which only a Glauber
-calibration reads and so draws; its asymptotic power is limit_power,
-exact and drawn from no stream.
+value (inference.mle_suff_stats); its summary block for that n reads the
+same arrays. A power curve holds one DrawSet per (n, h), shared by ms, np
+and pl, and one null DrawSet per n, which only a Glauber calibration reads
+and so draws; its asymptotic power is limit_power, exact and drawn from
+no stream. The sampler each output reports (exact atoms or Glauber chains
+and their burn-in) is DrawSet.burn_in: the harness never asks for a count
+law itself.
 Every critical limit-law number (the estimator-law quartiles,
 limit_law_density) comes from the quadrature of theory.mple_limit_sf and
 draws nothing.
@@ -214,6 +219,9 @@ def config_hash(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One run: ``columns`` are the emitted column names in order, which
+    run_experiment reads off the first record's keys."""
+
     config: ExperimentConfig
     columns: tuple
     records: list
@@ -235,38 +243,19 @@ def _coupling_for(config: ExperimentConfig, n: int):
     return build_coupling(config.family, n, **kwargs)
 
 
-_ESTIMATOR_COLUMNS = (
-    "replication",
-    "derived_seed",
-    "n",
-    "theta0",
-    "xbar",
-    "suff_stat",
-    "mple",
-    "mple_exists",
-    "mle",
-    "mle_exists",
-    "elapsed_s",
-)
-
-
-def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
+def _run_estimator_law(config: ExperimentConfig) -> tuple[list, dict]:
     """One DrawSet per n at theta0 with the master seed, and the MLE of its
     x'Qx column, exact or plug-in; ``elapsed_s`` is the set's wall time split
-    evenly over its records."""
+    evenly over its records. Each n's summary block reads the same arrays."""
     from .htests import DrawSet
     from .inference import mle_suff_stats
-    from .sampler import count_law
 
-    records, limits, burn_ins, routes, reps = [], {}, {}, {}, config.reps
+    records, summary, reps = [], {}, config.reps
     for n in config.n:
         coupling = _coupling_for(config, n)
-        limits[n] = family_limit(coupling)
-        burn_ins[n] = _burn_in(count_law(coupling), n, config.theta0)
         start = time.perf_counter()
         draws = DrawSet(coupling, config.theta0, config.master_seed, reps)
         ml = mle_suff_stats(coupling, draws.columns["suff_stat"])
-        routes[n] = ml.route
         arrays = {**draws.columns, "mle": ml.value, "mle_exists": ml.exists}
         columns = {
             "replication": range(reps), "derived_seed": draws.seeds.tolist(),
@@ -275,84 +264,56 @@ def _run_estimator_law(config: ExperimentConfig) -> ExperimentResult:
             "elapsed_s": [(time.perf_counter() - start) / reps] * reps,
         }
         records.extend(dict(zip(columns, row)) for row in zip(*columns.values()))
-    summary = _estimator_summary(config, records, limits, burn_ins, routes)
-    return ExperimentResult(config, _ESTIMATOR_COLUMNS, records, summary)
+        summary[f"n={n}"] = _estimator_summary(draws, arrays, ml.route)
+    return records, summary
 
 
-def _burn_in(law, n: int, theta: float) -> int | None:
-    """Sweeps of each Glauber chain at n, or None under a count law."""
-    from .sampler import default_burn_in
-
-    return None if law is not None else default_burn_in(n, theta)
-
-
-def _scaled_estimates(rows, key: str, n: int, theta0: float) -> tuple[dict, np.ndarray]:
+def _scaled_estimates(arrays, key: str, n: int, theta0: float) -> tuple[dict, np.ndarray]:
     """The ``key`` estimate's exists rate and the mean and SD of
     sqrt(n)(estimate - theta0) over the estimates that exist, which it
     also returns."""
-    scaled = np.array(
-        [math.sqrt(n) * (row[key] - theta0) for row in rows if row[f"{key}_exists"]]
-    )
+    exists = arrays[f"{key}_exists"]
+    scaled = math.sqrt(n) * (arrays[key][exists] - theta0)
     figures = {
-        f"{key}_exists_rate": float(np.mean([row[f"{key}_exists"] for row in rows])),
+        f"{key}_exists_rate": float(np.mean(exists)),
         f"scaled_{key}_mean": float(scaled.mean()) if scaled.size else math.nan,
         f"scaled_{key}_sd": float(scaled.std(ddof=1)) if scaled.size > 1 else math.nan,
     }
     return figures, scaled
 
 
-def _estimator_summary(
-    config: ExperimentConfig, records, limits, burn_ins, routes
-) -> dict:
-    from .theory import information_rate, mple_limit_quantile
+def _estimator_summary(draws, arrays, route) -> dict:
+    """The summary block of one n: its draw set's sampler, the estimates'
+    figures (``arrays`` by column name) and the limit beside them."""
+    from .theory import mple_limit_quantile, positive_information_rate
 
-    summary = {}
-    for n in config.n:
-        rows = [row for row in records if row["n"] == n]
-        mple_figures, scaled = _scaled_estimates(rows, "mple", n, config.theta0)
-        block = {
-            "sampler": "exact" if burn_ins[n] is None else "glauber",
-            "burn_in": burn_ins[n],
-            "reps": len(rows),
-            **mple_figures,
-            "mle_route": routes[n],
-            **_scaled_estimates(rows, "mle", n, config.theta0)[0],
-        }
-        if config.theta0 > 1.0:
-            block["theory_sd"] = 1.0 / math.sqrt(information_rate(config.theta0))
-        elif config.theta0 == 1.0:
-            lim = limits[n]
-            block["theory_quartiles"] = [
-                mple_limit_quantile(p, 0.0, lim.limit_eigs, lim.kappa)
-                for p in (0.25, 0.5, 0.75)
-            ]
-            block["scaled_quartiles"] = (
-                [float(np.quantile(scaled, p)) for p in (0.25, 0.5, 0.75)]
-                if scaled.size
-                else []
-            )
-        summary[f"n={n}"] = block
-    return summary
+    n, theta0 = draws.coupling.n, draws.theta
+    mple_figures, scaled = _scaled_estimates(arrays, "mple", n, theta0)
+    block = {
+        "sampler": "exact" if draws.burn_in is None else "glauber",
+        "burn_in": draws.burn_in,
+        "reps": draws.reps,
+        **mple_figures,
+        "mle_route": route,
+        **_scaled_estimates(arrays, "mle", n, theta0)[0],
+    }
+    if theta0 > 1.0:
+        block["theory_sd"] = 1.0 / math.sqrt(positive_information_rate(theta0))
+    elif theta0 == 1.0:
+        lim = family_limit(draws.coupling)
+        block["theory_quartiles"] = [
+            mple_limit_quantile(p, 0.0, lim.limit_eigs, lim.kappa)
+            for p in (0.25, 0.5, 0.75)
+        ]
+        block["scaled_quartiles"] = (
+            [float(np.quantile(scaled, p)) for p in (0.25, 0.5, 0.75)]
+            if scaled.size
+            else []
+        )
+    return block
 
 
-_POWER_COLUMNS = (
-    "n",
-    "kind",
-    "h",
-    "theta_n",
-    "empirical_power",
-    "mc_stderr",
-    "exact_power",
-    "asymptotic_power",
-    "critical_value",
-    "gamma",
-    "achieved_level",
-    "calibration",
-    "elapsed_s",
-)
-
-
-def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
+def _run_power_curve(config: ExperimentConfig) -> tuple[list, dict]:
     from .htests import (
         KINDS,
         MIN_CALIBRATION_REPS,
@@ -363,19 +324,19 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
         exact_power,
         limit_power,
     )
-    from .sampler import count_law
 
     records = []
     summary = {}
     for n in config.n:
         coupling = _coupling_for(config, n)
         limit = family_limit(coupling) if config.theta0 >= 1.0 else None
-        law = count_law(coupling)
         # drawn on first read, and only a Glauber calibration reads it
         null_reps = max(config.reps, MIN_CALIBRATION_REPS)
         null = DrawSet(
             coupling, config.theta0, derive_seed(config.master_seed, 0), null_reps
         )
+        # one rule for the null and every theta_n, so one count per n
+        burn_in = null.burn_in
         calibrations = {}
         for kind in KINDS:
             spec = TestSpec(kind, config.theta0, config.alpha, n, config.calibration)
@@ -393,7 +354,7 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                 power = empirical_power(cal, draws)
                 exact = (
                     exact_power(cal.spec, coupling, h, calibration=cal)
-                    if law is not None
+                    if burn_in is None
                     else math.nan
                 )
                 asym = (
@@ -433,8 +394,6 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
                 )
         for kind in KINDS:
             records.extend(rows[kind])
-        # one rule for the null and every theta_n, so one count per n
-        burn_in = _burn_in(law, n, config.theta0)
         summary[f"n={n}"] = {
             kind: {
                 "critical_value": cal.critical_value,
@@ -445,13 +404,10 @@ def _run_power_curve(config: ExperimentConfig) -> ExperimentResult:
             }
             for kind, cal in calibrations.items()
         }
-    return ExperimentResult(config, _POWER_COLUMNS, records, summary)
+    return records, summary
 
 
-_DENSITY_COLUMNS = ("index", "value", "mple_limit_density", "mle_limit_cdf")
-
-
-def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
+def _run_limit_law_density(config: ExperimentConfig) -> tuple[list, dict]:
     from .theory import mle_critical_cdf, mple_limit_quantile, mple_limit_sf
 
     if config.theta0 != 1.0:
@@ -486,22 +442,10 @@ def _run_limit_law_density(config: ExperimentConfig) -> ExperimentResult:
         for i in range(mids.size)
     ]
     summary = {"h": h, "mple_quartiles": [quantile(p) for p in (0.25, 0.5, 0.75)]}
-    return ExperimentResult(config, _DENSITY_COLUMNS, records, summary)
+    return records, summary
 
 
-_NORMALIZER_COLUMNS = (
-    "n",
-    "theta0",
-    "h",
-    "delta_log_z",
-    "drift_term",
-    "predicted_limit",
-    "gap",
-    "elapsed_s",
-)
-
-
-def _run_normalizer_check(config: ExperimentConfig) -> ExperimentResult:
+def _run_normalizer_check(config: ExperimentConfig) -> tuple[list, dict]:
     from .sampler import cw_log_partition
     from .theory import delta_log_partition
 
@@ -534,29 +478,10 @@ def _run_normalizer_check(config: ExperimentConfig) -> ExperimentResult:
         ),
         "final_gap": records[-1]["gap"],
     }
-    return ExperimentResult(config, _NORMALIZER_COLUMNS, records, summary)
+    return records, summary
 
 
-_SPECTRUM_COLUMNS = (
-    "n",
-    "family",
-    "q",
-    "d",
-    "eig_1",
-    "eig_2",
-    "eig_3",
-    "eig_4",
-    "frobenius_sq",
-    "gamma_sq",
-    "kappa",
-    "spectral_gap",
-    "row_dev_max",
-    "assumptions_ok",
-    "elapsed_s",
-)
-
-
-def _run_spectrum_report(config: ExperimentConfig) -> ExperimentResult:
+def _run_spectrum_report(config: ExperimentConfig) -> tuple[list, dict]:
     records = []
     for n in config.n:
         start = time.perf_counter()
@@ -569,6 +494,10 @@ def _run_spectrum_report(config: ExperimentConfig) -> ExperimentResult:
             "family": config.family,
             "q": -1 if config.q is None else config.q,
             "d": -1 if config.d is None else config.d,
+            **{
+                f"eig_{j + 1}": float(eigs[j]) if j < eigs.size else math.nan
+                for j in range(4)
+            },
             "frobenius_sq": summary_spec.frobenius_sq,
             "gamma_sq": (
                 math.nan if summary_spec.gamma_sq is None else summary_spec.gamma_sq
@@ -579,21 +508,17 @@ def _run_spectrum_report(config: ExperimentConfig) -> ExperimentResult:
             "assumptions_ok": report.ok,
             "elapsed_s": time.perf_counter() - start,
         }
-        for j in range(4):
-            row[f"eig_{j + 1}"] = float(eigs[j]) if j < eigs.size else math.nan
         records.append(row)
     summary = {"families": [config.family], "all_ok": all(r["assumptions_ok"] for r in records)}
-    return ExperimentResult(config, _SPECTRUM_COLUMNS, records, summary)
+    return records, summary
 
 
 # experiment -> (pipeline, the modules it imports beyond errors, streams and
 # coupling); ExperimentConfig imports them, and their own imports, when a
-# config is made
+# config is made. A pipeline returns its records and summary
 _PIPELINES = {
-    "estimator_law": (
-        _run_estimator_law, ("htests", "inference", "sampler", "theory")
-    ),
-    "power_curve": (_run_power_curve, ("htests", "sampler")),
+    "estimator_law": (_run_estimator_law, ("htests", "inference", "theory")),
+    "power_curve": (_run_power_curve, ("htests",)),
     "limit_law_density": (_run_limit_law_density, ("theory",)),
     "normalizer_check": (_run_normalizer_check, ("sampler", "theory")),
     "spectrum_report": (_run_spectrum_report, ()),
@@ -605,9 +530,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Deterministic given master_seed (timing columns aside); the summary
     carries the matching theory-side quantities next to each empirical
-    figure.
+    figure. The columns are the first record's keys, in order.
     """
-    return _PIPELINES[config.experiment][0](config)
+    records, summary = _PIPELINES[config.experiment][0](config)
+    return ExperimentResult(config, tuple(records[0]), records, summary)
 
 
 # ---------------------------------------------------------------------------

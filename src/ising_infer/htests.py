@@ -59,13 +59,16 @@ from . import streams
 from .coupling import CouplingMatrix, as_spins, family_limit
 from .errors import CALIBRATIONS, ParameterError
 from .inference import mple, mple_counts
-from .sampler import CountLaw, SpinConfiguration, count_law, draw_counts, glauber_sample
+from .sampler import (
+    CountLaw, SpinConfiguration, count_law, default_burn_in, draw_counts, glauber_sample
+)
 from .special import ndtr, ndtri
 from .theory import (
     critical_law,
     information_rate,
     mple_limit_quantile,
     mple_limit_sf,
+    positive_information_rate,
     quadratic_limit_mean,
     spontaneous_magnetization,
 )
@@ -210,7 +213,8 @@ class DrawSet:
     ``columns`` come from the drawn atoms alone, so mple_counts solves only
     those. Elsewhere each replication is one Glauber chain, mapped over the
     worker pool (workers.parallel_map), and ``stats`` are read off
-    ``columns``. reps < 1 raises at construction.
+    ``columns``; ``burn_in`` says which of the two the set draws. reps < 1
+    raises at construction.
     """
 
     coupling: CouplingMatrix
@@ -221,6 +225,14 @@ class DrawSet:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ParameterError("a draw set needs reps >= 1")
+
+    @property
+    def burn_in(self) -> int | None:
+        """Sweeps of each Glauber chain, or None when the draws are count-law
+        atoms; read without drawing."""
+        if count_law(self.coupling) is not None:
+            return None
+        return default_burn_in(self.coupling.n, self.theta)
 
     @cached_property
     def seeds(self) -> np.ndarray:
@@ -363,11 +375,10 @@ def calibrate(
 
     cut = _limit_cutoff(spec.kind, theta0, spec.alpha, limit)
     if theta0 > 1.0:
-        m = spontaneous_magnetization(theta0)
-        rate = information_rate(theta0)
         if spec.kind == "pl":
-            critical = theta0 + cut / math.sqrt(n * rate)
+            critical = theta0 + cut / math.sqrt(n * positive_information_rate(theta0))
         else:
+            m, rate = spontaneous_magnetization(theta0), information_rate(theta0)
             critical = n * m * m + 2.0 * cut * math.sqrt(n * rate)
     elif spec.kind == "pl":
         critical = 1.0 + cut / math.sqrt(n)

@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import H_MAX, ParameterError
+from .errors import H_MAX, NumericError, ParameterError
 from .special import chdtr, chdtrc, ndtr, solve_rows
 from .streams import as_generator
 
@@ -52,14 +52,19 @@ def spontaneous_magnetization(theta: float) -> float:
     whose left side rises from 1 at x = 0 (posed as m - tanh(theta m), the
     bracket would stop at the trivial root m = 0), to a residual of
     special.RESIDUAL_SCALE (theta - 1); then polished by one Newton step on
-    m. The returned value has fixed-point residual below 1e-14. Cached per
-    theta, so a process solves each theta once. A negative or non-finite
-    theta raises ParameterError.
+    m. The returned value has fixed-point residual below 1e-14; it rounds
+    to 1.0 from theta = 19.0615... on. Cached per theta, so a process solves
+    each theta once. A negative or non-finite theta raises ParameterError.
     """
     if not 0.0 <= theta < math.inf:
         raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
     if theta <= 1.0:
         return 0.0
+    # past 2^64 the root x ~ theta nears the reach of the bracket, which
+    # doubles from 1 and gives up after 80 steps; m is 1.0 there, as it is
+    # from theta = 19.0615... on
+    if theta >= 2.0**64:
+        return 1.0
 
     def ratio(x, rows):
         # x / tanh(x), and 1 at x = 0, the lower end the bracket steps to
@@ -74,9 +79,12 @@ def spontaneous_magnetization(theta: float) -> float:
     x = solve_rows(ratio, ratio_slope, np.array([theta]), np.array([theta - 1.0]))[0]
     m = math.tanh(float(x[0]))
     w = m - math.tanh(theta * m)
-    slope = 1.0 - theta / math.cosh(theta * m) ** 2
-    if slope != 0.0:
-        m -= w / slope
+    # a fixed point needs no polish, and cosh(theta m)^2 overflows past
+    # theta m ~ 355, where m = tanh(theta m) = 1.0
+    if w != 0.0:
+        slope = 1.0 - theta / math.cosh(theta * m) ** 2
+        if slope != 0.0:
+            m -= w / slope
     if abs(m - math.tanh(theta * m)) > 1e-14:
         raise ParameterError(f"fixed point residual too large at theta={theta}")
     return m
@@ -101,6 +109,22 @@ def information_rate(theta: float) -> float:
     """R(theta) = m^2 * sigma^2, the inverse limiting estimator variance."""
     m = spontaneous_magnetization(theta)
     return m * m * magnetization_variance(theta)
+
+
+def positive_information_rate(theta0: float) -> float:
+    """information_rate(theta0), for a limit that divides by it.
+
+    Where m rounds to 1 (theta0 from 19.0615... on) the rate rounds to 0,
+    and the normal limit's scale 1/sqrt(n R) has no value: NumericError
+    naming theta0.
+    """
+    rate = information_rate(theta0)
+    if rate == 0.0:
+        raise NumericError(
+            f"theta0={theta0}: the information rate rounds to 0, so the normal "
+            "limit of the estimators has no finite scale"
+        )
+    return rate
 
 
 # ---------------------------------------------------------------------------

@@ -889,6 +889,46 @@ def test_spectrum_report_rows():
     assert result.summary["all_ok"] is True
 
 
+# every experiment's column line, as its records' keys give it
+_COLUMN_LINES = {
+    "estimator_law": (
+        "replication", "derived_seed", "n", "theta0", "xbar", "suff_stat", "mple",
+        "mple_exists", "mle", "mle_exists", "elapsed_s",
+    ),
+    "power_curve": (
+        "n", "kind", "h", "theta_n", "empirical_power", "mc_stderr", "exact_power",
+        "asymptotic_power", "critical_value", "gamma", "achieved_level",
+        "calibration", "elapsed_s",
+    ),
+    "limit_law_density": ("index", "value", "mple_limit_density", "mle_limit_cdf"),
+    "normalizer_check": (
+        "n", "theta0", "h", "delta_log_z", "drift_term", "predicted_limit", "gap",
+        "elapsed_s",
+    ),
+    "spectrum_report": (
+        "n", "family", "q", "d", "eig_1", "eig_2", "eig_3", "eig_4", "frobenius_sq",
+        "gamma_sq", "kappa", "spectral_gap", "row_dev_max", "assumptions_ok",
+        "elapsed_s",
+    ),
+}
+_SMALL_CONFIGS = {
+    "estimator_law": {"n": (20,), "reps": 3},
+    "power_curve": {"n": (20,), "h": (0.0, 1.0), "reps": 10},
+    "limit_law_density": {},
+    "normalizer_check": {"n": (100, 1000)},
+    "spectrum_report": {"n": (12,)},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_pins_its_column_line(experiment):
+    cfg = ExperimentConfig(experiment=experiment, **_SMALL_CONFIGS[experiment])
+    result = run_experiment(cfg)
+    assert result.columns == _COLUMN_LINES[experiment]
+    assert all(tuple(row) == result.columns for row in result.records)
+    assert render_csv(result).splitlines()[1] == ",".join(result.columns)
+
+
 # ---------------------------------------------------------------------------
 # result IO
 
@@ -1034,6 +1074,33 @@ def test_cli_run_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_experiment", boom)
     assert main(["run", str(cfg)]) == 3
     assert "synthetic instability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta0", [20.0, 400.0])
+def test_cli_run_far_above_the_transition(tmp_path, capsys, theta0):
+    # the information rate rounds to 0 from theta0 near 19.1: the estimator
+    # summary's theory_sd and the asymptotic pl cutoff divide by it and exit
+    # 3 with one error line, while a monte_carlo power curve needs no limit
+    # scale and runs
+    runs = {
+        "experiment = estimator_law\nn = 60\nreps = 5\n": 3,
+        "experiment = power_curve\nn = 60\nreps = 20\nh = 0, 1\n"
+        "calibration = asymptotic\n": 3,
+        "experiment = power_curve\nn = 60\nreps = 20\nh = 0, 1\n": 0,
+    }
+    cfg = tmp_path / "exp.cfg"
+    for text, code in runs.items():
+        cfg.write_text(
+            f"{text}theta0 = {theta0}\noutput_path = {tmp_path / 'o.csv'}\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(cfg)]) == code, text
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"theta0={theta0}" in err
+        else:
+            assert err == ""
 
 
 def test_random_regular_refuses_a_negative_master_seed(tmp_path, capsys):

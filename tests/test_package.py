@@ -103,6 +103,21 @@ def test_count_law_decides_the_exact_path():
     assert _family_tests(package / "harness.py", "complete") == ["_run_normalizer_check"]
 
 
+def test_draw_sets_decide_between_atoms_and_chains():
+    # a DrawSet reports its own sampler (DrawSet.burn_in), so the harness
+    # never makes the count-law decision a second time
+    path = Path(ising_infer.__file__).parent / "harness.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"count_law", "default_burn_in"}, names
+
+
 def _decorator_name(node) -> str:
     if isinstance(node, ast.Call):
         node = node.func

@@ -1,5 +1,6 @@
 """Limit-law machinery: magnetization curve, quartic family, shifts."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import chdtr, chdtrc, gammaln, logsumexp
 
 from ising_infer import (
+    NumericError,
     ParameterError,
     critical_law,
     cw_log_partition,
@@ -59,6 +61,16 @@ def test_magnetization_fixed_point():
         assert abs(m - math.tanh(theta * m)) < 1e-14
     assert abs(spontaneous_magnetization(1.5) - M_15) < 1e-12
     assert abs(spontaneous_magnetization(5.0) - 0.9999091217152325) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [356.0, 400.0, 1e4, 1e30])
+def test_magnetization_is_one_far_above_the_transition(theta):
+    # the Newton polish's cosh(theta m)^2 overflowed from theta near 356,
+    # and past about 1e24 the bracket ran out of doubling steps
+    assert spontaneous_magnetization(theta) == 1.0
+    assert information_rate(theta) == 0.0
+    with pytest.raises(NumericError, match=re.escape(f"theta0={theta}:")):
+        theory.positive_information_rate(theta)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.5])
