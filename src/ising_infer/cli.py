@@ -5,8 +5,11 @@ its result where the config says, in the harness's CSV or JSON format,
 and prints the path and summary as one JSON line. The other verbs write
 CSV to stdout unless --output is given: spectra and power start with the
 harness's metadata header line, estimate and limits with their bare
-column line. Exit codes: 0 success, 2 configuration/parameter errors,
-3 numeric failures.
+column line. spectra and power run the spectrum_report and power_curve
+experiments: each experiment flag they are given goes, as its raw text,
+to harness.parse_fields, the parser config files use, so a flag reads as
+the config key of its name (--seed as master_seed). Exit codes: 0
+success, 2 configuration/parameter errors, 3 numeric failures.
 
 Each verb imports the modules it runs: run, spectra and power load what
 their experiment's config loads (harness.ExperimentConfig), estimate the
@@ -30,10 +33,14 @@ from .errors import (
 )
 
 
-def _add_family_args(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_args(parser: argparse.ArgumentParser, experiment: str) -> None:
+    # the flags common to the experiment verbs; every value is raw text
+    parser.set_defaults(experiment=experiment)
     parser.add_argument("--family", required=True, choices=FAMILIES[:-1])
-    parser.add_argument("--q", type=int, default=None, help="class count")
-    parser.add_argument("--d", type=int, default=None, help="regular degree")
+    parser.add_argument("--q", help="class count")
+    parser.add_argument("--d", help="regular degree")
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED")
+    parser.add_argument("--output", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,10 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     # experiment fills the rest from its own defaults
     given = {"argument_default": argparse.SUPPRESS}
     p_spec = sub.add_parser("spectra", help="spectrum report for a family", **given)
-    _add_family_args(p_spec)
+    _add_experiment_args(p_spec, "spectrum_report")
     p_spec.add_argument("--n", required=True, help="size or comma list")
-    p_spec.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
-    p_spec.add_argument("--output", default=None)
 
     p_est = sub.add_parser("estimate", help="estimate theta from a sample dump")
     p_est.add_argument("--matrix", required=True, help="coupling matrix file")
@@ -67,15 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--output", default=None)
 
     p_pow = sub.add_parser("power", help="empirical and limiting power curves", **given)
-    _add_family_args(p_pow)
-    p_pow.add_argument("--n", type=int, required=True)
-    p_pow.add_argument("--theta0", type=float, required=True)
+    _add_experiment_args(p_pow, "power_curve")
+    p_pow.add_argument("--n", required=True, help="size or comma list")
+    p_pow.add_argument("--theta0", required=True)
     p_pow.add_argument("--h", help="comma grid")
-    p_pow.add_argument("--alpha", type=float)
-    p_pow.add_argument("--reps", type=int)
-    p_pow.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
+    p_pow.add_argument("--alpha")
+    p_pow.add_argument("--reps")
     p_pow.add_argument("--calibration", choices=CALIBRATIONS)
-    p_pow.add_argument("--output", default=None)
 
     p_lim = sub.add_parser("limits", help="draws from the limiting laws")
     p_lim.add_argument("--family", required=True, choices=FAMILIES[:-1])
@@ -112,30 +115,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_grid(text: str, flag: str, kind=int) -> tuple:
-    try:
-        return tuple(kind(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: cannot parse {text!r}") from exc
+def _run_flag_verb(args) -> int:
+    """Run the verb's experiment on the flags given, each parsed as the
+    config key of its name, and write its CSV."""
+    from .harness import parse_fields, render_csv, run_experiment
 
-
-def _run_flag_verb(args, experiment: str, flags: tuple, **fields) -> int:
-    """Run ``experiment`` on the family flags, ``fields`` and those of
-    ``flags`` that the command line gave, and write its CSV."""
-    from .harness import ExperimentConfig, render_csv, run_experiment
-
-    given = {key: getattr(args, key) for key in flags if key in args}
-    config = ExperimentConfig(
-        experiment=experiment, family=args.family, q=args.q, d=args.d,
-        **fields, **given,
-    )
-    _write_text(render_csv(run_experiment(config)), args.output)
+    given = {k: v for k, v in vars(args).items() if k not in ("verb", "output")}
+    _write_text(render_csv(run_experiment(parse_fields(given))), args.output)
     return 0
-
-
-def _cmd_spectra(args) -> int:
-    grid = _parse_grid(args.n, "--n")
-    return _run_flag_verb(args, "spectrum_report", ("master_seed",), n=grid)
 
 
 def _cmd_estimate(args) -> int:
@@ -175,14 +162,6 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_power(args) -> int:
-    grid = {"h": _parse_grid(args.h, "--h", float)} if "h" in args else {}
-    flags = ("alpha", "reps", "master_seed", "calibration")
-    return _run_flag_verb(
-        args, "power_curve", flags, n=(args.n,), theta0=args.theta0, **grid
-    )
-
-
 def _cmd_limits(args) -> int:
     import numpy as np
 
@@ -216,9 +195,9 @@ def _cmd_limits(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "spectra": _cmd_spectra,
+    "spectra": _run_flag_verb,
     "estimate": _cmd_estimate,
-    "power": _cmd_power,
+    "power": _run_flag_verb,
     "limits": _cmd_limits,
 }
 

@@ -2,7 +2,11 @@
 
 A run is described by a flat key=value config (file or string), dispatched
 to one of five experiment pipelines, and emitted with a metadata header
-carrying the package version and a hash of the effective config. A
+carrying the package version and a hash of the effective config. Each key
+is an ExperimentConfig field with one parser; parse_config reads a file's
+lines and parse_fields their values, and the CLI's spectra and power verbs
+hand their flag text to parse_fields too. Each experiment is declared
+once, in _PIPELINES: its pipeline, the modules it loads and its defaults. A
 pipeline returns its records and summary; the columns are the first
 record's keys, in order, so each output is declared once. Outputs
 are deterministic given the master seed: replication r always uses the
@@ -23,8 +27,8 @@ limit_law_density) comes from the quadrature of theory.mple_limit_sf and
 draws nothing.
 
 This module imports only errors, streams and coupling when it loads. Each
-pipeline names the further modules it runs next to its entry in
-_PIPELINES, and ExperimentConfig imports them when a config is made: a
+pipeline names the further modules it runs in its entry in _PIPELINES,
+and ExperimentConfig imports them when a config is made: a
 spectrum report loads no sampler, estimator, test or limit-law module, and
 no module of the package loads inside run_experiment. One import still
 does: numpy.random, with the OpenSSL that its ``secrets`` import loads,
@@ -57,40 +61,20 @@ from .coupling import (
 from .errors import CALIBRATIONS, H_MAX, ConfigError, ParameterError
 from .streams import derive_seed, sha256
 
-EXPERIMENTS = (
-    "estimator_law",
-    "power_curve",
-    "limit_law_density",
-    "normalizer_check",
-    "spectrum_report",
-)
 FLOAT_FMT = "%.17g"
 
-# keys accepted in config files, with parsers
-_INT_KEYS = {"q", "d", "reps", "master_seed"}
-_FLOAT_KEYS = {"theta0", "alpha"}
-_GRID_KEYS = {"n", "h"}
-_STR_KEYS = {"experiment", "family", "output_path", "format", "calibration"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _GRID_KEYS | _STR_KEYS
 
-# desk-scale defaults of n, theta0, reps and h, per experiment; the only
-# source of them: ExperimentConfig fills each field left unset from here
-_EXPERIMENT_DEFAULTS = {
-    "estimator_law": {"n": (1600,), "theta0": 1.5, "reps": 400, "h": (0.0,)},
-    "power_curve": {
-        "n": (2500,),
-        "theta0": 1.0,
-        "reps": 2000,
-        "h": (0.0, 0.5, 1.0, 2.0, 4.0),
-    },
-    "limit_law_density": {"n": (10000,), "theta0": 1.0, "reps": 1, "h": (0.0,)},
-    "normalizer_check": {
-        "n": (1000, 10000, 100000, 1000000),
-        "theta0": 1.5,
-        "reps": 1,
-        "h": (1.0,),
-    },
-    "spectrum_report": {"n": (100,), "theta0": 1.0, "reps": 1, "h": (0.0,)},
+def _grid(kind):
+    # a comma list; blank entries are skipped, so "," is the empty grid
+    return lambda text: tuple(kind(part) for part in text.split(",") if part.strip())
+
+
+# the one parser of each config key, which is an ExperimentConfig field:
+# config files and the CLI's experiment flags both read values through it
+_PARSERS = {
+    "experiment": str, "family": str, "q": int, "d": int, "n": _grid(int),
+    "theta0": float, "h": _grid(float), "alpha": float, "reps": int,
+    "master_seed": int, "output_path": str, "format": str, "calibration": str,
 }
 
 
@@ -117,7 +101,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment: {self.experiment!r} is not one of {EXPERIMENTS}"
             )
-        for key, value in _EXPERIMENT_DEFAULTS[self.experiment].items():
+        _, modules, defaults = _PIPELINES[self.experiment]
+        for key, value in defaults.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
         if self.family not in FAMILIES:
@@ -146,16 +131,16 @@ class ExperimentConfig:
             raise ConfigError("format: must be csv or json")
         if self.calibration not in CALIBRATIONS:
             raise ConfigError(f"calibration: must be {' or '.join(CALIBRATIONS)}")
-        for module in _PIPELINES[self.experiment][1]:
+        for module in modules:
             importlib.import_module(f".{module}", __package__)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key=value config text into an ExperimentConfig.
 
-    Blank lines and # comments are ignored. Unknown keys, malformed
-    values, and a missing experiment key all raise ConfigError naming the
-    offending field. Grid keys (n, h) accept comma-separated lists.
+    Blank lines and # comments are ignored. A line with no ``=`` and an
+    unknown or repeated key raise ConfigError naming the line; the values
+    go to parse_fields.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -165,31 +150,34 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        key = key.strip()
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = value.strip()
+    return parse_fields(raw)
+
+
+def parse_fields(raw: dict) -> ExperimentConfig:
+    """The ExperimentConfig of ``raw``, field names mapped to value text.
+
+    Each value is read by its key's one parser: int, float or str, and
+    comma grids of int (n) and float (h). Config files and the CLI's
+    experiment flags both come here. A missing experiment key, a key that
+    is no field and a value that does not parse raise ConfigError naming
+    the key; fields not given take their defaults.
+    """
     if "experiment" not in raw:
         raise ConfigError("experiment: key is required")
     values = {}
-    for key, text_value in raw.items():
+    for key, text in raw.items():
+        if key not in _PARSERS:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(text_value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text_value)
-            elif key in _GRID_KEYS:
-                parts = [p.strip() for p in text_value.split(",") if p.strip()]
-                if key == "n":
-                    values[key] = tuple(int(p) for p in parts)
-                else:
-                    values[key] = tuple(float(p) for p in parts)
-            else:
-                values[key] = text_value
+            values[key] = _PARSERS[key](text)
         except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {text_value!r} ({exc})") from exc
+            raise ConfigError(f"{key}: cannot parse {text!r} ({exc})") from exc
     return ExperimentConfig(**values)
 
 
@@ -233,14 +221,10 @@ class ExperimentResult:
 
 
 def _coupling_for(config: ExperimentConfig, n: int):
-    kwargs = {}
-    if config.q is not None:
-        kwargs["q"] = config.q
-    if config.d is not None:
-        kwargs["d"] = config.d
-    if config.family == "random_regular":
-        kwargs.setdefault("seed", config.master_seed)
-    return build_coupling(config.family, n, **kwargs)
+    # the master seed is the random_regular graph's; other families ignore it
+    return build_coupling(
+        config.family, n, q=config.q, d=config.d, seed=config.master_seed
+    )
 
 
 def _run_estimator_law(config: ExperimentConfig) -> tuple[list, dict]:
@@ -514,15 +498,38 @@ def _run_spectrum_report(config: ExperimentConfig) -> tuple[list, dict]:
 
 
 # experiment -> (pipeline, the modules it imports beyond errors, streams and
-# coupling); ExperimentConfig imports them, and their own imports, when a
+# coupling, its desk-scale n, theta0, reps and h), each experiment's one
+# declaration. ExperimentConfig fills each of those fields left unset from
+# the defaults, and imports the modules, and their own imports, when a
 # config is made. A pipeline returns its records and summary
 _PIPELINES = {
-    "estimator_law": (_run_estimator_law, ("htests", "inference", "theory")),
-    "power_curve": (_run_power_curve, ("htests",)),
-    "limit_law_density": (_run_limit_law_density, ("theory",)),
-    "normalizer_check": (_run_normalizer_check, ("sampler", "theory")),
-    "spectrum_report": (_run_spectrum_report, ()),
+    "estimator_law": (
+        _run_estimator_law,
+        ("htests", "inference", "theory"),
+        {"n": (1600,), "theta0": 1.5, "reps": 400, "h": (0.0,)},
+    ),
+    "power_curve": (
+        _run_power_curve,
+        ("htests",),
+        {"n": (2500,), "theta0": 1.0, "reps": 2000, "h": (0.0, 0.5, 1.0, 2.0, 4.0)},
+    ),
+    "limit_law_density": (
+        _run_limit_law_density,
+        ("theory",),
+        {"n": (10000,), "theta0": 1.0, "reps": 1, "h": (0.0,)},
+    ),
+    "normalizer_check": (
+        _run_normalizer_check,
+        ("sampler", "theory"),
+        {"n": (1000, 10000, 100000, 1000000), "theta0": 1.5, "reps": 1, "h": (1.0,)},
+    ),
+    "spectrum_report": (
+        _run_spectrum_report,
+        (),
+        {"n": (100,), "theta0": 1.0, "reps": 1, "h": (0.0,)},
+    ),
 }
+EXPERIMENTS = tuple(_PIPELINES)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import CouplingMatrix, as_spins
-from .errors import CapacityError, ParameterError, as_integer
+from .errors import CapacityError, NumericError, ParameterError, as_integer
 from .special import gammaln
 from .streams import as_generator
 
@@ -303,11 +303,15 @@ def tilted_table(
 
     Z(theta) = sum over entries of exp(log_mult + theta * value / 2), and
     dlog Z/dtheta is the tilted mean of value / 2. The weights are shifted
-    by their maximum and normalized by their own sum.
+    by their maximum and normalized by their own sum. A theta so large that
+    the largest log weight is not finite raises NumericError.
     """
-    logw = 0.5 * theta * values
-    logw += log_mult
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = 0.5 * theta * values
+        logw += log_mult
     shift = logw.max()
+    if not math.isfinite(shift):
+        raise NumericError(f"theta={float(theta)!r}: the tilted log weights overflow")
     logw -= shift
     w = np.exp(logw, out=logw)
     total = w.sum()

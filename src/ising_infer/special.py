@@ -53,7 +53,10 @@ def solve_rows(g, gprime, targets, scale):
     the bracket is narrower than 1e-15 relative, or a Newton step is, within
     200 evaluations.
     Returns (theta, iterations, lo, hi, residual) per row, ``iterations``
-    counting the bracket steps and Newton evaluations.
+    counting the bracket steps and Newton evaluations. A row's residual is
+    g - target at its returned theta: the loop's latest evaluation, and one
+    more after the loop only for the rows that left on a closed bracket,
+    whose theta moved after it.
     """
     def f(theta, rows):
         return g(theta, rows) - targets[rows]
@@ -62,13 +65,14 @@ def solve_rows(g, gprime, targets, scale):
     theta = np.ones(targets.size)
     b_lo, b_hi, step = theta.copy(), theta.copy(), np.ones(targets.size)
     iters = np.zeros(targets.size, dtype=np.int64)
-    f0 = f(theta, every)
-    solved = f0 == 0.0
+    residual = f(theta, every)  # each row's latest, kept as evaluated
+    solved = residual == 0.0
     # rows with f(1) > 0 move the lower end down, rows below 0
     # the upper end up, doubling the step each time; an end where f is
     # exactly 0 is the root (theta = 0 at x'Qx = 0, say), which Newton
     # could only approach by bisecting toward it
-    for edge, sign, moving in ((b_lo, -1.0, f0 > 0.0), (b_hi, 1.0, f0 < 0.0)):
+    sides = ((b_lo, -1.0, residual > 0.0), (b_hi, 1.0, residual < 0.0))
+    for edge, sign, moving in sides:
         moving = np.flatnonzero(moving)
         while moving.size:
             edge[moving] += sign * step[moving]
@@ -77,8 +81,9 @@ def solve_rows(g, gprime, targets, scale):
             if (iters[moving] > 80).any():
                 raise NumericError("bracketing ran away")
             val = f(edge[moving], moving)
-            root = moving[val == 0.0]
-            theta[root], solved[root] = edge[root], True
+            hit = val == 0.0
+            root = moving[hit]
+            theta[root], solved[root], residual[root] = edge[root], True, val[hit]
             moving = moving[sign * val < 0.0]
 
     active = np.flatnonzero(~solved)
@@ -88,11 +93,13 @@ def solve_rows(g, gprime, targets, scale):
     # rounding of g, and bisecting toward the far end would only close a
     # bracket around the same root
     settled = np.zeros(targets.size, dtype=bool)
+    closed = np.zeros(targets.size, dtype=bool)
     for _ in range(200):
         if not active.size:
             break
         val = f(theta[active], active)
         iters[active] += 1
+        residual[active] = val
         going = (np.abs(val) > RESIDUAL_SCALE * scale[active]) & ~settled[active]
         rows, val, th = active[going], val[going], theta[active[going]]
         high = val > 0.0
@@ -107,10 +114,15 @@ def solve_rows(g, gprime, targets, scale):
         small = np.abs(candidate - th) < 1e-15 * np.maximum(1.0, np.abs(th))
         th = np.where(inside | small, candidate, 0.5 * (r_lo + r_hi))
         theta[rows], settled[rows] = th, small
-        active = rows[r_hi - r_lo >= 1e-15 * np.maximum(1.0, np.abs(th))]
+        still = r_hi - r_lo >= 1e-15 * np.maximum(1.0, np.abs(th))
+        closed[rows[~still]] = True
+        active = rows[still]
     if active.size:
         raise NumericError("Newton did not converge")
-    return theta, iters, b_lo, b_hi, f(theta, every)
+    moved = np.flatnonzero(closed)
+    if moved.size:
+        residual[moved] = f(theta[moved], moved)
+    return theta, iters, b_lo, b_hi, residual
 
 
 # ---------------------------------------------------------------------------

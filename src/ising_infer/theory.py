@@ -474,12 +474,14 @@ def mple_limit_sf(v: float, h: float, limit_eigs, kappa: float) -> float:
     Integrates P(D > v u^2 - u^4/3) against critical_law(h).pdf by the
     trapezoid rule on the law's u grid. When D = -1 (no tail spectrum,
     kappa = 0), V_h > v iff U_h^2 > t = (3/2)(v + sqrt(v^2 + 4/3)), read
-    through cdf_at.
+    through cdf_at; for v < 0, t is formed as 2 / (sqrt(v^2 + 4/3) - v),
+    which does not cancel.
     """
     survival = _d_survival(*_limit_key(limit_eigs, kappa))
     law = critical_law(h)
     if survival is None:
-        root = math.sqrt(1.5 * (v + math.sqrt(v * v + 4.0 / 3.0)))
+        s = math.sqrt(v * v + 4.0 / 3.0)
+        root = math.sqrt(1.5 * (v + s) if v >= 0.0 else 2.0 / (s - v))
         return float(2.0 * (1.0 - law.cdf_at(root)))
     usq = law.u * law.u
     integrand = survival(v * usq - usq * usq / 3.0) * law.pdf

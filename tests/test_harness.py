@@ -123,6 +123,13 @@ def test_parse_config_requires_experiment():
         parse_config("experiment=not_a_pipeline\n")
 
 
+def test_every_config_field_is_a_key_with_one_parser():
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(harness._PARSERS) == names
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        harness.parse_fields({"experiment": "spectrum_report", "bogus": "3"})
+
+
 def test_parse_config_bad_value_names_key():
     with pytest.raises(ConfigError, match="reps"):
         parse_config("experiment=estimator_law\nreps=abc\n")
@@ -1103,6 +1110,27 @@ def test_cli_run_far_above_the_transition(tmp_path, capsys, theta0):
             assert err == ""
 
 
+@pytest.mark.parametrize("theta0,code", [(1e308, 3), (1e300, 0)])
+def test_cli_refuses_a_theta0_whose_tilt_overflows(tmp_path, capsys, theta0, code):
+    # at 1e308 the exact tables' log weights overflow: one error line and
+    # no warning, where the runs once exited 0 with NaN gamma and delta_log_z
+    power = ["power", "--family", "complete", "--n", "10", "--reps", "10"]
+    assert main([*power, "--theta0", repr(theta0)]) == code
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"experiment = normalizer_check\ntheta0 = {theta0!r}\n"
+        f"output_path = {tmp_path / 'o.csv'}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg)]) == code
+    err = capsys.readouterr().err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("error: theta=") for line in lines)
+    else:
+        assert err == ""
+
+
 def test_random_regular_refuses_a_negative_master_seed(tmp_path, capsys):
     # the graph seed is the master seed; count-law families hash a negative
     # master seed like any other
@@ -1158,6 +1186,31 @@ def test_cli_passes_only_the_flags_given(monkeypatch):
 
 def test_cli_spectra_bad_grid(capsys):
     assert main(["spectra", "--family", "complete", "--n", "8,oops"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value,key",
+    [("--reps", "2.5", "reps"), ("--q", "abc", "q"), ("--alpha", "x", "alpha"),
+     ("--seed", "1.5", "master_seed")],
+)
+def test_cli_flags_parse_as_their_config_keys(capsys, flag, value, key):
+    # a flag value goes through the config key's parser: one error line
+    # naming the key, not argparse's usage text
+    power = ["power", "--family", "complete", "--n", "10", "--theta0", "1"]
+    assert main([*power, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: cannot parse") and err.count("\n") == 1, err
+
+
+def test_cli_power_n_is_a_grid_like_the_config_key(monkeypatch):
+    configs = []
+    monkeypatch.setattr(harness, "run_experiment", configs.append)
+    monkeypatch.setattr(harness, "render_csv", lambda result: "")
+    power = ["power", "--family", "complete", "--n", "40,80", "--theta0", "1.5"]
+    assert main(power) == 0
+    text = "experiment = power_curve\nn = 40, 80\ntheta0 = 1.5\n"
+    assert configs == [parse_config(text)]
+    assert configs[0].n == (40, 80)
 
 
 def test_cli_refuses_an_empty_grid(capsys):

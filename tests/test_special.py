@@ -98,6 +98,49 @@ def test_limit_quantiles_match_brent(monkeypatch):
     assert calls[0] <= QUANTILE_EVALUATIONS
 
 
+# rows of kind 0 solve theta^3 = target, kind 1 -(2 - theta) = target, whose
+# root at theta = 2 is -0.0, and kind 2 theta + [theta > 2.5] = target, whose
+# jump at 2.5 holds no root, so its bracket closes around it
+_KINDS = np.array([0, 1, 0, 2])
+_TARGETS = np.array([8.0, 0.0, 5.0, 3.0])
+
+
+def _recorded_rows(events):
+    def g(theta, rows):
+        events.append(("g", rows.tolist()))
+        kind = _KINDS[rows]
+        return np.select(
+            [kind == 0, kind == 1], [theta**3, -(2.0 - theta)], theta + (theta > 2.5)
+        )
+
+    def gprime(theta, rows):
+        events.append(("gprime", rows.tolist()))
+        return np.where(_KINDS[rows] == 0, 3.0 * theta**2, 1.0)
+
+    return g, gprime
+
+
+def test_solve_rows_returns_each_rows_latest_residual():
+    # a bracket root keeps the value it hit (-0.0 stays -0.0), a Newton row
+    # its last evaluation, and only a row that left on a closed bracket is
+    # evaluated after the loop, at the theta it moved to
+    for rows, closed in (([0, 1, 2, 3], [3]), ([0, 1, 2], [])):
+        events = []
+        g, gprime = _recorded_rows(events)
+        targets = _TARGETS[rows]
+        theta, _, lo, hi, residual = special.solve_rows(
+            g, gprime, targets, np.ones(len(rows))
+        )
+        # the loop's last call reads the slope; only g comes after it
+        last = max(i for i, (name, _) in enumerate(events) if name == "gprime")
+        assert events[last + 1:] == ([("g", closed)] if closed else [])
+        width = hi - lo < 1e-15 * np.maximum(1.0, np.abs(theta))
+        assert np.flatnonzero(width).tolist() == closed
+        fresh = g(theta, np.arange(len(rows))) - targets
+        assert residual.tobytes() == fresh.tobytes()
+        assert theta[1] == 2.0 and np.signbit(residual[1])
+
+
 # ---------------------------------------------------------------------------
 # The error function and the normal law
 

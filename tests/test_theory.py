@@ -1,4 +1,5 @@
 """Limit-law machinery: magnetization curve, quartic family, shifts."""
+import decimal
 import math
 import re
 
@@ -382,11 +383,26 @@ def test_mple_limit_sf_complete_reads_the_quartic_law():
     # D = -1: V_h > v iff U_h^2 > t(v), so the survival function is the
     # quartic law's tail at sqrt(t), through cdf_at
     for v in (-3.0, 0.0, 1.5):
-        t = 1.5 * (v + math.sqrt(v * v + 4.0 / 3.0))
+        s = math.sqrt(v * v + 4.0 / 3.0)
+        t = 1.5 * (v + s) if v >= 0.0 else 2.0 / (s - v)
         assert abs(t / 3.0 - 1.0 / t - v) < 1e-12
         for h in (0.0, 2.0):
             tail = 2.0 * (1.0 - critical_law(h).cdf_at(math.sqrt(t)))
             assert mple_limit_sf(v, h, (1.0,), 0.0) == tail
+
+
+def test_mple_limit_sf_complete_reads_the_correctly_rounded_root():
+    # t = 1.5 (v + sqrt(v^2 + 4/3)) cancels for v < 0; the survival function
+    # must read the same cdf_at as the root of a 50-digit t, down to the
+    # 0.005 quantile of the complete limit (v near -14054.88)
+    law = critical_law(0.0)
+    with decimal.localcontext() as context:
+        context.prec = 50
+        for v in (-14054.88, -47.0, -5.557, -3.0):
+            d = decimal.Decimal(v)
+            t = decimal.Decimal("1.5") * (d + (d * d + decimal.Decimal(4) / 3).sqrt())
+            tail = 2.0 * (1.0 - law.cdf_at(float(t.sqrt())))
+            assert mple_limit_sf(v, 0.0, (1.0,), 0.0) == tail, v
 
 
 def test_mple_limit_validation():
