@@ -6,10 +6,13 @@ Three sampling routes with different validity/scale trade-offs:
   ground-truth oracle for everything else. x'Qx is computed by doubling
   over the spins, about 3.5 * 2^n additions and no BLAS call, for the
   2^(n-1) configurations with spin n-1 at -1 (each global flip has the
-  same value bit for bit). A depth-first walk makes them in blocks of
-  ENUMERATION_CHUNK codes, which are folded into the distinct values and
-  their counts as they come, so memory is the blocks plus the distinct
-  table, not a per-configuration table (see ``enumerate_suff_stats``);
+  same value). A depth-first walk makes them in blocks, which are folded
+  into the distinct values and their counts as they come, so memory is
+  the blocks plus the distinct table, not a per-configuration table. A
+  coupling with one nonzero weight w, as every cataloged family has, is
+  enumerated in integers: x'Qx = w x'Ax, and a histogram over the integer
+  x'Ax gives each exact value once. Any other coupling is enumerated in
+  floats, sorted and folded (see ``enumerate_suff_stats``);
 * single-site Glauber dynamics with a systematic scan, valid for every
   coupling; each returned configuration carries local fields recomputed
   from its spins. It draws for dense couplings and for block couplings
@@ -55,7 +58,8 @@ from .special import gammaln
 from .streams import as_generator
 
 ENUMERATION_MAX_N = 24
-#: Codes per block of the enumeration walk
+#: Codes per block of the float enumeration walk; an integer block holds
+#: as many bytes
 ENUMERATION_CHUNK = 1 << 12
 #: Codes sorted and folded at once while the enumerated floats fold
 ENUMERATION_FOLD = 1 << 16
@@ -122,7 +126,7 @@ class SpinConfiguration:
 
 
 def _double(g: np.ndarray, q: np.ndarray) -> None:
-    """Fill ``g`` (2^len(q) floats) with sum_i q[i] x_i(s) for every code s.
+    """Fill ``g`` (2^len(q) entries) with sum_i q[i] x_i(s) for every code s.
 
     Spin i is doubled in at step i: g[w:2w] = g[:w] + q[i], then
     g[:w] -= q[i], w = 2^i, from g[0] = 0. Rows of a 2-D ``g`` are filled
@@ -135,34 +139,36 @@ def _double(g: np.ndarray, q: np.ndarray) -> None:
         g[..., :w] -= q_i
 
 
-def _half_blocks(coupling: CouplingMatrix, size: int):
+def _half_blocks(q2: np.ndarray, size: int):
     """Yield (v, g) per block of ``size`` codes s < 2^(n-1); x'Qx is v - g.
 
-    A block fixes the spins from low = log2(size) up and runs over the
-    low ones. v is x'Qx over spins 0..n-2 and g the field 2 sum_{i<n-1}
+    ``q2`` is the doubled coupling 2Q, and the blocks are of its dtype. A
+    block fixes the spins from low = log2(size) up and runs over the low
+    ones. v is x'Qx over spins 0..n-2 and g the field 2 sum_{i<n-1}
     Q(i, n-1) x_i of spin n-1, at -1 here. The walk decides spins low..n-2
     depth first and carries down each higher spin j's partial field
     g_j = 2 sum_{i<k} Q(i, j) x_i, so every code gets the adds of the full
     doubling in its order. The yielded rows are overwritten on resumption.
     """
-    n = coupling.n
+    n = q2.shape[0]
     low = size.bit_length() - 1
-    q2 = 2.0 * coupling.entries
     # the state at depth k (spins below k decided): g_{n-1}, ..., g_k, then v
-    top = np.empty((n - low + 1, size))
+    top = np.empty((n - low + 1, size), dtype=q2.dtype)
     _double(top[:-1], q2[:low, low:, None][:, ::-1])
     # g_k of each low spin k over its 2^k codes, doubled at once: past step
     # k, 0.0 is subtracted from g_k's entries, which is exact
-    g = np.empty((low, max(size >> 1, 1)))
+    g = np.empty((low, max(size >> 1, 1)), dtype=q2.dtype)
     _double(g, np.triu(q2[:low, :low], 1)[:-1, :, None])
     v = top[-1]
-    v[0] = 0.0
+    v[0] = 0
     for k, g_k in enumerate(g):
         m = 1 << k
         np.add(v[:m], g_k[:m], out=v[m : 2 * m])
         v[:m] -= g_k[:m]
     del g
-    states = [top, *(np.empty((n - k + 1, size)) for k in range(low + 1, n))]
+    states = [
+        top, *(np.empty((n - k + 1, size), dtype=q2.dtype) for k in range(low + 1, n))
+    ]
 
     def walk(k: int, state: np.ndarray):
         if k == n - 1:
@@ -200,30 +206,32 @@ def _merge_runs(tables) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_suff_stats(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct x'Qx floats of the 2^n configurations, with multiplicities.
+    """Distinct x'Qx values of the 2^n configurations, with multiplicities.
 
-    The result equals ``np.unique(full, return_counts=True)`` of the per-code
-    table ``full`` of a doubling over the spins (code s has spin i at +1
-    when bit i of s is set): after step k, x'Qx over spins 0..k is known for
-    each code. Step k builds g(s) = 2 sum_{i<k} Q(i, k) x_i(s) by adding the
-    +-2Q(i, k) in order of i, and sets the value of each code with spin k at
-    +1 to value + g and at -1 to value - g. Q has a zero diagonal, so no
-    Q(k, k) term enters. Each add is one correctly rounded IEEE add with no
-    BLAS call, so the table does not depend on the BLAS kernel or thread
-    count. g is antisymmetric under the global flip and each earlier table
-    symmetric, so a code and its flip get the same float bit for bit: only
-    the 2^(n-1) codes with spin n-1 at -1 are built, and each count is
-    doubled.
+    The values come sorted, the counts as int64. Code s has spin i at +1
+    when bit i of s is set. Both routes build x'Qx by doubling over the
+    spins: after step k, x'Qx over spins 0..k is known for each code. Step
+    k builds g(s) = 2 sum_{i<k} Q(i, k) x_i(s) by adding the +-2Q(i, k) in
+    order of i, and sets the value of each code with spin k at +1 to
+    value + g and at -1 to value - g. Q has a zero diagonal, so no Q(k, k)
+    term enters, and no BLAS call is made. g is antisymmetric under the
+    global flip and each earlier table symmetric, so a code and its flip
+    get the same value: only the 2^(n-1) codes with spin n-1 at -1 are
+    built, by the depth-first walk ``_half_blocks`` (about 3.5 * 2^n adds),
+    and each count is doubled.
 
-    Those codes are made in blocks of ENUMERATION_CHUNK by a depth-first
-    walk (``_half_blocks``), about 3.5 * 2^n adds in all. ENUMERATION_FOLD
-    codes at a time are sorted and folded into runs of equal floats, which
-    are merged into the distinct table. A fold with more than half its
-    codes distinct does not compress: its floats and every code left go
-    into one region, touched only as written, which is sorted and folded
-    once. So memory is the blocks plus the distinct table (3.9 MB traced
-    at n = 24 on random_regular d = 10), and when the floats do not fold,
-    the codes left and their runs.
+    A coupling whose nonzero entries all equal one weight w (every
+    cataloged family) has x'Qx = w x'Ax, with A its 0/1 pattern and x'Ax
+    an integer. The walk then runs on 2A in int16, which holds every
+    partial sum exactly for n <= ENUMERATION_MAX_N (|x'Ax| <= 552), in
+    blocks of as many bytes as the float walk's, ENUMERATION_CHUNK * 4
+    codes. Each block is counted by ``np.bincount`` into one histogram over
+    x'Ax, and the table is each attained m once, as the correctly rounded
+    float m * w: the exact values of x'Qx, with no sort. A coupling with
+    no nonzero entry gives the one value 0. Memory is the blocks and a
+    histogram of 2 nnz(A) + 1 counts (1.3 MB traced at n = 20 and 2.5 MB at
+    n = 24 on random_regular d = 10). Any other coupling takes
+    ``_float_table``.
     """
     n = coupling.n
     if n > ENUMERATION_MAX_N:
@@ -232,9 +240,49 @@ def enumerate_suff_stats(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarr
         )
     if n < 1:
         raise ParameterError("exact enumeration needs n >= 1")
+    entries = coupling.entries
+    adjacency = entries != 0.0
+    weights = entries[adjacency]
+    w = float(weights[0]) if weights.size else 0.0
+    if not np.all(weights == w):
+        return _float_table(coupling)
+    q2 = 2 * adjacency.astype(np.int16)
+    size = min(1 << (n - 1), ENUMERATION_CHUNK * 8 // q2.itemsize)
+    # x'Ax sums one +-1 per nonzero entry of A
+    span = int(weights.size)
+    hist = np.zeros(2 * span + 1, dtype=np.int64)
+    m = np.empty(size, dtype=q2.dtype)
+    for v, g in _half_blocks(q2, size):
+        np.subtract(v, g, out=m)
+        m += span
+        hist += np.bincount(m, minlength=hist.size)
+    attained = hist.nonzero()[0]
+    return (attained - span) * w, 2 * hist[attained]
+
+
+def _float_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct x'Qx floats of the doubling, with multiplicities.
+
+    The route of ``enumerate_suff_stats`` for a coupling with two or more
+    distinct nonzero entries, whose sums rounded in different orders can
+    split one true value into several floats. The result equals
+    ``np.unique(full, return_counts=True)`` of the per-code table ``full``
+    of the doubling. Each add is one correctly rounded IEEE add, so the
+    table does not depend on the BLAS kernel or thread count, and a code
+    and its flip get the same float bit for bit.
+
+    The walk makes blocks of ENUMERATION_CHUNK codes. ENUMERATION_FOLD
+    codes at a time are sorted and folded into runs of equal floats, which
+    are merged into the distinct table. A fold with more than half its
+    codes distinct does not compress: its floats and every code left go
+    into one region, touched only as written, which is sorted and folded
+    once. So memory is the blocks plus the distinct table, and when the
+    floats do not fold, the codes left and their runs.
+    """
+    n = coupling.n
     half = 1 << (n - 1)
     size = min(half, ENUMERATION_CHUNK)
-    blocks = _half_blocks(coupling, size)
+    blocks = _half_blocks(2.0 * coupling.entries, size)
 
     def fill(region: np.ndarray) -> None:
         for start, (v, g) in zip(range(0, region.size, size), blocks):
@@ -280,15 +328,16 @@ def enumerate_suff_stats(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarr
 
 @lru_cache(maxsize=4)
 def suff_stat_table(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct enumerated x'Qx floats with multiplicities (n <= 24).
+    """Distinct enumerated x'Qx values with multiplicities (n <= 24).
 
-    The values are the distinct floats of the full 2^n enumeration, not the
-    distinct exact values of x'Qx: sums rounded in different orders split
-    one true value into several floats. On random_regular with d = 10 and
-    n = 20 (graph seed 7) there are 238 floats for 25 true values. They come
-    from ``enumerate_suff_stats``, so memory is its blocks plus the distinct
-    table. The arrays are cached per coupling and read-only, so every exact
-    consumer in a process enumerates a coupling once.
+    One call of ``enumerate_suff_stats``: sorted values and int64 counts
+    summing to 2^n. For a coupling with one nonzero weight, every cataloged
+    family included, the values are the exact values of x'Qx, each the
+    correctly rounded float, once. For any other coupling they are the
+    distinct floats of the full 2^n enumeration, not the distinct exact
+    values: sums rounded in different orders can split one true value into
+    several floats. The arrays are cached per coupling and read-only, so
+    every exact consumer in a process enumerates a coupling once.
     """
     values, counts = enumerate_suff_stats(coupling)
     values.flags.writeable = False

@@ -1,9 +1,10 @@
 """Oracles that only the tests read: the per-code x'Qx table, both a half
-table mirrored and a full doubling over all 2^n codes, the 2^n
-state law, its exact one-sweep Glauber kernel, the per-sweep Glauber
-loop, the conditional flip probability, the enumerated sufficient-statistic
-pmf, the Brent MLE on an unsorted table, the Brent critical MPLE limit
-quantile, the Monte Carlo limiting power and the sample quantile.
+table mirrored and a full doubling over all 2^n codes, the per-code
+integer x'Ax of a 0/1 pattern A, the 2^n state law, its exact one-sweep
+Glauber kernel, the per-sweep Glauber loop, the conditional flip
+probability, the enumerated sufficient-statistic pmf, the Brent MLE on
+an unsorted table, the Brent critical MPLE limit quantile, the Monte
+Carlo limiting power and the sample quantile.
 
 They build on the package's enumeration (``_double``, ``suff_stat_table``,
 ``tilted_table``), Glauber start (``_initial_spins``) and limit laws
@@ -146,6 +147,26 @@ def suff_stats_by_code(coupling: CouplingMatrix) -> np.ndarray:
     """x'Qx of every state code: the half table and its mirror."""
     half = half_suff_stats(coupling)
     return np.concatenate((half, half[::-1]))
+
+
+def half_pattern_suff_stats(adjacency) -> np.ndarray:
+    """x'Ax in int64 for the 2^(n-1) codes with spin n-1 at -1, A a 0/1 matrix.
+
+    The oracle of the integer route of ``enumerate_suff_stats``: code s has
+    spin i at +1 when bit i of s is set, and each code's x'Ax is an exact
+    int64 product of its spins with A, HALF_TABLE_CHUNK codes at a time.
+    The global flip of a code has the same x'Ax.
+    """
+    a = np.asarray(adjacency, dtype=np.int64)
+    n = a.shape[0]
+    half = 1 << max(n - 1, 0)
+    out = np.empty(half, dtype=np.int64)
+    bits = np.arange(n)
+    for start in range(0, half, HALF_TABLE_CHUNK):
+        codes = np.arange(start, min(start + HALF_TABLE_CHUNK, half))
+        x = ((codes[:, None] >> bits) & 1) * 2 - 1
+        out[start : start + codes.size] = np.einsum("ij,ij->i", x @ a, x)
+    return out
 
 
 def doubling_suff_stats(coupling: CouplingMatrix) -> np.ndarray:

@@ -268,6 +268,18 @@ def test_normalizer_check_gaps_shrink():
     assert math.isclose(drift, 0.8585596366401105**2 / 2.0, rel_tol=0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("theta0", [1e6, 1e14])
+def test_normalizer_check_gaps_are_rounding_at_large_theta0(theta0):
+    # delta_log_z was the difference of two log partitions near theta0 n / 2,
+    # whose rounding read gaps of 6.7e-6 at 1e6 and up to 500 at 1e14
+    cfg = ExperimentConfig(experiment="normalizer_check", theta0=theta0, h=(1.0,))
+    result = run_experiment(cfg)
+    assert len(result.records) == 4
+    for row in result.records:
+        assert row["gap"] <= math.ulp(row["delta_log_z"]), row
+    assert result.summary["gaps_decreasing"] is True
+
+
 def test_normalizer_check_rejects_other_families():
     cfg = ExperimentConfig(
         experiment="normalizer_check", family="bipartite", n=(100,), h=(1.0,)

@@ -38,6 +38,7 @@ from ising_infer import (
 from ising_infer import test_statistic as statistic_value
 from ising_infer import streams
 from ising_infer.htests import KINDS
+from ising_infer.inference import _table_mle
 from ising_infer import sampler
 from ising_infer.sampler import (
     COUNT_LAW_MAX_ATOMS,
@@ -55,6 +56,7 @@ from oracles import (
     exact_enumerate,
     flip_probability,
     glauber_sweep_kernel,
+    half_pattern_suff_stats,
     half_suff_stats,
     per_sweep_glauber_sample,
     suff_stats_by_code,
@@ -608,9 +610,9 @@ def test_enumeration_matches_the_shift_per_chunk_loop(n):
 def test_half_enumeration_is_the_full_doubling_bit_for_bit(n):
     if n == 22:
         # the last g spans 2^7 scratch chunks, one level per spin 14..20
-        couplings = [build_coupling("random_regular", 22, d=10, seed=7)]
+        couplings = [_two_weight_regular(22)]
     else:
-        couplings = sum(_enumeration_couplings(n), [])
+        couplings = _float_route_couplings(n)
     for cpl in couplings:
         full = doubling_suff_stats(cpl)
         half = half_suff_stats(cpl)
@@ -638,17 +640,22 @@ def test_suff_stat_table_holds_little_beyond_the_half_table():
     assert peak < 1.5 * 8 * 2**21
 
 
-def _streamed_table_couplings(n):
-    # all-distinct floats, few distinct floats, and exact sums
+def _two_weight_regular(n):
+    # a random_regular graph with three edges at 2/d: its floats fold into
+    # few runs, but sums rounded in different orders split true values
+    d = 10 if n >= 12 else 4
+    e = build_coupling("random_regular", n, d=d, seed=7).entries.copy()
+    i, j = np.nonzero(np.triu(e))
+    e[i[:3], j[:3]] = e[j[:3], i[:3]] = 2.0 / d
+    return CouplingMatrix(n, e)
+
+
+def _float_route_couplings(n):
+    # two or more nonzero weights, so the float walk enumerates them:
+    # all-distinct floats, exact sums, and floats that fold but are not exact
     couplings = [_non_dyadic_custom(n), _dyadic_custom(n)]
     if n >= 5:
-        d = 10 if n >= 12 else 4
-        couplings.append(build_coupling("random_regular", n, d=d, seed=7))
-    # the block families, enumerated through dense copies of their entries
-    for family, kwargs, step in (("complete", {}, 1), ("bipartite", {}, 2), ("qpartite", {"q": 3}, 3)):
-        if n >= 2 and n % step == 0:
-            block = build_coupling(family, n, **kwargs)
-            couplings.append(CouplingMatrix(n, block.entries))
+        couplings.append(_two_weight_regular(n))
     return couplings
 
 
@@ -662,7 +669,7 @@ def _assert_table_is_the_oracle_unique(cpl):
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_streamed_table_is_the_half_table_oracle_bit_for_bit(n):
-    for cpl in _streamed_table_couplings(n):
+    for cpl in _float_route_couplings(n):
         _assert_table_is_the_oracle_unique(cpl)
 
 
@@ -673,8 +680,108 @@ def test_streamed_table_holds_for_any_block_and_fold(monkeypatch, chunk, fold):
     monkeypatch.setattr(sampler, "ENUMERATION_CHUNK", chunk)
     monkeypatch.setattr(sampler, "ENUMERATION_FOLD", fold)
     for n in (1, 2, 5, 9, 12):
-        for cpl in _streamed_table_couplings(n):
+        for cpl in _float_route_couplings(n):
             _assert_table_is_the_oracle_unique(cpl)
+
+
+def _single_weight_couplings(n):
+    # dense copies of the block families and a random_regular graph, each
+    # with one nonzero weight, and the coupling with none
+    couplings = [CouplingMatrix(n, np.zeros((n, n)))]
+    if n < 2:
+        return couplings
+    couplings.append(build_coupling("random_regular", n, d=min(10, n - 1), seed=7))
+    blocks = [("complete", {})]
+    if n % 2 == 0:
+        blocks.append(("bipartite", {}))
+    if n % 3 == 0:
+        blocks.append(("qpartite", {"q": 3}))
+    q = next((q for q in range(4, n + 1) if n % q == 0), None)
+    if q is not None:
+        blocks.append(("cyclic_qpartite", {"q": q}))
+    for family, kwargs in blocks:
+        couplings.append(CouplingMatrix(n, build_coupling(family, n, **kwargs).entries))
+    return couplings
+
+
+def _assert_table_is_the_integer_oracle(cpl, table):
+    adjacency = cpl.entries != 0.0
+    weight = cpl.entries.max()
+    m, half_counts = np.unique(half_pattern_suff_stats(adjacency), return_counts=True)
+    values, counts = table(cpl)
+    assert np.array_equal(values.view(np.int64), (m * weight).view(np.int64))
+    assert np.array_equal(counts, 2 * half_counts)
+    assert counts.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 14, 15, 20])
+def test_single_weight_table_is_the_integer_oracle_bit_for_bit(n):
+    # each attained x'Ax once, as the correctly rounded m * w
+    for cpl in _single_weight_couplings(n):
+        _assert_table_is_the_integer_oracle(cpl, suff_stat_table)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+def test_single_weight_table_holds_for_any_block(monkeypatch, chunk):
+    monkeypatch.setattr(sampler, "ENUMERATION_CHUNK", chunk)
+    for n in (1, 2, 5, 13, 14):
+        for cpl in _single_weight_couplings(n):
+            _assert_table_is_the_integer_oracle(cpl, sampler.enumerate_suff_stats)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_mle_on_the_integer_table_matches_the_float_table(n):
+    # the same statistics on one graph's exact table and on its float table
+    cpl = build_coupling("random_regular", n, d=10, seed=7)
+    exact = suff_stat_table(cpl)
+    floats = sampler._float_table(cpl)
+    assert exact[0].size < floats[0].size
+    for r in range(30):
+        s = glauber_sample(cpl, 1.2, derive_seed(7, r)).suff_stat()
+        a, b = (_table_mle(s, v, np.log(c)) for v, c in (exact, floats))
+        assert a.exists == b.exists, s
+        if a.exists:
+            assert abs(a.value - b.value) <= max(4 * np.spacing(abs(b.value)), 1e-15), s
+        else:
+            assert a.value == b.value, s
+
+
+def test_suff_stat_table_enumerates_each_coupling_once(monkeypatch):
+    # one enumerate_suff_stats call of 2^n states per coupling on either route
+    calls = []
+
+    def counted(name):
+        original = getattr(sampler, name)
+
+        def call(cpl):
+            calls.append((name, cpl))
+            return original(cpl)
+
+        monkeypatch.setattr(sampler, name, call)
+
+    counted("enumerate_suff_stats")
+    counted("_float_table")
+    exact, near = build_coupling("random_regular", 14, d=10, seed=7), _two_weight_regular(14)
+    for cpl in (exact, near, exact, near):
+        suff_stat_table(cpl)
+    assert calls == [
+        ("enumerate_suff_stats", exact),
+        ("enumerate_suff_stats", near),
+        ("_float_table", near),
+    ]
+
+
+def test_integer_table_peaks_below_the_float_table_at_n_22():
+    cpl = build_coupling("random_regular", 22, d=10, seed=7)
+    peaks = []
+    for table in (sampler.enumerate_suff_stats, sampler._float_table):
+        tracemalloc.start()
+        try:
+            table(cpl)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 def test_streamed_table_stays_under_4_mb_at_n_22():
@@ -996,7 +1103,8 @@ def test_default_burn_in_chains_match_the_enumeration_by_chi_square(theta, seed)
     # the graph of the estimator_random_regular benchmark workload
     coupling = build_coupling("random_regular", 20, d=10, seed=7)
     values, counts = suff_stat_table(coupling)
-    # the table splits one x'Qx into several floats; rounding joins them
+    # the table holds each exact x'Qx once; only the drawn floats, summed
+    # in the fields' order, need rounding to meet it
     cells, cell_of_value = np.unique(np.round(values, 8), return_inverse=True)
     probs = tilted_table(values, np.log(counts), theta)[2]
     pmf = np.bincount(cell_of_value, weights=probs)
